@@ -85,17 +85,12 @@ addReplayThroughputFlags(FlagSet &flags)
 {
     flags.defineInt("rt-windows", 8,
                     "register windows per replay point");
-    // crw-bench registers every exhibit's flags in one FlagSet;
-    // sparc_interp already owns the shared perf-summary knobs.
-    if (!flags.isDefined("reps"))
-        flags.defineInt("reps", 5,
-                        "wall-time samples per mode (fastest wins)");
-    if (!flags.isDefined("json"))
-        flags.defineString("json", "",
-                           "also write a JSON summary to this path");
-    if (!flags.isDefined("git-sha"))
-        flags.defineString("git-sha", "unknown",
-                           "recorded in the JSON summary");
+    flags.defineInt("reps", 5,
+                    "wall-time samples per mode (fastest wins)");
+    flags.defineString("json", "",
+                       "also write a JSON summary to this path");
+    flags.defineString("git-sha", "unknown",
+                       "recorded in the JSON summary");
 }
 
 int

@@ -47,9 +47,6 @@ int runMicrotrace(const FlagSet &flags);
 void planSynth(ExperimentPlan &plan);
 int runSynth(const FlagSet &flags);
 
-void addSparcInterpFlags(FlagSet &flags);
-int runSparcInterp(const FlagSet &flags);
-
 void addReplayThroughputFlags(FlagSet &flags);
 int runReplayThroughput(const FlagSet &flags);
 

@@ -21,8 +21,7 @@ bool
 inAll(const Exhibit &ex)
 {
     const std::string name(ex.name);
-    return name != "sparc_interp" && name != "replay-throughput" &&
-           name != "cache";
+    return name != "replay-throughput" && name != "cache";
 }
 
 /** The `crw-bench list` body: the registry with descriptions. */
@@ -112,8 +111,6 @@ exhibitRegistry()
          nullptr, runMicrotrace},
         {"synth", "generated behaviors x full policy family", nullptr,
          planSynth, runSynth},
-        {"sparc_interp", "SPARC interpreter host throughput",
-         addSparcInterpFlags, nullptr, runSparcInterp},
         {"replay-throughput", "replay engine host throughput",
          addReplayThroughputFlags, nullptr, runReplayThroughput},
         {"cache", "bench_out store inventory and GC", addCacheFlags,

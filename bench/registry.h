@@ -40,8 +40,8 @@ struct Exhibit
     int (*report)(const FlagSet &flags);
 };
 
-/** All exhibits, in the canonical "all" order (sparc_interp last —
- *  it is a host-performance bench, selected by name only). */
+/** All exhibits, in the canonical "all" order; the ones outside
+ *  "all" (replay-throughput, cache) come last, selected by name only. */
 const std::vector<Exhibit> &exhibitRegistry();
 
 /** Registry lookup by name; null when unknown. */

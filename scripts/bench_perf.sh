@@ -1,20 +1,20 @@
 #!/usr/bin/env sh
-# Host-performance gate: configure a Release build, run
-# bench_sparc_interp (predecoded block dispatch vs legacy stepping),
-# crw-bench replay-throughput (devirtualized flat replay vs the legacy
+# Host-performance gate: configure a Release build, run crw-bench
+# replay-throughput (devirtualized flat replay vs the legacy
 # virtual-dispatch loop) and bench_fig11 (the event-level headline
 # sweep), and record machine-readable summaries at the repo root —
-# BENCH_sparc_interp.json and BENCH_replay_throughput.json, each
-# {mips/mevps, speedup, wall_s, git_sha, per-row detail}, plus
-# BENCH_warm_start.json from the arena-store warm-start gate.
+# BENCH_replay_throughput.json {mevps, speedup, wall_s, git_sha,
+# per-row detail}, plus BENCH_warm_start.json from the arena-store
+# warm-start gate.
 #
 # Run from the repo root. The Release tree lives in build-perf/ so it
 # never disturbs an existing default (often Debug) build/ tree.
 #
 # Usage: scripts/bench_perf.sh [build-dir] [reps]
 #   build-dir  CMake Release build tree (default: build-perf)
-#   reps       wall-time samples per mode for bench_sparc_interp;
-#              each mode reports its fastest sample (default: 5)
+#   reps       wall-time samples per mode for crw-bench
+#              replay-throughput; each mode reports its fastest
+#              sample (default: 5)
 set -eu
 
 build_dir=${1:-build-perf}
@@ -35,12 +35,6 @@ cmake --build "$build_dir" -j"$(nproc 2>/dev/null || echo 2)"
 echo "== tier-1 gate (ctest -L tier1)"
 ctest --test-dir "$build_dir" -L tier1 \
     -j"$(nproc 2>/dev/null || echo 2)" --output-on-failure
-
-echo "== bench_sparc_interp (reps=$reps)"
-"$build_dir/bench/bench_sparc_interp" \
-    --reps "$reps" \
-    --json "$repo_root/BENCH_sparc_interp.json" \
-    --git-sha "$git_sha"
 
 echo "== bench_fig11"
 "$build_dir/bench/bench_fig11"
@@ -250,7 +244,5 @@ if [ "$off_ms" -gt 0 ] && \
     echo "  WARN observability overhead exceeds 5% of wall time" >&2
 fi
 
-echo "== summary: BENCH_sparc_interp.json"
-cat "$repo_root/BENCH_sparc_interp.json"
 echo "== summary: BENCH_replay_throughput.json"
 cat "$repo_root/BENCH_replay_throughput.json"

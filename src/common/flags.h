@@ -36,16 +36,6 @@ class FlagSet
      */
     bool parse(int argc, const char *const *argv);
 
-    /**
-     * True once @p name has been registered. Lets flag providers that
-     * share a FlagSet (the crw-bench registry defines every exhibit's
-     * flags up front) skip names another provider already owns.
-     */
-    bool isDefined(const std::string &name) const
-    {
-        return flags_.count(name) != 0;
-    }
-
     std::int64_t getInt(const std::string &name) const;
     const std::string &getString(const std::string &name) const;
     bool getBool(const std::string &name) const;

@@ -1,7 +1,6 @@
 #include "obs/publish.h"
 
 #include "rt/sched_core.h"
-#include "sparc/cpu.h"
 
 namespace crw {
 namespace obs {
@@ -50,26 +49,6 @@ publishSchedCore(const SchedCore &core, PointRecord &rec)
     // point, never accumulated across points.
     rec.values["sched.slackness_mean"] = core.slackness().mean();
     rec.values["sched.slackness_max"] = core.slackness().max();
-}
-
-void
-publishCpu(const sparc::Cpu &cpu, PointRecord &rec)
-{
-    const sparc::Cpu::LaneMix mix = cpu.laneMix();
-    rec.counters["cpu.instructions"] = cpu.instructions();
-    rec.counters["cpu.cycles"] = cpu.cycles();
-    rec.counters["cpu.lane_simple"] = mix.simple;
-    rec.counters["cpu.lane_mem"] = mix.mem;
-    rec.counters["cpu.lane_complex"] = mix.complex;
-    rec.counters["cpu.lane_stepped"] = mix.stepped;
-
-    const StatGroup &st = cpu.stats();
-    rec.counters["cpu.block_dispatch"] = st.counterValue("block.dispatch");
-    rec.counters["cpu.block_fill"] = st.counterValue("block.fill");
-    rec.counters["cpu.block_abort"] = st.counterValue("block.abort");
-    rec.counters["cpu.block_invalidations"] =
-        cpu.blockCacheInvalidations();
-    rec.counters["cpu.annulled_slots"] = st.counterValue("annulled_slots");
 }
 
 void

@@ -4,7 +4,7 @@
  * MetricsRegistry records and Chrome trace tracks (DESIGN.md §10).
  *
  * crw::obs depends on the simulation layers, never the reverse — the
- * engine, scheduler and CPU keep publishing through their existing
+ * engine and scheduler keep publishing through their existing
  * StatGroup/accessor surfaces, and these free functions translate.
  * A harness that never calls them pays nothing.
  */
@@ -23,10 +23,6 @@ namespace crw {
 
 class SchedCore;
 
-namespace sparc {
-class Cpu;
-} // namespace sparc
-
 namespace obs {
 
 /**
@@ -38,13 +34,6 @@ PointRecord pointFromEngine(const WindowEngine &engine);
 
 /** Add a SchedCore's dispatch statistics to a point record. */
 void publishSchedCore(const SchedCore &core, PointRecord &rec);
-
-/**
- * Add a SPARC CPU's execution counters — instruction total, dispatch
- * lane mix, block cache hit/fill/abort/invalidation counts — to a
- * point record.
- */
-void publishCpu(const sparc::Cpu &cpu, PointRecord &rec);
 
 /**
  * EngineObserver that records every save/restore/trap/switch as a

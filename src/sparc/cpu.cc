@@ -1,27 +1,13 @@
 #include "sparc/cpu.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "common/logging.h"
-#include "sparc/block_cache.h"
 
 namespace crw {
 namespace sparc {
 
 namespace {
-
-/** CRW_SPARC_BLOCK_CACHE=0/off/false/no disables block dispatch. */
-bool
-blockCacheDefault()
-{
-    const char *env = std::getenv("CRW_SPARC_BLOCK_CACHE");
-    if (!env)
-        return true;
-    return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0 &&
-           std::strcmp(env, "false") != 0 && std::strcmp(env, "no") != 0;
-}
 
 /** Names for trap-counter stats. */
 const char *
@@ -62,76 +48,8 @@ Cpu::Cpu(Memory &memory, int num_windows, const CycleModel &cycles)
     : mem_(memory),
       regs_(num_windows),
       cost_(cycles),
-      stats_("sparc.cpu"),
-      bcache_(std::make_unique<BlockCache>(cycles)),
-      blockCacheEnabled_(blockCacheDefault()),
-      blockHits_(stats_.counter("block.dispatch")),
-      blockFills_(stats_.counter("block.fill")),
-      blockAborts_(stats_.counter("block.abort")),
-      watchpointHits_(stats_.counter("watchpoint.hit")),
-      annulledSlots_(stats_.counter("annulled_slots"))
+      stats_("sparc.cpu")
 {
-    // Precompute the register pointer view of every window (the
-    // RegFile's storage never moves, so the pointers stay valid for
-    // the life of the CPU).
-    const int nw = regs_.numWindows();
-    viewR_.resize(static_cast<std::size_t>(nw));
-    viewW_.resize(static_cast<std::size_t>(nw));
-    for (int w = 0; w < nw; ++w) {
-        viewR_[w][0] = &zeroReg_;
-        viewW_[w][0] = &sinkReg_;
-        for (int r = 1; r < 32; ++r)
-            viewR_[w][r] = viewW_[w][r] = regs_.slotPtr(w, r);
-    }
-    refreshRegView();
-}
-
-Cpu::~Cpu() = default;
-
-void
-Cpu::setBlockCacheEnabled(bool enabled)
-{
-    blockCacheEnabled_ = enabled;
-}
-
-void
-Cpu::flushBlockCache()
-{
-    bcache_->flush();
-}
-
-std::size_t
-Cpu::blockCacheBlockCount() const
-{
-    return bcache_->blockCount();
-}
-
-std::uint64_t
-Cpu::blockCacheInvalidations() const
-{
-    return bcache_->invalidations();
-}
-
-void
-Cpu::addWatchpoint(Addr addr)
-{
-    watchpoints_.push_back(addr);
-    bcache_->flush();
-}
-
-void
-Cpu::clearWatchpoints()
-{
-    watchpoints_.clear();
-    bcache_->flush();
-}
-
-void
-Cpu::noteStoreWatchpoints(Addr addr, std::size_t len)
-{
-    for (const Addr w : watchpoints_)
-        if (w >= addr && w < addr + len)
-            ++watchpointHits_;
 }
 
 void
@@ -238,7 +156,6 @@ void
 Cpu::enterErrorMode(const std::string &why)
 {
     stop_ = StopReason::ErrorMode;
-    blockExit_ = true;
     error_ = why;
     ++stats_.counter("error_mode");
 }
@@ -247,7 +164,6 @@ void
 Cpu::trap(TrapType tt, const char *what)
 {
     trapped_ = true;
-    blockExit_ = true;
     if (!(psr_ & kPsrEtBit)) {
         std::ostringstream os;
         os << "trap " << trapName(tt) << " while ET=0 at pc=0x"
@@ -364,11 +280,6 @@ Cpu::executeMem(Word insn)
         trap(TrapType::IllegalInstruction, "odd rd for ldd/std");
         return;
     }
-    if (!watchpoints_.empty() &&
-        (op3 == Op3M::St || op3 == Op3M::Stb || op3 == Op3M::Sth ||
-         op3 == Op3M::Std))
-        noteStoreWatchpoints(addr, len);
-
     switch (op3) {
       case Op3M::Ld:
         charge(cost_.load);
@@ -796,7 +707,6 @@ Cpu::step()
     if (annulNext_) {
         annulNext_ = false;
         charge(cost_.annulled);
-        ++annulledSlots_;
         pc_ = npc_;
         npc_ += 4;
         return;
@@ -836,731 +746,13 @@ Cpu::step()
     }
 }
 
-void
-Cpu::refreshRegView()
-{
-    viewCwp_ = cwp();
-    rv_ = viewR_[static_cast<std::size_t>(viewCwp_)].data();
-    wv_ = viewW_[static_cast<std::size_t>(viewCwp_)].data();
-}
-
-/**
- * The isSimple() subset of executeDecoded(): cases lifted verbatim,
- * kept separate so the block loop can dispatch them without the
- * trap/transfer/clash scaffolding the other kinds need.
- */
-void
-Cpu::executeSimple(const DecodedInsn &d)
-{
-    const Word a = *rv_[d.rs1];
-    const Word b = d.useImm ? d.imm : *rv_[d.rs2];
-    Word *const rd = wv_[d.rd];
-
-    cycles_ += d.cost; // every simple kind charges unconditionally
-    switch (d.kind) {
-      case ExecKind::Sethi:
-        *rd = d.imm;
-        return;
-      case ExecKind::Add:
-        *rd = a + b;
-        return;
-      case ExecKind::AddCc: {
-        const Word r = a + b;
-        addIcc(a, b, r, false);
-        *rd = r;
-        return;
-      }
-      case ExecKind::Sub:
-        *rd = a - b;
-        return;
-      case ExecKind::SubCc: {
-        const Word r = a - b;
-        addIcc(a, b, r, true);
-        *rd = r;
-        return;
-      }
-      case ExecKind::Addx:
-        *rd = a + b + ((psr_ & kIccC) ? 1 : 0);
-        return;
-      case ExecKind::AddxCc: {
-        const Word carry = (psr_ & kIccC) ? 1 : 0;
-        const Word r = a + b + carry;
-        const bool n = r >> 31;
-        const bool z = r == 0;
-        const bool v = (~(a ^ b) & (a ^ r)) >> 31;
-        const bool c =
-            ((static_cast<std::uint64_t>(a) + b + carry) >> 32) != 0;
-        setIcc(n, z, v, c);
-        *rd = r;
-        return;
-      }
-      case ExecKind::Subx:
-        *rd = a - b - ((psr_ & kIccC) ? 1 : 0);
-        return;
-      case ExecKind::SubxCc: {
-        const Word borrow = (psr_ & kIccC) ? 1 : 0;
-        const Word r = a - b - borrow;
-        const bool n = r >> 31;
-        const bool z = r == 0;
-        const bool v = ((a ^ b) & (a ^ r)) >> 31;
-        const bool c = static_cast<std::uint64_t>(b) + borrow > a;
-        setIcc(n, z, v, c);
-        *rd = r;
-        return;
-      }
-      case ExecKind::And:
-        *rd = a & b;
-        return;
-      case ExecKind::Or:
-        *rd = a | b;
-        return;
-      case ExecKind::Xor:
-        *rd = a ^ b;
-        return;
-      case ExecKind::Andn:
-        *rd = a & ~b;
-        return;
-      case ExecKind::Orn:
-        *rd = a | ~b;
-        return;
-      case ExecKind::Xnor:
-        *rd = a ^ ~b;
-        return;
-      case ExecKind::AndCc:
-      case ExecKind::OrCc:
-      case ExecKind::XorCc:
-      case ExecKind::AndnCc:
-      case ExecKind::OrnCc:
-      case ExecKind::XnorCc: {
-        Word r = 0;
-        switch (d.kind) {
-          case ExecKind::AndCc:  r = a & b; break;
-          case ExecKind::OrCc:   r = a | b; break;
-          case ExecKind::XorCc:  r = a ^ b; break;
-          case ExecKind::AndnCc: r = a & ~b; break;
-          case ExecKind::OrnCc:  r = a | ~b; break;
-          default:               r = a ^ ~b; break;
-        }
-        setIcc(r >> 31, r == 0, false, false);
-        *rd = r;
-        return;
-      }
-      case ExecKind::Sll:
-        *rd = a << (b & 31);
-        return;
-      case ExecKind::Srl:
-        *rd = a >> (b & 31);
-        return;
-      case ExecKind::Sra:
-        *rd = static_cast<Word>(static_cast<std::int32_t>(a) >>
-                                (b & 31));
-        return;
-      case ExecKind::Umul:
-      case ExecKind::UmulCc: {
-        const std::uint64_t p = static_cast<std::uint64_t>(a) * b;
-        y_ = static_cast<Word>(p >> 32);
-        const Word r = static_cast<Word>(p);
-        if (d.kind == ExecKind::UmulCc)
-            setIcc(r >> 31, r == 0, false, false);
-        *rd = r;
-        return;
-      }
-      case ExecKind::Smul:
-      case ExecKind::SmulCc: {
-        const std::int64_t p =
-            static_cast<std::int64_t>(static_cast<std::int32_t>(a)) *
-            static_cast<std::int32_t>(b);
-        y_ = static_cast<Word>(static_cast<std::uint64_t>(p) >> 32);
-        const Word r = static_cast<Word>(p);
-        if (d.kind == ExecKind::SmulCc)
-            setIcc(r >> 31, r == 0, false, false);
-        *rd = r;
-        return;
-      }
-      case ExecKind::RdY:
-        *rd = y_;
-        return;
-      case ExecKind::WrY:
-        y_ = a ^ b;
-        return;
-      default:
-        return; // unreachable: gated on d.simple
-    }
-}
-
-/**
- * The predecoded twin of execute(): one flat switch on ExecKind,
- * pre-extracted fields, pre-resolved cycle costs, and register access
- * through the window view pointers. Every case mirrors its legacy
- * counterpart exactly — including the order of cycle charges relative
- * to trap checks — so both paths produce identical architectural
- * state and cycle totals (pinned by tests/sparc/ differential fuzz).
- * The isSimple() kinds live in executeSimple(); this handles the rest.
- */
-void
-Cpu::executeDecoded(const DecodedInsn &d)
-{
-    if (d.simple) {
-        executeSimple(d);
-        return;
-    }
-
-    // rs1/rs2 reads are always in 0..31, so reading them up front is
-    // safe even for kinds that ignore them (sethi/bicc/call).
-    const Word a = *rv_[d.rs1];
-    const Word b = d.useImm ? d.imm : *rv_[d.rs2];
-    Word *const rd = wv_[d.rd];
-
-    switch (d.kind) {
-      case ExecKind::Bicc: {
-        cycles_ += d.cost;
-        const bool taken = evalCond(d.cond);
-        controlTransfer(pc_ + d.imm, d.annul, taken,
-                        d.cond ==
-                            static_cast<std::uint8_t>(Cond::A));
-        return;
-      }
-      case ExecKind::Call:
-        cycles_ += d.cost;
-        *wv_[kRegO7] = pc_;
-        controlTransfer(pc_ + d.imm, false, true, false);
-        return;
-
-      case ExecKind::Udiv: {
-        cycles_ += d.cost;
-        if (b == 0) {
-            trap(static_cast<TrapType>(kDivZeroTrap), "udiv by zero");
-            return;
-        }
-        const std::uint64_t dividend =
-            (static_cast<std::uint64_t>(y_) << 32) | a;
-        std::uint64_t q = dividend / b;
-        if (q > 0xFFFFFFFFull)
-            q = 0xFFFFFFFFull; // overflow saturates per V8
-        *rd = static_cast<Word>(q);
-        return;
-      }
-      case ExecKind::Sdiv: {
-        cycles_ += d.cost;
-        if (b == 0) {
-            trap(static_cast<TrapType>(kDivZeroTrap), "sdiv by zero");
-            return;
-        }
-        const std::int64_t dividend = static_cast<std::int64_t>(
-            (static_cast<std::uint64_t>(y_) << 32) | a);
-        const std::int64_t q =
-            dividend / static_cast<std::int32_t>(b);
-        *rd = static_cast<Word>(q);
-        return;
-      }
-      case ExecKind::RdPsr:
-      case ExecKind::RdWim:
-      case ExecKind::RdTbr: {
-        cycles_ += d.cost;
-        if (!supervisor()) {
-            trap(TrapType::PrivilegedInstruction, "rd state reg");
-            return;
-        }
-        if (d.kind == ExecKind::RdPsr)
-            *rd = psr_;
-        else if (d.kind == ExecKind::RdWim)
-            *rd = wim_;
-        else
-            *rd = tbr_;
-        return;
-      }
-      case ExecKind::WrPsr: {
-        cycles_ += d.cost;
-        if (!supervisor()) {
-            trap(TrapType::PrivilegedInstruction, "wr %psr");
-            return;
-        }
-        const Word v = a ^ b;
-        if ((v & kPsrCwpMask) >=
-            static_cast<Word>(regs_.numWindows())) {
-            trap(TrapType::IllegalInstruction, "CWP out of range");
-            return;
-        }
-        // Immediate effect (no 3-slot write delay; see file header).
-        psr_ = v & (kPsrCwpMask | kPsrEtBit | kPsrPsBit | kPsrSBit |
-                    kIccN | kIccZ | kIccV | kIccC);
-        refreshRegView();
-        return;
-      }
-      case ExecKind::WrWim:
-        cycles_ += d.cost;
-        if (!supervisor()) {
-            trap(TrapType::PrivilegedInstruction, "wr %wim");
-            return;
-        }
-        setWim(a ^ b);
-        return;
-      case ExecKind::WrTbr:
-        cycles_ += d.cost;
-        if (!supervisor()) {
-            trap(TrapType::PrivilegedInstruction, "wr %tbr");
-            return;
-        }
-        setTbr(a ^ b);
-        return;
-      case ExecKind::Jmpl: {
-        cycles_ += d.cost;
-        const Word target = a + b;
-        if (target & 3) {
-            trap(TrapType::MemAddressNotAligned, "jmpl target");
-            return;
-        }
-        *rd = pc_;
-        controlTransfer(target, false, true, false);
-        return;
-      }
-      case ExecKind::Rett: {
-        cycles_ += d.cost;
-        if (!supervisor()) {
-            trap(TrapType::PrivilegedInstruction, "rett");
-            return;
-        }
-        if (psr_ & kPsrEtBit) {
-            trap(TrapType::IllegalInstruction, "rett with ET=1");
-            return;
-        }
-        const Word target = a + b;
-        if (target & 3) {
-            enterErrorMode("rett to misaligned target");
-            trapped_ = true;
-            return;
-        }
-        const int new_cwp = regs_.space().below(cwp());
-        if ((wim_ >> new_cwp) & 1) {
-            enterErrorMode("rett into invalid window (WIM)");
-            trapped_ = true;
-            return;
-        }
-        psr_ = (psr_ & ~kPsrCwpMask) | static_cast<Word>(new_cwp);
-        // S <- PS, ET <- 1.
-        if (psr_ & kPsrPsBit)
-            psr_ |= kPsrSBit;
-        else
-            psr_ &= ~kPsrSBit;
-        psr_ |= kPsrEtBit;
-        refreshRegView();
-        controlTransfer(target, false, true, false);
-        return;
-      }
-      case ExecKind::Ticc: {
-        cycles_ += d.cost;
-        if (!evalCond(d.cond))
-            return;
-        const std::uint32_t number = (a + b) & 0x7F;
-        // Simulator services (see header).
-        if (number == 0) {
-            stop_ = StopReason::Halted;
-            blockExit_ = true;
-            exitCode_ = *rv_[kRegO0];
-            ++stats_.counter("hypercall.halt");
-            return;
-        }
-        if (number == 1) {
-            console_.push_back(
-                static_cast<char>(*rv_[kRegO0] & 0xFF));
-            ++stats_.counter("hypercall.putchar");
-            return;
-        }
-        if (number == 2) {
-            *wv_[kRegO0] = static_cast<Word>(cycles_);
-            ++stats_.counter("hypercall.cycles");
-            return;
-        }
-        trap(static_cast<TrapType>(
-                 static_cast<std::uint32_t>(
-                     TrapType::TrapInstructionBase) +
-                 number),
-             "ticc");
-        return;
-      }
-      case ExecKind::Save: {
-        cycles_ += d.cost;
-        const int new_cwp = regs_.space().above(cwp());
-        if ((wim_ >> new_cwp) & 1) {
-            trap(TrapType::WindowOverflow, "save into invalid window");
-            return;
-        }
-        const Word r = a + b; // computed with the OLD window
-        psr_ = (psr_ & ~kPsrCwpMask) | static_cast<Word>(new_cwp);
-        refreshRegView();
-        // Written in the NEW window, via its precomputed view row
-        // (entry 0 is the %g0 discard slot).
-        *wv_[d.rd] = r;
-        return;
-      }
-      case ExecKind::Restore: {
-        cycles_ += d.cost;
-        const int new_cwp = regs_.space().below(cwp());
-        if ((wim_ >> new_cwp) & 1) {
-            trap(TrapType::WindowUnderflow,
-                 "restore into invalid window");
-            return;
-        }
-        const Word r = a + b;
-        psr_ = (psr_ & ~kPsrCwpMask) | static_cast<Word>(new_cwp);
-        refreshRegView();
-        *wv_[d.rd] = r;
-        return;
-      }
-
-      // Memory kinds normally take runBlock's own mem lane; this
-      // delegation keeps executeDecoded() complete on its own.
-      case ExecKind::Ld:
-      case ExecKind::Ldub:
-      case ExecKind::Ldsb:
-      case ExecKind::Lduh:
-      case ExecKind::Ldsh:
-      case ExecKind::Ldd:
-      case ExecKind::St:
-      case ExecKind::Stb:
-      case ExecKind::Sth:
-      case ExecKind::Std:
-      case ExecKind::IllegalMem:
-        executeMemDecoded(d);
-        return;
-
-      case ExecKind::IllegalOp2:
-        trap(TrapType::IllegalInstruction, "bad op2");
-        return;
-      case ExecKind::IllegalArith:
-        trap(TrapType::IllegalInstruction, "bad arith op3");
-        return;
-      default:
-        return; // unreachable: isSimple() kinds delegated above
-    }
-}
-
-/**
- * The isMem() subset of executeDecoded(): one straight-line case per
- * kind (no shared inner switches), preserving the legacy check order
- * — alignment, bounds, odd-rd (ldd/std) — before the cycle charge. A
- * store overlapping the dispatching block marks the predecoded copy
- * stale from the next instruction on.
- */
-void
-Cpu::executeMemDecoded(const DecodedInsn &d)
-{
-    const Word a = *rv_[d.rs1];
-    const Word addr = a + (d.useImm ? d.imm : *rv_[d.rs2]);
-
-    switch (d.kind) {
-      case ExecKind::Ld: {
-        if (addr & 3) {
-            trap(TrapType::MemAddressNotAligned, "memory operand");
-            return;
-        }
-        if (!mem_.inBounds(addr, 4)) {
-            trap(TrapType::DataAccess, "address out of range");
-            return;
-        }
-        cycles_ += d.cost;
-        *wv_[d.rd] = mem_.readWord(addr);
-        return;
-      }
-      case ExecKind::Ldub: {
-        if (!mem_.inBounds(addr, 1)) {
-            trap(TrapType::DataAccess, "address out of range");
-            return;
-        }
-        cycles_ += d.cost;
-        *wv_[d.rd] = mem_.readByte(addr);
-        return;
-      }
-      case ExecKind::Ldsb: {
-        if (!mem_.inBounds(addr, 1)) {
-            trap(TrapType::DataAccess, "address out of range");
-            return;
-        }
-        cycles_ += d.cost;
-        *wv_[d.rd] = static_cast<Word>(static_cast<std::int32_t>(
-            static_cast<std::int8_t>(mem_.readByte(addr))));
-        return;
-      }
-      case ExecKind::Lduh: {
-        if (addr & 1) {
-            trap(TrapType::MemAddressNotAligned, "memory operand");
-            return;
-        }
-        if (!mem_.inBounds(addr, 2)) {
-            trap(TrapType::DataAccess, "address out of range");
-            return;
-        }
-        cycles_ += d.cost;
-        *wv_[d.rd] = mem_.readHalf(addr);
-        return;
-      }
-      case ExecKind::Ldsh: {
-        if (addr & 1) {
-            trap(TrapType::MemAddressNotAligned, "memory operand");
-            return;
-        }
-        if (!mem_.inBounds(addr, 2)) {
-            trap(TrapType::DataAccess, "address out of range");
-            return;
-        }
-        cycles_ += d.cost;
-        *wv_[d.rd] = static_cast<Word>(static_cast<std::int32_t>(
-            static_cast<std::int16_t>(mem_.readHalf(addr))));
-        return;
-      }
-      case ExecKind::Ldd: {
-        if (addr & 7) {
-            trap(TrapType::MemAddressNotAligned, "memory operand");
-            return;
-        }
-        if (!mem_.inBounds(addr, 8)) {
-            trap(TrapType::DataAccess, "address out of range");
-            return;
-        }
-        if (d.rd & 1) {
-            trap(TrapType::IllegalInstruction, "odd rd for ldd/std");
-            return;
-        }
-        cycles_ += d.cost;
-        *wv_[d.rd] = mem_.readWord(addr);
-        *wv_[d.rd | 1] = mem_.readWord(addr + 4);
-        return;
-      }
-      case ExecKind::St: {
-        if (addr & 3) {
-            trap(TrapType::MemAddressNotAligned, "memory operand");
-            return;
-        }
-        if (!mem_.inBounds(addr, 4)) {
-            trap(TrapType::DataAccess, "address out of range");
-            return;
-        }
-        cycles_ += d.cost;
-        mem_.writeWord(addr, *rv_[d.rd]);
-        if (addr < blockEnd_ &&
-            static_cast<std::size_t>(addr) + 4 > blockStart_) {
-            blockStoreClash_ = true;
-            blockExit_ = true;
-        }
-        return;
-      }
-      case ExecKind::Stb: {
-        if (!mem_.inBounds(addr, 1)) {
-            trap(TrapType::DataAccess, "address out of range");
-            return;
-        }
-        cycles_ += d.cost;
-        mem_.writeByte(addr, static_cast<std::uint8_t>(*rv_[d.rd]));
-        if (addr < blockEnd_ &&
-            static_cast<std::size_t>(addr) + 1 > blockStart_) {
-            blockStoreClash_ = true;
-            blockExit_ = true;
-        }
-        return;
-      }
-      case ExecKind::Sth: {
-        if (addr & 1) {
-            trap(TrapType::MemAddressNotAligned, "memory operand");
-            return;
-        }
-        if (!mem_.inBounds(addr, 2)) {
-            trap(TrapType::DataAccess, "address out of range");
-            return;
-        }
-        cycles_ += d.cost;
-        mem_.writeHalf(addr, static_cast<std::uint16_t>(*rv_[d.rd]));
-        if (addr < blockEnd_ &&
-            static_cast<std::size_t>(addr) + 2 > blockStart_) {
-            blockStoreClash_ = true;
-            blockExit_ = true;
-        }
-        return;
-      }
-      case ExecKind::Std: {
-        if (addr & 7) {
-            trap(TrapType::MemAddressNotAligned, "memory operand");
-            return;
-        }
-        if (!mem_.inBounds(addr, 8)) {
-            trap(TrapType::DataAccess, "address out of range");
-            return;
-        }
-        if (d.rd & 1) {
-            trap(TrapType::IllegalInstruction, "odd rd for ldd/std");
-            return;
-        }
-        cycles_ += d.cost;
-        mem_.writeWord(addr, *rv_[d.rd]);
-        mem_.writeWord(addr + 4, *rv_[d.rd | 1]);
-        if (addr < blockEnd_ &&
-            static_cast<std::size_t>(addr) + 8 > blockStart_) {
-            blockStoreClash_ = true;
-            blockExit_ = true;
-        }
-        return;
-      }
-      case ExecKind::IllegalMem: {
-        // Legacy order: the mem path checks alignment and bounds
-        // (with the default word length) before the illegal-op3 trap.
-        if (addr & 3) {
-            trap(TrapType::MemAddressNotAligned, "memory operand");
-            return;
-        }
-        if (!mem_.inBounds(addr, 4)) {
-            trap(TrapType::DataAccess, "address out of range");
-            return;
-        }
-        trap(TrapType::IllegalInstruction, "bad mem op3");
-        return;
-      }
-      default:
-        return; // unreachable: only isMem() kinds are dispatched here
-    }
-}
-
-void
-Cpu::runBlock(const DecodedBlock &b, std::uint64_t &executed,
-              std::uint64_t max_steps)
-{
-    blockStart_ = b.coverLo;
-    blockEnd_ = b.endPc;
-    blockStoreClash_ = false;
-    blockExit_ = false; // may be left set by a step()-path trap
-    if (static_cast<int>(psr_ & kPsrCwpMask) != viewCwp_)
-        refreshRegView();
-    // Every iteration consumes exactly one budget step (an executed
-    // instruction or an annulled slot), so the budget folds into the
-    // loop bound instead of a per-instruction compare, and the step /
-    // instruction totals fall out of the walked entry count at exit
-    // instead of two per-instruction counter updates.
-    const DecodedInsn *const first = b.insns.data();
-    const DecodedInsn *d = first;
-    const DecodedInsn *end =
-        first + std::min<std::uint64_t>(b.insns.size(),
-                                        max_steps - executed);
-    std::uint64_t annulled = 0;
-    std::uint64_t nSimple = 0;
-    std::uint64_t nMem = 0;
-    for (; d != end; ++d) {
-        // A CTI's delay slot is predecoded as the following entry, so
-        // an annul request is consumed right here (mirroring step()'s
-        // annulled-slot path, including the step-budget charge).
-        if (annulNext_) {
-            annulNext_ = false;
-            cycles_ += cost_.annulled;
-            ++annulledSlots_;
-            ++annulled;
-            pc_ = npc_;
-            npc_ += 4;
-            continue;
-        }
-        if (d->simple) {
-            // No trap, transfer, store, or CWP change is possible:
-            // skip the scratch state and every post-check.
-            executeSimple(*d);
-            ++nSimple;
-            pc_ = npc_;
-            npc_ += 4;
-            continue;
-        }
-        if (d->mem) {
-            ++nMem;
-            // Never transfers or annuls: skip the CTI scratch state;
-            // traps and store clashes surface through blockExit_.
-            executeMemDecoded(*d);
-            if (blockExit_) {
-                blockExit_ = false;
-                if (blockStoreClash_) {
-                    ++blockAborts_;
-                    pc_ = npc_;
-                    npc_ += 4;
-                }
-                ++d; // this entry consumed its step
-                break;
-            }
-            pc_ = npc_;
-            npc_ += 4;
-            continue;
-        }
-        transferTarget_ = kNoTarget;
-        annulRequest_ = false;
-        executeDecoded(*d);
-        if (blockExit_) {
-            // Rare: trap / error mode / halt (PC state already
-            // established — leave it) or a store into this block
-            // (advance past the store, then abandon the stale copy).
-            blockExit_ = false;
-            if (blockStoreClash_) {
-                ++blockAborts_;
-                pc_ = npc_;
-                npc_ += 4;
-            }
-            ++d; // this entry consumed its step
-            break;
-        }
-        if (transferTarget_ != kNoTarget) {
-            // The next entry (if any) is the delay slot. For a linked
-            // CTI the entries after it were decoded at the target and
-            // the walk continues; otherwise (taken forward
-            // conditional, jmpl, rett) the predecoded entries past
-            // the slot are the wrong path, so stop right after it.
-            pc_ = npc_;
-            npc_ = transferTarget_;
-            if (!d->linked && end > d + 2)
-                end = d + 2;
-        } else {
-            // Sequential. The mirror case: a linked *conditional*
-            // (backward branch predicted taken) that fell through
-            // must leave the trace after its slot — the entries past
-            // it were decoded at the branch target.
-            pc_ = npc_;
-            npc_ += 4;
-            if (d->linked && end > d + 2)
-                end = d + 2;
-        }
-        annulNext_ = annulRequest_;
-    }
-    const std::uint64_t steps = static_cast<std::uint64_t>(d - first);
-    executed += steps;
-    instructions_ += steps - annulled;
-    laneSimple_ += nSimple;
-    laneMem_ += nMem;
-    laneComplex_ += steps - annulled - nSimple - nMem;
-}
-
 StopReason
 Cpu::run(std::uint64_t max_steps)
 {
-    viewCwp_ = -1; // regfile view may be stale across run() calls
-    std::uint64_t executed = 0;
-    // Neither the cache toggle nor the watchpoint set can change
-    // while run() is on the stack (both are host-side APIs).
-    const bool dispatchOk =
-        blockCacheEnabled_ && watchpoints_.empty();
-    while (executed < max_steps) {
+    for (std::uint64_t executed = 0; executed < max_steps; ++executed) {
         if (stop_ != StopReason::Running)
             return stop_;
-        // The fast path needs a sequential fetch state (no pending
-        // annul, nPC = PC+4) and no watchpoints; everything else —
-        // delay slots after a taken CTI, annulled slots, traps just
-        // vectored — takes the legacy stepping path.
-        if (!dispatchOk || annulNext_ || npc_ != pc_ + 4) {
-            step();
-            ++executed;
-            continue;
-        }
-        const DecodedBlock *b = bcache_->lookup(pc_, mem_);
-        if (!b) {
-            b = bcache_->fill(pc_, mem_);
-            if (!b) {
-                step(); // unfetchable PC: architectural fetch trap
-                ++executed;
-                continue;
-            }
-            ++blockFills_;
-        }
-        ++blockHits_; // "block.dispatch": every block entered
-        runBlock(*b, executed, max_steps);
+        step();
     }
     return stop_ != StopReason::Running ? stop_ : StopReason::InsnLimit;
 }

@@ -23,22 +23,16 @@
 #define CRW_SPARC_CPU_H_
 
 #include <array>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/stats.h"
 #include "sparc/cycles.h"
-#include "sparc/decode.h"
 #include "sparc/isa.h"
 #include "sparc/memory.h"
 #include "sparc/regfile.h"
 
 namespace crw {
 namespace sparc {
-
-class BlockCache;
-struct DecodedBlock;
 
 /** Why run() returned. */
 enum class StopReason {
@@ -56,7 +50,6 @@ class Cpu
   public:
     Cpu(Memory &memory, int num_windows,
         const CycleModel &cycles = CycleModel{});
-    ~Cpu();
 
     // --- architectural state access ---
     Word pc() const { return pc_; }
@@ -88,47 +81,13 @@ class Cpu
     void step();
 
     /**
-     * Run until halt/error or until @p max_steps instructions.
-     *
-     * Dispatches predecoded basic blocks from the block cache where
-     * possible (DESIGN.md §9); any trap, annulled slot, watchpoint,
-     * or cache miss falls back to the legacy step() path, which is
-     * kept bit-for-bit equivalent (the differential fuzz tests pin
-     * this). Architectural results — registers, memory, traps,
-     * cycle totals — are identical either way.
+     * Run until halt/error or until @p max_steps calls of step() —
+     * executed instructions and annulled slots each use one step of
+     * the budget.
      *
      * @return why execution stopped.
      */
     StopReason run(std::uint64_t max_steps = 100'000'000);
-
-    /**
-     * Enable/disable basic-block dispatch in run(). Defaults to on,
-     * unless the CRW_SPARC_BLOCK_CACHE environment variable is set
-     * to 0/off/false/no at construction. The legacy step loop stays
-     * available as the differential oracle.
-     */
-    void setBlockCacheEnabled(bool enabled);
-    bool blockCacheEnabled() const { return blockCacheEnabled_; }
-
-    /** Drop all predecoded blocks (they re-fill lazily). */
-    void flushBlockCache();
-
-    /** Predecoded blocks currently cached. */
-    std::size_t blockCacheBlockCount() const;
-
-    /** Blocks evicted because a covered page was written. */
-    std::uint64_t blockCacheInvalidations() const;
-
-    /**
-     * Watch stores to @p addr: every store overlapping a watched
-     * address bumps the "watchpoint.hit" counter. While any
-     * watchpoint is set, run() uses the stepping path so each hit is
-     * observed at instruction granularity; setting or clearing
-     * watchpoints flushes the block cache.
-     */
-    void addWatchpoint(Addr addr);
-    void clearWatchpoints();
-    std::size_t watchpointCount() const { return watchpoints_.size(); }
 
     bool halted() const { return stop_ == StopReason::Halted; }
     StopReason stopReason() const { return stop_; }
@@ -139,31 +98,6 @@ class Cpu
 
     /** Executed instruction count (annulled slots excluded). */
     std::uint64_t instructions() const { return instructions_; }
-
-    /**
-     * Dispatch-lane mix of the executed instructions (crw::obs):
-     * how many went through the block loop's simple / mem / complex
-     * lanes versus the one-at-a-time step() path.
-     */
-    struct LaneMix
-    {
-        std::uint64_t simple = 0;
-        std::uint64_t mem = 0;
-        std::uint64_t complex = 0;
-        std::uint64_t stepped = 0;
-    };
-
-    LaneMix
-    laneMix() const
-    {
-        LaneMix m;
-        m.simple = laneSimple_;
-        m.mem = laneMem_;
-        m.complex = laneComplex_;
-        m.stepped =
-            instructions_ - laneSimple_ - laneMem_ - laneComplex_;
-        return m;
-    }
 
     /** Bytes written via `ta 1`. */
     const std::string &console() const { return console_; }
@@ -183,36 +117,6 @@ class Cpu
     void executeMem(Word insn);
     void executeBranch(Word insn);
     bool evalCond(std::uint32_t cond) const;
-
-    // --- block-dispatch fast path ---
-
-    /** Execute one predecoded instruction (mirrors execute()). */
-    void executeDecoded(const DecodedInsn &d);
-
-    /**
-     * Execute one isSimple() instruction: these can never trap,
-     * transfer control, touch memory, or change CWP, so the block
-     * loop runs them without any per-instruction scratch state or
-     * post-checks.
-     */
-    void executeSimple(const DecodedInsn &d);
-
-    /**
-     * Execute one isMem() instruction: these can trap (and a store
-     * can clash with the dispatching block, both reported through
-     * blockExit_) but never transfer control, annul, or change CWP,
-     * so the block loop runs them without the CTI scratch state.
-     */
-    void executeMemDecoded(const DecodedInsn &d);
-
-    /** Point rv_/wv_ at the precomputed view rows for cwp(). */
-    void refreshRegView();
-
-    /** Dispatch as much of @p b as the step budget allows. */
-    void runBlock(const DecodedBlock &b, std::uint64_t &executed,
-                  std::uint64_t max_steps);
-
-    void noteStoreWatchpoints(Addr addr, std::size_t len);
 
     /** Second operand: rs2 or sign-extended simm13. */
     Word operand2(Word insn) const;
@@ -254,50 +158,7 @@ class Cpu
 
     Cycles cycles_ = 0;
     std::uint64_t instructions_ = 0;
-    // Lane totals, flushed from runBlock()-local counters at each
-    // block exit (the hot loop itself never touches members for
-    // these). stepped = instructions_ - (sum of the three lanes).
-    std::uint64_t laneSimple_ = 0;
-    std::uint64_t laneMem_ = 0;
-    std::uint64_t laneComplex_ = 0;
     StatGroup stats_;
-
-    // --- block-dispatch state ---
-    std::unique_ptr<BlockCache> bcache_;
-    bool blockCacheEnabled_ = true;
-    std::vector<Addr> watchpoints_;
-
-    // Per-window register pointer views, precomputed once at
-    // construction (RegFile storage never moves): viewR_[w] maps
-    // architectural register -> storage word for reads (entry 0
-    // points at zeroReg_, held at 0), viewW_[w] for writes (entry 0
-    // points at sinkReg_, a discard slot). rv_/wv_ are the rows for
-    // the current window; a CWP change is just a row swap.
-    std::vector<std::array<Word *, 32>> viewR_, viewW_;
-    Word *const *rv_ = nullptr;
-    Word *const *wv_ = nullptr;
-    int viewCwp_ = -1;
-    Word zeroReg_ = 0;
-    Word sinkReg_ = 0;
-
-    // Covered byte range (bounding box) of the trace being
-    // dispatched; a store into it sets blockStoreClash_ so the block
-    // is abandoned and re-dispatched from fresh state.
-    Word blockStart_ = 0;
-    Word blockEnd_ = 0;
-    bool blockStoreClash_ = false;
-
-    // Umbrella flag for every reason the block loop must stop after
-    // the current instruction (trap, error mode, halt, store clash):
-    // the loop tests this single flag on its hot path and sorts out
-    // the cause only when it is set.
-    bool blockExit_ = false;
-
-    Counter &blockHits_;
-    Counter &blockFills_;
-    Counter &blockAborts_;
-    Counter &watchpointHits_;
-    Counter &annulledSlots_;
 
     /**
      * Lazily-resolved "trap.<name>" counters, indexed by the low 8

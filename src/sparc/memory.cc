@@ -7,11 +7,7 @@
 namespace crw {
 namespace sparc {
 
-Memory::Memory(std::size_t size_bytes)
-    : bytes_(size_bytes),
-      pageGen_((size_bytes + (std::size_t{1} << kPageShift) - 1) >>
-                   kPageShift,
-               0)
+Memory::Memory(std::size_t size_bytes) : bytes_(size_bytes)
 {
     crw_assert(size_bytes >= 4096);
 }
@@ -22,14 +18,12 @@ Memory::loadBlock(Addr addr, const void *data, std::size_t len)
     if (!inBounds(addr, len))
         crw_fatal << "program image does not fit memory: addr=" << addr
                   << " len=" << len;
-    touchRange(addr, len);
     std::memcpy(bytes_.data() + addr, data, len);
 }
 
 void
 Memory::clear()
 {
-    touchRange(0, bytes_.size());
     std::fill(bytes_.begin(), bytes_.end(), 0);
 }
 

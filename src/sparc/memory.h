@@ -16,22 +16,15 @@ namespace crw {
 namespace sparc {
 
 /**
- * A flat, zero-based big-endian memory (SPARC is big-endian). Accesses
- * outside the configured size or with bad alignment are reported to
- * the caller (the CPU turns them into traps).
- *
- * Every write — CPU store, program load, host poke — bumps a per-page
- * generation counter. The block cache (block_cache.h) stamps the
- * generations of the pages a predecoded block covers and re-validates
- * them on dispatch, so code modified by any route is lazily
- * re-decoded instead of executed stale.
+ * A flat, zero-based big-endian memory (SPARC is big-endian) holding
+ * code and data alike. The accessors do no checking: the CPU tests
+ * inBounds() and alignment first and turns a failure into a trap.
+ * Nothing is cached on the side, so the CPU's next fetch sees every
+ * write, self-modifying code included.
  */
 class Memory
 {
   public:
-    /** log2 of the generation-tracking page size (256 bytes). */
-    static constexpr int kPageShift = 8;
-
     explicit Memory(std::size_t size_bytes = 1 << 20);
 
     std::size_t size() const { return bytes_.size(); }
@@ -43,11 +36,7 @@ class Memory
 
     // Unchecked fast accessors; the CPU validates first.
     std::uint8_t readByte(Addr addr) const { return bytes_[addr]; }
-    void writeByte(Addr addr, std::uint8_t v)
-    {
-        touch(addr);
-        bytes_[addr] = v;
-    }
+    void writeByte(Addr addr, std::uint8_t v) { bytes_[addr] = v; }
 
     std::uint16_t readHalf(Addr addr) const
     {
@@ -56,7 +45,6 @@ class Memory
     }
     void writeHalf(Addr addr, std::uint16_t v)
     {
-        touchRange(addr, 2);
         bytes_[addr] = static_cast<std::uint8_t>(v >> 8);
         bytes_[addr + 1] = static_cast<std::uint8_t>(v);
     }
@@ -69,7 +57,6 @@ class Memory
     }
     void writeWord(Addr addr, std::uint32_t v)
     {
-        touchRange(addr, 4);
         bytes_[addr] = static_cast<std::uint8_t>(v >> 24);
         bytes_[addr + 1] = static_cast<std::uint8_t>(v >> 16);
         bytes_[addr + 2] = static_cast<std::uint8_t>(v >> 8);
@@ -82,33 +69,8 @@ class Memory
     /** Convenience for tests: zero everything. */
     void clear();
 
-    /** Write generation of the page containing @p addr. */
-    std::uint32_t pageGenAt(Addr addr) const
-    {
-        return pageGen_[addr >> kPageShift];
-    }
-
-    std::uint32_t pageGen(std::size_t page) const
-    {
-        return pageGen_[page];
-    }
-
-    std::size_t numPages() const { return pageGen_.size(); }
-
   private:
-    void touch(Addr addr) { ++pageGen_[addr >> kPageShift]; }
-    void touchRange(Addr addr, std::size_t len)
-    {
-        if (len == 0)
-            return;
-        const std::size_t first = addr >> kPageShift;
-        const std::size_t last = (addr + len - 1) >> kPageShift;
-        for (std::size_t p = first; p <= last; ++p)
-            ++pageGen_[p];
-    }
-
     std::vector<std::uint8_t> bytes_;
-    std::vector<std::uint32_t> pageGen_;
 };
 
 } // namespace sparc

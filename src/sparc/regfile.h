@@ -60,29 +60,6 @@ class RegFile
     Word getRaw(int window, int slot) const;
     void setRaw(int window, int slot, Word value);
 
-    /**
-     * Pointer to the storage word backing (@p cwp, @p reg). The
-     * pointer stays valid for the life of the RegFile (the vectors
-     * never resize). %g0 has no backing slot — callers must
-     * special-case @p reg == 0. Used by the block executor to build
-     * its per-window register view (one indirection per access
-     * instead of a mapped lookup per access).
-     */
-    Word *
-    slotPtr(int cwp, int reg)
-    {
-        if (reg < 8)
-            return &globals_[static_cast<std::size_t>(reg)];
-        int idx;
-        if (reg < 16) // outs: ins of the window above
-            idx = space_.above(cwp) * 16 + 8 + (reg - 8);
-        else if (reg < 24)
-            idx = cwp * 16 + (reg - 16);
-        else
-            idx = cwp * 16 + 8 + (reg - 24);
-        return &store_[static_cast<std::size_t>(idx)];
-    }
-
     /** Zero everything (power-on). */
     void reset();
 

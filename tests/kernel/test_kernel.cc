@@ -136,44 +136,51 @@ class Table2Calibration : public ::testing::Test
         return h;
     }
 
+    /**
+     * @p measured must sit inside the paper's band [@p lo, @p hi] and
+     * equal @p exact, the value bench_table2 prints: a one-cycle
+     * drift anywhere in the ISA path fails here.
+     */
     static void
-    expectInBand(Cycles measured, Cycles lo, Cycles hi,
-                 const std::string &what)
+    expectCase(Cycles measured, Cycles exact, Cycles lo, Cycles hi,
+               const std::string &what)
     {
         EXPECT_GE(measured, lo) << what;
         EXPECT_LE(measured, hi) << what;
+        EXPECT_EQ(measured, exact) << what;
     }
 };
 
 TEST_F(Table2Calibration, NsCasesInPaperBands)
 {
     // Paper Table 2, NS rows: save s=1..6, restore 1.
+    const Cycles exact[] = {147, 183, 219, 255, 291, 327};
     const Cycles lo[] = {145, 181, 217, 253, 289, 325};
     const Cycles hi[] = {149, 185, 221, 257, 293, 329};
     for (int s = 1; s <= 6; ++s) {
-        expectInBand(harness().measureNs(s), lo[s - 1], hi[s - 1],
-                     "NS save=" + std::to_string(s));
+        expectCase(harness().measureNs(s), exact[s - 1], lo[s - 1],
+                   hi[s - 1], "NS save=" + std::to_string(s));
     }
 }
 
 TEST_F(Table2Calibration, SnpCasesInPaperBands)
 {
-    expectInBand(harness().measureSnp(false, false), 113, 118,
-                 "SNP 0/0");
-    expectInBand(harness().measureSnp(false, true), 142, 147,
-                 "SNP 0/1");
-    expectInBand(harness().measureSnp(true, false), 162, 171,
-                 "SNP 1/0");
-    expectInBand(harness().measureSnp(true, true), 187, 196,
-                 "SNP 1/1");
+    expectCase(harness().measureSnp(false, false), 117, 113, 118,
+               "SNP 0/0");
+    expectCase(harness().measureSnp(false, true), 145, 142, 147,
+               "SNP 0/1");
+    expectCase(harness().measureSnp(true, false), 163, 162, 171,
+               "SNP 1/0");
+    expectCase(harness().measureSnp(true, true), 191, 187, 196,
+               "SNP 1/1");
 }
 
 TEST_F(Table2Calibration, SpCasesInPaperBands)
 {
-    expectInBand(harness().measureSp(0, false), 93, 98, "SP 0/0");
-    expectInBand(harness().measureSp(0, true), 136, 141, "SP 0/1");
-    expectInBand(harness().measureSp(1, true), 180, 197, "SP 1/1");
-    expectInBand(harness().measureSp(2, true), 220, 237, "SP 2/1");
+    expectCase(harness().measureSp(0, false), 94, 93, 98, "SP 0/0");
+    expectCase(harness().measureSp(0, true), 137, 136, 141, "SP 0/1");
+    expectCase(harness().measureSp(1, true), 181, 180, 197, "SP 1/1");
+    expectCase(harness().measureSp(2, true), 225, 220, 237, "SP 2/1");
 }
 
 TEST_F(Table2Calibration, TrapHandlerCostsAreSane)
@@ -191,6 +198,11 @@ TEST_F(Table2Calibration, TrapHandlerCostsAreSane)
     // in-copy + emulation), as the paper's design discussion implies.
     EXPECT_GT(shr_ovf, conv_ovf);
     EXPECT_GT(shr_unf, conv_unf);
+    // Exact, as bench_table2 prints them.
+    EXPECT_EQ(conv_ovf, 56u);
+    EXPECT_EQ(conv_unf, 50u);
+    EXPECT_EQ(shr_ovf, 88u);
+    EXPECT_EQ(shr_unf, 125u);
 }
 
 TEST_F(Table2Calibration, MeasuredCostModelIsConsistent)
@@ -205,6 +217,19 @@ TEST_F(Table2Calibration, MeasuredCostModelIsConsistent)
     EXPECT_GT(m.ns.perSave, 20u);
     EXPECT_GT(m.snp.perRestore, 10u);
     EXPECT_GT(m.underflowSharingBase, 0u);
+    // Exact, as bench_table2 prints them.
+    EXPECT_EQ(m.ns.base, 83u);
+    EXPECT_EQ(m.ns.perSave, 36u);
+    EXPECT_EQ(m.ns.perRestore, 28u);
+    EXPECT_EQ(m.snp.base, 117u);
+    EXPECT_EQ(m.snp.perSave, 46u);
+    EXPECT_EQ(m.snp.perRestore, 28u);
+    EXPECT_EQ(m.sp.base, 94u);
+    EXPECT_EQ(m.sp.perSave, 44u);
+    EXPECT_EQ(m.sp.perRestore, 43u);
+    EXPECT_EQ(m.overflowBase, 10u);
+    EXPECT_EQ(m.underflowSharingBase, 97u);
+    EXPECT_EQ(m.underflowConventionalBase, 22u);
 }
 
 } // namespace

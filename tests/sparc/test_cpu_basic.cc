@@ -1,10 +1,13 @@
 /**
  * @file
  * Basic interpreter tests: arithmetic, condition codes, memory,
- * branches with delay slots and annulment, call/ret, hypercalls.
+ * branches with delay slots and annulment, call/ret, hypercalls,
+ * self-modifying code.
  */
 
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "tests/sparc/sparc_test_util.h"
 
@@ -270,6 +273,57 @@ TEST(CpuBasic, InsnLimitStops)
                   "loop: ba loop\n"
                   "    nop\n");
     EXPECT_EQ(m.cpu.run(1000), StopReason::InsnLimit);
+}
+
+TEST(CpuBasic, StoreIntoCodeAheadIsFetched)
+{
+    // The store patches a word a few instructions ahead of the PC, in
+    // straight-line code that has not run yet: the fetch must see the
+    // patched word (mov 22 instead of mov 11).
+    const Word patched = encodeArithImm(Op3A::Or, 8, 0, 22); // %o0=22
+    std::ostringstream src;
+    src << "start:\n"
+           "    set "
+        << patched
+        << ", %l0\n"
+           "    set patchme, %l1\n"
+           "    st %l0, [%l1]\n"
+           "    add %g0, %g0, %g0\n"
+           "patchme:\n"
+           "    mov 11, %o0\n"
+           "    ta 0\n";
+    TestMachine m(src.str());
+    EXPECT_EQ(m.runToHalt(), 22u);
+}
+
+TEST(CpuBasic, StoreIntoExecutedCodeIsRefetched)
+{
+    // The victim runs once (leaving 11 in %o0), is patched from other
+    // code, and is jumped to again: the second pass must execute the
+    // patched word.
+    const Word patched = encodeArithImm(Op3A::Or, 8, 0, 22);
+    std::ostringstream src;
+    src << "start:\n"
+           "    mov 0, %g2\n"
+           "    set patchme, %l1\n"
+           "    jmpl %l1, %g0\n"
+           "    nop\n"
+           "patchme:\n"
+           "    mov 11, %o0\n"
+           "    cmp %g2, 0\n"
+           "    bne done\n"
+           "    nop\n"
+           "    set "
+        << patched
+        << ", %l0\n"
+           "    st %l0, [%l1]\n"
+           "    mov 1, %g2\n"
+           "    jmpl %l1, %g0\n"
+           "    nop\n"
+           "done:\n"
+           "    ta 0\n";
+    TestMachine m(src.str());
+    EXPECT_EQ(m.runToHalt(), 22u);
 }
 
 } // namespace
