@@ -244,9 +244,10 @@ executePoints(const std::vector<PlanPoint> &points)
                 behaviors.push_back(p.behavior);
     }
     const ParallelSweep pool(sweepJobs());
-    pool.run(behaviors.size(), [&](std::size_t i) {
-        cachedFlatTrace(behaviors[i]);
-    });
+    pool.run(
+        behaviors.size(),
+        [&](std::size_t i) { cachedFlatTrace(behaviors[i]); },
+        [&](std::size_t i) { return "flat " + behaviors[i].key(); });
 
     // Group the misses into lockstep batches: points sharing a
     // pointBatchKey (behavior, scheme, cost model, policy) follow
@@ -286,6 +287,19 @@ executePoints(const std::vector<PlanPoint> &points)
             units.push_back({i});
     }
 
+    // Host span names: <behavior>/<scheme>/w<N>/<policy> per point,
+    // <behavior>/<scheme>/<policy> x<lanes> per lockstep batch.
+    const auto unitLabel = [&](std::size_t u) {
+        const std::vector<std::size_t> &unit = units[u];
+        const PlanPoint &p = misses[unit[0]];
+        const std::string head =
+            p.behavior.key() + "/" + schemeName(p.engine.scheme) + "/";
+        if (unit.size() == 1)
+            return head + "w" + std::to_string(p.engine.numWindows) +
+                   "/" + policyName(p.policy);
+        return head + policyName(p.policy) + " x" +
+               std::to_string(unit.size());
+    };
     std::vector<RunMetrics> results(misses.size());
     pool.run(units.size(), [&](std::size_t u) {
         const std::vector<std::size_t> &unit = units[u];
@@ -297,7 +311,7 @@ executePoints(const std::vector<PlanPoint> &points)
             return;
         }
         runLockstepUnit(misses, unit, results);
-    });
+    }, unitLabel);
     for (std::size_t i = 0; i < misses.size(); ++i) {
         storeInsert(missKeys[i], std::move(results[i]));
         if (use_cache) {

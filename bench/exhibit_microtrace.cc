@@ -14,9 +14,17 @@
  *    regime in which Tamir & Sequin showed one-window transfers are
  *    best — the only transfer size all crw handlers use).
  *
- * Drives WindowEngine directly (no EventTrace, no replay), so it has
- * no plan contribution and bypasses the result cache.
+ * The report reads one walk table (bench/microtrace.h): {NS, SNP, SP}
+ * x defaultWindowSweep() x depth {4, 8}, 72 cells. Each depth's
+ * up/down decisions are drawn once into a decision tape, and every
+ * cell replays its depth's tape through a virtual-dispatch
+ * WindowEngine on the sweep pool (--jobs). The sweep tables and all
+ * self-checks read cells from that table, so each distinct walk runs
+ * exactly once. The walks need no EventTrace, so the exhibit has no
+ * plan contribution and no result-cache entries.
  */
+
+#include "bench/microtrace.h"
 
 #include <iostream>
 #include <string>
@@ -26,59 +34,119 @@
 #include "bench/exhibits.h"
 #include "bench/harness.h"
 #include "common/chart.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/table.h"
+#include "obs/metrics.h"
+#include "win/engine.h"
 
 namespace crw {
 namespace bench {
-namespace {
 
-/** Random-walk workload: @p threads round-robin, depth walks +-1. */
+WalkTape
+recordWalk(const WalkSpec &spec)
+{
+    WalkTape tape;
+    tape.spec = spec;
+    tape.up.reserve(static_cast<std::size_t>(spec.quanta) *
+                    static_cast<std::size_t>(spec.stepsPerQuantum));
+    Rng rng(spec.seed);
+    std::vector<int> depth(static_cast<std::size_t>(spec.threads), 1);
+    for (int q = 0; q < spec.quanta; ++q) {
+        int &d = depth[static_cast<std::size_t>(q % spec.threads)];
+        for (int s = 0; s < spec.stepsPerQuantum; ++s) {
+            const bool up =
+                d <= 1 || (d < spec.maxDepth && rng.nextBool(0.5));
+            d += up ? 1 : -1;
+            tape.up.push_back(up ? 1 : 0);
+        }
+    }
+    return tape;
+}
+
 Cycles
-runWalk(SchemeKind scheme, int windows, int threads, int max_depth,
-        int steps_per_quantum, int quanta, std::uint64_t seed)
+replayWalk(const WalkTape &tape, SchemeKind scheme, int windows)
 {
     EngineConfig cfg;
     cfg.numWindows = windows;
     cfg.scheme = scheme;
     WindowEngine engine(cfg);
-    Rng rng(seed);
-
-    std::vector<int> depth(static_cast<std::size_t>(threads), 1);
-    for (ThreadId t = 0; t < threads; ++t)
+    const WalkSpec &spec = tape.spec;
+    for (ThreadId t = 0; t < spec.threads; ++t)
         engine.addThread(t);
 
     ThreadId current = 0;
     engine.contextSwitch(current);
-    for (int q = 0; q < quanta; ++q) {
-        int &d = depth[static_cast<std::size_t>(current)];
-        for (int s = 0; s < steps_per_quantum; ++s) {
-            const bool up =
-                d <= 1 || (d < max_depth && rng.nextBool(0.5));
-            if (up) {
+    const std::uint8_t *step = tape.up.data();
+    for (int q = 0; q < spec.quanta; ++q) {
+        for (int s = 0; s < spec.stepsPerQuantum; ++s, ++step) {
+            if (*step)
                 engine.save();
-                ++d;
-            } else {
+            else
                 engine.restore();
-                --d;
-            }
-            engine.charge(20);
+            engine.charge(kWalkStepCharge);
         }
-        const ThreadId next =
-            static_cast<ThreadId>((current + 1) % threads);
-        engine.contextSwitch(next);
-        current = next;
+        current = static_cast<ThreadId>((current + 1) % spec.threads);
+        engine.contextSwitch(current);
     }
     return engine.now();
 }
 
-} // namespace
+WalkTable
+WalkTable::run(int jobs)
+{
+    std::vector<WalkTape> tapes;
+    WalkTable table;
+    for (const int max_depth : kWalkDepths) {
+        WalkSpec spec;
+        spec.maxDepth = max_depth;
+        tapes.push_back(recordWalk(spec));
+        for (const int w : defaultWindowSweep())
+            for (const SchemeKind scheme : evaluatedSchemes())
+                table.cells_.push_back({scheme, w, max_depth, 0});
+    }
+    const std::size_t per_tape = table.cells_.size() / tapes.size();
+    for (const WalkTape &tape : tapes)
+        table.steps_ += per_tape * tape.up.size();
+
+    ParallelSweep(jobs).run(
+        table.cells_.size(),
+        [&](std::size_t i) {
+            WalkCell &cell = table.cells_[i];
+            cell.cycles =
+                replayWalk(tapes[i / per_tape], cell.scheme, cell.windows);
+        },
+        [&](std::size_t i) {
+            const WalkCell &cell = table.cells_[i];
+            return std::string("walk ") + schemeName(cell.scheme) +
+                   "/w" + std::to_string(cell.windows) + "/d" +
+                   std::to_string(cell.maxDepth);
+        });
+    return table;
+}
+
+Cycles
+WalkTable::cycles(SchemeKind scheme, int windows, int max_depth) const
+{
+    for (const WalkCell &cell : cells_)
+        if (cell.scheme == scheme && cell.windows == windows &&
+            cell.maxDepth == max_depth)
+            return cell.cycles;
+    crw_panic << "walk table has no " << schemeName(scheme) << "/w"
+              << windows << "/d" << max_depth << " cell";
+    return 0;
+}
 
 int
 runMicrotrace(const FlagSet &)
 {
-    banner("Microtraces: random call-depth walks (4 threads, "
-           "200-step quanta)");
+    banner("Microtraces: random call-depth walks (" +
+           std::to_string(kWalkThreads) + " threads, " +
+           std::to_string(kWalkStepsPerQuantum) + "-step quanta)");
+
+    const WalkTable walks = WalkTable::run(sweepJobs());
+    metrics().add("microtrace.walks", walks.cells().size());
+    metrics().add("microtrace.steps", walks.steps());
 
     bool ok = true;
     auto check = [&ok](bool cond, const std::string &what) {
@@ -87,28 +155,26 @@ runMicrotrace(const FlagSet &)
         ok = ok && cond;
     };
 
-    for (const int max_depth : {4, 8}) {
+    for (const int max_depth : kWalkDepths) {
         Table table({"windows", "NS", "SNP", "SP"});
         AsciiChart chart("Microtrace: walk depth <= " +
                              std::to_string(max_depth),
                          "number of windows", "Mcycles");
         chart.setYFromZero(true);
-        std::vector<ChartSeries> series(3);
-        const char *names[] = {"NS", "SNP", "SP"};
-        const SchemeKind schemes[] = {SchemeKind::NS, SchemeKind::SNP,
-                                      SchemeKind::SP};
-        for (int i = 0; i < 3; ++i)
-            series[static_cast<std::size_t>(i)].name = names[i];
+        std::vector<ChartSeries> series;
+        for (const SchemeKind scheme : evaluatedSchemes()) {
+            series.emplace_back();
+            series.back().name = schemeName(scheme);
+        }
 
         for (const int w : defaultWindowSweep()) {
             std::vector<std::string> row{std::to_string(w)};
-            for (int i = 0; i < 3; ++i) {
-                const Cycles c = runWalk(schemes[i], w, 4, max_depth,
-                                         200, 3000, 99);
+            for (std::size_t i = 0; i < series.size(); ++i) {
+                const Cycles c = walks.cycles(evaluatedSchemes()[i], w,
+                                              max_depth);
                 row.push_back(formatDouble(c / 1e6, 3));
-                series[static_cast<std::size_t>(i)].xs.push_back(w);
-                series[static_cast<std::size_t>(i)].ys.push_back(
-                    static_cast<double>(c) / 1e6);
+                series[i].xs.push_back(w);
+                series[i].ys.push_back(static_cast<double>(c) / 1e6);
             }
             table.addRow(std::move(row));
         }
@@ -123,15 +189,14 @@ runMicrotrace(const FlagSet &)
         // Saturation scales with total window activity (~threads x
         // depth): the deep walk needs more windows than the shallow
         // one before SP matches its asymptote.
-        const Cycles sp_small =
-            runWalk(SchemeKind::SP, 8, 4, max_depth, 200, 3000, 99);
+        const Cycles sp_small = walks.cycles(SchemeKind::SP, 8, max_depth);
         const Cycles sp_large =
-            runWalk(SchemeKind::SP, 32, 4, max_depth, 200, 3000, 99);
+            walks.cycles(SchemeKind::SP, 32, max_depth);
         check(sp_large <= sp_small,
               "more windows never hurt SP (depth " +
                   std::to_string(max_depth) + ")");
         const Cycles ns_large =
-            runWalk(SchemeKind::NS, 32, 4, max_depth, 200, 3000, 99);
+            walks.cycles(SchemeKind::NS, 32, max_depth);
         check(sp_large < ns_large,
               "SP beats NS with ample windows (depth " +
                   std::to_string(max_depth) + ")");
@@ -139,15 +204,11 @@ runMicrotrace(const FlagSet &)
 
     // Depth scaling: the deeper walk saturates later.
     auto saturation = [&](int max_depth) {
-        const Cycles best =
-            runWalk(SchemeKind::SP, 32, 4, max_depth, 200, 3000, 99);
-        for (const int w : defaultWindowSweep()) {
-            const Cycles c =
-                runWalk(SchemeKind::SP, w, 4, max_depth, 200, 3000,
-                        99);
-            if (c <= best + best / 33)
+        const Cycles best = walks.cycles(SchemeKind::SP, 32, max_depth);
+        for (const int w : defaultWindowSweep())
+            if (walks.cycles(SchemeKind::SP, w, max_depth) <=
+                best + best / 33)
                 return w;
-        }
         return 32;
     };
     const int sat4 = saturation(4);

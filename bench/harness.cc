@@ -299,8 +299,9 @@ ParallelSweep::run(std::size_t count,
         bool spans;
         std::vector<obs::SpanCollector> *collectors;
         std::vector<double> *busy;
+        const Label *label;
     };
-    SweepCtx ctx{&task, count, obs, spans, &collectors, &busy};
+    SweepCtx ctx{&task, count, obs, spans, &collectors, &busy, &label_};
 
     HostPool::instance().run(
         count, jobs_,
@@ -320,7 +321,9 @@ ParallelSweep::run(std::size_t count,
             (*c.busy)[static_cast<std::size_t>(w)] +=
                 static_cast<double>(t1 - t0) * 1e-6;
             if (c.spans) {
-                const std::string name = "point " + std::to_string(i);
+                const std::string name =
+                    *c.label ? (*c.label)(i)
+                             : "point " + std::to_string(i);
                 (*c.collectors)[static_cast<std::size_t>(w)].complete(
                     static_cast<std::uint32_t>(w), name.c_str(),
                     "host", t0, t1 - t0);

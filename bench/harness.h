@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 
 namespace crw {
 
@@ -136,16 +137,36 @@ void manifestNote(const std::string &key, const std::string &value);
 class ParallelSweep
 {
   public:
+    /** Names task i's host span in the --trace-out timeline. */
+    using Label = std::function<std::string(std::size_t)>;
+
     /** @param jobs Worker count; <= 1 runs inline on the caller. */
     explicit ParallelSweep(int jobs);
 
+    /** Host spans read "point <i>". */
     void run(std::size_t count,
              const std::function<void(std::size_t)> &task) const;
+
+    /**
+     * Host spans read label(i), called only when --trace-out is on.
+     * Labels are host-only observability, outside the determinism
+     * contract. Inline so every sweep, labelled or not, enters the
+     * pool through the one out-of-line run() above.
+     */
+    void
+    run(std::size_t count, const std::function<void(std::size_t)> &task,
+        Label label) const
+    {
+        ParallelSweep labelled(jobs_);
+        labelled.label_ = std::move(label);
+        labelled.run(count, task);
+    }
 
     int jobs() const { return jobs_; }
 
   private:
     int jobs_;
+    Label label_;
 };
 
 /** Ensure the parent directory exists, return "bench_out/<name>". */

@@ -1,0 +1,101 @@
+/**
+ * @file
+ * The microtrace exhibit's walk table (bench/exhibit_microtrace.cc):
+ * random call-depth walks replayed straight into the window engine.
+ *
+ * A walk's up/down decisions depend only on the RNG, the per-thread
+ * depth and the fixed round-robin order — never on the engine — so
+ * each depth's walk is recorded once as a WalkTape and every
+ * (scheme, windows) cell replays that tape through its own
+ * WindowEngine. The cells are independent and fan out on the sweep
+ * pool; each writes its own slot, so the table is identical at any
+ * worker count.
+ */
+
+#ifndef CRW_BENCH_MICROTRACE_H_
+#define CRW_BENCH_MICROTRACE_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "common/types.h"
+#include "win/cost_model.h"
+
+namespace crw {
+namespace bench {
+
+/** The exhibit's walk: 4 threads round-robin in 200-step quanta for
+ *  3000 quanta, every step charged 20 cycles, one Rng(99) shared by
+ *  all threads in global step order. */
+inline constexpr int kWalkThreads = 4;
+inline constexpr int kWalkStepsPerQuantum = 200;
+inline constexpr int kWalkQuanta = 3000;
+inline constexpr Cycles kWalkStepCharge = 20;
+inline constexpr std::uint64_t kWalkSeed = 99;
+
+/** The walk depth bounds the exhibit sweeps. */
+inline constexpr int kWalkDepths[] = {4, 8};
+
+/** Shape of one walk; the defaults are the exhibit's. */
+struct WalkSpec
+{
+    int maxDepth = 4; ///< a thread at this depth must return
+    int threads = kWalkThreads;
+    int stepsPerQuantum = kWalkStepsPerQuantum;
+    int quanta = kWalkQuanta;
+    std::uint64_t seed = kWalkSeed;
+};
+
+/** One walk's decisions, one byte per step in global step order:
+ *  1 = save (call), 0 = restore (return). */
+struct WalkTape
+{
+    WalkSpec spec;
+    std::vector<std::uint8_t> up;
+};
+
+/** Draw @p spec's decisions: a thread at depth 1 always calls, at
+ *  maxDepth always returns, otherwise calls with probability 1/2. */
+WalkTape recordWalk(const WalkSpec &spec);
+
+/** Replay @p tape through a fresh engine; returns its final cycle. */
+Cycles replayWalk(const WalkTape &tape, SchemeKind scheme, int windows);
+
+/** One walk-table cell: a (scheme, windows, depth) walk's cycles. */
+struct WalkCell
+{
+    SchemeKind scheme;
+    int windows;
+    int maxDepth;
+    Cycles cycles;
+};
+
+/**
+ * The exhibit's walk table: {NS, SNP, SP} x defaultWindowSweep() x
+ * kWalkDepths, every cell replayed once from its depth's tape.
+ */
+class WalkTable
+{
+  public:
+    /** Run every cell on ParallelSweep(@p jobs). */
+    static WalkTable run(int jobs);
+
+    /** The cells, depth-major, then windows, then scheme. */
+    const std::vector<WalkCell> &cells() const { return cells_; }
+
+    /** Cycles of one cell; panics if the table has no such cell. */
+    Cycles cycles(SchemeKind scheme, int windows, int max_depth) const;
+
+    /** Walk steps replayed across all cells. */
+    std::uint64_t steps() const { return steps_; }
+
+  private:
+    std::vector<WalkCell> cells_;
+    std::uint64_t steps_ = 0;
+};
+
+} // namespace bench
+} // namespace crw
+
+#endif // CRW_BENCH_MICROTRACE_H_

@@ -5,7 +5,7 @@
  * Every paper exhibit is one registry entry: a name, an optional
  * flag-definition hook, an optional plan contribution (the replay
  * points its report needs) and a report function. The `crw-bench`
- * driver selects exhibits by name ("all" = the nine paper exhibits),
+ * driver selects exhibits by name ("all" = the ten paper exhibits),
  * merges their plans, executes the union once through the shared
  * sweep executor, and runs the reports in command-line order — so
  * `crw-bench fig11 fig12 fig13` replays each shared point once. The

@@ -4,17 +4,24 @@
  * atoi-based path silently turned "8x" into 8 and "" into 0 workers),
  * and ParallelSweep's exception contract — a throwing sweep task must
  * surface on the caller as an ordinary exception (not std::terminate,
- * as the detached-thread design did), leaving the sweep reusable.
+ * as the detached-thread design did), leaving the sweep reusable —
+ * and its --trace-out host spans, named by an optional task label.
  */
 
 #include <atomic>
 #include <cstddef>
+#include <cstdio>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "bench/harness.h"
+#include "obs/trace_json.h"
 
 namespace crw {
 namespace bench {
@@ -93,6 +100,33 @@ TEST(ParallelSweep, TaskExceptionRethrownAndSweepReusable)
         sweep.run(8, [&](std::size_t) { ran.fetch_add(1); });
         EXPECT_EQ(ran.load(), 8) << "jobs=" << jobs;
     }
+}
+
+TEST(ParallelSweep, LabelsNameHostSpans)
+{
+    // Host spans are recorded only under --trace-out.
+    const std::string out = outputPath(
+        "tmp-sweep-trace-" + std::to_string(::getpid()) + ".json");
+    const std::string flag = "--trace-out=" + out;
+    const char *argv[] = {"test_harness", flag.c_str()};
+    ASSERT_TRUE(benchInit(2, argv));
+
+    const ParallelSweep sweep(2);
+    sweep.run(
+        3, [](std::size_t) {},
+        [](std::size_t i) { return "cell/" + std::to_string(i); });
+    sweep.run(2, [](std::size_t) {});
+    std::ostringstream json;
+    traceWriter().write(json);
+    for (const char *name :
+         {"\"cell/0\"", "\"cell/1\"", "\"cell/2\"", "\"point 0\"",
+          "\"point 1\""})
+        EXPECT_NE(json.str().find(name), std::string::npos) << name;
+    EXPECT_EQ(json.str().find("\"point 2\""), std::string::npos);
+
+    const char *reset[] = {"test_harness"};
+    ASSERT_TRUE(benchInit(1, reset));
+    std::remove(out.c_str());
 }
 
 } // namespace
