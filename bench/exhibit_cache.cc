@@ -5,12 +5,14 @@
  * "all" like the host-throughput benches.
  *
  * The report prints deterministic inventory lines (entry and byte
- * counts, format versions) for the arena-backed result store, the
- * flat-trace arena files, the legacy per-file results and the event
- * ring. With --gc it drops every result record and flat-trace file
- * whose trace checksum no longer matches a captured trace in
- * bench_out/traces/ — the store is rebuilt (clear + re-put), which
- * also compacts the append-only data region of erased records.
+ * counts, point and walk records, format versions) for the
+ * arena-backed result store, the flat-trace arena files, the legacy
+ * per-file results and the event ring. With --gc it drops every point
+ * record and flat-trace file whose trace checksum no longer matches a
+ * captured trace in bench_out/traces/, and every walk record whose key
+ * the current WalkTable would not produce (an old spec, format version
+ * or cost model) — the store is rebuilt (clear + re-put), which also
+ * compacts the append-only data region of erased records.
  *
  * Safe to run while a bench is live: losing the store's writer flock
  * degrades this process to a read-only attacher (stats still print;
@@ -29,6 +31,7 @@
 
 #include "bench/exhibits.h"
 #include "bench/harness.h"
+#include "bench/microtrace.h"
 #include "bench/result_cache.h"
 #include "common/flags.h"
 #include "obs/ring.h"
@@ -72,6 +75,12 @@ keyTraceChecksum(const std::string &cache_key, std::uint64_t &out)
     if (at == std::string::npos)
         return false;
     return parseHex16(cache_key.substr(at + 7, 16), out);
+}
+
+bool
+isWalkKey(const std::string &key)
+{
+    return key.rfind(kWalkKeyPrefix, 0) == 0;
 }
 
 /** Checksums of every loadable capture in bench_out/traces/. */
@@ -141,8 +150,7 @@ runGc(store::RecordStore &store,
         store.forEachRecord([&](const std::string &key,
                                 const std::uint8_t *blob,
                                 std::size_t len) {
-            std::uint64_t sum = 0;
-            if (keyTraceChecksum(key, sum) && !live.count(sum)) {
+            if (!gcKeepsRecord(key, live)) {
                 ++store_dropped;
                 return;
             }
@@ -190,6 +198,21 @@ runGc(store::RecordStore &store,
 
 } // namespace
 
+bool
+gcKeepsRecord(const std::string &key,
+              const std::set<std::uint64_t> &live_checksums)
+{
+    if (isWalkKey(key)) {
+        static const std::set<std::string> current = [] {
+            const std::vector<std::string> keys = WalkTable::keys();
+            return std::set<std::string>(keys.begin(), keys.end());
+        }();
+        return current.count(key) != 0;
+    }
+    std::uint64_t sum = 0;
+    return !keyTraceChecksum(key, sum) || live_checksums.count(sum) != 0;
+}
+
 void
 addCacheFlags(FlagSet &flags)
 {
@@ -209,9 +232,15 @@ runCache(const FlagSet &flags)
         store.mode() == store::RecordStore::Mode::Writer   ? "writer"
         : store.mode() == store::RecordStore::Mode::Reader ? "reader"
                                                            : "absent";
+    std::size_t walk_records = 0, point_records = 0;
+    store.forEachRecord(
+        [&](const std::string &key, const std::uint8_t *, std::size_t) {
+            ++(isWalkKey(key) ? walk_records : point_records);
+        });
     std::cout << "result store   " << resultStorePath() << " (" << mode
               << ")\n"
-              << "  entries      " << st.entries << '\n'
+              << "  entries      " << st.entries << " (" << point_records
+              << " point, " << walk_records << " walk)\n"
               << "  data bytes   " << st.dataBytes << " / "
               << st.dataCapacity << '\n'
               << "  index slots  " << st.indexSlots << '\n'

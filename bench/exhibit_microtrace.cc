@@ -15,13 +15,15 @@
  *    best — the only transfer size all crw handlers use).
  *
  * The report reads one walk table (bench/microtrace.h): {NS, SNP, SP}
- * x defaultWindowSweep() x depth {4, 8}, 72 cells. Each depth's
- * up/down decisions are drawn once into a decision tape, and every
- * cell replays its depth's tape through a virtual-dispatch
- * WindowEngine on the sweep pool (--jobs). The sweep tables and all
- * self-checks read cells from that table, so each distinct walk runs
- * exactly once. The walks need no EventTrace, so the exhibit has no
- * plan contribution and no result-cache entries.
+ * x defaultWindowSweep() x depth {4, 8}, 72 cells. The walks need no
+ * EventTrace, so the exhibit has no plan contribution; instead each
+ * cell is one walk| record in the result store (bench/result_cache.h).
+ * A cell the store cannot serve is replayed: its depth's up/down
+ * decisions are drawn once into a decision tape, and every missing
+ * cell replays that tape through a virtual-dispatch WindowEngine on
+ * the sweep pool (--jobs), then is stored back. The sweep tables and
+ * all self-checks read cells from that table, so each distinct walk
+ * runs at most once, and a warm run replays none.
  */
 
 #include "bench/microtrace.h"
@@ -33,6 +35,7 @@
 #include "bench/executor.h"
 #include "bench/exhibits.h"
 #include "bench/harness.h"
+#include "bench/result_cache.h"
 #include "common/chart.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -64,13 +67,19 @@ recordWalk(const WalkSpec &spec)
     return tape;
 }
 
-Cycles
-replayWalk(const WalkTape &tape, SchemeKind scheme, int windows)
+EngineConfig
+walkEngineConfig(SchemeKind scheme, int windows)
 {
     EngineConfig cfg;
     cfg.numWindows = windows;
     cfg.scheme = scheme;
-    WindowEngine engine(cfg);
+    return cfg;
+}
+
+Cycles
+replayWalk(const WalkTape &tape, SchemeKind scheme, int windows)
+{
+    WindowEngine engine(walkEngineConfig(scheme, windows));
     const WalkSpec &spec = tape.spec;
     for (ThreadId t = 0; t < spec.threads; ++t)
         engine.addThread(t);
@@ -92,36 +101,97 @@ replayWalk(const WalkTape &tape, SchemeKind scheme, int windows)
     return engine.now();
 }
 
-WalkTable
-WalkTable::run(int jobs)
+std::string
+walkCacheKey(const WalkSpec &spec, const EngineConfig &cfg)
 {
-    std::vector<WalkTape> tapes;
-    WalkTable table;
+    return kWalkKeyPrefix + engineConfigKey(cfg) + "|d" +
+           std::to_string(spec.maxDepth) + "|t" +
+           std::to_string(spec.threads) + "|q" +
+           std::to_string(spec.stepsPerQuantum) + "x" +
+           std::to_string(spec.quanta) + "|c" +
+           std::to_string(kWalkStepCharge) + "|s" +
+           std::to_string(spec.seed) + "|v" +
+           std::to_string(kWalkFormatVersion);
+}
+
+namespace {
+
+/** Calls fn(spec, scheme, windows) for every cell, in cells() order. */
+template <typename Fn>
+void
+forEachWalkCell(Fn &&fn)
+{
     for (const int max_depth : kWalkDepths) {
         WalkSpec spec;
         spec.maxDepth = max_depth;
-        tapes.push_back(recordWalk(spec));
         for (const int w : defaultWindowSweep())
             for (const SchemeKind scheme : evaluatedSchemes())
-                table.cells_.push_back({scheme, w, max_depth, 0});
+                fn(spec, scheme, w);
     }
-    const std::size_t per_tape = table.cells_.size() / tapes.size();
-    for (const WalkTape &tape : tapes)
-        table.steps_ += per_tape * tape.up.size();
+}
+
+} // namespace
+
+std::vector<std::string>
+WalkTable::keys()
+{
+    std::vector<std::string> keys;
+    forEachWalkCell([&](const WalkSpec &spec, SchemeKind scheme, int w) {
+        keys.push_back(walkCacheKey(spec, walkEngineConfig(scheme, w)));
+    });
+    return keys;
+}
+
+WalkTable
+WalkTable::run(int jobs)
+{
+    WalkTable table;
+    std::vector<WalkSpec> specs;
+    forEachWalkCell([&](const WalkSpec &spec, SchemeKind scheme, int w) {
+        table.cells_.push_back({scheme, w, spec.maxDepth, 0});
+        specs.push_back(spec);
+    });
+
+    // Serve what the store holds; the rest are this run's misses.
+    const bool cache = resultCacheEnabled();
+    const std::vector<std::string> keys = WalkTable::keys();
+    std::vector<std::size_t> misses;
+    for (std::size_t i = 0; i < table.cells_.size(); ++i) {
+        if (cache && loadCachedCycles(keys[i], table.cells_[i].cycles))
+            ++table.cached_;
+        else
+            misses.push_back(i);
+    }
+    if (misses.empty())
+        return table;
+
+    // One tape per depth with a miss, shared by that depth's cells.
+    std::vector<WalkTape> tapes(std::size(kWalkDepths));
+    const std::size_t per_depth = table.cells_.size() / tapes.size();
+    for (const std::size_t i : misses) {
+        WalkTape &tape = tapes[i / per_depth];
+        if (tape.up.empty())
+            tape = recordWalk(specs[i]);
+        table.steps_ += tape.up.size();
+    }
 
     ParallelSweep(jobs).run(
-        table.cells_.size(),
-        [&](std::size_t i) {
-            WalkCell &cell = table.cells_[i];
-            cell.cycles =
-                replayWalk(tapes[i / per_tape], cell.scheme, cell.windows);
+        misses.size(),
+        [&](std::size_t k) {
+            WalkCell &cell = table.cells_[misses[k]];
+            cell.cycles = replayWalk(tapes[misses[k] / per_depth],
+                                     cell.scheme, cell.windows);
         },
-        [&](std::size_t i) {
-            const WalkCell &cell = table.cells_[i];
+        [&](std::size_t k) {
+            const WalkCell &cell = table.cells_[misses[k]];
             return std::string("walk ") + schemeName(cell.scheme) +
                    "/w" + std::to_string(cell.windows) + "/d" +
                    std::to_string(cell.maxDepth);
         });
+
+    if (cache)
+        for (const std::size_t i : misses)
+            storeCachedCycles(keys[i], table.cells_[i].cycles);
     return table;
 }
 
@@ -147,6 +217,7 @@ runMicrotrace(const FlagSet &)
     const WalkTable walks = WalkTable::run(sweepJobs());
     metrics().add("microtrace.walks", walks.cells().size());
     metrics().add("microtrace.steps", walks.steps());
+    metrics().add("microtrace.cached", walks.cached());
 
     bool ok = true;
     auto check = [&ok](bool cond, const std::string &what) {

@@ -11,6 +11,10 @@
 #ifndef CRW_BENCH_EXHIBITS_H_
 #define CRW_BENCH_EXHIBITS_H_
 
+#include <cstdint>
+#include <set>
+#include <string>
+
 namespace crw {
 
 class FlagSet;
@@ -52,6 +56,15 @@ int runReplayThroughput(const FlagSet &flags);
 
 void addCacheFlags(FlagSet &flags);
 int runCache(const FlagSet &flags);
+
+/**
+ * `crw-bench cache --gc`'s rule for one result-store record: a walk
+ * record is kept only if the current WalkTable would produce its key;
+ * a point record only while its trace checksum is in
+ * @p live_checksums.
+ */
+bool gcKeepsRecord(const std::string &key,
+                   const std::set<std::uint64_t> &live_checksums);
 
 } // namespace bench
 } // namespace crw

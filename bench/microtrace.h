@@ -10,6 +10,10 @@
  * WindowEngine. The cells are independent and fan out on the sweep
  * pool; each writes its own slot, so the table is identical at any
  * worker count.
+ *
+ * Each cell's cycles persist in the result store (bench/result_cache.h)
+ * under a walk| key naming everything that can change them, so a warm
+ * run serves the table from the store and replays no walk.
  */
 
 #ifndef CRW_BENCH_MICROTRACE_H_
@@ -17,10 +21,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/types.h"
-#include "win/cost_model.h"
+#include "win/engine.h"
 
 namespace crw {
 namespace bench {
@@ -36,6 +41,12 @@ inline constexpr std::uint64_t kWalkSeed = 99;
 
 /** The walk depth bounds the exhibit sweeps. */
 inline constexpr int kWalkDepths[] = {4, 8};
+
+/** Bump when a walk's semantics or its stored record change. */
+inline constexpr std::uint32_t kWalkFormatVersion = 1;
+
+/** Every walk cell's result-store key starts with this family tag. */
+inline constexpr char kWalkKeyPrefix[] = "walk|";
 
 /** Shape of one walk; the defaults are the exhibit's. */
 struct WalkSpec
@@ -59,8 +70,15 @@ struct WalkTape
  *  maxDepth always returns, otherwise calls with probability 1/2. */
 WalkTape recordWalk(const WalkSpec &spec);
 
+/** The engine a walk cell runs on: @p scheme with @p windows,
+ *  every other field at its default. */
+EngineConfig walkEngineConfig(SchemeKind scheme, int windows);
+
 /** Replay @p tape through a fresh engine; returns its final cycle. */
 Cycles replayWalk(const WalkTape &tape, SchemeKind scheme, int windows);
+
+/** Result-store key of one walk cell (format in result_cache.h). */
+std::string walkCacheKey(const WalkSpec &spec, const EngineConfig &cfg);
 
 /** One walk-table cell: a (scheme, windows, depth) walk's cycles. */
 struct WalkCell
@@ -73,13 +91,21 @@ struct WalkCell
 
 /**
  * The exhibit's walk table: {NS, SNP, SP} x defaultWindowSweep() x
- * kWalkDepths, every cell replayed once from its depth's tape.
+ * kWalkDepths, every cell served from the result store or replayed
+ * once from its depth's tape.
  */
 class WalkTable
 {
   public:
-    /** Run every cell on ParallelSweep(@p jobs). */
+    /**
+     * Probe the result store for every cell (unless the result cache
+     * is off), record the tapes of the depths with a miss, replay the
+     * misses on ParallelSweep(@p jobs) and store them back.
+     */
     static WalkTable run(int jobs);
+
+    /** Store keys of every cell, in cells() order. */
+    static std::vector<std::string> keys();
 
     /** The cells, depth-major, then windows, then scheme. */
     const std::vector<WalkCell> &cells() const { return cells_; }
@@ -87,12 +113,16 @@ class WalkTable
     /** Cycles of one cell; panics if the table has no such cell. */
     Cycles cycles(SchemeKind scheme, int windows, int max_depth) const;
 
-    /** Walk steps replayed across all cells. */
+    /** Walk steps replayed by this run (0 when every cell hit). */
     std::uint64_t steps() const { return steps_; }
+
+    /** Cells served from the result store. */
+    std::size_t cached() const { return cached_; }
 
   private:
     std::vector<WalkCell> cells_;
     std::uint64_t steps_ = 0;
+    std::size_t cached_ = 0;
 };
 
 } // namespace bench

@@ -138,6 +138,38 @@ storeCachedResult(const std::string &cache_key,
 }
 
 bool
+loadCachedCycles(const std::string &key, Cycles &out)
+{
+    std::vector<std::uint8_t> blob;
+    switch (resultStore().find(key, blob)) {
+      case store::RecordStore::FindResult::Hit:
+        if (blob.size() == sizeof(Cycles)) {
+            ByteReader in{blob.data(), blob.data() + blob.size()};
+            out = in.u64();
+            return true;
+        }
+        break; // a blob of the wrong length is damage too
+      case store::RecordStore::FindResult::Corrupt:
+        break;
+      case store::RecordStore::FindResult::Miss:
+        return false;
+    }
+    countCorrupt();
+    return false;
+}
+
+bool
+storeCachedCycles(const std::string &key, Cycles cycles)
+{
+    store::RecordStore &store = resultStore();
+    if (!store.writable())
+        return false;
+    ByteWriter out;
+    out.u64(cycles);
+    return store.put(key, out.bytes);
+}
+
+bool
 removeCachedResult(const std::string &cache_key)
 {
     const bool from_store = resultStore().erase(cache_key);

@@ -158,18 +158,22 @@ if [ "$cold_replays" -eq 0 ] || [ "$warm_replays" -ne 0 ] ||
 fi
 
 # Warm-start gate (DESIGN.md section 13): with the arena stores
-# populated, a warm `crw-bench fig11 table2` rerun must replay zero
-# points and predecode zero flat traces — every result attaches from
+# populated, a warm `crw-bench fig11 table2 microtrace` rerun must
+# replay zero points, predecode zero flat traces and replay zero walk
+# steps — every point result and walk cell attaches from
 # store.crwstore, so it must also beat the cold run's wall time. The
+# cold run must have replayed walks (microtrace.steps > 0). The
 # measured cold/warm split is recorded in BENCH_warm_start.json.
-echo "== warm-start gate (crw-bench fig11 table2 cold vs warm)"
+echo "== warm-start gate (crw-bench fig11 table2 microtrace cold vs warm)"
 warm_dir=$(mktemp -d)
 t0=$(date +%s%N 2>/dev/null || date +%s)
 (cd "$warm_dir" &&
- "$crwbench_abs" fig11 table2 --metrics-out cold.json > /dev/null)
+ "$crwbench_abs" fig11 table2 microtrace --metrics-out cold.json \
+     > /dev/null)
 t1=$(date +%s%N 2>/dev/null || date +%s)
 (cd "$warm_dir" &&
- "$crwbench_abs" fig11 table2 --metrics-out warm.json > /dev/null)
+ "$crwbench_abs" fig11 table2 microtrace --metrics-out warm.json \
+     > /dev/null)
 t2=$(date +%s%N 2>/dev/null || date +%s)
 case "$t0" in
     *N) cold_ms=$(( (t1 - t0) * 1000 )); warm_ms=$(( (t2 - t1) * 1000 )) ;;
@@ -178,25 +182,36 @@ esac
 ws_cold_replays=$(counter "$warm_dir/cold.json" "replay.points")
 ws_warm_replays=$(counter "$warm_dir/warm.json" "replay.points")
 ws_warm_predecodes=$(counter "$warm_dir/warm.json" "flat.predecode")
+ws_cold_walk_steps=$(counter "$warm_dir/cold.json" "microtrace.steps")
+ws_warm_walk_steps=$(counter "$warm_dir/warm.json" "microtrace.steps")
 rm -rf "$warm_dir"
-echo "  cold: ${cold_ms} ms (${ws_cold_replays} replays);" \
+echo "  cold: ${cold_ms} ms (${ws_cold_replays} replays," \
+     "${ws_cold_walk_steps} walk steps);" \
      "warm: ${warm_ms} ms (${ws_warm_replays} replays," \
-     "${ws_warm_predecodes} predecodes)"
+     "${ws_warm_predecodes} predecodes, ${ws_warm_walk_steps} walk steps)"
 cat > "$repo_root/BENCH_warm_start.json" <<EOF
 {
-  "bench": "crw-bench fig11 table2",
+  "bench": "crw-bench fig11 table2 microtrace",
   "git_sha": "$git_sha",
   "cold_ms": $cold_ms,
   "warm_ms": $warm_ms,
   "cold_replays": $ws_cold_replays,
   "warm_replays": $ws_warm_replays,
-  "warm_predecodes": $ws_warm_predecodes
+  "warm_predecodes": $ws_warm_predecodes,
+  "cold_walk_steps": $ws_cold_walk_steps,
+  "warm_walk_steps": $ws_warm_walk_steps
 }
 EOF
 if [ "$ws_cold_replays" -eq 0 ] || [ "$ws_warm_replays" -ne 0 ] ||
    [ "$ws_warm_predecodes" -ne 0 ]; then
     echo "error: warm start still replayed or predecoded" \
          "(replays=$ws_warm_replays predecodes=$ws_warm_predecodes)" >&2
+    exit 1
+fi
+if [ "$ws_cold_walk_steps" -eq 0 ] || [ "$ws_warm_walk_steps" -ne 0 ]; then
+    echo "error: walk cells not served from the result store" \
+         "(cold steps=$ws_cold_walk_steps" \
+         "warm steps=$ws_warm_walk_steps)" >&2
     exit 1
 fi
 if [ "$warm_ms" -ge "$cold_ms" ]; then
