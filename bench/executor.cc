@@ -165,8 +165,8 @@ runLockstepUnit(const std::vector<PlanPoint> &misses,
 
 /**
  * Run every @p points entry not already in the store: capture the
- * traces (serially — cachedTrace mutates its memo), probe the result
- * cache, replay the misses on the worker pool, persist fresh results.
+ * traces (serially, before any fan-out), probe the result cache,
+ * replay the misses on the worker pool, persist fresh results.
  */
 void
 executePoints(const std::vector<PlanPoint> &points)
@@ -202,7 +202,8 @@ executePoints(const std::vector<PlanPoint> &points)
     if (todo.empty())
         return;
 
-    // Capture serially (cachedTrace mutates its memo). The flat
+    // Capture serially: the probe below keys on each trace's
+    // checksum, and workers only ever hit the memo. The flat
     // arenas are deliberately NOT touched yet: a fully warm run must
     // resolve every point from the result store below without paying
     // a predecode or even an attach.
@@ -395,10 +396,26 @@ pointResult(const PlanPoint &point)
     return g_store.at(key);
 }
 
-const EventTrace &
-cachedTrace(const BehaviorId &behavior)
+namespace {
+
+/** One behavior's trace with its payload checksum, memoized together. */
+struct TraceSlot
 {
-    static std::map<std::string, EventTrace> cache;
+    EventTrace trace;
+    std::uint64_t checksum = 0;
+};
+
+/**
+ * The memo behind cachedTrace and cachedTraceChecksum. The lock is
+ * held across a miss too, so a load or capture never races a lookup;
+ * the executor still takes every miss before it fans out, and std::map
+ * node references stay valid across inserts.
+ */
+const TraceSlot &
+traceSlot(const BehaviorId &behavior)
+{
+    static std::mutex mu;
+    static std::map<std::string, TraceSlot> cache;
     const std::string key = behavior.key();
 
     // Spell behaviors stamp their corpus size into the trace file
@@ -414,6 +431,7 @@ cachedTrace(const BehaviorId &behavior)
         manifestNote("seed", std::to_string(seed));
     }
 
+    std::lock_guard<std::mutex> lock(mu);
     const auto hit = cache.find(key);
     if (hit != cache.end())
         return hit->second;
@@ -421,27 +439,78 @@ cachedTrace(const BehaviorId &behavior)
         "traces/" + key + "-s" + std::to_string(seed) + "-c" +
         std::to_string(corpus_bytes) + ".trace");
 
-    EventTrace trace;
+    // A loaded trace brings the checksum its load just verified; only
+    // a fresh capture or generation is hashed here.
+    TraceSlot slot;
     std::string err;
-    if (loadTraceFile(path, trace, &err)) {
-        if (trace.key == key && trace.seed == seed &&
-            trace.corpusBytes == corpus_bytes)
-            return cache.emplace(key, std::move(trace))
-                .first->second;
+    if (loadTraceFile(path, slot.trace, &err)) {
+        if (slot.trace.key == key && slot.trace.seed == seed &&
+            slot.trace.corpusBytes == corpus_bytes) {
+            slot.checksum = slot.trace.fileChecksum;
+            return cache.emplace(key, std::move(slot)).first->second;
+        }
         std::cerr << "note: " << path
                   << " is for a different workload; re-capturing\n";
     }
 
     if (is_spell) {
         const SpellWorkload wl = SpellWorkload::make(cfg);
-        trace = captureSpellTrace(wl, cfg);
+        slot.trace = captureSpellTrace(wl, cfg);
     } else {
-        trace = generateSynthTrace(behavior.synth);
+        slot.trace = generateSynthTrace(behavior.synth);
     }
-    if (!saveTraceFile(trace, path, &err))
+    slot.checksum = traceChecksum(slot.trace);
+    if (!saveTraceFile(slot.trace, path, &err))
         std::cerr << "warning: could not cache trace at " << path
                   << ": " << err << '\n';
-    return cache.emplace(key, std::move(trace)).first->second;
+    return cache.emplace(key, std::move(slot)).first->second;
+}
+
+/** Attach the behavior's stored flat image, else predecode it (and,
+ *  with the flat store on, save the result). */
+FlatTrace
+loadOrBuildFlat(const BehaviorId &behavior)
+{
+    const TraceSlot &slot = traceSlot(behavior);
+    const std::uint64_t checksum = slot.checksum;
+    const bool use_store = g_flatCacheEnabled;
+    const std::string path =
+        use_store ? outputPath("flat/" + flatTraceFileName(checksum))
+                  : std::string();
+
+    // Warm path: attach the predecoded arenas straight off disk. Any
+    // validation failure (absent file, stale version, damage)
+    // silently falls through to an in-memory rebuild.
+    if (use_store) {
+        FlatTrace attached;
+        if (loadFlatTrace(path, checksum, attached)) {
+            metrics().add("flat.attach", 1);
+            ringPublish(obs::RingEventCode::FlatAttach, 0, checksum);
+            return attached;
+        }
+    }
+    FlatTrace flat = FlatTrace::build(slot.trace);
+    metrics().add("flat.predecode", 1);
+    ringPublish(obs::RingEventCode::FlatPredecode, 0, checksum);
+    if (!use_store)
+        return flat;
+    std::string err;
+    if (saveFlatTrace(flat, checksum, path, &err)) {
+        metrics().add("flat.store", 1);
+        ringPublish(obs::RingEventCode::FlatStore, 0, checksum);
+    } else {
+        std::cerr << "warning: could not store flat trace at " << path
+                  << ": " << err << '\n';
+    }
+    return flat;
+}
+
+} // namespace
+
+const EventTrace &
+cachedTrace(const BehaviorId &behavior)
+{
+    return traceSlot(behavior).trace;
 }
 
 const EventTrace &
@@ -453,51 +522,26 @@ cachedTrace(ConcurrencyLevel conc, GranularityLevel gran)
 const FlatTrace &
 cachedFlatTrace(const BehaviorId &behavior)
 {
-    // Unlike cachedTrace, this memo is probed from sweep workers, so
-    // it carries its own lock; std::map node references stay valid
-    // across inserts. The trace itself must already be captured —
-    // cachedTrace is called under the lock only for its memo lookup.
+    // Probed from sweep workers. The lock guards only the map (node
+    // references stay valid across inserts); each image is attached
+    // or built under its own once-flag, so distinct behaviors
+    // predecode concurrently and a second request for one behavior
+    // waits for the first instead of building it again.
+    struct FlatSlot
+    {
+        std::once_flag once;
+        FlatTrace flat;
+    };
     static std::mutex mu;
-    static std::map<std::string, FlatTrace> cache;
-    const std::string key = behavior.key();
-    std::lock_guard<std::mutex> lock(mu);
-    const auto hit = cache.find(key);
-    if (hit != cache.end())
-        return hit->second;
-
-    const std::uint64_t checksum = cachedTraceChecksum(behavior);
-    if (g_flatCacheEnabled) {
-        // Warm path: attach the predecoded arenas straight off disk.
-        // Any validation failure (absent file, stale version, damage)
-        // silently falls through to an in-memory rebuild.
-        const std::string path =
-            outputPath("flat/" + flatTraceFileName(checksum));
-        FlatTrace attached;
-        if (loadFlatTrace(path, checksum, attached)) {
-            metrics().add("flat.attach", 1);
-            ringPublish(obs::RingEventCode::FlatAttach, 0, checksum);
-            return cache.emplace(key, std::move(attached))
-                .first->second;
-        }
-        FlatTrace flat = FlatTrace::build(cachedTrace(behavior));
-        metrics().add("flat.predecode", 1);
-        ringPublish(obs::RingEventCode::FlatPredecode, 0, checksum);
-        std::string err;
-        if (saveFlatTrace(flat, checksum, path, &err)) {
-            metrics().add("flat.store", 1);
-            ringPublish(obs::RingEventCode::FlatStore, 0, checksum);
-        } else {
-            std::cerr << "warning: could not store flat trace at "
-                      << path << ": " << err << '\n';
-        }
-        return cache.emplace(key, std::move(flat)).first->second;
+    static std::map<std::string, FlatSlot> cache;
+    FlatSlot *slot = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        slot = &cache[behavior.key()];
     }
-
-    metrics().add("flat.predecode", 1);
-    ringPublish(obs::RingEventCode::FlatPredecode, 0, checksum);
-    return cache
-        .emplace(key, FlatTrace::build(cachedTrace(behavior)))
-        .first->second;
+    std::call_once(slot->once,
+                   [&] { slot->flat = loadOrBuildFlat(behavior); });
+    return slot->flat;
 }
 
 const FlatTrace &
@@ -509,13 +553,7 @@ cachedFlatTrace(ConcurrencyLevel conc, GranularityLevel gran)
 std::uint64_t
 cachedTraceChecksum(const BehaviorId &behavior)
 {
-    static std::map<std::string, std::uint64_t> memo;
-    const std::string key = behavior.key();
-    const auto hit = memo.find(key);
-    if (hit != memo.end())
-        return hit->second;
-    const std::uint64_t sum = traceChecksum(cachedTrace(behavior));
-    return memo.emplace(key, sum).first->second;
+    return traceSlot(behavior).checksum;
 }
 
 std::uint64_t

@@ -92,14 +92,19 @@ const RunMetrics &pointResult(const PlanPoint &point);
  * The trace of one behavior. In-memory cache first, then the disk
  * cache bench_out/traces/<key>-s<seed>-c<bytes>.trace (stale or
  * corrupted files are re-captured), else one live capture run (Spell)
- * or a deterministic generation (Synth). Not thread-safe; the
- * executor captures before fanning out.
+ * or a deterministic generation (Synth). Thread-safe; a miss holds
+ * the memo's lock while it loads or captures, so the executor takes
+ * every miss before it fans out.
  */
 const EventTrace &cachedTrace(const BehaviorId &behavior);
 const EventTrace &cachedTrace(ConcurrencyLevel conc,
                               GranularityLevel gran);
 
-/** FNV-1a checksum of the behavior's trace (capture-once, memoized). */
+/**
+ * FNV-1a checksum of the behavior's trace (traceChecksum), memoized
+ * with the trace: the trailer loadTraceFile verified for a trace read
+ * from disk, one hash at capture or generation otherwise.
+ */
 std::uint64_t cachedTraceChecksum(const BehaviorId &behavior);
 std::uint64_t cachedTraceChecksum(ConcurrencyLevel conc,
                                   GranularityLevel gran);
@@ -107,8 +112,9 @@ std::uint64_t cachedTraceChecksum(ConcurrencyLevel conc,
 /**
  * The predecoded flat image of the behavior's trace (flat_trace.h),
  * built once per behavior and shared by every replay point of the
- * sweep. Thread-safe (the executor predecodes on the worker pool);
- * the underlying trace must already be captured (cachedTrace).
+ * sweep. Thread-safe: the executor predecodes on the worker pool,
+ * distinct behaviors concurrently, each exactly once. The underlying
+ * trace should already be captured (cachedTrace).
  */
 const FlatTrace &cachedFlatTrace(const BehaviorId &behavior);
 const FlatTrace &cachedFlatTrace(ConcurrencyLevel conc,

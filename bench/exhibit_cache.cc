@@ -97,7 +97,7 @@ liveTraceChecksums(std::size_t &trace_files)
         ++trace_files;
         EventTrace trace;
         if (loadTraceFile(entry.path().string(), trace))
-            live.insert(traceChecksum(trace));
+            live.insert(trace.fileChecksum);
     }
     return live;
 }

@@ -303,6 +303,7 @@ ParallelSweep::run(std::size_t count,
     };
     SweepCtx ctx{&task, count, obs, spans, &collectors, &busy, &label_};
 
+    const std::int64_t start = obs ? hostMicros() : 0;
     HostPool::instance().run(
         count, jobs_,
         [](void *p, std::size_t i, int w) {
@@ -331,9 +332,22 @@ ParallelSweep::run(std::size_t count,
         },
         &ctx);
 
-    if (obs)
-        for (const double b : busy)
+    if (obs) {
+        double busy_s = 0.0;
+        for (const double b : busy) {
             metrics().sample("host.worker_busy_s", b);
+            busy_s += b;
+        }
+        if (workers > 0) {
+            const double wall_s =
+                static_cast<double>(hostMicros() - start) * 1e-6;
+            metrics().sample("host.sweep_wall_s", wall_s);
+            metrics().sample("host.sweep_busy_s", busy_s);
+            metrics().sample("host.sweep_util",
+                             wall_s > 0.0 ? busy_s / (workers * wall_s)
+                                          : 0.0);
+        }
+    }
     if (spans)
         for (obs::SpanCollector &sc : collectors)
             traceWriter().addTrack(sc.take());

@@ -124,11 +124,18 @@ void manifestNote(const std::string &key, const std::string &value);
 
 /**
  * Fan-out over the process-lifetime HostPool (rt/host_pool.h). run()
- * executes task(0..count-1), each exactly once, claims ordered by a
- * chunked atomic counter. Tasks must be independent (replay points
- * are: one engine per point, no shared mutable state); each writes
- * its result into its own pre-allocated slot, so the output is
- * deterministic and independent of the worker count.
+ * executes task(0..count-1), each exactly once, workers claiming one
+ * index at a time off an atomic counter: every sweep's tasks are
+ * coarse, and claiming chunks clumped neighbouring heavy tasks into
+ * one worker. Tasks must be independent (replay points are: one
+ * engine per point, no shared mutable state); each writes its result
+ * into its own pre-allocated slot, so the output is deterministic and
+ * independent of the worker count and the claim order.
+ *
+ * Under --metrics-out or --trace-out each sweep publishes one sample
+ * each of host.sweep_wall_s, host.sweep_busy_s (summed task time over
+ * its workers) and host.sweep_util (busy / (workers x wall)), next to
+ * the per-task host.point_wall_s and per-worker host.worker_busy_s.
  *
  * If a task throws, the first exception is rethrown from run() on the
  * caller once in-flight tasks drain (unclaimed tasks are abandoned);

@@ -66,25 +66,19 @@ HostPool::recordFailure() noexcept
 void
 HostPool::claimLoop(int worker)
 {
-    // Chunked claiming off one shared counter. After a failure the
-    // loop stops claiming, so the job drains quickly; tasks already
-    // claimed in this chunk are abandoned too — the caller is about
-    // to throw, nobody will read their slots.
+    // One index per claim off one shared counter. After a failure the
+    // loop stops claiming, so the job drains quickly — the caller is
+    // about to throw, nobody will read the abandoned slots.
     while (!failed_.load(std::memory_order_acquire)) {
-        const std::size_t begin =
-            next_.fetch_add(chunk_, std::memory_order_relaxed);
-        if (begin >= count_)
+        const std::size_t i =
+            next_.fetch_add(1, std::memory_order_relaxed);
+        if (i >= count_)
             return;
-        const std::size_t end = std::min(count_, begin + chunk_);
-        for (std::size_t i = begin; i < end; ++i) {
-            if (failed_.load(std::memory_order_acquire))
-                return;
-            try {
-                fn_(ctx_, i, worker);
-            } catch (...) {
-                recordFailure();
-                return;
-            }
+        try {
+            fn_(ctx_, i, worker);
+        } catch (...) {
+            recordFailure();
+            return;
         }
     }
 }
@@ -135,12 +129,11 @@ HostPool::run(std::size_t count, int max_workers, TaskFn fn, void *ctx)
     }
 
     if (workers <= 1) {
-        // Inline: same claim loop, so chunking/failure semantics are
+        // Inline: same claim loop, so claim/failure semantics are
         // identical with and without helpers.
         fn_ = fn;
         ctx_ = ctx;
         count_ = count;
-        chunk_ = 1;
         next_.store(0, std::memory_order_relaxed);
         claimLoop(0);
     } else {
@@ -151,10 +144,6 @@ HostPool::run(std::size_t count, int max_workers, TaskFn fn, void *ctx)
             fn_ = fn;
             ctx_ = ctx;
             count_ = count;
-            // ~4 chunks per worker balances steal granularity against
-            // atomic traffic; tiny jobs degrade to chunk = 1.
-            chunk_ = std::max<std::size_t>(
-                1, count / (static_cast<std::size_t>(workers) * 4));
             next_.store(0, std::memory_order_relaxed);
             jobHelpers_ = helpers;
             pending_ = helpers;

@@ -11,13 +11,19 @@
  *
  *  - run() publishes one job (a plain function pointer + context, no
  *    allocation) and participates as worker 0 itself;
- *  - workers claim indices in chunks off one atomic counter — the
+ *  - workers claim one index at a time off one atomic counter — the
  *    classic work-stealing-by-counter schedule: a fast worker simply
- *    claims more chunks, and the chunking amortizes the atomic to
- *    O(count / chunk) operations;
+ *    claims more indices. Every production job is coarse (a predecode
+ *    per behavior, a replay unit per lockstep batch, a microtrace walk
+ *    per cell: tens to a couple of hundred tasks of milliseconds
+ *    each), so one atomic per task is noise. Chunks of
+ *    count / (workers x 4) indices (6 for the replay job) clumped the
+ *    heavy spell batches, which sit next to each other in
+ *    pointBatchKey order, into one worker's claim while the others
+ *    went idle;
  *  - the first exception thrown by any task is captured and rethrown
- *    on the caller after the job drains (remaining claimed chunks
- *    finish; unclaimed chunks are abandoned), so a failing replay
+ *    on the caller after the job drains (tasks already running
+ *    finish; unclaimed indices are abandoned), so a failing replay
  *    point surfaces as an ordinary exception instead of
  *    std::terminate;
  *  - helper threads are spawned lazily, up to the largest
@@ -114,7 +120,6 @@ class HostPool
     TaskFn fn_ = nullptr;
     void *ctx_ = nullptr;
     std::size_t count_ = 0;
-    std::size_t chunk_ = 1;
     std::atomic<std::size_t> next_{0};
 
     std::atomic<bool> failed_{false};

@@ -337,11 +337,13 @@ loadTraceFile(const std::string &path, EventTrace &out,
     const std::size_t payload_size = bytes.size() - 20;
     ByteReader csum{bytes.data() + bytes.size() - 8,
                 bytes.data() + bytes.size()};
-    if (fnv1a64(payload, payload_size) != csum.u64())
+    const std::uint64_t checksum = csum.u64();
+    if (fnv1a64(payload, payload_size) != checksum)
         return fail("checksum mismatch (corrupted trace)");
 
     ByteReader r{payload, payload + payload_size};
     EventTrace t;
+    t.fileChecksum = checksum;
     t.key = r.str();
     t.seed = r.u64();
     t.corpusBytes = r.u64();

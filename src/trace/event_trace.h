@@ -110,6 +110,15 @@ struct EventTrace
     std::vector<TraceStreamInfo> streams;
     std::vector<TraceThreadInfo> threads;
 
+    /**
+     * The payload checksum loadTraceFile() verified against the file
+     * trailer — traceChecksum() of the trace as loaded, without
+     * re-encoding it; 0 for a trace not read from a file. Not part of
+     * the trace's identity (operator== ignores it), and stale once a
+     * loaded trace is modified.
+     */
+    std::uint64_t fileChecksum = 0;
+
     /** Total decoded events across all threads (for reporting). */
     std::uint64_t eventCount() const;
 
@@ -236,7 +245,8 @@ bool validateTraceCode(const std::vector<std::uint8_t> &code,
 /**
  * Read a trace back. Returns false (with a reason in @p error) on a
  * bad magic, unknown version, truncation, checksum mismatch, or a
- * thread event script that fails validateTraceCode().
+ * thread event script that fails validateTraceCode(). On success the
+ * verified trailer lands in @p out.fileChecksum.
  */
 bool loadTraceFile(const std::string &path, EventTrace &out,
                    std::string *error = nullptr);

@@ -3,12 +3,16 @@
  * HostPool (rt/host_pool.h): the process-lifetime worker pool behind
  * ParallelSweep. Every index must run exactly once regardless of the
  * worker count, the first task exception must be rethrown on the
- * caller after the job drains, and the pool must stay reusable after
- * both completion and failure.
+ * caller after the job drains, the pool must stay reusable after
+ * both completion and failure, and a slow task must not hold back any
+ * index but its own (workers claim one index at a time).
  */
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -99,6 +103,43 @@ TEST(HostPool, ReusableAfterFailure)
     HostPool::instance().run(good.hits.size(), 4, countTask, &good);
     for (std::size_t i = 0; i < good.hits.size(); ++i)
         EXPECT_EQ(good.hits[i].load(), 1) << "index " << i;
+}
+
+struct BlockCtx
+{
+    static constexpr std::size_t kTasks = 64;
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t laterRan = 0;
+    bool sawAllLater = false;
+};
+
+void
+blockTask(void *ctx, std::size_t index, int)
+{
+    BlockCtx &c = *static_cast<BlockCtx *>(ctx);
+    std::unique_lock<std::mutex> lock(c.mu);
+    if (index != 0) {
+        if (++c.laterRan == BlockCtx::kTasks - 1)
+            c.cv.notify_all();
+        return;
+    }
+    // Task 0 waits for every later index. Were indices claimed in
+    // chunks, its own claim's neighbours would sit behind it and
+    // the wait would time out (bounded, so a failure cannot hang).
+    c.sawAllLater = c.cv.wait_for(lock, std::chrono::seconds(5), [&] {
+        return c.laterRan == BlockCtx::kTasks - 1;
+    });
+}
+
+TEST(HostPool, BlockedTaskDoesNotHoldBackLaterIndices)
+{
+    BlockCtx ctx;
+    HostPool::instance().run(BlockCtx::kTasks, 4, blockTask, &ctx);
+    EXPECT_TRUE(ctx.sawAllLater)
+        << "only " << ctx.laterRan << " of " << BlockCtx::kTasks - 1
+        << " later tasks ran while task 0 was blocked";
+    EXPECT_EQ(ctx.laterRan, BlockCtx::kTasks - 1);
 }
 
 } // namespace

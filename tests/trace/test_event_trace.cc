@@ -89,6 +89,11 @@ TEST_F(EventTraceFile, RoundTripIsIdentity)
     ASSERT_TRUE(loadTraceFile(path_, loaded, &err)) << err;
     EXPECT_TRUE(trace == loaded);
 
+    // The load hands back the trailer it verified: the checksum of
+    // the trace it rebuilt, without a re-encode.
+    EXPECT_EQ(trace.fileChecksum, 0u);
+    EXPECT_EQ(loaded.fileChecksum, traceChecksum(trace));
+
     // Spot-check the identity fields survived.
     EXPECT_EQ(loaded.key, "m1-n1-d4000-v500");
     EXPECT_EQ(loaded.seed, 1993u);
