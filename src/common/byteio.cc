@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include <sys/stat.h>
+
 namespace crw {
 
 bool
@@ -36,22 +38,31 @@ writeFileAtomic(const std::vector<std::uint8_t> &bytes,
     return true;
 }
 
+FilePtr
+openFileForRead(const std::string &path, std::uint64_t &size,
+                std::string *error)
+{
+    FilePtr fp(std::fopen(path.c_str(), "rb"));
+    struct stat st = {};
+    if (!fp || ::fstat(::fileno(fp.get()), &st) != 0) {
+        if (error)
+            *error = "cannot open " + path;
+        return nullptr;
+    }
+    size = static_cast<std::uint64_t>(st.st_size);
+    return fp;
+}
+
 bool
 readFileBytes(const std::string &path, std::vector<std::uint8_t> &out,
               std::string *error)
 {
-    std::FILE *fp = std::fopen(path.c_str(), "rb");
-    if (!fp) {
-        if (error)
-            *error = "cannot open " + path;
+    std::uint64_t size = 0;
+    const FilePtr fp = openFileForRead(path, size, error);
+    if (!fp)
         return false;
-    }
-    out.clear();
-    std::uint8_t buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, fp)) > 0)
-        out.insert(out.end(), buf, buf + n);
-    std::fclose(fp);
+    out.resize(size);
+    out.resize(std::fread(out.data(), 1, out.size(), fp.get()));
     return true;
 }
 

@@ -15,6 +15,8 @@
 #define CRW_COMMON_BYTEIO_H_
 
 #include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -143,17 +145,6 @@ struct ByteReader
         p += n;
         return s;
     }
-
-    std::vector<std::uint8_t>
-    blob()
-    {
-        const std::uint64_t n = u64();
-        if (!need(n))
-            return {};
-        std::vector<std::uint8_t> b(p, p + n);
-        p += n;
-        return b;
-    }
 };
 
 /**
@@ -164,6 +155,22 @@ struct ByteReader
 bool writeFileAtomic(const std::vector<std::uint8_t> &bytes,
                      const std::string &path,
                      std::string *error = nullptr);
+
+/** Closes a stdio file when its owner goes. */
+struct FileCloser
+{
+    void operator()(std::FILE *fp) const { std::fclose(fp); }
+};
+using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+
+/**
+ * Open @p path for binary reading and report its size in @p size,
+ * taken from the open handle so a concurrent atomic replace cannot
+ * pair one file's size with another file's bytes. Null (and *error)
+ * if it cannot be opened.
+ */
+FilePtr openFileForRead(const std::string &path, std::uint64_t &size,
+                        std::string *error = nullptr);
 
 /** Slurp @p path. False (and *error) if it cannot be opened. */
 bool readFileBytes(const std::string &path,

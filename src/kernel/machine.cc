@@ -1,5 +1,8 @@
 #include "kernel/machine.h"
 
+#include <map>
+#include <mutex>
+
 #include "common/logging.h"
 #include "sparc/isa.h"
 
@@ -8,17 +11,37 @@ namespace kernel {
 
 using namespace sparc;
 
+std::string
+machineSource(KernelFlavor flavor, int num_windows,
+              const std::string &user_source)
+{
+    return (flavor == KernelFlavor::Conventional
+                ? conventionalKernelSource(num_windows)
+                : sharingKernelSource(num_windows)) +
+           switchRoutinesSource(num_windows) + "\n    .org " +
+           std::to_string(kUserBase) + "\n" + user_source;
+}
+
+const sparcasm::Program &
+assembleMemoized(const std::string &source)
+{
+    // Entries are never erased and std::map nodes never move, so a
+    // returned reference stays valid after the lock is dropped.
+    static std::mutex mu;
+    static std::map<std::string, sparcasm::Program> memo;
+    const std::lock_guard<std::mutex> lock(mu);
+    auto it = memo.find(source);
+    if (it == memo.end())
+        it = memo.emplace(source, sparcasm::assemble(source, 0)).first;
+    return it->second;
+}
+
 Machine::Machine(KernelFlavor flavor, int num_windows,
                  const std::string &user_source)
     : mem(1 << 20),
       cpu(mem, num_windows),
-      program(sparcasm::assemble(
-          (flavor == KernelFlavor::Conventional
-               ? conventionalKernelSource(num_windows)
-               : sharingKernelSource(num_windows)) +
-              switchRoutinesSource(num_windows) + "\n    .org " +
-              std::to_string(kUserBase) + "\n" + user_source,
-          0))
+      program(assembleMemoized(
+          machineSource(flavor, num_windows, user_source)))
 {
     program.loadInto(mem);
     cpu.setTbr(0);

@@ -24,10 +24,28 @@ enum class KernelFlavor {
 };
 
 /**
+ * The full text a Machine assembles: the flavor's trap handlers and
+ * the switch routines at kKernelBase, then @p user_source at
+ * kUserBase.
+ */
+std::string machineSource(KernelFlavor flavor, int num_windows,
+                          const std::string &user_source);
+
+/**
+ * sparcasm::assemble(@p source, 0), run once per distinct source text
+ * per process (mutex-guarded; entries live until exit). The Table 2
+ * harness builds ~30 machines from ~7 texts, and assembling the kernel
+ * is most of each build.
+ */
+const sparcasm::Program &assembleMemoized(const std::string &source);
+
+/**
  * A machine with vectors+handlers+switch routines at kKernelBase and
  * @p user_source at kUserBase. Boots in supervisor mode at the user
  * symbol "start", CWP 0, %sp at kStackTop, traps enabled, with the
- * WIM/resident-mask matching the flavor.
+ * WIM/resident-mask matching the flavor. Its program is a copy of
+ * the memoized assembly of machineSource(); memory and CPU are its
+ * own.
  */
 class Machine
 {

@@ -1,5 +1,7 @@
 #include "trace/event_trace.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
 
 #include "common/byteio.h"
@@ -256,39 +258,72 @@ saveTraceFile(const EventTrace &trace, const std::string &path,
     return writeFileAtomic(file.bytes, path, error);
 }
 
+namespace {
+
+/**
+ * The one rule set for event scripts (see validateTraceCode()).
+ * Scans @p code and folds every byte of it into the FNV-1a state
+ * @p hash, so the loader checks and hashes a script in a single pass.
+ * On a violation it still folds the rest of the script before failing,
+ * so @p hash always ends as the hash of the whole script.
+ */
 bool
-validateTraceCode(const std::vector<std::uint8_t> &code,
-                  std::size_t num_streams, std::string *error)
+scanTraceCode(const std::uint8_t *code, std::size_t size,
+              std::size_t num_streams, std::uint64_t &hash,
+              std::string *error)
 {
-    auto fail = [error](const std::string &why) {
+    const auto names_stream = [](unsigned high) {
+        return high >= static_cast<unsigned>(TraceOp::Put) &&
+               high <= static_cast<unsigned>(TraceOp::Close);
+    };
+    // The hash chain bounds the loop, so a tag byte that passes every
+    // rule on its own (no spill, a known op, an inline stream id in
+    // range) costs one table lookup; only the rest take the checks
+    // below, which also name the rule a bad tag breaks.
+    bool plain[256];
+    for (unsigned tag = 0; tag < 256; ++tag) {
+        const unsigned high = tag >> 4;
+        const unsigned low = tag & 0x0F;
+        plain[tag] = high <= static_cast<unsigned>(TraceOp::Exit) &&
+                     low != kSpill &&
+                     !(names_stream(high) && low >= num_streams);
+    }
+
+    const std::uint8_t *p = code;
+    const std::uint8_t *const end = code + size;
+    const std::uint8_t *event = p;
+    std::uint64_t h = hash;
+    const auto next = [&p, &h]() {
+        const std::uint8_t b = *p++;
+        h = (h ^ b) * 0x100000001b3ull;
+        return b;
+    };
+    const auto fail = [&](const std::string &why) {
+        hash = fnv1a64(p, static_cast<std::size_t>(end - p), h);
         if (error)
-            *error = why;
+            *error = why + " at offset " +
+                     std::to_string(event - code);
         return false;
     };
 
-    const std::uint8_t *p = code.data();
-    const std::uint8_t *const end = p + code.size();
     while (p != end) {
-        const std::size_t at =
-            static_cast<std::size_t>(p - code.data());
-        const std::uint8_t tag = *p++;
-        const std::uint8_t high = tag >> 4;
-        if (high > static_cast<std::uint8_t>(TraceOp::Exit))
-            return fail("unknown event op " + std::to_string(high) +
-                        " at offset " + std::to_string(at));
-        const TraceOp op = static_cast<TraceOp>(high);
+        event = p;
+        const std::uint8_t tag = next();
+        if (plain[tag])
+            continue;
+        const unsigned high = tag >> 4;
+        if (high > static_cast<unsigned>(TraceOp::Exit))
+            return fail("unknown event op " + std::to_string(high));
         std::uint64_t operand = tag & 0x0F;
         if (operand == kSpill) {
             std::uint64_t v = 0;
             int shift = 0;
             while (true) {
                 if (p == end)
-                    return fail("truncated varint at offset " +
-                                std::to_string(at));
+                    return fail("truncated varint");
                 if (shift > 63)
-                    return fail("oversized varint at offset " +
-                                std::to_string(at));
-                const std::uint8_t b = *p++;
+                    return fail("oversized varint");
+                const std::uint8_t b = next();
                 v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
                 if (!(b & 0x80))
                     break;
@@ -296,14 +331,139 @@ validateTraceCode(const std::vector<std::uint8_t> &code,
             }
             operand = v;
         }
-        if ((op == TraceOp::Put || op == TraceOp::Get ||
-             op == TraceOp::Close) &&
-            operand >= num_streams)
+        if (names_stream(high) && operand >= num_streams)
             return fail("stream id " + std::to_string(operand) +
-                        " out of range at offset " +
-                        std::to_string(at));
+                        " out of range");
     }
+    hash = h;
     return true;
+}
+
+/**
+ * Sequential reader over a trace file's payload, straight from the
+ * file: every byte it consumes is folded into the running FNV-1a
+ * payload hash, and no length is trusted beyond the payload bytes
+ * still unread. Like ByteReader it never throws: a field that does not
+ * fit flips ok to false and later reads return zero values.
+ */
+class PayloadReader
+{
+  public:
+    PayloadReader(std::FILE *fp, std::uint64_t payload_size)
+        : fp_(fp),
+          left_(payload_size)
+    {}
+
+    bool ok = true;        ///< every field fit in the payload
+    bool ioFailed = false; ///< the file ended before its stat size
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+
+    std::uint32_t
+    u32()
+    {
+        std::uint8_t b[4] = {};
+        take(b, 4);
+        return ByteReader{b, b + 4}.u32();
+    }
+
+    std::uint64_t
+    u64()
+    {
+        std::uint8_t b[8] = {};
+        take(b, 8);
+        return ByteReader{b, b + 8}.u64();
+    }
+
+    std::string
+    str()
+    {
+        const std::uint32_t n = u32();
+        if (!fits(n))
+            return {};
+        std::string s(n, '\0');
+        take(s.data(), n);
+        return s;
+    }
+
+    /**
+     * Read a length-prefixed event script into @p code and scan it
+     * (scanTraceCode) while it is hot. False, with the reason in
+     * @p why, only for a script that breaks a rule; a blob that does
+     * not fit flips ok instead.
+     */
+    bool
+    script(std::vector<std::uint8_t> &code, std::size_t num_streams,
+           std::string *why)
+    {
+        const std::uint64_t n = u64();
+        if (!fits(n))
+            return true;
+        code.resize(static_cast<std::size_t>(n));
+        if (!read(code.data(), code.size()))
+            return true;
+        return scanTraceCode(code.data(), code.size(), num_streams,
+                             hash, why);
+    }
+
+    /** Fold the unread rest of the payload into the hash; leftover
+     *  bytes after the last field make the payload malformed. */
+    void
+    finish()
+    {
+        if (left_ != 0)
+            ok = false;
+        std::uint8_t buf[4096] = {};
+        while (left_ != 0 && !ioFailed) {
+            const std::size_t n = static_cast<std::size_t>(
+                std::min<std::uint64_t>(left_, sizeof buf));
+            if (read(buf, n))
+                hash = fnv1a64(buf, n, hash);
+        }
+    }
+
+  private:
+    bool
+    fits(std::uint64_t n)
+    {
+        if (ok && n <= left_)
+            return true;
+        ok = false;
+        return false;
+    }
+
+    void
+    take(void *dst, std::size_t n)
+    {
+        if (fits(n) && read(dst, n))
+            hash = fnv1a64(static_cast<const std::uint8_t *>(dst), n,
+                           hash);
+    }
+
+    bool
+    read(void *dst, std::size_t n)
+    {
+        if (ioFailed || std::fread(dst, 1, n, fp_) != n) {
+            ioFailed = true;
+            ok = false;
+            return false;
+        }
+        left_ -= n;
+        return true;
+    }
+
+    std::FILE *fp_;
+    std::uint64_t left_;
+};
+
+} // namespace
+
+bool
+validateTraceCode(const std::vector<std::uint8_t> &code,
+                  std::size_t num_streams, std::string *error)
+{
+    std::uint64_t unused_hash = 0;
+    return scanTraceCode(code.data(), code.size(), num_streams,
+                         unused_hash, error);
 }
 
 bool
@@ -316,34 +476,33 @@ loadTraceFile(const std::string &path, EventTrace &out,
         return false;
     };
 
-    std::vector<std::uint8_t> bytes;
+    std::uint64_t size = 0;
     std::string io_err;
-    if (!readFileBytes(path, bytes, &io_err))
+    const FilePtr file = openFileForRead(path, size, &io_err);
+    if (!file)
         return fail(io_err);
+    std::FILE *const fp = file.get();
 
     // 8 magic + 4 version + 8 trailing checksum.
-    if (bytes.size() < 20)
+    std::uint8_t header[12] = {};
+    if (size < 20 || std::fread(header, 1, 12, fp) != 12)
         return fail("truncated header");
-    if (std::memcmp(bytes.data(), kMagic, 8) != 0)
+    if (std::memcmp(header, kMagic, 8) != 0)
         return fail("bad magic (not a crw trace)");
-
-    ByteReader header{bytes.data() + 8, bytes.data() + bytes.size()};
-    const std::uint32_t version = header.u32();
+    const std::uint32_t version =
+        ByteReader{header + 8, header + 12}.u32();
     if (version != kTraceFormatVersion)
         return fail("unsupported trace version " +
                     std::to_string(version));
 
-    const std::uint8_t *payload = bytes.data() + 12;
-    const std::size_t payload_size = bytes.size() - 20;
-    ByteReader csum{bytes.data() + bytes.size() - 8,
-                bytes.data() + bytes.size()};
-    const std::uint64_t checksum = csum.u64();
-    if (fnv1a64(payload, payload_size) != checksum)
-        return fail("checksum mismatch (corrupted trace)");
-
-    ByteReader r{payload, payload + payload_size};
+    // One pass over the payload: parse each field in file order,
+    // hashing its bytes as they arrive, and check each thread's script
+    // as it lands in its final vector. A malformed field or a bad
+    // script only decides the message once the hash of the whole
+    // payload has been held against the trailer: a damaged file must
+    // read as `checksum mismatch`, whatever its damage parses as.
+    PayloadReader r(fp, size - 20);
     EventTrace t;
-    t.fileChecksum = checksum;
     t.key = r.str();
     t.seed = r.u64();
     t.corpusBytes = r.u64();
@@ -357,27 +516,38 @@ loadTraceFile(const std::string &path, EventTrace &out,
         s.writers = r.u32();
         t.streams.push_back(std::move(s));
     }
+    std::string bad_script;
     const std::uint32_t num_threads = r.u32();
     for (std::uint32_t i = 0; r.ok && i < num_threads; ++i) {
         TraceThreadInfo th;
         th.name = r.str();
         th.priority = static_cast<std::uint8_t>(r.u32());
-        th.code = r.blob();
+        std::string why;
+        // The checksum catches accidental corruption, but a trace
+        // could still carry scripts the check-free TraceCursor must
+        // never see (e.g. written by a buggy or adversarial
+        // producer).
+        if (!r.script(th.code, t.streams.size(), &why) &&
+            bad_script.empty())
+            bad_script = "invalid event script in thread " +
+                         std::to_string(i) + " (" + th.name +
+                         "): " + why;
         t.threads.push_back(std::move(th));
     }
-    if (!r.ok || r.p != r.end)
+    r.finish();
+
+    std::uint8_t trailer[8] = {};
+    if (r.ioFailed || std::fread(trailer, 1, 8, fp) != 8)
+        return fail("truncated trace (file changed while loading)");
+    const std::uint64_t checksum =
+        ByteReader{trailer, trailer + 8}.u64();
+    if (r.hash != checksum)
+        return fail("checksum mismatch (corrupted trace)");
+    if (!r.ok)
         return fail("malformed payload");
-    // The checksum catches accidental corruption, but a trace could
-    // still carry scripts the check-free TraceCursor must never see
-    // (e.g. written by a buggy or adversarial producer).
-    for (std::size_t i = 0; i < t.threads.size(); ++i) {
-        std::string why;
-        if (!validateTraceCode(t.threads[i].code, t.streams.size(),
-                               &why))
-            return fail("invalid event script in thread " +
-                        std::to_string(i) + " (" + t.threads[i].name +
-                        "): " + why);
-    }
+    if (!bad_script.empty())
+        return fail(bad_script);
+    t.fileChecksum = checksum;
     out = std::move(t);
     return true;
 }

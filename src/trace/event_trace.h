@@ -235,18 +235,23 @@ bool saveTraceFile(const EventTrace &trace, const std::string &path,
  * TraceCursor::peek() assumes (crw_assert) a well-formed script — it
  * runs tens of millions of times per sweep and must stay check-free —
  * so everything that enters a replay MUST pass through this gate
- * first. loadTraceFile() applies it to every thread; a trace built by
- * TraceRecorder is well-formed by construction.
+ * first. loadTraceFile() applies the same rules to every thread (one
+ * scanner serves both); a trace built by TraceRecorder is well-formed
+ * by construction.
  */
 bool validateTraceCode(const std::vector<std::uint8_t> &code,
                        std::size_t num_streams,
                        std::string *error = nullptr);
 
 /**
- * Read a trace back. Returns false (with a reason in @p error) on a
- * bad magic, unknown version, truncation, checksum mismatch, or a
- * thread event script that fails validateTraceCode(). On success the
- * verified trailer lands in @p out.fileChecksum.
+ * Read a trace back, in one streaming pass over the file (DESIGN.md
+ * §8). Returns false (with a reason in @p error) on a bad magic,
+ * unknown version, truncation, checksum mismatch, malformed payload,
+ * or a thread event script that fails validateTraceCode() — reported
+ * in that order, so a damaged file reads as a checksum mismatch
+ * whatever its damage parses as. No length field is trusted beyond
+ * the bytes left in the file. On success the verified trailer lands
+ * in @p out.fileChecksum; on failure @p out is untouched.
  */
 bool loadTraceFile(const std::string &path, EventTrace &out,
                    std::string *error = nullptr);

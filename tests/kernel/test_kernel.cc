@@ -3,8 +3,12 @@
  * End-to-end kernel tests: deep recursion through real overflow/
  * underflow handlers on the SPARC core — conventional (NS substrate)
  * versus the paper's sharing handlers (restore-in-place + restore
- * emulation) — plus the Table 2 cycle-band calibration.
+ * emulation) — plus the Table 2 cycle-band calibration and the
+ * per-source program memo every Machine is built from.
  */
+
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -124,6 +128,78 @@ TEST(KernelSharing, SharingTakesFewerSpillsGoingDeep)
     // Depth 16 with 7 windows: 6 cheap claims + ~9 wrapping spills.
     EXPECT_GE(ovf, 14u);
     EXPECT_LE(ovf, 16u);
+}
+
+/** Same sections (base and bytes) and same symbol table. */
+void
+expectSamePrograms(const sparcasm::Program &a, const sparcasm::Program &b)
+{
+    ASSERT_EQ(a.sections.size(), b.sections.size());
+    for (std::size_t i = 0; i < a.sections.size(); ++i) {
+        EXPECT_EQ(a.sections[i].base, b.sections[i].base) << i;
+        EXPECT_EQ(a.sections[i].bytes, b.sections[i].bytes) << i;
+    }
+    EXPECT_EQ(a.symbols, b.symbols);
+}
+
+TEST(MachineProgramMemo, EqualsAFreshAssembly)
+{
+    for (const KernelFlavor flavor :
+         {KernelFlavor::Conventional, KernelFlavor::Sharing}) {
+        const std::string source =
+            machineSource(flavor, 7, kRecursiveSum);
+        const sparcasm::Program fresh = sparcasm::assemble(source, 0);
+        const sparcasm::Program &memo = assembleMemoized(source);
+        EXPECT_EQ(&memo, &assembleMemoized(source)); // assembled once
+        expectSamePrograms(memo, fresh);
+
+        const Machine m(flavor, 7, kRecursiveSum);
+        expectSamePrograms(m.program, fresh);
+    }
+}
+
+TEST(MachineProgramMemo, MachinesFromOneSourceAreIndependent)
+{
+    Machine a(KernelFlavor::Conventional, 7, kRecursiveSum);
+    Machine b(KernelFlavor::Conventional, 7, kRecursiveSum);
+    const Addr start = b.program.symbol("start");
+    const Word first = b.mem.readWord(start);
+
+    // A write to one machine's memory, program copy or registers
+    // shows in neither the other machine nor the memo.
+    a.mem.writeWord(start, ~first);
+    a.program.symbols["start"] = 0;
+    a.cpu.setReg(sparc::kRegSp, 0);
+    EXPECT_EQ(b.mem.readWord(start), first);
+    EXPECT_EQ(b.program.symbol("start"), start);
+    EXPECT_EQ(b.cpu.reg(sparc::kRegSp), kStackTop);
+    EXPECT_EQ(assembleMemoized(machineSource(
+                  KernelFlavor::Conventional, 7, kRecursiveSum))
+                  .symbol("start"),
+              start);
+
+    EXPECT_EQ(b.runToHalt(), 120u);
+    EXPECT_EQ(a.cpu.reg(sparc::kRegSp), 0u);
+}
+
+TEST(MachineProgramMemo, ConcurrentFirstUsesAssembleOnce)
+{
+    // A source no other test assembles, so every thread races to be
+    // its first user; all must get the one memo entry.
+    const std::string user = std::string(kRecursiveSum) + "pad: nop\n";
+    const std::string source =
+        machineSource(KernelFlavor::Sharing, 5, user);
+    std::vector<const sparcasm::Program *> got(4, nullptr);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        threads.emplace_back([&got, &source, i]() {
+            got[i] = &assembleMemoized(source);
+        });
+    for (std::thread &t : threads)
+        t.join();
+    for (const sparcasm::Program *p : got)
+        EXPECT_EQ(p, got[0]);
+    expectSamePrograms(*got[0], sparcasm::assemble(source, 0));
 }
 
 class Table2Calibration : public ::testing::Test

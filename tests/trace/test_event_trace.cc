@@ -12,9 +12,13 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include "common/byteio.h"
 #include "trace/event_trace.h"
+#include "trace/synth.h"
 
 namespace crw {
 namespace {
@@ -47,15 +51,48 @@ sampleTrace()
     return rec.take(42, 567);
 }
 
+/** File offset of thread @p tid's u64 script length in the saved
+ *  form of @p trace (format v2 layout, see encodeTracePayload). */
+std::size_t
+scriptLengthOffset(const EventTrace &trace, std::size_t tid)
+{
+    std::size_t at = 8 + 4;                   // magic, version
+    at += 4 + trace.key.size() + 4 * 8 + 4;  // key, 4 u64s, #streams
+    for (const TraceStreamInfo &s : trace.streams)
+        at += 4 + s.name.size() + 4 + 4;
+    at += 4; // #threads
+    for (std::size_t i = 0; i < tid; ++i)
+        at += 4 + trace.threads[i].name.size() + 4 + 8 +
+              trace.threads[i].code.size();
+    return at + 4 + trace.threads[tid].name.size() + 4;
+}
+
+/** Rewrite the trailer so it honestly checksums the (edited)
+ *  payload: only the loader's structural checks can then object. */
+void
+resealTrailer(std::vector<char> &bytes)
+{
+    const std::uint64_t h = fnv1a64(
+        reinterpret_cast<const std::uint8_t *>(bytes.data()) + 12,
+        bytes.size() - 20);
+    for (int i = 0; i < 8; ++i)
+        bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
+            static_cast<char>(h >> (8 * i));
+}
+
 class EventTraceFile : public ::testing::Test
 {
   protected:
     void
     SetUp() override
     {
-        path_ = (std::filesystem::temp_directory_path() /
-                 "crw_test_event_trace.trace")
-                    .string();
+        // ctest runs every test as its own process, possibly in
+        // parallel: one path per process and test keeps them apart.
+        const std::string name =
+            "crw_test_event_trace_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".trace";
+        path_ = (std::filesystem::temp_directory_path() / name).string();
     }
 
     void TearDown() override { std::remove(path_.c_str()); }
@@ -289,12 +326,97 @@ TEST_F(EventTraceFile, FuzzedFilesNeverCrashTheLoader)
         EventTrace out;
         std::string why;
         if (loadTraceFile(path_, out, &why)) {
-            // The rare survivable mutation must decode end to end.
+            // The rare survivable mutation must decode end to end,
+            // and the trailer it verified must be the checksum of
+            // the trace it rebuilt.
             EXPECT_NO_THROW(out.eventCount());
+            EXPECT_EQ(out.fileChecksum, traceChecksum(out));
         } else {
             EXPECT_FALSE(why.empty());
         }
     }
+}
+
+TEST_F(EventTraceFile, SynthTraceRoundTripsWithItsChecksum)
+{
+    // Scripts of several kilobytes, more than one stdio buffer, so
+    // each script read spans buffered and direct file reads.
+    for (const SynthSpec &spec : synthBehaviorMenu()) {
+        const EventTrace trace = generateSynthTrace(spec);
+        std::string err;
+        ASSERT_TRUE(saveTraceFile(trace, path_, &err)) << err;
+        EventTrace loaded;
+        ASSERT_TRUE(loadTraceFile(path_, loaded, &err)) << err;
+        EXPECT_TRUE(trace == loaded) << trace.key;
+        EXPECT_EQ(loaded.fileChecksum, traceChecksum(trace));
+        EXPECT_EQ(loaded.fileChecksum, traceChecksum(loaded));
+    }
+}
+
+TEST_F(EventTraceFile, FlippedScriptByteUnderStaleTrailerIsChecksum)
+{
+    const EventTrace trace = sampleTrace();
+    std::string err;
+    ASSERT_TRUE(saveTraceFile(trace, path_, &err)) << err;
+    std::vector<char> bytes = readAll();
+    // Thread 1's first tag becomes op 7, which no script may carry:
+    // the hash must be finished before the script's fault is chosen.
+    const std::size_t at = scriptLengthOffset(trace, 1) + 8;
+    bytes[at] = static_cast<char>(0x70);
+    writeAll(bytes);
+
+    EventTrace out;
+    EXPECT_FALSE(loadTraceFile(path_, out, &err));
+    EXPECT_NE(err.find("checksum mismatch"), std::string::npos) << err;
+
+    // The same damage under an honest trailer is the script's fault.
+    resealTrailer(bytes);
+    writeAll(bytes);
+    EXPECT_FALSE(loadTraceFile(path_, out, &err));
+    EXPECT_NE(err.find("invalid event script in thread 1"),
+              std::string::npos)
+        << err;
+}
+
+TEST_F(EventTraceFile, MalformedPayloadOutranksABadScript)
+{
+    EventTrace trace = sampleTrace();
+    trace.threads[0].code = {0x70}; // unknown op
+    std::string err;
+    ASSERT_TRUE(saveTraceFile(trace, path_, &err)) << err;
+    std::vector<char> bytes = readAll();
+    // One stray byte after the last field, under an honest trailer.
+    bytes.insert(bytes.end() - 8, '\0');
+    resealTrailer(bytes);
+    writeAll(bytes);
+
+    EventTrace out;
+    EXPECT_FALSE(loadTraceFile(path_, out, &err));
+    EXPECT_EQ(err, "malformed payload");
+}
+
+TEST_F(EventTraceFile, InflatedScriptLengthFailsWithoutAllocating)
+{
+    // Bit 40 of thread 0's script length: a loader that trusted it
+    // would try to allocate a terabyte before reading a byte of it.
+    const EventTrace trace = sampleTrace();
+    std::string err;
+    ASSERT_TRUE(saveTraceFile(trace, path_, &err)) << err;
+    std::vector<char> bytes = readAll();
+    const std::size_t at = scriptLengthOffset(trace, 0);
+    ASSERT_EQ(static_cast<std::size_t>(bytes[at]),
+              trace.threads[0].code.size());
+    bytes[at + 5] = static_cast<char>(bytes[at + 5] ^ 0x01);
+    writeAll(bytes);
+
+    EventTrace out;
+    EXPECT_NO_THROW(EXPECT_FALSE(loadTraceFile(path_, out, &err)));
+    EXPECT_NE(err.find("checksum mismatch"), std::string::npos) << err;
+
+    resealTrailer(bytes);
+    writeAll(bytes);
+    EXPECT_NO_THROW(EXPECT_FALSE(loadTraceFile(path_, out, &err)));
+    EXPECT_EQ(err, "malformed payload");
 }
 
 TEST(TraceCursor, DecodesWhatTheRecorderEmits)

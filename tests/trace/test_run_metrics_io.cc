@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "trace/run_metrics.h"
@@ -64,9 +66,13 @@ class RunMetricsFile : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = (std::filesystem::temp_directory_path() /
-                 "crw_test_run_metrics.metrics")
-                    .string();
+        // ctest runs every test as its own process, possibly in
+        // parallel: one path per process and test keeps them apart.
+        const std::string name =
+            "crw_test_run_metrics_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".metrics";
+        path_ = (std::filesystem::temp_directory_path() / name).string();
     }
 
     void TearDown() override { std::remove(path_.c_str()); }
