@@ -88,11 +88,7 @@ counterAtLeast(const std::string &name, std::uint64_t v)
 
 /**
  * Replay one lockstep unit (>= 2 lanes) and write each lane's metrics
- * into @p results at the lane's miss index. A diverged working-set
- * batch is discarded whole and its points re-replayed individually
- * through replayPoint() — which then does the per-point bookkeeping
- * itself, so replay.points counts every replayed point exactly once
- * on either outcome.
+ * into @p results at the lane's miss index.
  */
 void
 runLockstepUnit(const std::vector<PlanPoint> &misses,
@@ -108,16 +104,7 @@ runLockstepUnit(const std::vector<PlanPoint> &misses,
         configs.push_back(misses[i].engine);
 
     BatchedReplayDriver driver(trace, configs, p0.policy, &flat);
-    if (!driver.run()) {
-        metrics().add("replay.batch_fallback", 1);
-        ringPublish(obs::RingEventCode::ReplayBatchFallback,
-                    static_cast<std::uint32_t>(unit.size()), 0);
-        for (const std::size_t i : unit) {
-            const PlanPoint &p = misses[i];
-            results[i] = replayPoint(trace, p.engine, p.policy, &flat);
-        }
-        return;
-    }
+    driver.run();
 
     metrics().add("replay.batches", 1);
     metrics().add("replay.batched_points", unit.size());
@@ -127,8 +114,8 @@ runLockstepUnit(const std::vector<PlanPoint> &misses,
     // Which follower pass the batch took (win/simd.h): the counter
     // records the widest tier any batch used this session, the ring
     // event every batch's tier and width. The driver reports the pass
-    // it dispatched, not the ambient tier — under `auto` the sharing
-    // schemes pin to the scalar per-lane oracle and must not claim a
+    // it dispatched, not the ambient tier — the sharing schemes replay
+    // their followers per lane on every tier and must not claim a
     // vector pass.
     const SimdTier tier = driver.simdPath();
     counterAtLeast("replay.simd_path",
@@ -256,7 +243,9 @@ executePoints(const std::vector<PlanPoint> &points)
     // (trace/replay_batch.h) — a cold fig11+fig12+fig13 run walks
     // each trace once per scheme instead of once per point. The
     // per-point path remains for width-1 groups, invariant-checking
-    // points, trace-recording runs (the timeline observer is
+    // points, (scheme, policy) pairs the static batch rule keeps at
+    // one lane (SNP/SP under WS/WSA: residency there depends on the
+    // window count), trace-recording runs (the timeline observer is
     // per-point only), and when CRW_REPLAY_BATCH=0 or
     // CRW_REPLAY_FAST=0 pins it off.
     const std::size_t cap = replayBatchCap();
@@ -266,7 +255,9 @@ executePoints(const std::vector<PlanPoint> &points)
     if (batching) {
         std::map<std::string, std::vector<std::size_t>> groups;
         for (std::size_t i = 0; i < misses.size(); ++i) {
-            if (misses[i].engine.checkInvariants) {
+            if (misses[i].engine.checkInvariants ||
+                !lockstepBatchable(misses[i].engine.scheme,
+                                   misses[i].policy)) {
                 units.push_back({i});
                 continue;
             }

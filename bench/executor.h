@@ -72,9 +72,8 @@ std::size_t parseReplayBatchCap(const char *text,
 /**
  * ISA-aware batch width the executor uses when $CRW_REPLAY_BATCH is
  * unset: 32 lanes when the SoA follower pass runs 8-wide (AVX2 —
- * 31 followers amortize the recorded stream further at no divergence
- * cost), 16 otherwise (the PR 7 default the scalar oracle was tuned
- * at).
+ * 31 followers amortize the recorded stream further), 16 otherwise
+ * (the width the per-lane follower pass was tuned at).
  */
 std::size_t defaultReplayBatchCap();
 

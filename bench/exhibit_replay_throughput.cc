@@ -187,9 +187,8 @@ runReplayThroughput(const FlagSet &flags)
     // fast path (one driver per lane), the batched loop with the
     // follower replay pinned to the PR 7 per-lane scalar oracle, and
     // the batched loop under the session's effective SIMD dispatch
-    // (win/simd.h) — deliberately NOT a forced tier, so the sharing
-    // schemes route exactly as a figure sweep would (under `auto`
-    // their slot-map lanes pin to the oracle; DESIGN.md §16). scalar
+    // (win/simd.h) — the sharing schemes have no SoA pass and replay
+    // their followers per lane on every tier (DESIGN.md §16). scalar
     // vs simd on the NS sweep isolates the lane-SoA kernel win — same
     // recorded op stream, same batch shape — and is the simd_speedup
     // number scripts/bench_perf.sh gates at >= 1.25x; the aggregate
@@ -236,16 +235,12 @@ runReplayThroughput(const FlagSet &flags)
             setSimdTierOverride(SimdTier::Scalar);
             BatchedReplayDriver batched(trace, configs,
                                         SchedPolicy::Fifo, &flat);
-            if (!batched.run())
-                crw_fatal << "a FIFO batch diverged — scheduling "
-                             "never consults the engines under FIFO";
+            batched.run();
             const auto p2 = std::chrono::steady_clock::now();
             clearSimdTierOverride(); // auto dispatch, as sweeps run
             BatchedReplayDriver simd_batched(trace, configs,
                                              SchedPolicy::Fifo, &flat);
-            if (!simd_batched.run())
-                crw_fatal << "a FIFO batch diverged — scheduling "
-                             "never consults the engines under FIFO";
+            simd_batched.run();
             const auto p3 = std::chrono::steady_clock::now();
             if (scheme == SchemeKind::NS)
                 ns_simd_path = simd_batched.simdPath();

@@ -649,9 +649,11 @@ fi
 # its seeded spec, so the emitted trace files, every sweep CSV and
 # the normalized metrics must be byte-identical across --jobs 1 vs
 # --jobs N and across batched vs CRW_REPLAY_BATCH=0 replay. The
-# batched run mixes lockstep-batchable policies (FIFO/RR/PRI) with
-# the checkpointed working-set family, so this also exercises the
-# divergence-fallback path against the pinned per-point baseline.
+# batched run mixes the residency-blind policies (FIFO/RR/PRI), which
+# batch under every scheme, with the working-set family, which the
+# static batch rule batches under NS and replays one lane at a time
+# under SNP/SP — both halves of the rule against the pinned
+# per-point baseline.
 run_synth() {
     # $1: subdir, $2: CRW_REPLAY_BATCH value, $3: --jobs value
     mkdir -p "$workdir/$1"
@@ -741,9 +743,9 @@ fi
 
 # Part 9: the SIMD follower pass. CRW_SIMD pins the batched follower
 # replay to one dispatch tier: `scalar` is the per-lane oracle, the
-# named vector tiers run the lane-SoA pass (an explicit pin forces it
-# for every scheme, including the sharing schemes that auto dispatch
-# routes to the oracle). Every tier must produce the same bytes —
+# named vector tiers run the lane-SoA pass for NS/INF batches (the
+# sharing schemes replay per lane on every tier). Every tier must
+# produce the same bytes —
 # the tier may only change host wall time. The replay.simd_path
 # counter records the tier taken, so it is stripped from the
 # cross-tier metrics view and then used to prove each run really ran
@@ -841,6 +843,22 @@ if [ "$scalar_tier" -eq 0 ] && [ "$sse2_tier" -eq 1 ] &&
 else
     echo "  FAIL simd_path counters: scalar=$scalar_tier" \
          "sse2=$sse2_tier avx2=$avx2_tier"
+    status=1
+fi
+
+# Batching follows a static (scheme, policy) rule, so no batch can
+# diverge and fall back to per-point replay: no run of parts 7-9 may
+# count a replay.batch_fallback.
+fallback_runs=""
+for run in batch_off batch_on batch_on_par synth_serial synth_par \
+           synth_nobatch simd_scalar simd_sse2 simd_avx2 simd_avx2_par; do
+    n=$(counter "$workdir/$run/metrics.json" "replay.batch_fallback")
+    [ "$n" -eq 0 ] || fallback_runs="$fallback_runs $run=$n"
+done
+if [ -z "$fallback_runs" ]; then
+    echo "  ok   no batch fell back to per-point replay in parts 7-9"
+else
+    echo "  FAIL replay.batch_fallback counted in:$fallback_runs"
     status=1
 fi
 

@@ -66,7 +66,11 @@ enum class RingEventCode : std::uint32_t
     PoolJobStart = 9,  ///< HostPool::run began (value = task count)
     PoolJobEnd = 10,   ///< HostPool::run drained
     ReplayBatch = 11,  ///< one lockstep batch replayed (arg = width)
-    /** A working-set batch diverged and fell back to per-point. */
+    /**
+     * A working-set batch diverged and fell back to per-point. No
+     * longer emitted (batching follows a static rule that cannot
+     * diverge); kept because the ring format is append-only.
+     */
     ReplayBatchFallback = 12,
     /** SIMD follower path of a batch (arg = SimdTier code: 0 scalar
      *  oracle, 1 SSE2, 2 AVX2; value = batch width). */

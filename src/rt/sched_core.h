@@ -130,8 +130,8 @@ bool parsePolicyName(std::string_view name, SchedPolicy &out);
 const std::vector<SchedPolicy> &allSchedPolicies();
 
 /** Whether wake placement consults window residency (WS, WSA). The
- *  batched lockstep loop records a WakeCheck checkpoint per wake for
- *  exactly these policies. */
+ *  static lockstep batch rule (trace/replay_batch.h) keeps these
+ *  policies at one lane under the sharing schemes. */
 constexpr bool
 policyUsesResidency(SchedPolicy policy)
 {

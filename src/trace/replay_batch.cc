@@ -25,18 +25,17 @@ batchContext(const EventTrace &trace, const WindowEngine &engine,
  * — with the single-engine FastEngineView replaced by the
  * leader/follower BatchedEngineView and the one engine-state read in
  * the control path (residency at wake, consulted by the working-set
- * policy family) answered by the leader, recorded, and re-verified on
- * every follower lane when the drained loop hands off to
- * view.finish(). Every other policy input (static priorities, the
- * round-robin quantum's charge operands) is lane-invariant by the
- * policy determinism contract (rt/sched_core.h), so those policies
- * batch without checkpoints.
+ * policy family) answered by the leader. The static batch rule makes
+ * that answer lane-invariant (lockstepBatchable, replay_batch.h);
+ * every other policy input (static priorities, the round-robin
+ * quantum's charge operands) is lane-invariant by the policy
+ * determinism contract (rt/sched_core.h).
  */
 // flatten: same rationale as runFastLoop — the window-file and scheme
 // primitives must inline into the per-lane event bodies, where they
 // run hundreds of millions of times per sweep.
 template <typename SchemeT, typename PolicyT>
-__attribute__((flatten)) bool
+__attribute__((flatten)) void
 lockstepLoop(const EventTrace &trace, const FlatTrace &flat,
              SchedCore &core, PolicyT &pol,
              std::vector<RStream> &streams,
@@ -65,13 +64,12 @@ lockstepLoop(const EventTrace &trace, const FlatTrace &flat,
                                   lanes);
     };
 
-    // Mirror of ReplayDriver::wakeAllSlow, plus the batch contract:
-    // when the policy consults residency (WS, WSA) the placement
-    // consumes the *leader's* residency of the woken thread, and the
-    // view records a checkpoint every follower lane re-verifies during
-    // its deferred replay. A follower that disagrees would have forked
-    // the schedule at that wake, so view.finish() reports the batch as
-    // diverged. Residency-blind policies skip the checkpoint entirely.
+    // Mirror of ReplayDriver::wakeAllSlow. When the policy consults
+    // residency (WS, WSA) the placement consumes the *leader's*
+    // residency of the woken thread. A batch wider than one lane only
+    // gets here under NS or INF (lockstepBatchable), where a woken
+    // thread is resident on no lane; the assert checks that claim
+    // where it is used.
     const auto wakeAllSlow = [&](SmallVec<ThreadId, 8> &waiters) {
         for (const ThreadId tid : waiters) {
             RThread &t = threads[static_cast<std::size_t>(tid)];
@@ -80,7 +78,7 @@ lockstepLoop(const EventTrace &trace, const FlatTrace &flat,
             t.state = RState::Ready;
             if constexpr (PolicyT::kUsesResidency) {
                 const bool resident = view.resident(tid);
-                view.recordWakeCheck(tid, resident);
+                crw_assert(lanes == 1 || !resident);
                 pol.wake(core, tid, resident);
             } else {
                 pol.wake(core, tid, false);
@@ -227,19 +225,17 @@ lockstepLoop(const EventTrace &trace, const FlatTrace &flat,
         }
         t.pc = pc;
     }
-    // The follower lanes replay the recorded op stream here; a
-    // working-set divergence surfaces as false.
-    const bool ok = view.finish();
+    // The follower lanes replay the recorded op stream here.
+    view.finish();
     if (simd_path)
         *simd_path = view.simdPathTaken();
-    return ok;
 }
 
 } // namespace
 
 namespace detail_replay {
 
-bool
+void
 runLockstepLoop(const EventTrace &trace, const FlatTrace &flat,
                 SchedCore &core, SchedPolicyBox &policy,
                 std::vector<RStream> &streams,
@@ -253,10 +249,10 @@ runLockstepLoop(const EventTrace &trace, const FlatTrace &flat,
     // loop.
     const auto dispatch = [&](auto scheme_tag) {
         using SchemeT = typename decltype(scheme_tag)::type;
-        return policy.visit([&](auto &pol) {
-            return lockstepLoop<SchemeT>(trace, flat, core, pol,
-                                         streams, threads, engines,
-                                         tracker, lanes, simd_path);
+        policy.visit([&](auto &pol) {
+            lockstepLoop<SchemeT>(trace, flat, core, pol, streams,
+                                  threads, engines, tracker, lanes,
+                                  simd_path);
         });
     };
     switch (engines[0]->scheme()) {
@@ -305,6 +301,15 @@ BatchedReplayDriver::BatchedReplayDriver(
                       << policyName(policy) << ")";
         engines_.push_back(std::make_unique<WindowEngine>(config));
     }
+    if (configs.size() > 1 &&
+        !lockstepBatchable(configs.front().scheme, policy))
+        crw_fatal << "BatchedReplayDriver: " << policyName(policy)
+                  << " reads window residency, which the sharing "
+                     "schemes make lane-dependent; replay these points "
+                     "one lane at a time ("
+                  << batchContext(trace, *engines_[0], policy,
+                                  configs.size())
+                  << ")";
 
     streams_.resize(trace.streams.size());
     for (std::size_t i = 0; i < trace.streams.size(); ++i) {
@@ -352,12 +357,9 @@ BatchedReplayDriver::run()
     for (std::size_t l = 0; l < lanes(); ++l)
         engines.push_back(engines_[l].get());
 
-    ok_ = detail_replay::runLockstepLoop(trace_, *flat_, core_,
-                                         policy_, streams_, threads_,
-                                         engines.data(), tracker_,
-                                         lanes(), &simdPath_);
-    if (!ok_)
-        return false;
+    detail_replay::runLockstepLoop(trace_, *flat_, core_, policy_,
+                                   streams_, threads_, engines.data(),
+                                   tracker_, lanes(), &simdPath_);
 
     for (std::size_t i = 0; i < threads_.size(); ++i) {
         if (threads_[i].state != RState::Finished)
@@ -377,14 +379,9 @@ BatchedReplayDriver::run()
 RunMetrics
 BatchedReplayDriver::metrics(std::size_t lane) const
 {
-    if (!ran_ || !ok_)
-        crw_fatal << "BatchedReplayDriver::metrics() before a "
-                     "successful run() — "
-                  << (ran_ ? "the batch diverged and its lanes are "
-                             "garbage"
-                           : "the engines and trackers are "
-                             "unpopulated")
-                  << " ("
+    if (!ran_)
+        crw_fatal << "BatchedReplayDriver::metrics() before run() — "
+                     "the engines and trackers are unpopulated ("
                   << batchContext(trace_, *engines_[0], core_.policy(),
                                   lanes())
                   << ")";

@@ -16,13 +16,17 @@
  * *provably identical*, so one shared SchedCore + policy object +
  * stream/thread state can drive K engines in lockstep: a cold
  * fig11+12+13 sweep walks each trace once per scheme instead of once
- * per point. Under the working-set family the batch runs
- * optimistically — the leader lane answers each wake's residency
- * query and records a checkpoint, and every follower lane re-verifies
- * the checkpoints during its deferred replay — and reports divergence
- * on the first disagreement; the executor then replays those points
- * individually (the diverged engines are discarded, never flushed, so
- * no partial state leaks).
+ * per point.
+ *
+ * The working-set family batches by a static rule, lockstepBatchable:
+ * residency is lane-invariant under NS and INF and lane-dependent
+ * under the sharing schemes. A woken thread is never the running one,
+ * and NS flushes every window of a thread it switches away from
+ * (paper §4.5), while INF never makes a thread resident at all — so
+ * under both the answer at every wake is `false` on every lane. Under
+ * SNP and SP it depends on the window count, so those points replay
+ * one lane at a time. The leader asserts the NS/INF claim at each
+ * wake of a wider batch.
  *
  * Each lane still produces RunMetrics bit-identical to a per-point
  * replay: every tracker field RunMetrics reads (activity, total
@@ -35,10 +39,11 @@
  *
  * Within a batch only lane 0 runs the walk inline; it records the
  * engine-op stream, and BatchedEngineView::finish() replays the
- * followers from that record — per lane on the scalar tier, or in
- * one lane-SoA pass with SIMD run kernels on the vector tiers
- * ($CRW_SIMD, win/simd.h, DESIGN.md §16). The tier is a host-side
- * choice only: every tier produces bit-identical lane results.
+ * followers from that record — per lane for the sharing schemes and
+ * on the scalar tier, or for NS/INF in one lane-SoA pass with SIMD
+ * run kernels on the vector tiers ($CRW_SIMD, win/simd.h, DESIGN.md
+ * §16). The tier is a host-side choice only: every tier produces
+ * bit-identical lane results.
  */
 
 #ifndef CRW_TRACE_REPLAY_BATCH_H_
@@ -63,18 +68,15 @@ namespace detail_replay {
 /**
  * The lockstep batch loop over shared control state and K lanes.
  * Internal: ReplayDriver (ReplayPath::Batched) runs it at width one
- * over its own state; BatchedReplayDriver runs it at full width.
- *
- * @return false when a working-set-family wake found the lanes
- *         disagreeing on residency — the schedules would fork, the
- *         batch state is abandoned mid-run and must be discarded.
+ * over its own state; BatchedReplayDriver runs it at full width. The
+ * caller has checked lockstepBatchable for any width above one.
  *
  * @param simd_path When non-null, receives the follower pass the
  *        batch actually dispatched (BatchedEngineView::simdPathTaken):
- *        Scalar when the per-lane oracle ran the followers, else the
- *        SoA tier. Written on both outcomes.
+ *        Scalar when the per-lane pass ran the followers, else the
+ *        SoA tier.
  */
-bool runLockstepLoop(const EventTrace &trace, const FlatTrace &flat,
+void runLockstepLoop(const EventTrace &trace, const FlatTrace &flat,
                      SchedCore &core, SchedPolicyBox &policy,
                      std::vector<RStream> &streams,
                      std::vector<RThread> &threads,
@@ -85,12 +87,26 @@ bool runLockstepLoop(const EventTrace &trace, const FlatTrace &flat,
 } // namespace detail_replay
 
 /**
+ * The static batch rule: whether points of (@p scheme, @p policy) may
+ * share a lockstep batch wider than one lane. They may unless the
+ * policy reads residency at wakes (WS, WSA) and the scheme shares
+ * windows (SNP, SP) — the one pairing whose schedule depends on the
+ * window count (see the file comment).
+ */
+constexpr bool
+lockstepBatchable(SchemeKind scheme, SchedPolicy policy)
+{
+    return !policyUsesResidency(policy) ||
+           !(scheme == SchemeKind::SNP || scheme == SchemeKind::SP);
+}
+
+/**
  * Replays one trace once, advancing one engine per config in
  * lockstep. All configs must share the scheme kind (one template
- * instantiation drives the batch) and must not request
- * checkInvariants; window count, PRW reclamation, allocation policy
- * and cost model may differ per lane — none of them feed back into
- * scheduling.
+ * instantiation drives the batch), must not request checkInvariants,
+ * and at more than one lane must satisfy lockstepBatchable; window
+ * count, PRW reclamation, allocation policy and cost model may differ
+ * per lane — none of them feed back into scheduling.
  */
 class BatchedReplayDriver
 {
@@ -115,16 +131,15 @@ class BatchedReplayDriver
      * Replay the whole trace across all lanes. Fatal on a second call
      * and on a stuck/mismatched trace.
      *
-     * @return true on a completed lockstep run; false when a
-     *         working-set batch diverged — every lane's state is then
-     *         garbage and the caller must re-replay the points
-     *         individually on fresh drivers.
+     * @return always true: a batch the constructor accepted cannot
+     *         diverge. (The bool is kept for callers that hook this
+     *         symbol.)
      */
     bool run();
 
     std::size_t lanes() const { return engines_.size(); }
 
-    /** Metrics of lane @p lane. Fatal before a successful run(). */
+    /** Metrics of lane @p lane. Fatal before run(). */
     RunMetrics metrics(std::size_t lane) const;
 
     WindowEngine &engine(std::size_t lane)
@@ -139,9 +154,9 @@ class BatchedReplayDriver
 
     /**
      * The follower pass run() actually dispatched: Scalar when the
-     * per-lane oracle replayed the followers (scalar tier, or the
-     * sharing schemes' pin under `auto` dispatch), else the lane-SoA
-     * tier. Meaningless before run().
+     * per-lane pass replayed the followers (scalar tier, or a sharing
+     * scheme on any tier), else the lane-SoA tier. Meaningless before
+     * run().
      */
     SimdTier simdPath() const { return simdPath_; }
 
@@ -163,7 +178,6 @@ class BatchedReplayDriver
     std::vector<RThread> threads_;
     SimdTier simdPath_ = SimdTier::Scalar;
     bool ran_ = false;
-    bool ok_ = false;
 };
 
 } // namespace crw

@@ -482,15 +482,9 @@ ReplayDriver::run()
         for (std::size_t i = 0; i < threads_.size(); ++i)
             threads_[i].pc = flat_->threads[i].begin;
         WindowEngine *eng = &engine_;
-        if (!detail_replay::runLockstepLoop(trace_, *flat_, core_,
-                                            policy_, streams_,
-                                            threads_, &eng, tracker_,
-                                            1))
-            crw_fatal << "a width-1 batch diverged — residency can "
-                         "only disagree *between* lanes ("
-                      << replayContext(trace_, engine_,
-                                       core_.policy())
-                      << ")";
+        detail_replay::runLockstepLoop(trace_, *flat_, core_, policy_,
+                                       streams_, threads_, &eng,
+                                       tracker_, 1);
         usedBatched_ = true;
     } else if (fast) {
         if (!flat_) {

@@ -62,7 +62,7 @@ enum class ReplayPath : std::uint8_t {
      * Force the lockstep batch loop (trace/replay_batch.h) at width
      * one. Semantically identical to Fast — the differential tests
      * pin the batched event bodies against both other loops on a
-     * single point, where lane divergence is impossible. Multi-lane
+     * single point, under every (scheme, policy) pair. Multi-lane
      * batching goes through BatchedReplayDriver instead.
      */
     Batched,

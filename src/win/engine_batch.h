@@ -8,49 +8,45 @@
  * Why this is sound: the replay state machine's control flow (dispatch
  * order, stream blocking, thread scripts) never reads engine state
  * except at one point — working-set queue placement consults
- * isResident() at wake time. Under FIFO the placement ignores
- * residency entirely, so every lane follows the identical schedule no
- * matter how its window count, PRW reclamation or allocation policy
- * differ; under working-set the batch runs optimistically and every
- * residency read is re-verified on every lane (below), aborting the
- * batch on the first disagreement. Within that contract, per-lane
- * state evolves exactly as K independent FastEngineView runs would.
+ * isResident() at wake time. The static batch rule
+ * (trace/replay_batch.h, lockstepBatchable) admits a residency-reading
+ * policy into a batch wider than one lane only under NS and INF, where
+ * a woken thread is resident on no lane; every other policy ignores
+ * residency. So every lane follows the identical schedule no matter how
+ * its window count, PRW reclamation or allocation policy differ, and
+ * per-lane state evolves exactly as K independent FastEngineView runs
+ * would.
  *
  * Execution is leader/follower rather than per-event interleaved:
  *
  *  - Lane 0 (the leader) advances inline with the control loop — it is
- *    the lane whose clock and call depths the tracker and the
- *    working-set wakes read — while the view records the *engine op
- *    stream*: the sequence of save/restore/switch/exit events plus,
- *    under working-set, the residency checkpoints. Charges never enter
- *    the stream; they are lane-invariant trace operands and accumulate
- *    in one shared counter.
+ *    the lane whose clock, call depths and residency the tracker and
+ *    the working-set wakes read — while the view records the *engine
+ *    op stream*: the sequence of save/restore/switch/exit events.
+ *    Charges never enter the stream; they are lane-invariant trace
+ *    operands and accumulate in one shared counter.
  *  - finish() then replays the recorded stream through the followers.
- *    Two pass shapes exist, selected by effectiveSimdTier()
- *    (win/simd.h, $CRW_SIMD):
+ *    Two pass shapes exist:
  *
- *      Scalar — the PR 7 oracle: one tight linear pass over the op
- *      array per follower lane, the lane's window file cache-hot and
- *      the branch predictor seeing one lane's trap pattern at a time.
+ *      Per lane — one tight linear pass over the op array per
+ *      follower lane, the lane's window file cache-hot and the branch
+ *      predictor seeing one lane's trap pattern at a time. The
+ *      sharing schemes (SNP, SP) take it on every tier; NS and INF
+ *      take it on the scalar tier. It is the bit-identity oracle.
  *
- *      Sse2/Avx2 — the lane-SoA pass (DESIGN.md §16): the followers'
- *      hot state is transposed into the lane-major arrays of
- *      win/lane_soa.h and ONE walk over the stream applies each op to
- *      every lane at once. Runs of same-thread saves/restores collapse
- *      into single calls of the closed-form kernels (win/scheme.h
- *      RunFold math, vectorized 4- or 8-wide); switches, exits and the
- *      sharing schemes' eviction probes stay scalar per lane against
+ *      Lane-SoA — NS and INF on the Sse2/Avx2 tiers (DESIGN.md §16,
+ *      $CRW_SIMD, win/simd.h): the followers' hot state is transposed
+ *      into the lane-major arrays of win/lane_soa.h and ONE walk over
+ *      the stream applies each op to every lane at once. Runs of
+ *      same-thread saves/restores collapse into single calls of the
+ *      closed-form kernels (win/scheme.h RunFold math, vectorized 4-
+ *      or 8-wide); switches and exits stay scalar per lane against
  *      the transposed state. The per-lane engines are only touched
  *      again at writeback, which materializes the SoA state through
  *      the WindowFile import primitives. Both shapes are bit-identical
  *      by construction — the SoA recurrences are the proven closed
  *      forms of the scalar bodies — and the differential suite pins
  *      them against each other.
- *
- *    A follower that disagrees with a recorded residency checkpoint
- *    would have forked the schedule at that wake, so finish() returns
- *    false and the caller discards the whole batch (the executor
- *    re-replays those points individually).
  *
  * Everything the shared schedule makes lane-invariant is accumulated
  * once, in shared scalars, and folded into each lane at finish():
@@ -75,7 +71,6 @@
 #ifndef CRW_WIN_ENGINE_BATCH_H_
 #define CRW_WIN_ENGINE_BATCH_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -208,25 +203,15 @@ class BatchedEngineView
     void charge(Cycles cycles) { charges_ += cycles; }
 
     /**
-     * Working-set wake support: the leader's residency of @p tid (the
-     * queue-placement input the scheduler consumes) plus a recorded
-     * checkpoint every follower must reproduce during replay — a
-     * disagreement there means that lane's schedule would have forked
-     * at this wake, and finish() reports the batch as diverged.
+     * Working-set wake support: the leader's residency of @p tid, the
+     * queue-placement input the scheduler consumes. Lane-invariant
+     * whenever the batch is wider than one lane (the static batch
+     * rule, trace/replay_batch.h).
      */
     bool
     resident(ThreadId tid) const
     {
         return e_[0]->isResident(tid);
-    }
-
-    void
-    recordWakeCheck(ThreadId tid, bool leader_resident)
-    {
-        if (lanes_ > 1) {
-            record(OpRec::Kind::WakeCheck, tid, kNoThread);
-            ops_.back().resident = leader_resident ? 1 : 0;
-        }
     }
 
     ThreadId current() const { return current_; }
@@ -260,9 +245,9 @@ class BatchedEngineView
 
     /**
      * The follower pass finish() actually dispatched: the SoA tier it
-     * ran, or Scalar when the per-lane oracle handled the followers
-     * (scalar tier, the sharing schemes' auto pin, or a width-1 batch
-     * that replays nothing). What replay.simd_path publishes.
+     * ran, or Scalar when the per-lane pass handled the followers
+     * (scalar tier, a sharing scheme, or a width-1 batch that replays
+     * nothing). What replay.simd_path publishes.
      */
     SimdTier
     simdPathTaken() const
@@ -274,42 +259,26 @@ class BatchedEngineView
      * Replay the recorded op stream through every follower lane, then
      * flush the accumulated clocks/counters back into the engines.
      * Call exactly once, when the control loop has drained.
-     *
-     * @return false when a follower disagreed with a recorded
-     *         residency checkpoint (working-set divergence): nothing
-     *         is flushed and every lane's engine must be discarded.
      */
-    bool
+    void
     finish()
     {
         if (lanes_ > 1) {
-            const SimdTier tier = effectiveSimdTier();
+            // The per-lane shape runs one lane per stream pass, so the
+            // branch predictor sees a single lane's trap pattern per
+            // pass (pairing lanes was measured slower — the per-op
+            // trap branches alias across lanes and mispredict). The
+            // sharing schemes always take it: their slot-map probes
+            // are serial per lane, and interleaving lanes in one walk
+            // measured 0.97–0.98x against it (DESIGN.md §16).
+            const SimdTier tier =
+                kHasSoaPass ? effectiveSimdTier() : SimdTier::Scalar;
             if (tier == SimdTier::Scalar) {
-                // The oracle shape: one lane per stream pass, so the
-                // branch predictor sees a single lane's trap pattern
-                // per pass (pairing lanes was measured slower — the
-                // per-op trap branches alias across lanes and
-                // mispredict).
                 for (std::size_t l = 1; l < lanes_; ++l)
-                    if (!replayLanes<1>({l}))
-                        return false;
-            } else if (kSoaIsSharing && !simdTierExplicit()) {
-                // `auto` pins the sharing schemes to the per-lane
-                // oracle: their slot-map eviction probes are serial
-                // per lane, and interleaving lanes in one walk loses
-                // ~25% to cross-lane branch aliasing regardless of
-                // shape (measured for both the SoA translation and
-                // width-4 AoS blocks; DESIGN.md §16). An explicit
-                // $CRW_SIMD=avx2/sse2 (or a test override) still
-                // forces the SoA pass so the sharing translation
-                // stays a live, differentially-pinned code path.
-                for (std::size_t l = 1; l < lanes_; ++l)
-                    if (!replayLanes<1>({l}))
-                        return false;
-            } else {
+                    replayLane(l);
+            } else if constexpr (kHasSoaPass) {
                 simdPathTaken_ = tier;
-                if (!replaySoa(tier))
-                    return false;
+                replaySoa(tier);
             }
         }
         const std::uint64_t sr = sharedSaves_ + sharedRestores_;
@@ -333,7 +302,6 @@ class BatchedEngineView
                 tc.switchesIn += threadSwitchesIn_[tid];
             }
         }
-        return true;
     }
 
   private:
@@ -349,12 +317,10 @@ class BatchedEngineView
             Restore,
             Switch,
             Exit,
-            WakeCheck,
         };
         Kind kind;
-        std::uint8_t resident; ///< WakeCheck only: leader's answer
-        std::int16_t a;        ///< op tid, or switch-from
-        std::int16_t b;        ///< switch-to
+        std::int16_t a; ///< op tid, or switch-from
+        std::int16_t b; ///< switch-to
         std::uint16_t pad = 0;
     };
     static_assert(sizeof(OpRec) == 8, "op stream packing");
@@ -364,7 +330,7 @@ class BatchedEngineView
     {
         crw_assert(a >= INT16_MIN && a <= INT16_MAX);
         crw_assert(b >= INT16_MIN && b <= INT16_MAX);
-        ops_.push_back({kind, 0, static_cast<std::int16_t>(a),
+        ops_.push_back({kind, static_cast<std::int16_t>(a),
                         static_cast<std::int16_t>(b)});
     }
 
@@ -419,118 +385,87 @@ class BatchedEngineView
     }
 
     /**
-     * The follower pass: one linear walk over the op stream applying
-     * N lanes' scheme bodies against local (alias-free) state. The
-     * inner per-lane loops fully unroll (N is a compile-time
-     * constant). Per-lane event order — and with it the switch-cost
-     * Distribution's sample order and the switch-case histograms —
-     * matches a per-point replay exactly, because the stream *is* the
-     * shared schedule restricted to engine ops.
+     * The per-lane follower pass: one linear walk over the op stream
+     * applying lane @p l's scheme bodies against local (alias-free)
+     * copies of its hot state. Per-lane event order — and with it the
+     * switch-cost Distribution's sample order and the switch-case
+     * histograms — matches a per-point replay exactly, because the
+     * stream *is* the shared schedule restricted to engine ops.
      */
-    template <std::size_t N>
-    bool
-    replayLanes(const std::array<std::size_t, N> &ls)
+    void
+    replayLane(std::size_t l)
     {
-        SchemeT *s[N];
-        const FlatCostTables *t[N];
-        WindowEngine *e[N];
-        WindowEngine::HotCounters h[N];
-        Cycles offset[N];
-        for (std::size_t j = 0; j < N; ++j) {
-            s[j] = s_[ls[j]];
-            t[j] = &t_[ls[j]];
-            e[j] = e_[ls[j]];
-            h[j] = hot_[ls[j]];
-            offset[j] = offset_[ls[j]];
-        }
+        SchemeT *const s = s_[l];
+        const FlatCostTables &t = t_[l];
+        WindowEngine &e = *e_[l];
+        WindowEngine::HotCounters h = hot_[l];
+        Cycles offset = offset_[l];
         for (const OpRec &op : ops_) {
             switch (op.kind) {
-              case OpRec::Kind::Save:
-                for (std::size_t j = 0; j < N; ++j) {
-                    const OpOutcome out =
-                        s[j]->template doSave<false>(op.a);
-                    if (out.trapped) {
-                        ++h[j].ovfTraps;
-                        h[j].ovfSpilled += static_cast<std::uint64_t>(
-                            out.windowsSaved);
-                        const Cycles trap =
-                            t[j]->overflowCost(out.windowsSaved);
-                        h[j].cyclesTrap += trap;
-                        offset[j] += trap;
-                    }
+              case OpRec::Kind::Save: {
+                const OpOutcome out = s->template doSave<false>(op.a);
+                if (out.trapped) {
+                    ++h.ovfTraps;
+                    h.ovfSpilled +=
+                        static_cast<std::uint64_t>(out.windowsSaved);
+                    const Cycles trap = t.overflowCost(out.windowsSaved);
+                    h.cyclesTrap += trap;
+                    offset += trap;
                 }
                 break;
-              case OpRec::Kind::Restore:
-                for (std::size_t j = 0; j < N; ++j) {
-                    const OpOutcome out =
-                        s[j]->template doRestore<false>(op.a);
-                    if (out.trapped) {
-                        ++h[j].unfTraps;
-                        h[j].unfRestored += static_cast<std::uint64_t>(
-                            out.windowsRestored);
-                        const Cycles trap = t[j]->underflowCost();
-                        h[j].cyclesTrap += trap;
-                        offset[j] += trap;
-                    }
+              }
+              case OpRec::Kind::Restore: {
+                const OpOutcome out =
+                    s->template doRestore<false>(op.a);
+                if (out.trapped) {
+                    ++h.unfTraps;
+                    h.unfRestored +=
+                        static_cast<std::uint64_t>(out.windowsRestored);
+                    const Cycles trap = t.underflowCost();
+                    h.cyclesTrap += trap;
+                    offset += trap;
                 }
                 break;
+              }
               case OpRec::Kind::Switch:
-                for (std::size_t j = 0; j < N; ++j)
-                    applySwitch(s[j], *t[j], *e[j], h[j], offset[j],
-                                op.a, op.b);
+                applySwitch(s, t, e, h, offset, op.a, op.b);
                 break;
               case OpRec::Kind::Exit:
-                for (std::size_t j = 0; j < N; ++j)
-                    s[j]->template doExit<false>(op.a);
-                break;
-              case OpRec::Kind::WakeCheck:
-                // A mismatch abandons the local state unsaved; every
-                // lane is garbage anyway once the batch diverges.
-                for (std::size_t j = 0; j < N; ++j)
-                    if (e[j]->isResident(op.a) != (op.resident != 0))
-                        return false;
+                s->template doExit<false>(op.a);
                 break;
             }
         }
-        for (std::size_t j = 0; j < N; ++j) {
-            hot_[ls[j]] = h[j];
-            offset_[ls[j]] = offset[j];
-        }
-        return true;
+        hot_[l] = h;
+        offset_[l] = offset;
     }
 
-    // Scheme shape traits of the SoA pass.
+    // Scheme shape traits of the SoA pass: only the non-sharing
+    // schemes have one (the sharing schemes replay per lane).
     static constexpr bool kSoaIsInf =
         std::is_same_v<SchemeT, detail::InfiniteScheme>;
     static constexpr bool kSoaIsNs =
         std::is_same_v<SchemeT, detail::NsScheme>;
-    static constexpr bool kSoaIsSp =
-        std::is_same_v<SchemeT, detail::SpScheme>;
-    static constexpr bool kSoaIsSharing = !kSoaIsInf && !kSoaIsNs;
+    static constexpr bool kHasSoaPass = kSoaIsInf || kSoaIsNs;
 
     /**
-     * The lane-SoA follower pass (DESIGN.md §16): transpose the
-     * followers' hot state into win/lane_soa.h arrays, walk the op
-     * stream ONCE applying each op to every lane — same-thread
-     * save/restore runs through the tier's vector kernels, switches /
-     * exits / eviction probes scalar per lane against the transposed
-     * state — then materialize the surviving state back into the
-     * engines. Bit-identity with replayLanes<1> is by construction:
-     * every recurrence here is the closed form of the corresponding
-     * scalar scheme body (win/scheme.h RunFold derivations, and the
-     * slot-walk translations documented inline below), and the
+     * The lane-SoA follower pass (DESIGN.md §16), NS and INF only:
+     * transpose the followers' hot state into win/lane_soa.h arrays,
+     * walk the op stream ONCE applying each op to every lane —
+     * same-thread save/restore runs through the tier's vector kernels,
+     * switches and exits scalar per lane against the transposed state
+     * — then materialize the surviving state back into the engines.
+     * Bit-identity with replayLane is by construction: every
+     * recurrence here is the closed form of the corresponding scalar
+     * scheme body (win/scheme.h RunFold derivations), and the
      * differential suite pins the two passes against each other.
-     *
-     * @return false on a working-set residency mismatch; nothing is
-     *         written back (the engines are discarded wholesale).
      */
-    bool
+    void
     replaySoa(SimdTier tier)
     {
+        static_assert(kHasSoaPass, "no SoA pass for sharing schemes");
         const LaneKernels &kern = laneKernels(tier);
         const std::size_t nl = lanes_ - 1; // follower lanes
         const int threads = static_cast<int>(threadSaves_.size());
-        crw_assert(threads * 2 + 1 <= INT16_MAX); // slot encoding
 
         LaneSoA soa;
         soa.init(nl, threads);
@@ -540,7 +475,6 @@ class BatchedEngineView
         // files still hold the batch's start state. The shared call
         // depths come from lane 1: depth is pure call nesting and the
         // lockstep contract makes it lane-invariant.
-        int max_win = 1;
         for (std::size_t l = 1; l < lanes_; ++l) {
             const std::size_t j = l - 1;
             const WindowFile &f = e_[l]->file_;
@@ -553,13 +487,10 @@ class BatchedEngineView
             crw_assert(ovf1 <= UINT32_MAX && unf <= UINT32_MAX);
             soa.ovfCost1[j] = ovf1;
             soa.unfCost[j] = unf;
-            if (f.numWindows() > max_win)
-                max_win = f.numWindows();
             for (ThreadId tid = 0; tid < threads; ++tid) {
                 const ThreadWindows &tw = f.thread(tid);
                 soa.topOf(tid)[j] = tw.top;
                 soa.resOf(tid)[j] = tw.resident;
-                soa.prwOf(tid)[j] = tw.prw;
             }
         }
         std::vector<int> depth(static_cast<std::size_t>(threads));
@@ -567,44 +498,7 @@ class BatchedEngineView
             depth[static_cast<std::size_t>(tid)] =
                 e_[1]->file_.thread(tid).depth;
 
-        // Sharing-scheme side state: the per-lane slot map (i16 per
-        // slot: -1 free, tid*2 owned, tid*2+1 PRW), allocation cursor
-        // and policy knobs. Scalar-access only, so no padding.
-        const std::size_t stride = static_cast<std::size_t>(max_win);
-        std::vector<std::int16_t> slots16;
-        std::vector<WindowIndex> alloc_hint;
-        std::vector<PrwReclaim> reclaim;
-        std::vector<AllocPolicy> alloc;
-        if constexpr (kSoaIsSharing) {
-            slots16.assign(nl * stride, -1);
-            alloc_hint.resize(nl);
-            reclaim.resize(nl);
-            alloc.resize(nl);
-            for (std::size_t l = 1; l < lanes_; ++l) {
-                const std::size_t j = l - 1;
-                const WindowFile &f = e_[l]->file_;
-                for (WindowIndex w = 0; w < f.numWindows(); ++w) {
-                    const WindowSlot &ws = f.slot(w);
-                    if (ws.state == WinState::Owned)
-                        slots16[j * stride +
-                                static_cast<std::size_t>(w)] =
-                            static_cast<std::int16_t>(ws.owner * 2);
-                    else if (ws.state == WinState::Prw)
-                        slots16[j * stride +
-                                static_cast<std::size_t>(w)] =
-                            static_cast<std::int16_t>(ws.owner * 2 +
-                                                      1);
-                }
-                alloc_hint[j] = s_[l]->allocHintForReplay();
-                reclaim[j] = s_[l]->prwReclaim();
-                alloc[j] = s_[l]->allocPolicy();
-            }
-        }
-
-        // --- per-lane cyclic/slot helpers -------------------------
-        auto aboveAt = [&soa](std::size_t j, int w) {
-            return w == 0 ? soa.numWin[j] - 1 : w - 1;
-        };
+        // --- per-lane cyclic helpers ------------------------------
         auto belowAt = [&soa](std::size_t j, int w) {
             return w + 1 == soa.numWin[j] ? 0 : w + 1;
         };
@@ -613,208 +507,13 @@ class BatchedEngineView
             x %= n;
             return x < 0 ? x + n : x;
         };
-        auto slotAt = [&](std::size_t j, int w) -> std::int16_t & {
-            return slots16[j * stride + static_cast<std::size_t>(w)];
-        };
 
         // --- scalar scheme bodies against the SoA state -----------
-        // Each is a line-for-line translation of the corresponding
-        // schemes_impl.h body with WindowFile primitives expanded
-        // into slot-map/cursor assignments.
-
-        auto chargeOvfAt = [&](std::size_t j, int spilled) {
-            soa.ovfTraps[j] += 1;
-            soa.ovfSpilled[j] += static_cast<std::uint64_t>(spilled);
-            const Cycles c = t_[j + 1].overflowCost(spilled);
-            soa.cyclesTrap[j] += c;
-            soa.offset[j] += c;
-        };
-
-        // SharingSchemeBase::evict — free / orphaned-PRW / bottom
-        // spill, including the non-Lazy PRW reclamation of a victim
-        // that just lost its whole run. @p srow is lane j's slot row
-        // (&slots16[j * stride]), hoisted by the caller so the hot
-        // save loop never recomputes the row address.
-        auto evictAt = [&](std::int16_t *srow, std::size_t j,
-                           int w) -> int {
-            const std::int16_t v = srow[w];
-            if (v < 0)
-                return 0;
-            const ThreadId victim = v >> 1;
-            if (v & 1) { // orphaned PRW: one transfer to the TCB
-                srow[w] = -1;
-                soa.prwOf(victim)[j] = kNoWindow;
-                return 1;
-            }
-            // Owned: w is the victim's stack-bottom; spill it.
-            srow[w] = -1;
-            std::int32_t *vres = soa.resOf(victim);
-            if (--vres[j] == 0) {
-                soa.topOf(victim)[j] = kNoWindow;
-                std::int32_t *vprw = soa.prwOf(victim);
-                if (vprw[j] != kNoWindow &&
-                    reclaim[j] != PrwReclaim::Lazy) {
-                    srow[vprw[j]] = -1;
-                    vprw[j] = kNoWindow;
-                    return reclaim[j] == PrwReclaim::Eager ? 2 : 1;
-                }
-            }
-            return 1;
-        };
-
-        auto findFreeAt = [&](const std::int16_t *srow, std::size_t j,
-                              WindowIndex hint) {
-            const int n = soa.numWin[j];
-            const int start = hint == kNoWindow ? 0 : hint;
-            for (int k = 0; k < n; ++k) {
-                const int w = wrapAt(j, start + k);
-                if (srow[w] < 0)
-                    return w;
-            }
-            crw_unreachable("no free window in SoA replay");
-        };
-        auto evictableAt = [&](const std::int16_t *srow, std::size_t j,
-                               int w) {
-            const std::int16_t v = srow[w];
-            if (v < 0)
-                return true;
-            const ThreadId owner = v >> 1;
-            if (v & 1)
-                return soa.resOf(owner)[j] == 0;
-            const int bottom = wrapAt( // belowBy(top, res - 1)
-                j, soa.topOf(owner)[j] + soa.resOf(owner)[j] - 1);
-            return bottom == w;
-        };
-        auto allocSlotAt = [&](const std::int16_t *srow, std::size_t j,
-                               WindowIndex hint) {
-            const int fallback =
-                hint != kNoWindow ? hint : findFreeAt(srow, j, 0);
-            if (alloc[j] == AllocPolicy::Simple)
-                return fallback;
-            const int n = soa.numWin[j];
-            const int start = hint == kNoWindow ? 0 : hint;
-            int second = kNoWindow;
-            for (int k = 0; k < n; ++k) {
-                const int w = wrapAt(j, start + k);
-                if (srow[w] >= 0)
-                    continue;
-                const int up = aboveAt(j, w);
-                if (srow[up] < 0)
-                    return w;
-                if (second == kNoWindow && evictableAt(srow, j, up))
-                    second = w;
-            }
-            return second != kNoWindow ? second : fallback;
-        };
-
-        // SnpScheme/SpScheme::doSave (eviction probes force these
-        // scalar; they still run against the compact SoA state). The
-        // cursors arrive as the op thread's hoisted lane arrays.
-        auto shareSaveAt = [&](std::int16_t *srow, std::size_t j,
-                               ThreadId tid, std::int32_t *top,
-                               std::int32_t *res, std::int32_t *prw) {
-            if constexpr (kSoaIsSp) {
-                const int nt = prw[j];
-                const int p2 = aboveAt(j, nt);
-                srow[nt] = -1; // clearPrw
-                prw[j] = kNoWindow;
-                const int spilled = evictAt(srow, j, p2);
-                if (spilled)
-                    chargeOvfAt(j, spilled);
-                srow[nt] = // claimAsTop
-                    static_cast<std::int16_t>(tid * 2);
-                top[j] = nt;
-                ++res[j];
-                srow[p2] = // setPrw
-                    static_cast<std::int16_t>(tid * 2 + 1);
-                prw[j] = p2;
-            } else {
-                (void)prw;
-                const int nt = aboveAt(j, top[j]);
-                const int w2 = aboveAt(j, nt);
-                const int spilled = evictAt(srow, j, w2);
-                if (spilled)
-                    chargeOvfAt(j, spilled);
-                srow[nt] = static_cast<std::int16_t>(tid * 2);
-                top[j] = nt;
-                ++res[j];
-            }
-        };
-
-        // A folded restore run against a sharing scheme, one lane at a
-        // time: restoreRunFold's closed form (rel = min(k, res-1)
-        // releases, then k-rel in-place refill traps, because resident
-        // only ever shrinks inside the run) fused with the scalar slot
-        // walk. SNP frees the vacated tops; SP walks its PRW one step
-        // behind the shrinking top (releaseTopHook). Deliberately NOT
-        // a vector kernel: the fold itself is O(1) per lane while the
-        // walk is inherently scalar, and keeping the u64 trap tallies
-        // behind a per-lane branch means trap-free runs — the common
-        // case — never stream the four tally arrays the way an
-        // unconditional vector fold must.
-        auto shareRestoreRunAt = [&](ThreadId tid, int k1) {
-            std::int32_t *top = soa.topOf(tid);
-            std::int32_t *res = soa.resOf(tid);
-            std::int32_t *prw = soa.prwOf(tid);
-            (void)prw;
-            for (std::size_t j = 0; j < nl; ++j) {
-                const int r = res[j];
-                const int rel = k1 < r - 1 ? k1 : r - 1;
-                const int traps = k1 - rel;
-                res[j] = r - rel;
-                if (traps > 0) {
-                    soa.unfTraps[j] +=
-                        static_cast<std::uint64_t>(traps);
-                    soa.unfRestored[j] +=
-                        static_cast<std::uint64_t>(traps);
-                    const Cycles c = static_cast<Cycles>(traps) *
-                                     soa.unfCost[j];
-                    soa.cyclesTrap[j] += c;
-                    soa.offset[j] += c;
-                }
-                if (rel > 0) {
-                    std::int16_t *srow = &slots16[j * stride];
-                    int t = top[j];
-                    if constexpr (kSoaIsSp) {
-                        int p = prw[j];
-                        for (int c = 0; c < rel; ++c) {
-                            srow[p] = -1; // old PRW dies
-                            p = t; // vacated top is the new PRW
-                            srow[t] =
-                                static_cast<std::int16_t>(tid * 2 + 1);
-                            t = belowAt(j, t);
-                        }
-                        prw[j] = p;
-                    } else {
-                        for (int c = 0; c < rel; ++c) {
-                            srow[t] = -1;
-                            t = belowAt(j, t);
-                        }
-                    }
-                    top[j] = t;
-                }
-            }
-        };
 
         // WindowFile::dropAll (root-frame return and thread exit).
         auto dropAllAt = [&](std::size_t j, ThreadId tid) {
-            std::int32_t *res = soa.resOf(tid);
-            std::int32_t *top = soa.topOf(tid);
-            if constexpr (kSoaIsSharing) {
-                std::int16_t *srow = &slots16[j * stride];
-                int w = top[j];
-                for (int c = res[j]; c > 0; --c) {
-                    srow[w] = -1;
-                    w = belowAt(j, w);
-                }
-                std::int32_t *prw = soa.prwOf(tid);
-                if (prw[j] != kNoWindow) {
-                    srow[prw[j]] = -1;
-                    prw[j] = kNoWindow;
-                }
-            }
-            res[j] = 0;
-            top[j] = kNoWindow;
+            soa.resOf(tid)[j] = 0;
+            soa.topOf(tid)[j] = kNoWindow;
         };
 
         // applySwitch's tally residue, per lane (histograms and the
@@ -838,16 +537,14 @@ class BatchedEngineView
             soa.offset[j] += cycles;
         };
 
-        // doSwitchIn per scheme. Residency of `to` may genuinely
-        // differ across lanes; call depth cannot (the dispatcher
-        // below maintains the shared depth array once per op).
+        // doSwitchIn per scheme. Call depth is lane-invariant (the
+        // dispatcher below maintains the shared depth array once per
+        // op).
         auto switchAt = [&](std::size_t j, ThreadId from,
                             ThreadId to) {
             int saved = 0;
             int restored = 0;
-            if constexpr (kSoaIsInf) {
-                // no window motion, ever
-            } else if constexpr (kSoaIsNs) {
+            if constexpr (kSoaIsNs) {
                 if (from != kNoThread) {
                     std::int32_t *fres = soa.resOf(from);
                     saved = fres[j]; // flush the whole run
@@ -858,58 +555,8 @@ class BatchedEngineView
                 soa.resOf(to)[j] = 1;
                 if (depth[static_cast<std::size_t>(to)] > 0)
                     restored = 1;
-            } else if constexpr (kSoaIsSp) {
-                std::int16_t *srow = &slots16[j * stride];
-                if (from != kNoThread && soa.resOf(from)[j] > 0)
-                    alloc_hint[j] = aboveAt(j, soa.prwOf(from)[j]);
-                if (soa.resOf(to)[j] == 0) {
-                    std::int32_t *prw = soa.prwOf(to);
-                    if (prw[j] != kNoWindow) { // orphan carries over
-                        srow[prw[j]] = -1;
-                        prw[j] = kNoWindow;
-                    }
-                    const int w = allocSlotAt(srow, j, alloc_hint[j]);
-                    saved += evictAt(srow, j, w);
-                    saved += evictAt(srow, j, aboveAt(j, w));
-                    srow[w] = static_cast<std::int16_t>(to * 2);
-                    soa.topOf(to)[j] = w;
-                    soa.resOf(to)[j] = 1;
-                    if (depth[static_cast<std::size_t>(to)] > 0)
-                        restored = 1;
-                    const int p = aboveAt(j, w);
-                    srow[p] = static_cast<std::int16_t>(to * 2 + 1);
-                    prw[j] = p;
-                } // resident: nothing moves (Table 2 best case)
-            } else { // SNP
-                std::int16_t *srow = &slots16[j * stride];
-                if (from != kNoThread && soa.resOf(from)[j] > 0)
-                    alloc_hint[j] = aboveAt(j, soa.topOf(from)[j]);
-                std::int32_t *tres = soa.resOf(to);
-                if (tres[j] > 0) {
-                    saved += evictAt(srow, j,
-                                     aboveAt(j, soa.topOf(to)[j]));
-                } else {
-                    int w = allocSlotAt(srow, j, alloc_hint[j]);
-                    if (srow[w] >= 0)
-                        w = findFreeAt(srow, j, alloc_hint[j]);
-                    srow[w] = static_cast<std::int16_t>(to * 2);
-                    soa.topOf(to)[j] = w;
-                    tres[j] = 1;
-                    if (depth[static_cast<std::size_t>(to)] > 0)
-                        restored = 1;
-                    saved += evictAt(srow, j, aboveAt(j, w));
-                }
-            }
+            } // INF: no window motion, ever
             chargeSwitchAt(j, saved, restored);
-        };
-
-        auto exitAt = [&](std::size_t j, ThreadId tid) {
-            if constexpr (kSoaIsSharing)
-                alloc_hint[j] = soa.resOf(tid)[j] > 0
-                                    ? soa.topOf(tid)[j]
-                                    : kNoWindow;
-            if constexpr (!kSoaIsInf)
-                dropAllAt(j, tid);
         };
 
         // --- the single walk --------------------------------------
@@ -927,21 +574,8 @@ class BatchedEngineView
                 const int k = static_cast<int>(r - i);
                 const ThreadId tid = op.a;
                 depth[static_cast<std::size_t>(tid)] += k;
-                if constexpr (kSoaIsNs) {
+                if constexpr (kSoaIsNs)
                     kern.nsSaveRun(soa, tid, k);
-                } else if constexpr (kSoaIsSharing) {
-                    // Lane-outer with hoisted cursors: one lane's slot
-                    // row and the op thread's lane arrays stay in
-                    // registers across the whole fused run.
-                    std::int32_t *top = soa.topOf(tid);
-                    std::int32_t *res = soa.resOf(tid);
-                    std::int32_t *prw = soa.prwOf(tid);
-                    for (std::size_t j = 0; j < nl; ++j) {
-                        std::int16_t *srow = &slots16[j * stride];
-                        for (int q = 0; q < k; ++q)
-                            shareSaveAt(srow, j, tid, top, res, prw);
-                    }
-                }
                 i = r;
                 break;
               }
@@ -960,14 +594,9 @@ class BatchedEngineView
                 // all windows instead of trapping, so it is peeled
                 // off the folded run (restoreRunFold precondition).
                 const int k1 = k < d ? k : d - 1;
-                if constexpr (!kSoaIsInf) {
-                    if (k1 > 0) {
-                        if constexpr (kSoaIsNs) {
-                            kern.nsRestoreRun(soa, tid, k1);
-                        } else {
-                            shareRestoreRunAt(tid, k1);
-                        }
-                    }
+                if constexpr (kSoaIsNs) {
+                    if (k1 > 0)
+                        kern.nsRestoreRun(soa, tid, k1);
                     if (k1 < k)
                         for (std::size_t j = 0; j < nl; ++j)
                             dropAllAt(j, tid);
@@ -986,15 +615,10 @@ class BatchedEngineView
                 break;
               }
               case OpRec::Kind::Exit: {
-                for (std::size_t j = 0; j < nl; ++j)
-                    exitAt(j, op.a);
+                if constexpr (kSoaIsNs)
+                    for (std::size_t j = 0; j < nl; ++j)
+                        dropAllAt(j, op.a);
                 depth[static_cast<std::size_t>(op.a)] = 0;
-                ++i;
-                break;
-              }
-              case OpRec::Kind::WakeCheck: {
-                if (kern.wakeMismatch(soa, op.a, op.resident))
-                    return false;
                 ++i;
                 break;
               }
@@ -1012,54 +636,29 @@ class BatchedEngineView
             h.cyclesTrap += soa.cyclesTrap[j];
             offset_[l] += soa.offset[j];
             WindowFile &f = e_[l]->file_;
-            if constexpr (kSoaIsInf) {
-                for (ThreadId tid = 0; tid < threads; ++tid) {
-                    ThreadWindows tw;
-                    tw.depth = depth[static_cast<std::size_t>(tid)];
-                    f.importThread(tid, tw);
-                }
-            } else {
+            if constexpr (kSoaIsNs)
                 f.resetSlotsForImport();
-                for (ThreadId tid = 0; tid < threads; ++tid) {
-                    ThreadWindows tw;
+            for (ThreadId tid = 0; tid < threads; ++tid) {
+                ThreadWindows tw;
+                tw.depth = depth[static_cast<std::size_t>(tid)];
+                if constexpr (kSoaIsNs) {
                     tw.resident = soa.resOf(tid)[j];
-                    tw.depth = depth[static_cast<std::size_t>(tid)];
-                    if constexpr (kSoaIsNs) {
-                        if (tw.resident > 0) {
-                            // NS keeps `top` unwrapped during the
-                            // pass; the single wrap happens here. Its
-                            // slots are the contiguous run below top
-                            // (the invariant NS growth preserves).
-                            tw.top = wrapAt(j, soa.topOf(tid)[j]);
-                            int w = tw.top;
-                            for (int c = 0; c < tw.resident; ++c) {
-                                f.importSlot(w, WinState::Owned,
-                                             tid);
-                                w = belowAt(j, w);
-                            }
+                    if (tw.resident > 0) {
+                        // NS keeps `top` unwrapped during the pass;
+                        // the single wrap happens here. Its slots are
+                        // the contiguous run below top (the invariant
+                        // NS growth preserves).
+                        tw.top = wrapAt(j, soa.topOf(tid)[j]);
+                        int w = tw.top;
+                        for (int c = 0; c < tw.resident; ++c) {
+                            f.importSlot(w, WinState::Owned, tid);
+                            w = belowAt(j, w);
                         }
-                    } else {
-                        if (tw.resident > 0)
-                            tw.top = soa.topOf(tid)[j];
-                        tw.prw = soa.prwOf(tid)[j];
                     }
-                    f.importThread(tid, tw);
                 }
-                if constexpr (kSoaIsSharing) {
-                    for (int w = 0; w < soa.numWin[j]; ++w) {
-                        const std::int16_t v = slotAt(j, w);
-                        if (v >= 0)
-                            f.importSlot(w,
-                                         (v & 1) ? WinState::Prw
-                                                 : WinState::Owned,
-                                         static_cast<ThreadId>(
-                                             v >> 1));
-                    }
-                    s_[l]->setAllocHintForReplay(alloc_hint[j]);
-                }
+                f.importThread(tid, tw);
             }
         }
-        return true;
     }
 
     std::size_t lanes_;

@@ -4,32 +4,33 @@
  * plus the SIMD kernels that advance it (DESIGN.md §16).
  *
  * The batched lockstep view (win/engine_batch.h) records one engine-op
- * stream and replays it through every follower lane. The PR 7 pass ran
- * one lane per stream walk — K - 1 full walks, with each lane's state
- * scattered across its own WindowEngine. This layer flips the loop
- * order: the hot per-lane state (resident counts, stack-top cursors,
- * PRW cursors, trap tallies, clock offsets) is transposed into
+ * stream and replays it through every follower lane. The per-lane pass
+ * runs one lane per stream walk — K - 1 full walks, with each lane's
+ * state scattered across its own WindowEngine. For NS and INF this
+ * layer flips the loop order: the hot per-lane state (resident counts,
+ * stack-top cursors, trap tallies, clock offsets) is transposed into
  * lane-major arrays padded to the widest vector (8 × i32), and one
- * walk over the stream applies each op to all lanes at once.
+ * walk over the stream applies each op to all lanes at once. The
+ * sharing schemes (SNP, SP) have no SoA pass: their slot-map eviction
+ * probes are serial per lane, and the translation measured no faster
+ * than the per-lane pass.
  *
  * What vectorizes is the run math, not the op dispatch: consecutive
  * saves (or restores) by one thread fold into closed forms over the
  * resident count (win/scheme.h nsSaveRunFold / restoreRunFold), so a
  * call-depth excursion of length k becomes ONE kernel call of
  * branch-free min/max lane arithmetic instead of k trap-branch
- * iterations per lane. Context switches, exits, and the sharing
- * schemes' eviction probes stay scalar per lane — they are rare
- * (switches) or inherently gather/scatter (eviction walks arbitrary
- * slots) — but they run against the same compact SoA state, so the
- * whole pass touches one small working set once per stream.
+ * iterations per lane. Context switches and exits stay scalar per
+ * lane, but they run against the same compact SoA state, so the whole
+ * pass touches one small working set once per stream.
  *
  * Three kernel flavors sit behind laneKernels(tier): AVX2 (8 lanes per
  * step), SSE2 (4 lanes per step; min/max emulated — pminsd is SSE4.1),
  * and a portable scalar loop that is also the non-x86 build's only
  * flavor. Every flavor computes the identical integer recurrences, so
  * results are bit-identical across tiers by construction; the scalar
- * *tier* (win/simd.h) bypasses this file entirely and remains the
- * differential oracle.
+ * *tier* (win/simd.h) bypasses this file entirely and runs the
+ * per-lane pass, the differential oracle.
  */
 
 #ifndef CRW_WIN_LANE_SOA_H_
@@ -57,15 +58,14 @@ namespace crw {
  *
  * Padding lanes are initialized benign (resident 0, cap 1, costs 0);
  * kernels run arithmetic over them but their tallies are never read
- * back, and the wake-check kernel masks them out of the comparison.
+ * back.
  */
 struct LaneSoA
 {
     /** i32 lanes per full-width vector step (AVX2). */
     static constexpr std::size_t kSoaLaneStep = 8;
 
-    std::size_t lanes = 0; ///< live follower lanes
-    std::size_t pad = 0;   ///< lanes rounded up to kSoaLaneStep
+    std::size_t pad = 0; ///< lanes rounded up to kSoaLaneStep
     int threads = 0;
 
     // Per-lane invariants, [pad].
@@ -82,14 +82,12 @@ struct LaneSoA
 
     // Per (thread, lane) cursors, [threads * pad], lane-major per
     // thread. NS keeps `top` unwrapped (the run kernels add/subtract
-    // k without a lane-wise modulo; writeback wraps once); the
-    // sharing schemes keep real slot indices.
-    AlignedVec<std::int32_t> top, res, prw;
+    // k without a lane-wise modulo; writeback wraps once).
+    AlignedVec<std::int32_t> top, res;
 
     void
     init(std::size_t nlanes, int nthreads)
     {
-        lanes = nlanes;
         pad = (nlanes + kSoaLaneStep - 1) / kSoaLaneStep *
               kSoaLaneStep;
         threads = nthreads;
@@ -107,9 +105,6 @@ struct LaneSoA
             static_cast<std::size_t>(nthreads) * pad;
         top.resize(per_thread);
         res.resize(per_thread);
-        prw.resize(per_thread);
-        for (std::size_t i = 0; i < per_thread; ++i)
-            prw[i] = kNoWindow;
         for (std::size_t l = nlanes; l < pad; ++l)
             nsCap[l] = 1; // benign saturation for padding lanes
     }
@@ -124,16 +119,6 @@ struct LaneSoA
     {
         return res.data() + static_cast<std::size_t>(tid) * pad;
     }
-    const std::int32_t *
-    resOf(ThreadId tid) const
-    {
-        return res.data() + static_cast<std::size_t>(tid) * pad;
-    }
-    std::int32_t *
-    prwOf(ThreadId tid)
-    {
-        return prw.data() + static_cast<std::size_t>(tid) * pad;
-    }
 };
 
 /**
@@ -147,12 +132,6 @@ struct LaneKernels
     void (*nsSaveRun)(LaneSoA &s, ThreadId tid, int k);
     /** k consecutive NS restores (depth > 0 throughout). */
     void (*nsRestoreRun)(LaneSoA &s, ThreadId tid, int k);
-    /**
-     * True when any live lane's residency of @p tid disagrees with
-     * the recorded leader answer (batch divergence).
-     */
-    bool (*wakeMismatch)(const LaneSoA &s, ThreadId tid,
-                         int expected);
 };
 
 namespace detail_soa {
@@ -206,20 +185,9 @@ nsRestoreRunPortable(LaneSoA &s, ThreadId tid, int k)
     }
 }
 
-inline bool
-wakeMismatchPortable(const LaneSoA &s, ThreadId tid, int expected)
-{
-    const std::int32_t *res = s.resOf(tid);
-    for (std::size_t l = 0; l < s.lanes; ++l)
-        if ((res[l] > 0 ? 1 : 0) != expected)
-            return true;
-    return false;
-}
-
 inline constexpr LaneKernels kPortableKernels = {
     &nsSaveRunPortable,
     &nsRestoreRunPortable,
-    &wakeMismatchPortable,
 };
 
 #if defined(__x86_64__)
@@ -328,33 +296,9 @@ nsRestoreRunSse2(LaneSoA &s, ThreadId tid, int k)
     runFoldSse2<false>(s, tid, k);
 }
 
-inline bool
-wakeMismatchSse2(const LaneSoA &s, ThreadId tid, int expected)
-{
-    // Checked chunk-by-chunk, NOT by accumulating one shift-composed
-    // mask: batch width is bounded by kMaxReplayBatch (1024), far past
-    // the 32 lanes a single mask word could carry. The final partial
-    // chunk masks the padding lanes out of the vote.
-    const std::int32_t *res = s.resOf(tid);
-    const __m128i zero = _mm_setzero_si128();
-    const unsigned want = expected ? 0xfu : 0u;
-    for (std::size_t l = 0; l < s.lanes; l += 4) {
-        const __m128i r = _mm_load_si128(
-            reinterpret_cast<const __m128i *>(res + l));
-        const unsigned m = static_cast<unsigned>(_mm_movemask_ps(
-            _mm_castsi128_ps(_mm_cmpgt_epi32(r, zero))));
-        const std::size_t rem = s.lanes - l;
-        const unsigned live = rem >= 4 ? 0xfu : ((1u << rem) - 1u);
-        if (((m ^ want) & live) != 0)
-            return true;
-    }
-    return false;
-}
-
 inline constexpr LaneKernels kSse2Kernels = {
     &nsSaveRunSse2,
     &nsRestoreRunSse2,
-    &wakeMismatchSse2,
 };
 
 // ---------------------------------------------------------------
@@ -446,32 +390,9 @@ nsRestoreRunAvx2(LaneSoA &s, ThreadId tid, int k)
     runFoldAvx2<false>(s, tid, k);
 }
 
-__attribute__((target("avx2"))) inline bool
-wakeMismatchAvx2(const LaneSoA &s, ThreadId tid, int expected)
-{
-    // Chunk-wise for the same reason as the SSE2 flavor: lane counts
-    // can exceed any single mask word, so each 8-lane movemask is
-    // compared in place, with the tail chunk's padding lanes masked.
-    const std::int32_t *res = s.resOf(tid);
-    const __m256i zero = _mm256_setzero_si256();
-    const unsigned want = expected ? 0xffu : 0u;
-    for (std::size_t l = 0; l < s.lanes; l += 8) {
-        const __m256i r = _mm256_load_si256(
-            reinterpret_cast<const __m256i *>(res + l));
-        const unsigned m = static_cast<unsigned>(_mm256_movemask_ps(
-            _mm256_castsi256_ps(_mm256_cmpgt_epi32(r, zero))));
-        const std::size_t rem = s.lanes - l;
-        const unsigned live = rem >= 8 ? 0xffu : ((1u << rem) - 1u);
-        if (((m ^ want) & live) != 0)
-            return true;
-    }
-    return false;
-}
-
 inline constexpr LaneKernels kAvx2Kernels = {
     &nsSaveRunAvx2,
     &nsRestoreRunAvx2,
-    &wakeMismatchAvx2,
 };
 
 #endif // __x86_64__

@@ -215,11 +215,6 @@ class SharingSchemeBase : public Scheme
           alloc_(alloc)
     {}
 
-    // The batched SoA pass (win/engine_batch.h) transposes these
-    // per-lane policy knobs next to the lane state it vectorizes.
-    PrwReclaim prwReclaim() const { return reclaim_; }
-    AllocPolicy allocPolicy() const { return alloc_; }
-
   protected:
     /**
      * Make window @p w dead so it can be claimed. If it is owned, the
@@ -467,11 +462,6 @@ class SnpScheme final : public SharingSchemeBase
         file_.thread<Checked>(tid).depth = 0;
     }
 
-    /** Batched-replay transpose/writeback of the allocation cursor
-     *  (win/engine_batch.h mirrors it per lane in the SoA pass). */
-    WindowIndex allocHintForReplay() const { return allocHint_; }
-    void setAllocHintForReplay(WindowIndex w) { allocHint_ = w; }
-
   private:
     friend class SharingSchemeBase; // sharedRestore's CRTP callback
 
@@ -605,11 +595,6 @@ class SpScheme final : public SharingSchemeBase
         file_.dropAll(tid);
         file_.thread<Checked>(tid).depth = 0;
     }
-
-    /** Batched-replay transpose/writeback of the allocation cursor
-     *  (win/engine_batch.h mirrors it per lane in the SoA pass). */
-    WindowIndex allocHintForReplay() const { return allocHint_; }
-    void setAllocHintForReplay(WindowIndex w) { allocHint_ = w; }
 
   private:
     friend class SharingSchemeBase; // sharedRestore's CRTP callback

@@ -7,9 +7,11 @@
  * step), an SSE2 path (4 lanes per step), and a portable scalar-loop
  * fallback the compiler is free to autovectorize. On top of those sits
  * the `Scalar` tier, which bypasses the SoA pass entirely and runs the
- * PR 7 per-lane follower replay — that path is the bit-identity oracle
+ * per-lane follower replay — that path is the bit-identity oracle
  * every SoA flavor is differentially pinned against, and the baseline
- * the `simd_speedup` bench gate measures from.
+ * the `simd_speedup` bench gate measures from. The tier only steers
+ * NS and INF batches: the sharing schemes (SNP, SP) have no SoA pass
+ * and replay their followers per lane on every tier.
  *
  * Tier selection: $CRW_SIMD (`auto` | `avx2` | `sse2` | `scalar`),
  * strictly parsed — junk warns once and falls back to `auto`, the same
@@ -28,7 +30,7 @@ namespace crw {
 
 /** Follower-replay dispatch tier, in increasing width order. */
 enum class SimdTier : int {
-    Scalar = 0, ///< per-lane AoS follower replay (the oracle path)
+    Scalar = 0, ///< per-lane follower replay (the oracle path)
     Sse2 = 1,   ///< lane-SoA pass, 4-lane (128-bit) kernels
     Avx2 = 2,   ///< lane-SoA pass, 8-lane (256-bit) kernels
 };
@@ -43,17 +45,6 @@ const char *simdTierName(SimdTier tier);
  * and what the executor publishes as replay.simd_path.
  */
 SimdTier effectiveSimdTier();
-
-/**
- * True when the tier was pinned by name — a test/bench override or a
- * valid named $CRW_SIMD value (not unset/`auto`/junk). The batched
- * follower dispatch treats `auto` as a *preference*: schemes whose
- * lane math cannot vectorize (the sharing slot maps) fall back to the
- * per-lane oracle under auto, while an explicit pin always forces the
- * requested pass (tests rely on that to drive the SoA translation of
- * every scheme).
- */
-bool simdTierExplicit();
 
 /**
  * Strictly parse a $CRW_SIMD value. nullptr/empty and "auto" resolve

@@ -5,9 +5,11 @@
  * batch (replay.batches / replay.batched_points / replay.batch_width
  * count it), CRW_REPLAY_BATCH caps the width (ragged tail chunks) and
  * "0" pins batching off, a cache-disabled sweep still batches (the
- * --no-cache path), and a --trace-out run falls back to per-point
- * replays (the timeline observer is per-point only). Batched results
- * must stay bit-identical to fresh per-point replays throughout.
+ * --no-cache path), a --trace-out run falls back to per-point
+ * replays (the timeline observer is per-point only), and the static
+ * batch rule keeps SNP/SP under the working-set policies at one lane.
+ * Batched results must stay bit-identical to fresh per-point replays
+ * throughout.
  */
 
 #include <cstdint>
@@ -25,6 +27,7 @@
 #include "bench/harness.h"
 #include "bench/plan.h"
 #include "obs/metrics.h"
+#include "trace/replay_batch.h"
 #include "trace/run_metrics.h"
 #include "win/simd.h"
 
@@ -243,17 +246,69 @@ TEST(BatchExecutor, CacheDisabledSweepStillBatches)
 {
     // The ScopedNoCache in every test above is exactly the --no-cache
     // configuration; this test makes the property explicit and also
-    // covers a working-set plan end to end: whether its batch
-    // completes or falls back per-point, every point must come out
-    // bit-identical to a fresh replay.
+    // covers a working-set plan end to end: NS under WS batches (a
+    // woken thread is resident on no NS lane), and every point must
+    // come out bit-identical to a fresh replay.
     const ScopedNoCache nocache;
     const ExperimentPlan plan = windowsPlan(
-        SchemeKind::SP, {4, 6, 32}, SchedPolicy::WorkingSet);
+        SchemeKind::NS, {4, 6, 32}, SchedPolicy::WorkingSet);
 
+    const std::uint64_t batches = counter("replay.batches");
     const std::uint64_t points = counter("replay.points");
     executePlan(plan);
-    // Batched or fallen back, every miss replayed exactly once.
+    EXPECT_EQ(counter("replay.batches"), batches + 1);
     EXPECT_EQ(counter("replay.points"), points + 3);
+    for (const PlanPoint &p : plan.points()) {
+        const RunMetrics fresh =
+            replayPoint(cachedTrace(p.behavior), p.engine,
+                        p.policy, &cachedFlatTrace(p.behavior));
+        EXPECT_TRUE(metricsBitIdentical(pointResult(p), fresh))
+            << pointConfigKey(p);
+    }
+}
+
+TEST(BatchExecutor, StaticRuleKeepsSharingWorkingSetPointsUnbatched)
+{
+    // A no-cache plan over NS/SNP/SP x FIFO/WS/WSA at two window
+    // counts. The batchable groups — NS under every policy, SNP and
+    // SP under FIFO — each replay as one two-lane batch; the SNP/SP
+    // x WS/WSA points replay one at a time, and nothing ever falls
+    // back.
+    const ScopedNoCache nocache;
+    const std::vector<int> windows{14, 23};
+    ExperimentPlan plan;
+    std::size_t batchable = 0;
+    for (const SchemeKind scheme :
+         {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP}) {
+        for (const SchedPolicy policy :
+             {SchedPolicy::Fifo, SchedPolicy::WorkingSet,
+              SchedPolicy::WorkingSetAged}) {
+            const bool wide = scheme == SchemeKind::NS ||
+                              policy == SchedPolicy::Fifo;
+            EXPECT_EQ(lockstepBatchable(scheme, policy), wide)
+                << schemeName(scheme) << "/" << policyName(policy);
+            if (wide)
+                ++batchable;
+            for (const int w : windows)
+                plan.add(makePlanPoint(ConcurrencyLevel::High,
+                                       GranularityLevel::Fine, scheme,
+                                       w, policy));
+        }
+    }
+    ASSERT_EQ(batchable, 5u);
+
+    const std::uint64_t batches = counter("replay.batches");
+    const std::uint64_t lanes = counter("replay.batched_points");
+    const std::uint64_t points = counter("replay.points");
+    executePlan(plan);
+    EXPECT_EQ(counter("replay.batch_fallback"), 0u);
+    EXPECT_EQ(counter("replay.batches"), batches + batchable);
+    EXPECT_EQ(counter("replay.batched_points"),
+              lanes + batchable * windows.size());
+    EXPECT_EQ(counter("replay.points"), points + plan.points().size());
+
+    // A CRW_REPLAY_BATCH=0 run replays every miss through
+    // replayPoint(); a fresh replayPoint() per coordinate is that run.
     for (const PlanPoint &p : plan.points()) {
         const RunMetrics fresh =
             replayPoint(cachedTrace(p.behavior), p.engine,

@@ -7,22 +7,25 @@
  * through both the width-1 ReplayPath::Batched loop and the
  * multi-lane BatchedReplayDriver, including ragged (non-power-of-two,
  * mixed-variant) batches — and on every follower dispatch tier
- * (win/simd.h): the scalar per-lane oracle and the forced lane-SoA
+ * (win/simd.h): the scalar per-lane oracle and the NS/INF lane-SoA
  * pass with SSE2/AVX2 kernels must agree bit-for-bit at every lane
- * width (DESIGN.md §16). Working-set batches must either complete
- * lockstep bit-identically or report divergence so the caller can
- * fall back per-point — including divergence detected inside a
- * partially-filled SIMD chunk; a diverged batch must not poison
- * fresh per-point drivers.
+ * width (DESIGN.md §16). Working-set policies batch wide only under
+ * NS and INF, by the static rule (lockstepBatchable); the driver
+ * refuses a wider SNP/SP batch under them.
  */
 
 #include <cstddef>
+#include <initializer_list>
+#include <map>
 #include <sstream>
+#include <tuple>
+#include <utility>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "spell/capture.h"
 #include "trace/replay_batch.h"
 #include "trace/replay_driver.h"
@@ -173,12 +176,7 @@ replayOnce(const Variant &v, ReplayPath path)
     return replayTrace(smallTrace(), smallFlat(), v, path);
 }
 
-/**
- * Scoped follower-dispatch pin (win/simd.h). An explicit pin also
- * forces the lane-SoA pass for the sharing schemes, which auto
- * dispatch routes to the per-lane oracle — exactly what these tests
- * need to drive the SoA translation of every scheme.
- */
+/** Scoped follower-dispatch pin (win/simd.h). */
 class ScopedTier
 {
   public:
@@ -197,9 +195,9 @@ hostTiers()
 }
 
 /**
- * The width-1 batched loop is the differential anchor: on a single
- * point lane divergence is impossible, so it must agree with both
- * other loops at every variant — including the working-set ones.
+ * The width-1 batched loop is the differential anchor: it must agree
+ * with both other loops at every variant — including the SNP/SP
+ * working-set points the static rule keeps at one lane.
  */
 TEST(BatchReplay, Width1BatchedLoopMatchesOracleAndFastEverywhere)
 {
@@ -214,28 +212,32 @@ TEST(BatchReplay, Width1BatchedLoopMatchesOracleAndFastEverywhere)
     }
 }
 
-/** Per-lane differential: batch lanes against per-point fast runs. */
-void
+/**
+ * Per-lane differential: batch lanes against per-point fast runs.
+ * Returns the follower pass the batch dispatched.
+ */
+SimdTier
 expectLanesMatchPerPoint(const std::vector<Variant> &lanes)
 {
-    ASSERT_FALSE(lanes.empty());
+    EXPECT_FALSE(lanes.empty());
     std::vector<EngineConfig> configs;
     configs.reserve(lanes.size());
     for (const Variant &v : lanes) {
-        ASSERT_EQ(static_cast<int>(v.policy),
+        EXPECT_EQ(static_cast<int>(v.policy),
                   static_cast<int>(lanes[0].policy));
         configs.push_back(configOf(v));
     }
     BatchedReplayDriver batch(smallTrace(), configs, lanes[0].policy,
                               &smallFlat());
-    ASSERT_TRUE(batch.run());
-    ASSERT_EQ(batch.lanes(), lanes.size());
+    EXPECT_TRUE(batch.run());
+    EXPECT_EQ(batch.lanes(), lanes.size());
     for (std::size_t l = 0; l < lanes.size(); ++l) {
         const RunMetrics solo =
             replayOnce(lanes[l], ReplayPath::Fast);
         EXPECT_TRUE(metricsBitIdentical(solo, batch.metrics(l)))
             << "lane " << l << ": " << variantName(lanes[l]);
     }
+    return batch.simdPath();
 }
 
 TEST(BatchReplay, FifoLockstepLanesBitIdenticalPerScheme)
@@ -252,12 +254,15 @@ TEST(BatchReplay, FifoLockstepLanesBitIdenticalPerScheme)
     }
 }
 
-TEST(BatchReplay, FifoLanesMayDifferInPrwAndAllocPolicy)
+/**
+ * One FIFO SP batch mixing every per-lane knob the batch key leaves
+ * free: window count, PRW reclamation and allocation policy.
+ */
+std::vector<Variant>
+mixedSpLanes(std::initializer_list<int> windowCounts)
 {
-    // One SP batch mixing every per-lane knob the batch key leaves
-    // free: window count, PRW reclamation and allocation policy.
     std::vector<Variant> lanes;
-    for (const int windows : {4, 8, 12}) {
+    for (const int windows : windowCounts) {
         for (const PrwReclaim prw :
              {PrwReclaim::Lazy, PrwReclaim::Eager,
               PrwReclaim::EagerFolded})
@@ -267,15 +272,27 @@ TEST(BatchReplay, FifoLanesMayDifferInPrwAndAllocPolicy)
         lanes.push_back({SchemeKind::SP, windows, SchedPolicy::Fifo,
                          PrwReclaim::Eager, AllocPolicy::FreeSearch});
     }
-    expectLanesMatchPerPoint(lanes);
+    return lanes;
+}
 
-    std::vector<Variant> snp;
+/** One FIFO SNP batch over both allocation policies. */
+std::vector<Variant>
+mixedSnpLanes()
+{
+    std::vector<Variant> lanes;
     for (const AllocPolicy alloc :
          {AllocPolicy::Simple, AllocPolicy::FreeSearch})
         for (const int windows : {4, 10, 24})
-            snp.push_back({SchemeKind::SNP, windows, SchedPolicy::Fifo,
-                           PrwReclaim::Eager, alloc});
-    expectLanesMatchPerPoint(snp);
+            lanes.push_back({SchemeKind::SNP, windows,
+                             SchedPolicy::Fifo, PrwReclaim::Eager,
+                             alloc});
+    return lanes;
+}
+
+TEST(BatchReplay, FifoLanesMayDifferInPrwAndAllocPolicy)
+{
+    expectLanesMatchPerPoint(mixedSpLanes({4, 8, 12}));
+    expectLanesMatchPerPoint(mixedSnpLanes());
 }
 
 TEST(BatchReplay, SingleLaneBatchDriverMatchesFast)
@@ -290,284 +307,201 @@ TEST(BatchReplay, SingleLaneBatchDriverMatchesFast)
 }
 
 /**
- * The SIMD follower pass across every lane width the chunking can
- * produce: exact vector multiples (8, 16, 32), partial tail chunks
- * (2, 3, 7) and every host tier must leave each lane bit-identical
- * to its per-point fast replay AND to the scalar-tier batch — the
- * dispatch tier is a host-side choice, never a semantic one. The
- * explicit pin forces the lane-SoA pass for the sharing schemes too,
- * so this exercises the slot-map translation, not just the NS run
- * kernels.
+ * Legacy-oracle RunMetrics of one (trace, scheme, windows, policy)
+ * point, memoized: the lane-width sweep below asks for the same few
+ * dozen points thousands of times.
+ */
+const RunMetrics &
+legacyOracle(const EventTrace &trace, const FlatTrace &flat,
+             const Variant &v)
+{
+    static std::map<std::tuple<const EventTrace *, int, int, int>,
+                    RunMetrics>
+        memo;
+    const auto key = std::make_tuple(&trace,
+                                     static_cast<int>(v.scheme),
+                                     v.windows,
+                                     static_cast<int>(v.policy));
+    auto it = memo.find(key);
+    if (it == memo.end())
+        it = memo.emplace(key, replayTrace(trace, flat, v,
+                                           ReplayPath::Legacy))
+                 .first;
+    return it->second;
+}
+
+/**
+ * The follower passes across every lane width the chunking can
+ * produce — each width 1–65 (every partial and full SSE2/AVX2 chunk
+ * count up to eight AVX2 vectors plus one lane) and 128, 257 — on
+ * every host tier. NS and INF run under FIFO and under both
+ * working-set policies, which the static rule lets them batch wide,
+ * over the lock-contended synthetic behavior (every width) and the
+ * spell trace (a spread of widths); SNP and SP run under FIFO over
+ * the spell trace. Window counts are ragged (4..32, unsorted). Every
+ * lane must be bit-identical to the legacy oracle's per-point replay:
+ * the dispatch tier is a host-side choice, never a semantic one.
  */
 TEST(BatchReplay, EveryTierBitIdenticalAcrossLaneWidths)
 {
-    for (const SchemeKind scheme :
-         {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP,
-          SchemeKind::Infinite}) {
-        // 33 and 40 cross the 32-lane boundary: lane indices past 31
-        // once silently escaped the vector wake check's 32-bit mask
-        // accumulator, so widths > 32 must stay covered.
-        for (const std::size_t width :
-             {2u, 3u, 7u, 8u, 16u, 32u, 33u, 40u}) {
-            std::vector<Variant> lanes;
-            for (std::size_t i = 0; i < width; ++i)
-                lanes.push_back({scheme,
-                                 4 + static_cast<int>(i) * 3,
-                                 SchedPolicy::Fifo, PrwReclaim::Eager,
-                                 AllocPolicy::Simple});
-            std::vector<EngineConfig> configs;
-            for (const Variant &v : lanes)
-                configs.push_back(configOf(v));
+    std::vector<std::size_t> allWidths;
+    for (std::size_t w = 1; w <= 65; ++w)
+        allWidths.push_back(w);
+    allWidths.push_back(128);
+    allWidths.push_back(257);
+    const std::vector<std::size_t> someWidths{2, 3, 7, 8, 16, 33, 40};
 
-            std::vector<std::vector<RunMetrics>> perTier;
+    struct Case
+    {
+        const EventTrace *trace;
+        const FlatTrace *flat;
+        SchemeKind scheme;
+        SchedPolicy policy;
+        const std::vector<std::size_t> *widths;
+    };
+    std::vector<Case> cases;
+    for (const SchemeKind scheme :
+         {SchemeKind::NS, SchemeKind::Infinite}) {
+        for (const SchedPolicy policy :
+             {SchedPolicy::Fifo, SchedPolicy::WorkingSet,
+              SchedPolicy::WorkingSetAged}) {
+            cases.push_back({&synthTrace(), &synthFlat(), scheme,
+                             policy, &allWidths});
+            cases.push_back({&smallTrace(), &smallFlat(), scheme,
+                             policy, &someWidths});
+        }
+    }
+    for (const SchemeKind scheme : {SchemeKind::SNP, SchemeKind::SP})
+        cases.push_back({&smallTrace(), &smallFlat(), scheme,
+                         SchedPolicy::Fifo, &someWidths});
+
+    for (const Case &c : cases) {
+        ASSERT_TRUE(lockstepBatchable(c.scheme, c.policy));
+        for (const std::size_t width : *c.widths) {
+            std::vector<Variant> lanes;
+            std::vector<EngineConfig> configs;
+            for (std::size_t i = 0; i < width; ++i) {
+                lanes.push_back({c.scheme,
+                                 4 + static_cast<int>(i * 7 % 29),
+                                 c.policy, PrwReclaim::Eager,
+                                 AllocPolicy::Simple});
+                configs.push_back(configOf(lanes.back()));
+            }
             for (const SimdTier tier : hostTiers()) {
                 const ScopedTier pin(tier);
-                BatchedReplayDriver batch(smallTrace(), configs,
-                                          SchedPolicy::Fifo,
-                                          &smallFlat());
-                ASSERT_TRUE(batch.run())
-                    << schemeName(scheme) << " width " << width
-                    << " tier " << simdTierName(tier);
-                std::vector<RunMetrics> ms;
+                BatchedReplayDriver batch(*c.trace, configs, c.policy,
+                                          c.flat);
+                ASSERT_TRUE(batch.run());
                 for (std::size_t l = 0; l < width; ++l)
-                    ms.push_back(batch.metrics(l));
-                perTier.push_back(std::move(ms));
+                    ASSERT_TRUE(metricsBitIdentical(
+                        legacyOracle(*c.trace, *c.flat, lanes[l]),
+                        batch.metrics(l)))
+                        << c.trace->key << " " << variantName(lanes[l])
+                        << " width " << width << " tier "
+                        << simdTierName(tier) << " lane " << l;
             }
-            // Tier 0 is the scalar per-lane oracle: pin it against
-            // fresh per-point replays, then every other tier against
-            // it.
-            for (std::size_t l = 0; l < width; ++l)
-                EXPECT_TRUE(metricsBitIdentical(
-                    replayOnce(lanes[l], ReplayPath::Fast),
-                    perTier[0][l]))
-                    << schemeName(scheme) << " width " << width
-                    << " scalar lane " << l;
-            for (std::size_t t = 1; t < perTier.size(); ++t)
-                for (std::size_t l = 0; l < width; ++l)
-                    EXPECT_TRUE(metricsBitIdentical(perTier[0][l],
-                                                    perTier[t][l]))
-                        << schemeName(scheme) << " width " << width
-                        << " tier " << t << " lane " << l;
         }
     }
 }
 
 /**
- * Mixed-variant SoA coverage: the per-lane knobs the batch key leaves
- * free (PRW reclamation, allocation policy, ragged window counts)
- * must survive the forced lane-SoA translation on the widest host
- * tier exactly as they do on the scalar oracle.
+ * The static rule at the driver: a sharing scheme under a policy that
+ * reads residency may not batch wider than one lane — its wakes would
+ * depend on each lane's window count — so the constructor refuses the
+ * batch, naming it. The same point alone is a legal width-1 batch.
  */
-TEST(BatchReplay, ForcedSoaHandlesMixedVariantLanes)
+TEST(BatchReplay, DriverRefusesWideSharingBatchUnderResidencyPolicies)
 {
-    const ScopedTier pin(cpuMaxSimdTier());
-    std::vector<Variant> lanes;
-    for (const int windows : {4, 9, 17}) {
-        for (const PrwReclaim prw :
-             {PrwReclaim::Lazy, PrwReclaim::Eager,
-              PrwReclaim::EagerFolded})
-            lanes.push_back({SchemeKind::SP, windows,
-                             SchedPolicy::Fifo, prw,
-                             AllocPolicy::Simple});
-        lanes.push_back({SchemeKind::SP, windows, SchedPolicy::Fifo,
-                         PrwReclaim::Eager, AllocPolicy::FreeSearch});
-    }
-    expectLanesMatchPerPoint(lanes);
+    for (const SchemeKind scheme : {SchemeKind::SNP, SchemeKind::SP}) {
+        for (const SchedPolicy policy :
+             {SchedPolicy::WorkingSet, SchedPolicy::WorkingSetAged}) {
+            EXPECT_FALSE(lockstepBatchable(scheme, policy));
+            const Variant v4{scheme, 4, policy, PrwReclaim::Eager,
+                             AllocPolicy::Simple};
+            Variant v8 = v4;
+            v8.windows = 8;
+            try {
+                BatchedReplayDriver batch(smallTrace(),
+                                          {configOf(v4), configOf(v8)},
+                                          policy, &smallFlat());
+                ADD_FAILURE() << "accepted a two-lane "
+                              << schemeName(scheme) << "/"
+                              << policyName(policy) << " batch";
+            } catch (const FatalError &e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find("batch of 2"), std::string::npos)
+                    << what;
+                EXPECT_NE(what.find(policyName(policy)),
+                          std::string::npos)
+                    << what;
+            }
 
-    std::vector<Variant> snp;
-    for (const AllocPolicy alloc :
-         {AllocPolicy::Simple, AllocPolicy::FreeSearch})
-        for (const int windows : {4, 10, 24})
-            snp.push_back({SchemeKind::SNP, windows, SchedPolicy::Fifo,
-                           PrwReclaim::Eager, alloc});
-    expectLanesMatchPerPoint(snp);
+            BatchedReplayDriver solo(smallTrace(), {configOf(v4)},
+                                     policy, &smallFlat());
+            EXPECT_TRUE(solo.run());
+            EXPECT_TRUE(metricsBitIdentical(
+                replayOnce(v4, ReplayPath::Legacy), solo.metrics(0)))
+                << variantName(v4);
+        }
+    }
 }
 
 /**
- * Working-set batches whose lanes answer every residency wake the
- * same way must complete lockstep: identical configs are the
- * by-construction case.
+ * The per-lane knobs the batch key leaves free (PRW reclamation,
+ * allocation policy, ragged window counts) on the sharing schemes,
+ * under every host tier: SNP/SP have no SoA pass, so every tier
+ * replays their followers per lane, bit-identical to per-point runs.
+ */
+TEST(BatchReplay, ForcedSoaHandlesMixedVariantLanes)
+{
+    const std::vector<Variant> sp = mixedSpLanes({4, 9, 17});
+    const std::vector<Variant> snp = mixedSnpLanes();
+    for (const SimdTier tier : hostTiers()) {
+        const ScopedTier pin(tier);
+        EXPECT_EQ(expectLanesMatchPerPoint(sp), SimdTier::Scalar)
+            << simdTierName(tier);
+        EXPECT_EQ(expectLanesMatchPerPoint(snp), SimdTier::Scalar)
+            << simdTierName(tier);
+    }
+}
+
+/**
+ * Working-set batches of identical lanes under the schemes the static
+ * rule lets batch wide (NS, INF) complete lockstep, every lane
+ * bit-identical to its per-point run, on every host tier.
  */
 TEST(BatchReplay, WorkingSetIdenticalLanesNeverDiverge)
 {
     for (const SchemeKind scheme :
-         {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP}) {
-        const Variant v{scheme, 8, SchedPolicy::WorkingSet,
-                        PrwReclaim::Eager, AllocPolicy::Simple};
-        const std::vector<EngineConfig> configs(3, configOf(v));
-        BatchedReplayDriver batch(smallTrace(), configs, v.policy,
-                                  &smallFlat());
-        ASSERT_TRUE(batch.run()) << schemeName(scheme);
-        const RunMetrics solo = replayOnce(v, ReplayPath::Fast);
-        for (std::size_t l = 0; l < batch.lanes(); ++l)
-            EXPECT_TRUE(metricsBitIdentical(solo, batch.metrics(l)))
-                << schemeName(scheme) << " lane " << l;
-    }
-}
-
-/**
- * The divergence contract: a heterogeneous working-set batch either
- * completes with every lane bit-identical to its per-point run, or
- * reports divergence — and in that case fresh per-point drivers must
- * still reproduce the oracle (the executor's fallback path). Both
- * outcomes are legal per scheme; what is never legal is a "completed"
- * batch whose lanes disagree with their per-point runs.
- */
-TEST(BatchReplay, WorkingSetBatchCompletesExactlyOrReportsDivergence)
-{
-    bool sawDivergence = false;
-    for (const SchemeKind scheme :
-         {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP}) {
-        std::vector<Variant> lanes;
-        for (const int windows : {4, 8, 32})
-            lanes.push_back({scheme, windows, SchedPolicy::WorkingSet,
-                             PrwReclaim::Eager, AllocPolicy::Simple});
-        std::vector<EngineConfig> configs;
-        for (const Variant &v : lanes)
-            configs.push_back(configOf(v));
-        BatchedReplayDriver batch(smallTrace(), configs,
-                                  SchedPolicy::WorkingSet,
-                                  &smallFlat());
-        if (batch.run()) {
-            for (std::size_t l = 0; l < lanes.size(); ++l)
-                EXPECT_TRUE(metricsBitIdentical(
-                    replayOnce(lanes[l], ReplayPath::Fast),
-                    batch.metrics(l)))
-                    << "lane " << l << ": " << variantName(lanes[l]);
-        } else {
-            sawDivergence = true;
-            for (const Variant &v : lanes) {
-                const RunMetrics fast =
-                    replayOnce(v, ReplayPath::Fast);
-                const RunMetrics legacy =
-                    replayOnce(v, ReplayPath::Legacy);
-                EXPECT_TRUE(metricsBitIdentical(legacy, fast))
-                    << variantName(v);
-            }
-        }
-    }
-    // Window counts 4 vs 32 under the contended behavior disagree on
-    // residency at some wake for at least one scheme; if this ever
-    // fails, the divergence path has lost its coverage — find a
-    // diverging batch and update the lanes above.
-    EXPECT_TRUE(sawDivergence);
-}
-
-/**
- * Divergence inside a partially-filled SIMD chunk: seven lanes pad to
- * one eight-wide AVX2 vector (or two SSE2 vectors, the last half
- * full), and the forced SoA pass must abort at the first working-set
- * wake whose recorded answer any LIVE lane contradicts — the masked
- * padding lanes never vote. As everywhere, either outcome per scheme
- * is legal (complete bit-identical, or report divergence and leave
- * fresh per-point drivers untainted), and at least one scheme must
- * actually diverge or the mid-vector abort path has no coverage.
- */
-TEST(BatchReplay, ForcedSoaDivergesCleanlyMidChunk)
-{
-    bool sawDivergence = false;
-    for (const SimdTier tier : hostTiers()) {
-        if (tier == SimdTier::Scalar)
-            continue;
-        const ScopedTier pin(tier);
-        for (const SchemeKind scheme :
-             {SchemeKind::SNP, SchemeKind::SP}) {
-            std::vector<Variant> lanes;
-            for (const int windows : {4, 6, 8, 12, 16, 24, 32})
-                lanes.push_back({scheme, windows,
-                                 SchedPolicy::WorkingSet,
-                                 PrwReclaim::Eager,
-                                 AllocPolicy::Simple});
-            std::vector<EngineConfig> configs;
-            for (const Variant &v : lanes)
-                configs.push_back(configOf(v));
-            BatchedReplayDriver batch(smallTrace(), configs,
-                                      SchedPolicy::WorkingSet,
-                                      &smallFlat());
-            if (batch.run()) {
-                for (std::size_t l = 0; l < lanes.size(); ++l)
-                    EXPECT_TRUE(metricsBitIdentical(
-                        replayOnce(lanes[l], ReplayPath::Fast),
-                        batch.metrics(l)))
+         {SchemeKind::NS, SchemeKind::Infinite}) {
+        for (const SchedPolicy policy :
+             {SchedPolicy::WorkingSet, SchedPolicy::WorkingSetAged}) {
+            const Variant v{scheme, 8, policy, PrwReclaim::Eager,
+                            AllocPolicy::Simple};
+            const RunMetrics solo = replayOnce(v, ReplayPath::Fast);
+            for (const SimdTier tier : hostTiers()) {
+                const ScopedTier pin(tier);
+                const std::vector<EngineConfig> configs(3,
+                                                        configOf(v));
+                BatchedReplayDriver batch(smallTrace(), configs,
+                                          policy, &smallFlat());
+                ASSERT_TRUE(batch.run()) << variantName(v);
+                for (std::size_t l = 0; l < batch.lanes(); ++l)
+                    EXPECT_TRUE(
+                        metricsBitIdentical(solo, batch.metrics(l)))
+                        << variantName(v) << " tier "
                         << simdTierName(tier) << " lane " << l;
-            } else {
-                sawDivergence = true;
-                for (const Variant &v : lanes)
-                    EXPECT_TRUE(metricsBitIdentical(
-                        replayOnce(v, ReplayPath::Legacy),
-                        replayOnce(v, ReplayPath::Fast)))
-                        << simdTierName(tier) << ": "
-                        << variantName(v);
             }
         }
     }
-    EXPECT_TRUE(sawDivergence);
-}
-
-/**
- * Regression: the vector wake check must vote EVERY live lane, not
- * just the first 32 — batch width is bounded by kMaxReplayBatch
- * (1024), not by one movemask accumulator word. The disagreeing
- * config is parked at the highest lane indices, so a check that stops
- * (or wraps its shifts) at lane 32 "completes" the batch with wrong
- * high-lane results instead of reporting divergence.
- */
-TEST(BatchReplay, WideWorkingSetBatchChecksLanesBeyond32)
-{
-    bool sawDivergence = false;
-    for (const SimdTier tier : hostTiers()) {
-        if (tier == SimdTier::Scalar)
-            continue;
-        const ScopedTier pin(tier);
-        for (const SchemeKind scheme :
-             {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP}) {
-            // 33 identical roomy lanes, then the starved lanes whose
-            // residency answers can disagree — all past index 31.
-            std::vector<Variant> lanes(
-                33, Variant{scheme, 32, SchedPolicy::WorkingSet,
-                            PrwReclaim::Eager, AllocPolicy::Simple});
-            for (const int windows : {4, 6, 8})
-                lanes.push_back({scheme, windows,
-                                 SchedPolicy::WorkingSet,
-                                 PrwReclaim::Eager,
-                                 AllocPolicy::Simple});
-            std::vector<EngineConfig> configs;
-            for (const Variant &v : lanes)
-                configs.push_back(configOf(v));
-            BatchedReplayDriver batch(smallTrace(), configs,
-                                      SchedPolicy::WorkingSet,
-                                      &smallFlat());
-            if (batch.run()) {
-                for (std::size_t l = 0; l < lanes.size(); ++l)
-                    EXPECT_TRUE(metricsBitIdentical(
-                        replayOnce(lanes[l], ReplayPath::Fast),
-                        batch.metrics(l)))
-                        << simdTierName(tier) << " "
-                        << schemeName(scheme) << " lane " << l;
-            } else {
-                sawDivergence = true;
-                for (const Variant &v : lanes)
-                    EXPECT_TRUE(metricsBitIdentical(
-                        replayOnce(v, ReplayPath::Legacy),
-                        replayOnce(v, ReplayPath::Fast)))
-                        << simdTierName(tier) << ": "
-                        << variantName(v);
-            }
-        }
-    }
-    // Windows 4 vs 32 disagree on residency at some wake for at least
-    // one scheme on this behavior (same contention the narrower
-    // divergence tests rely on) — without a diverging batch the
-    // high-lane vote has no coverage.
-    EXPECT_TRUE(sawDivergence);
 }
 
 /**
  * The published follower pass must be the one actually dispatched
- * (replay.simd_path feeds off BatchedReplayDriver::simdPath): under
- * `auto` the sharing schemes pin to the scalar per-lane oracle and
- * must say so, NS takes the SoA pass at the ambient tier, and an
- * explicit pin forces — and reports — the pinned pass everywhere.
+ * (replay.simd_path feeds off BatchedReplayDriver::simdPath): NS takes
+ * the SoA pass at the effective tier (the scalar tier is the per-lane
+ * pass), and the sharing schemes report Scalar on every tier — they
+ * have no SoA pass.
  */
 TEST(BatchReplay, DriverReportsDispatchedSimdPath)
 {
@@ -580,19 +514,14 @@ TEST(BatchReplay, DriverReportsDispatchedSimdPath)
         EXPECT_TRUE(batch.run()) << schemeName(scheme);
         return batch.simdPath();
     };
-    // Auto dispatch (no override, CRW_SIMD unset in the test env):
-    // NS vectorizes at the ambient tier, the sharing schemes pin to
-    // the oracle.
-    const SimdTier ambient = effectiveSimdTier();
-    if (!simdTierExplicit() && ambient != SimdTier::Scalar) {
-        EXPECT_EQ(runBatch(SchemeKind::NS), ambient);
-        EXPECT_EQ(runBatch(SchemeKind::SP), SimdTier::Scalar);
-        EXPECT_EQ(runBatch(SchemeKind::SNP), SimdTier::Scalar);
-    }
+    EXPECT_EQ(runBatch(SchemeKind::NS), effectiveSimdTier());
     for (const SimdTier tier : hostTiers()) {
         const ScopedTier pin(tier);
         EXPECT_EQ(runBatch(SchemeKind::NS), tier);
-        EXPECT_EQ(runBatch(SchemeKind::SP), tier);
+        EXPECT_EQ(runBatch(SchemeKind::SNP), SimdTier::Scalar)
+            << simdTierName(tier);
+        EXPECT_EQ(runBatch(SchemeKind::SP), SimdTier::Scalar)
+            << simdTierName(tier);
     }
 }
 
@@ -629,19 +558,29 @@ TEST(BatchReplay, AllPoliciesAgreeAcrossPathsOnPrioritizedSynth)
 }
 
 /**
- * The lane-invariant policies (everything but the working-set family)
- * read no engine state, so a ragged multi-window batch must complete
- * lockstep — never diverge — with every lane bit-identical to its
- * per-point fast replay, even on the prioritized synthetic behavior.
+ * Lane-invariant schedules on the prioritized, lock-contended
+ * synthetic behavior: the residency-blind policies under a sharing
+ * scheme, and the working-set policies under NS and INF (the static
+ * rule's other half — a woken thread is resident on no lane). Each
+ * ragged multi-window batch completes lockstep with every lane
+ * bit-identical to its per-point fast replay.
  */
 TEST(BatchReplay, LaneInvariantPoliciesBatchLocksteppedOnSynth)
 {
+    std::vector<std::pair<SchemeKind, SchedPolicy>> pairs;
     for (const SchedPolicy policy :
          {SchedPolicy::Fifo, SchedPolicy::RoundRobin,
-          SchedPolicy::Priority}) {
+          SchedPolicy::Priority})
+        pairs.emplace_back(SchemeKind::SP, policy);
+    for (const SchemeKind scheme :
+         {SchemeKind::NS, SchemeKind::Infinite})
+        for (const SchedPolicy policy :
+             {SchedPolicy::WorkingSet, SchedPolicy::WorkingSetAged})
+            pairs.emplace_back(scheme, policy);
+    for (const auto &[scheme, policy] : pairs) {
         std::vector<Variant> lanes;
         for (const int windows : {8, 4, 20, 5, 32})
-            lanes.push_back({SchemeKind::SP, windows, policy,
+            lanes.push_back({scheme, windows, policy,
                              PrwReclaim::Eager, AllocPolicy::Simple});
         std::vector<EngineConfig> configs;
         for (const Variant &v : lanes)
@@ -654,7 +593,7 @@ TEST(BatchReplay, LaneInvariantPoliciesBatchLocksteppedOnSynth)
                 replayTrace(synthTrace(), synthFlat(), lanes[l],
                             ReplayPath::Fast),
                 batch.metrics(l)))
-                << policyName(policy) << " lane " << l;
+                << variantName(lanes[l]) << " lane " << l;
     }
 }
 

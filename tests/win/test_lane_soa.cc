@@ -7,12 +7,10 @@
  *    computes bit-identical results, and each matches k iterated
  *    single-step applications of the win/scheme.h closed forms — the
  *    fold-vs-iterate property that makes a run kernel call legal;
- *  - padding lanes never leak into wake-mismatch answers;
  *  - $CRW_SIMD parsing is strict (junk warns and falls back to auto,
  *    requests above the CPU clamp with a warning);
- *  - the test/bench override pins the effective tier, marks it
- *    explicit (the signal that forces the SoA pass for the sharing
- *    schemes), and clamps exactly like the env path.
+ *  - the test/bench override pins the effective tier and clamps
+ *    exactly like the env path.
  */
 
 #include <cstdint>
@@ -210,34 +208,6 @@ TEST(LaneSoaKernels, FlavorsAgreeBitForBit)
     }
 }
 
-TEST(LaneSoaKernels, WakeMismatchMasksPaddingLanes)
-{
-    for (const std::size_t lanes : {1u, 3u, 8u, 13u}) {
-        for (const SimdTier tier : vectorTiers()) {
-            const LaneKernels &kern = laneKernels(tier);
-            LaneSoA soa = randomSoa(lanes, 1, 7u * lanes + 1);
-            const ThreadId tid = 0;
-            std::int32_t *res = soa.resOf(tid);
-            // Uniform residency: padding lanes hold zero residents,
-            // which must not read as disagreement.
-            for (std::size_t l = 0; l < lanes; ++l)
-                res[l] = 2;
-            EXPECT_FALSE(kern.wakeMismatch(soa, tid, 1))
-                << simdTierName(tier) << " lanes " << lanes;
-            EXPECT_TRUE(kern.wakeMismatch(soa, tid, 0))
-                << simdTierName(tier) << " lanes " << lanes;
-            // One live lane losing residency makes expected=1 a
-            // mismatch — whether it is the only lane or the last
-            // element of a partially-filled vector.
-            res[lanes - 1] = 0;
-            EXPECT_TRUE(kern.wakeMismatch(soa, tid, 1))
-                << simdTierName(tier) << " lanes " << lanes;
-            EXPECT_EQ(kern.wakeMismatch(soa, tid, 0), lanes > 1)
-                << simdTierName(tier) << " lanes " << lanes;
-        }
-    }
-}
-
 TEST(SimdDispatch, ParseIsStrictAndClamps)
 {
     EXPECT_EQ(parseSimdTier(nullptr, SimdTier::Avx2),
@@ -269,20 +239,16 @@ TEST(SimdDispatch, ParseIsStrictAndClamps)
 TEST(SimdDispatch, OverridePinsClampsAndMarksExplicit)
 {
     const SimdTier resting = effectiveSimdTier();
-    const bool restingExplicit = simdTierExplicit();
 
     setSimdTierOverride(SimdTier::Scalar);
     EXPECT_EQ(effectiveSimdTier(), SimdTier::Scalar);
-    EXPECT_TRUE(simdTierExplicit());
 
     // Requests above the host clamp exactly like $CRW_SIMD.
     setSimdTierOverride(SimdTier::Avx2);
     EXPECT_EQ(effectiveSimdTier(), cpuMaxSimdTier());
-    EXPECT_TRUE(simdTierExplicit());
 
     clearSimdTierOverride();
     EXPECT_EQ(effectiveSimdTier(), resting);
-    EXPECT_EQ(simdTierExplicit(), restingExplicit);
 }
 
 TEST(SimdDispatch, TierNamesRoundTrip)
