@@ -65,14 +65,6 @@ replayBatchCap()
                                defaultReplayBatchCap());
 }
 
-/** Mirror of the replay driver's CRW_REPLAY_FAST=0 oracle pin. */
-bool
-fastReplayEnabled()
-{
-    const char *v = std::getenv("CRW_REPLAY_FAST");
-    return !(v && v[0] == '0' && v[1] == '\0');
-}
-
 /** Raise the named counter to at least @p v (CAS max — the result is
  *  independent of the order concurrent batches finish in). */
 void
@@ -241,16 +233,15 @@ executePoints(const std::vector<PlanPoint> &points)
     // pointBatchKey (behavior, scheme, cost model, policy) follow
     // identical schedules and replay in one pass over the trace
     // (trace/replay_batch.h) — a cold fig11+fig12+fig13 run walks
-    // each trace once per scheme instead of once per point. The
-    // per-point path remains for width-1 groups, invariant-checking
-    // points, (scheme, policy) pairs the static batch rule keeps at
-    // one lane (SNP/SP under WS/WSA: residency there depends on the
-    // window count), trace-recording runs (the timeline observer is
-    // per-point only), and when CRW_REPLAY_BATCH=0 or
-    // CRW_REPLAY_FAST=0 pins it off.
+    // each trace once per scheme instead of once per point. Width-1
+    // units replay through replayPoint(): width-1 groups,
+    // invariant-checking points, (scheme, policy) pairs the static
+    // batch rule keeps at one lane (SNP/SP under WS/WSA: residency
+    // there depends on the window count), every point of a
+    // trace-recording run (the timeline observer is per-point only),
+    // and every point when CRW_REPLAY_BATCH=0 pins batching off.
     const std::size_t cap = replayBatchCap();
-    const bool batching =
-        cap > 1 && fastReplayEnabled() && !traceRequested();
+    const bool batching = cap > 1 && !traceRequested();
     std::vector<std::vector<std::size_t>> units;
     if (batching) {
         std::map<std::string, std::vector<std::size_t>> groups;
@@ -571,9 +562,10 @@ replayPoint(const EventTrace &trace, const EngineConfig &engine,
         std::to_string(engine.numWindows) + "/" + policyName(policy);
 
     // Timeline recording is bounded to the paper's headline window
-    // count so a full sweep doesn't emit one track per point. The
-    // replay hot loop drives the tracker directly, so installing an
-    // engine observer costs nothing at the other points.
+    // count so a full sweep doesn't emit one track per point. An
+    // installed observer sends the point through the oracle loop
+    // (observers are oracle-only); every other point keeps the flat
+    // loop.
     obs::EngineTimeline timeline(label, traceSpanLimit());
     const bool record = traceRequested() && engine.numWindows == 8;
     if (record)

@@ -63,8 +63,8 @@ inline constexpr std::size_t kMaxReplayBatch = 1024;
  * >= 0. Null/empty text quietly returns @p fallback (16 when not
  * given); unparsable or negative text warns on stderr and returns
  * @p fallback — it does NOT silently disable batching; values beyond
- * kMaxReplayBatch are clamped with a warning. 0 (and 1 — a width-1
- * batch is just the fast path with extra steps) disables batching.
+ * kMaxReplayBatch are clamped with a warning. 0 and 1 disable
+ * batching: every miss replays through replayPoint().
  */
 std::size_t parseReplayBatchCap(const char *text,
                                 std::size_t fallback = 16);
@@ -123,7 +123,7 @@ const FlatTrace &cachedFlatTrace(ConcurrencyLevel conc,
  * Replay @p trace at one configuration point — always a live replay,
  * bypassing the result store and cache. Publishes the point's obs
  * record and bumps replay.points. @p flat, when given, is the
- * predecoded image of @p trace (otherwise a fast-path replay
+ * predecoded image of @p trace (otherwise a flat-loop replay
  * predecodes privately).
  */
 RunMetrics replayPoint(const EventTrace &trace,

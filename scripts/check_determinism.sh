@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Verify that the bench pipeline's output bytes do not depend on how
 # it runs. DESIGN.md and the sources cite the parts below by number,
-# so the numbers stay fixed (there is no part 2):
+# so the numbers stay fixed (there is no part 2 or 5; the oracle vs
+# flat-loop comparison is the tier-1 test
+# BatchExecutor.EveryUnitKindMatchesOracleAtAnyJobs):
 #
 #  1. The parallel sweep runner is deterministic: run bench_fig11
 #     serially (--jobs 1) and in parallel (--jobs N), then require
@@ -27,12 +29,6 @@
 #     one sweep: its CSVs match three standalone runs byte-for-byte
 #     and its replay count equals fig11's alone (fig12 and fig13
 #     contribute no new points).
-#
-#  5. The devirtualized fast replay path is semantically invisible:
-#     `crw-bench fig11 table2 --no-cache` with CRW_REPLAY_FAST=0
-#     (legacy oracle loop) and =1 (specialized FlatTrace loop)
-#     produces byte-identical CSVs, stdout and normalized metrics,
-#     and the fast path agrees with itself at --jobs 1 vs --jobs N.
 #
 #  6. The arena-backed stores (DESIGN.md section 13) are invisible in
 #     every output byte: cold, warm and --no-cache runs of
@@ -305,100 +301,6 @@ else
     status=1
 fi
 
-# Part 5: the devirtualized fast replay path is an implementation
-# detail. CRW_REPLAY_FAST=0 pins every replay to the legacy per-event
-# oracle loop; the default (=1) takes the statically specialized
-# FlatTrace loop. The two must agree on every output byte — CSVs,
-# stdout and the normalized metrics view — and the fast path must
-# itself stay deterministic across --jobs 1 vs --jobs N. --no-cache
-# forces real replays so the comparison can never be satisfied by the
-# result cache alone.
-run_replay() {
-    # $1: subdir, $2: CRW_REPLAY_FAST value, $3: --jobs value
-    mkdir -p "$workdir/$1"
-    (cd "$workdir/$1" &&
-     CRW_REPLAY_FAST="$2" "$crwbench_abs" fig11 table2 --no-cache \
-         --jobs "$3" --metrics-out metrics.json > stdout.txt)
-}
-
-echo "== crw-bench fig11 table2 --no-cache (CRW_REPLAY_FAST=0)"
-run_replay replay_legacy 0 1
-echo "== crw-bench fig11 table2 --no-cache (CRW_REPLAY_FAST=1)"
-run_replay replay_fast 1 1
-echo "== crw-bench fig11 table2 --no-cache (fast, --jobs $jobs)"
-run_replay replay_fast_par 1 "$jobs"
-
-found=0
-for legacy_csv in "$workdir"/replay_legacy/bench_out/*.csv; do
-    [ -e "$legacy_csv" ] || break
-    found=1
-    name=$(basename "$legacy_csv")
-    if cmp -s "$legacy_csv" "$workdir/replay_fast/bench_out/$name" &&
-       cmp -s "$legacy_csv" \
-              "$workdir/replay_fast_par/bench_out/$name"; then
-        echo "  ok   $name identical on the fast and legacy paths"
-    else
-        echo "  FAIL $name differs between replay paths or job counts"
-        status=1
-    fi
-done
-if [ "$found" -eq 0 ]; then
-    echo "error: the legacy-path run produced no CSVs" >&2
-    exit 2
-fi
-
-if cmp -s "$workdir/replay_legacy/stdout.txt" \
-          "$workdir/replay_fast/stdout.txt"; then
-    echo "  ok   stdout identical on the fast and legacy paths"
-else
-    echo "  FAIL stdout differs between CRW_REPLAY_FAST=0 and =1"
-    status=1
-fi
-if cmp -s "$workdir/replay_fast/stdout.txt" \
-          "$workdir/replay_fast_par/stdout.txt"; then
-    echo "  ok   fast-path stdout identical at --jobs 1 and --jobs $jobs"
-else
-    echo "  FAIL fast-path stdout differs between --jobs 1 and" \
-         "--jobs $jobs"
-    status=1
-fi
-
-# CRW_REPLAY_FAST=0 also pins lockstep batching off (the batch loop
-# is a fast-path specialization), so the legacy run legitimately lacks
-# the replay.batch* counters — and replay.simd_path, which only the
-# batched follower pass records; strip both for the legacy-vs-fast
-# and batched-vs-per-point views only. The batched runs keep them:
-# across job counts they must agree.
-# Stripping a counter that happened to be last in its block leaves
-# the new last line with a now-spurious trailing comma, so the views
-# drop counter-line commas before comparing.
-strip_batch_counters() {
-    metrics_view "$1" | grep -v '^    "replay\.batch' |
-        grep -v '^    "replay\.simd' | sed 's/,$//'
-}
-strip_batch_counters "$workdir/replay_legacy/metrics.json" \
-    > "$workdir/replay_legacy.view"
-strip_batch_counters "$workdir/replay_fast/metrics.json" \
-    > "$workdir/replay_fast.view"
-metrics_view "$workdir/replay_fast/metrics.json" \
-    > "$workdir/replay_fast_full.view"
-metrics_view "$workdir/replay_fast_par/metrics.json" \
-    > "$workdir/replay_fast_par.view"
-if cmp -s "$workdir/replay_legacy.view" "$workdir/replay_fast.view"; then
-    echo "  ok   metrics.json identical on the fast and legacy paths"
-else
-    echo "  FAIL metrics.json differs between CRW_REPLAY_FAST=0 and =1"
-    status=1
-fi
-if cmp -s "$workdir/replay_fast_full.view" \
-          "$workdir/replay_fast_par.view"; then
-    echo "  ok   fast-path metrics.json identical across job counts"
-else
-    echo "  FAIL fast-path metrics.json differs between --jobs 1 and" \
-         "--jobs $jobs"
-    status=1
-fi
-
 # Part 6: the arena-backed stores. One directory runs `crw-bench
 # fig11 table2` cold (populating bench_out/flat/ and
 # bench_out/results/store.crwstore), then warm (everything must come
@@ -551,7 +453,7 @@ for cold_csv in "$workdir"/store/bench_out/*.csv; do
 done
 
 # Part 7: lockstep batch replay. CRW_REPLAY_BATCH=0 pins every cache
-# miss to the per-point fast path; the default groups misses that
+# miss to the per-point replay; the default groups misses that
 # share a (behavior, scheme, cost model, policy) batch key into one
 # lockstep pass per trace. Both must produce the same bytes, and the
 # counters must show the batched run actually batched. --no-cache
@@ -600,6 +502,17 @@ else
     status=1
 fi
 
+# Only batched runs record the replay.batch* counters — and
+# replay.simd_path, which only the batched follower pass records;
+# strip both for the batched-vs-per-point views. The batched runs keep
+# them: across job counts they must agree. Stripping a counter that
+# happened to be last in its block leaves the new last line with a
+# now-spurious trailing comma, so the views drop counter-line commas
+# before comparing.
+strip_batch_counters() {
+    metrics_view "$1" | grep -v '^    "replay\.batch' |
+        grep -v '^    "replay\.simd' | sed 's/,$//'
+}
 strip_batch_counters "$workdir/batch_off/metrics.json" \
     > "$workdir/batch_off.view"
 strip_batch_counters "$workdir/batch_on/metrics.json" \
@@ -866,8 +779,8 @@ if [ "$status" -eq 0 ]; then
     echo "determinism check passed: identical output at --jobs 1 and" \
          "--jobs $jobs, with observability on and off," \
          "with the result cache cold," \
-         "warm, shared and disabled, with the fast replay path on" \
-         "and off, with the arena stores cold, warm, bypassed" \
+         "warm, shared and disabled, with the arena stores cold," \
+         "warm, bypassed" \
          "and concurrently attached, with lockstep batch replay" \
          "on and off, with the synthetic policy sweep across" \
          "job counts and batch modes, and with the follower replay" \

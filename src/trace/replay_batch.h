@@ -37,54 +37,26 @@
  * identical to what K per-point cores would each record
  * (tests/win/test_batch_replay.cc pins all of this differentially).
  *
- * Within a batch only lane 0 runs the walk inline; it records the
+ * A batch runs the one flat replay loop (replay_state.h) over a
+ * BatchedEngineView: only lane 0 runs the walk inline; it records the
  * engine-op stream, and BatchedEngineView::finish() replays the
  * followers from that record — per lane for the sharing schemes and
  * on the scalar tier, or for NS/INF in one lane-SoA pass with SIMD
  * run kernels on the vector tiers ($CRW_SIMD, win/simd.h, DESIGN.md
  * §16). The tier is a host-side choice only: every tier produces
- * bit-identical lane results.
+ * bit-identical lane results. A one-config batch has no followers and
+ * runs the single-engine FastEngineView, as a per-point replay does.
  */
 
 #ifndef CRW_TRACE_REPLAY_BATCH_H_
 #define CRW_TRACE_REPLAY_BATCH_H_
 
-#include <memory>
 #include <vector>
 
-#include "rt/sched_core.h"
-#include "trace/behavior.h"
-#include "trace/event_trace.h"
-#include "trace/flat_trace.h"
 #include "trace/replay_state.h"
-#include "trace/run_metrics.h"
-#include "win/engine.h"
 #include "win/simd.h"
 
 namespace crw {
-
-namespace detail_replay {
-
-/**
- * The lockstep batch loop over shared control state and K lanes.
- * Internal: ReplayDriver (ReplayPath::Batched) runs it at width one
- * over its own state; BatchedReplayDriver runs it at full width. The
- * caller has checked lockstepBatchable for any width above one.
- *
- * @param simd_path When non-null, receives the follower pass the
- *        batch actually dispatched (BatchedEngineView::simdPathTaken):
- *        Scalar when the per-lane pass ran the followers, else the
- *        SoA tier.
- */
-void runLockstepLoop(const EventTrace &trace, const FlatTrace &flat,
-                     SchedCore &core, SchedPolicyBox &policy,
-                     std::vector<RStream> &streams,
-                     std::vector<RThread> &threads,
-                     WindowEngine *const *engines,
-                     BehaviorTracker &tracker, std::size_t lanes,
-                     SimdTier *simd_path = nullptr);
-
-} // namespace detail_replay
 
 /**
  * The static batch rule: whether points of (@p scheme, @p policy) may
@@ -137,47 +109,35 @@ class BatchedReplayDriver
      */
     bool run();
 
-    std::size_t lanes() const { return engines_.size(); }
+    std::size_t lanes() const { return state_.lanes(); }
 
     /** Metrics of lane @p lane. Fatal before run(). */
-    RunMetrics metrics(std::size_t lane) const;
+    RunMetrics metrics(std::size_t lane) const
+    {
+        return state_.metrics(lane);
+    }
 
     WindowEngine &engine(std::size_t lane)
     {
-        return *engines_[lane];
+        return state_.engine(lane);
     }
     const WindowEngine &engine(std::size_t lane) const
     {
-        return *engines_[lane];
+        return state_.engine(lane);
     }
-    const SchedCore &core() const { return core_; }
+    const SchedCore &core() const { return state_.core; }
 
     /**
      * The follower pass run() actually dispatched: Scalar when the
      * per-lane pass replayed the followers (scalar tier, or a sharing
-     * scheme on any tier), else the lane-SoA tier. Meaningless before
-     * run().
+     * scheme on any tier) or there were none (one lane), else the
+     * lane-SoA tier. Meaningless before run().
      */
     SimdTier simdPath() const { return simdPath_; }
 
   private:
-    const EventTrace &trace_;
-    const FlatTrace *flat_;
-    std::unique_ptr<FlatTrace> ownedFlat_;
-    std::vector<std::unique_ptr<WindowEngine>> engines_;
-    /**
-     * One tracker for all lanes: every field RunMetrics reads from it
-     * depends only on the shared event sequence (the granularity
-     * distribution is the lone per-clock member, and nothing collects
-     * it from a replay).
-     */
-    BehaviorTracker tracker_;
-    SchedCore core_;
-    SchedPolicyBox policy_;
-    std::vector<RStream> streams_;
-    std::vector<RThread> threads_;
+    ReplayState state_;
     SimdTier simdPath_ = SimdTier::Scalar;
-    bool ran_ = false;
 };
 
 } // namespace crw

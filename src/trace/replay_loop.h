@@ -1,0 +1,266 @@
+/**
+ * @file
+ * The flat replay loop (DESIGN.md §12), written once and instantiated
+ * per (engine view, scheme, policy). Private to the two drivers:
+ * replay_driver.cc instantiates it over FastEngineView, replay_batch.cc
+ * over BatchedEngineView, so the two sets compile in parallel.
+ */
+
+#ifndef CRW_TRACE_REPLAY_LOOP_H_
+#define CRW_TRACE_REPLAY_LOOP_H_
+
+#include <type_traits>
+#include <utility>
+
+#include "common/logging.h"
+#include "trace/replay_state.h"
+#include "win/schemes_impl.h"
+
+namespace crw {
+namespace detail_replay {
+
+/**
+ * The flat dispatch loop: the state machine of the oracle
+ * (ReplayDriver::runThread) with the script walk flattened to an
+ * index into the predecoded arena and every engine event inlined
+ * through a View built from @p view_args. The stream/waiter/scheduler
+ * statements are the oracle's exactly — only the event decode and the
+ * engine dispatch differ. Returns the view's finish(): the follower
+ * pass a batch dispatched.
+ *
+ * The view is a local of the loop on purpose: its cost tables and
+ * engine pointers then provably alias none of the counters the event
+ * bodies write, so they can stay in registers.
+ *
+ * The view answers the one engine-state read of the control path,
+ * residency at a wake (consulted by the working-set policies only).
+ * A BatchedEngineView answers for its leader; the static batch rule
+ * (lockstepBatchable, replay_batch.h) makes that answer lane-invariant.
+ * Every other policy input (static priorities, the round-robin
+ * quantum's charge operands) is lane-invariant by the policy
+ * determinism contract (rt/sched_core.h).
+ */
+// flatten: the instantiations are each large enough that gcc's
+// unit-growth budget otherwise gives up on inlining the window-file
+// and scheme primitives (thread(), claimAsTop(), ...) precisely where
+// they fire hundreds of millions of times per sweep.
+template <typename View, typename PolicyT, typename... ViewArgs>
+__attribute__((flatten)) SimdTier
+flatLoop(ReplayState &st, const FlatTrace &flat, PolicyT &pol,
+         ViewArgs &&...view_args)
+{
+    View view(std::forward<ViewArgs>(view_args)...);
+    SchedCore &core = st.core;
+    BehaviorTracker &tracker = st.tracker;
+    std::vector<RStream> &streams = st.streams;
+    std::vector<RThread> &threads = st.threads;
+    const std::uint8_t *const ops = flat.ops;
+    const std::uint64_t *const operands = flat.operands;
+
+    // Mirror of ReplayDriver::wakeAllSlow, bound to the concrete
+    // policy type so queue placement compiles to straight-line code.
+    const auto wakeAllSlow = [&](SmallVec<ThreadId, 8> &waiters) {
+        for (const ThreadId wtid : waiters) {
+            RThread &w = threads[static_cast<std::size_t>(wtid)];
+            if (w.state != RState::Blocked)
+                continue;
+            w.state = RState::Ready;
+            if constexpr (PolicyT::kUsesResidency)
+                pol.wake(core, wtid, view.resident(wtid));
+            else
+                pol.wake(core, wtid, false);
+        }
+        waiters.clear();
+    };
+    // Most stream operations find nobody parked (wakes happen on the
+    // full/empty edges only), so the empty case costs one load.
+    const auto wakeAll = [&](SmallVec<ThreadId, 8> &waiters) {
+        if (!waiters.empty())
+            wakeAllSlow(waiters);
+    };
+
+    while (!core.idle()) {
+        const ThreadId tid = core.dispatchNext();
+        if constexpr (PolicyT::kHasQuantum)
+            pol.resetQuantum();
+        RThread &t = threads[static_cast<std::size_t>(tid)];
+        crw_assert(t.state == RState::Ready);
+        t.state = RState::Running;
+        if (view.current() != tid) {
+            const ThreadId from = view.current();
+            const Cycles begin = view.now();
+            view.contextSwitch(tid);
+            tracker.onSwitch(from, tid, view.depth(tid), begin,
+                             view.now());
+        }
+
+        std::uint32_t pc = t.pc;
+        const std::uint32_t end =
+            flat.threads[static_cast<std::size_t>(tid)].end;
+        bool running = true;
+        while (running) {
+            if (pc == end)
+                st.fatalEndedWithoutExit(tid);
+            // After each handler, the dominant successor op (measured
+            // on the spell traces: every Save is followed by a Charge,
+            // most Restores by a Save, most Gets by a Restore) is
+            // peeked and handled inline — a predictable conditional
+            // branch instead of a round trip through the switch's
+            // indirect dispatch. The executed event sequence is
+            // exactly the oracle's.
+            switch (static_cast<TraceOp>(ops[pc])) {
+              case TraceOp::Save:
+              save_op:
+                view.save();
+                tracker.onSave(tid, view.depth(tid));
+                ++pc;
+                if (pc != end &&
+                    static_cast<TraceOp>(ops[pc]) == TraceOp::Charge)
+                    goto charge_op;
+                break;
+              case TraceOp::Restore:
+              restore_op:
+                view.restore();
+                tracker.onRestore(tid, view.depth(tid));
+                ++pc;
+                if (pc != end &&
+                    static_cast<TraceOp>(ops[pc]) == TraceOp::Save)
+                    goto save_op;
+                break;
+              case TraceOp::Charge:
+              charge_op:
+                view.charge(static_cast<Cycles>(operands[pc]));
+                if constexpr (PolicyT::kHasQuantum) {
+                    // Preemption point: the charge has executed, then
+                    // the thread yields to the tail of the queue —
+                    // same statement order as the oracle loop. The
+                    // operand is a shared trace value, so every lane
+                    // observes the identical quantum schedule.
+                    if (pol.chargeExpires(
+                            static_cast<Cycles>(operands[pc]))) {
+                        ++pc;
+                        pol.onQuantumExpiry(core, tid);
+                        t.state = RState::Ready;
+                        running = false;
+                        break;
+                    }
+                }
+                ++pc;
+                if (pc != end) {
+                    const TraceOp next = static_cast<TraceOp>(ops[pc]);
+                    if (next == TraceOp::Get)
+                        goto get_op;
+                    if (next == TraceOp::Put)
+                        goto put_op;
+                    if (next == TraceOp::Save)
+                        goto save_op;
+                }
+                break;
+              case TraceOp::Put:
+              put_op: {
+                RStream &s = streams[operands[pc]];
+                if (s.count == s.capacity) {
+                    wakeAll(s.readWaiters);
+                    s.writeWaiters.push_back(tid);
+                    t.state = RState::Blocked;
+                    running = false;
+                    break;
+                }
+                ++s.count;
+                wakeAll(s.readWaiters);
+                ++pc;
+                if (pc != end) {
+                    const TraceOp next = static_cast<TraceOp>(ops[pc]);
+                    if (next == TraceOp::Restore)
+                        goto restore_op;
+                    if (next == TraceOp::Put)
+                        goto put_op;
+                }
+                break;
+              }
+              case TraceOp::Get:
+              get_op: {
+                RStream &s = streams[operands[pc]];
+                if (s.count == 0) {
+                    if (s.openWriters == 0) {
+                        ++pc;
+                        break;
+                    }
+                    wakeAll(s.writeWaiters);
+                    s.readWaiters.push_back(tid);
+                    t.state = RState::Blocked;
+                    running = false;
+                    break;
+                }
+                --s.count;
+                wakeAll(s.writeWaiters);
+                ++pc;
+                if (pc != end &&
+                    static_cast<TraceOp>(ops[pc]) == TraceOp::Restore)
+                    goto restore_op;
+                break;
+              }
+              case TraceOp::Close: {
+                RStream &s = streams[operands[pc]];
+                crw_assert(s.openWriters > 0);
+                if (--s.openWriters == 0)
+                    wakeAll(s.readWaiters);
+                ++pc;
+                break;
+              }
+              case TraceOp::Exit:
+                ++pc;
+                if (pc != end)
+                    st.fatalEventsAfterExit(tid);
+                view.threadExit();
+                tracker.onExit(tid);
+                t.state = RState::Finished;
+                running = false;
+                break;
+            }
+        }
+        t.pc = pc;
+    }
+    return view.finish();
+}
+
+/**
+ * Run the flat loop over @p st with a View<SchemeT> built from
+ * @p view_args, instantiated for the lead engine's concrete scheme
+ * class and the concrete policy type (SchedPolicyBox::visit), so the
+ * policy's placement verbs and quantum branches compile to
+ * straight-line code inside the flattened loop.
+ */
+template <template <typename> class View, typename... ViewArgs>
+SimdTier
+replayFlatWith(ReplayState &st, const FlatTrace &flat,
+               ViewArgs &&...view_args)
+{
+    SimdTier taken = SimdTier::Scalar;
+    const auto dispatch = [&](auto scheme_tag) {
+        using SchemeT = typename decltype(scheme_tag)::type;
+        st.policy.visit([&](auto &pol) {
+            taken = flatLoop<View<SchemeT>>(st, flat, pol, view_args...);
+        });
+    };
+    switch (st.engine(0).scheme()) {
+      case SchemeKind::NS:
+        dispatch(std::type_identity<detail::NsScheme>{});
+        return taken;
+      case SchemeKind::SNP:
+        dispatch(std::type_identity<detail::SnpScheme>{});
+        return taken;
+      case SchemeKind::SP:
+        dispatch(std::type_identity<detail::SpScheme>{});
+        return taken;
+      case SchemeKind::Infinite:
+        dispatch(std::type_identity<detail::InfiniteScheme>{});
+        return taken;
+    }
+    crw_unreachable("bad scheme kind");
+}
+
+} // namespace detail_replay
+} // namespace crw
+
+#endif // CRW_TRACE_REPLAY_LOOP_H_

@@ -1,23 +1,43 @@
 /**
  * @file
- * The replay state machine's control-state types, shared by the
- * per-point ReplayDriver (replay_driver.h) and the lockstep batched
- * driver (replay_batch.h). One schedule is one instance of this
- * state: a SchedCore, one RStream per bounded stream, one RThread per
- * application thread. The per-point driver pairs it with a single
- * engine; the batched driver drives K engines from the same instance,
- * which is exactly what makes a batch lockstep — control flow lives
- * here and only here, engine state lives per lane.
+ * The replay state machine's shared half (DESIGN.md §12): the control
+ * state of one schedule and the flat dispatch loop that advances it,
+ * used by both the per-point ReplayDriver (replay_driver.h) and the
+ * lockstep BatchedReplayDriver (replay_batch.h).
+ *
+ * One schedule is one ReplayState: a SchedCore, one RStream per
+ * bounded stream, one RThread per application thread, one
+ * BehaviorTracker — and the K >= 1 engines (lanes) the schedule
+ * drives. Control flow lives here and only here; engine state lives
+ * per lane, which is exactly what makes a batch lockstep.
+ *
+ * replayFlat() walks the predecoded FlatTrace through ONE loop
+ * (replay_loop.h), templated on the engine view. The view is picked
+ * by lane count: a
+ * single lane runs FastEngineView (win/engine_fast.h), more than one
+ * the leader/follower BatchedEngineView (win/engine_batch.h). Both
+ * views stay because each wins on traffic the sweeps run: a width-1
+ * batch measured 1.10–1.32x slower than the single-engine view, and a
+ * quarter of a --no-cache sweep's points replay alone.
  */
 
 #ifndef CRW_TRACE_REPLAY_STATE_H_
 #define CRW_TRACE_REPLAY_STATE_H_
 
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/small_vec.h"
 #include "common/types.h"
+#include "rt/sched_core.h"
+#include "trace/behavior.h"
 #include "trace/event_trace.h"
+#include "trace/flat_trace.h"
+#include "trace/run_metrics.h"
+#include "win/engine.h"
+#include "win/simd.h"
 
 namespace crw {
 
@@ -45,9 +65,101 @@ enum class RState : std::uint8_t {
 struct RThread
 {
     TraceCursor cursor;
-    /** Fast/batched loops: index of the next event in the flat arena. */
+    /** Flat loop: index of the next event in the flat arena. */
     std::uint32_t pc = 0;
     RState state = RState::Ready;
+};
+
+class ReplayState
+{
+  public:
+    /**
+     * Build one engine per config and the stream/thread images of
+     * @p trace, then spawn every thread in dense-tid order on each
+     * engine and on the policy (priorities from the trace) — exactly
+     * as Scheduler::spawn.
+     *
+     * @param flat Optional predecoded image of @p trace (not owned);
+     *        when absent, replayFlat() predecodes privately.
+     */
+    ReplayState(const EventTrace &trace,
+                const std::vector<EngineConfig> &configs,
+                SchedPolicy policy, const FlatTrace *flat);
+
+    ReplayState(const ReplayState &) = delete;
+    ReplayState &operator=(const ReplayState &) = delete;
+
+    /**
+     * Mark the driver's one run. Fatal on a second call: rerunning
+     * would silently accumulate into the first run's counters.
+     */
+    void beginRun();
+
+    /**
+     * Replay the whole trace through the flat loop — FastEngineView
+     * at one lane, BatchedEngineView above. Returns the follower pass
+     * the batch dispatched (BatchedEngineView::finish); Scalar at one
+     * lane, which has no followers.
+     */
+    SimdTier replayFlat();
+
+    /**
+     * Fatal unless every thread finished (a trace/config mismatch),
+     * then close the tracker at lane 0's clock.
+     */
+    void endRun();
+
+    /**
+     * Metrics of lane @p lane. Fatal before the run: the engines and
+     * tracker hold a half-initialized state that would serialize as a
+     * plausible-looking all-zero record.
+     */
+    RunMetrics metrics(std::size_t lane) const;
+
+    [[noreturn]] void fatalEventsAfterExit(ThreadId tid) const;
+    [[noreturn]] void fatalEndedWithoutExit(ThreadId tid) const;
+
+    /**
+     * Replay coordinate for fatal diagnostics, e.g. `behavior "k",
+     * SP/w8/fifo`, or `behavior "k", SP/fifo, batch of 3` for a
+     * batch. A stuck or mismatched replay is almost always one bad
+     * point in a large sweep, so a bare thread id is undebuggable.
+     */
+    std::string context() const;
+
+    std::size_t lanes() const { return engines_.size(); }
+    WindowEngine &engine(std::size_t lane) { return *engines_[lane]; }
+    const WindowEngine &engine(std::size_t lane) const
+    {
+        return *engines_[lane];
+    }
+
+    const EventTrace &trace;
+    SchedCore core;
+    SchedPolicyBox policy;
+    /**
+     * One tracker for all lanes: every field RunMetrics reads from it
+     * depends only on the shared event sequence (the granularity
+     * distribution is the lone per-clock member, and nothing collects
+     * it from a replay).
+     */
+    BehaviorTracker tracker;
+    std::vector<RStream> streams;
+    std::vector<RThread> threads;
+
+  private:
+    // replayFlat() over each view. Each is defined next to the driver
+    // whose traffic it serves (replay_driver.cc, replay_batch.cc), so
+    // the two instantiation sets of the loop (replay_loop.h) compile in
+    // parallel, and the out-of-line helpers above (the fatals and their
+    // string building) stay out of the flattened loops.
+    SimdTier replaySingle(const FlatTrace &flat);
+    SimdTier replayLockstep(const FlatTrace &flat);
+
+    std::vector<std::unique_ptr<WindowEngine>> engines_;
+    const FlatTrace *flat_;
+    std::unique_ptr<FlatTrace> ownedFlat_;
+    bool ran_ = false;
 };
 
 } // namespace crw

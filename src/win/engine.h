@@ -131,7 +131,7 @@ struct ThreadCounters
     std::uint64_t switchesIn = 0;
 };
 
-template <typename SchemeT, typename ObserverPolicy>
+template <typename SchemeT>
 class FastEngineView;
 
 template <typename SchemeT>
@@ -244,7 +244,7 @@ class WindowEngine
     std::uint64_t switchCaseCount(int saved, int restored) const;
 
   private:
-    template <typename SchemeT, typename ObserverPolicy>
+    template <typename SchemeT>
     friend class FastEngineView;
 
     template <typename SchemeT>

@@ -1,9 +1,11 @@
 /**
  * @file
  * BatchedEngineView: the lockstep sibling of FastEngineView
- * (engine_fast.h). One view fronts an array of up to K WindowEngines
- * that replay the same FlatTrace under the same schedule, so one
- * forward pass over the trace advances all K engine states.
+ * (engine_fast.h), driven by the same flat replay loop
+ * (trace/replay_loop.h) whenever a schedule has more than one lane.
+ * One view fronts K >= 2 WindowEngines that replay the same FlatTrace
+ * under the same schedule, so one forward pass over the trace
+ * advances all K engine states.
  *
  * Why this is sound: the replay state machine's control flow (dispatch
  * order, stream blocking, thread scripts) never reads engine state
@@ -64,8 +66,8 @@
  * flushed state is bit-identical to a per-point replay's.
  *
  * Observer-carrying and checkInvariants engines are refused: batched
- * replay is for headless sweep points only, and the driver layer
- * falls back to the per-point paths for everything else.
+ * replay is for headless sweep points only, and both features belong
+ * to the per-point oracle.
  */
 
 #ifndef CRW_WIN_ENGINE_BATCH_H_
@@ -73,6 +75,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -90,23 +93,28 @@ class BatchedEngineView
 {
   public:
     /**
-     * @param engines K engines sharing scheme kind; window counts and
-     *        PRW/allocation variants may differ per lane. None may
+     * @param engines K >= 2 engines sharing scheme kind; window counts
+     *        and PRW/allocation variants may differ per lane. None may
      *        carry an observer or checkInvariants (oracle-only
      *        features), and all must be at the same point of the
      *        schedule (freshly constructed, same registered threads).
+     * @param trace_events Events of the trace to replay; pre-sizes the
+     *        recorded op stream (engine ops are a fraction of the
+     *        events; half is a generous ceiling).
      */
-    BatchedEngineView(WindowEngine *const *engines, std::size_t lanes)
-        : lanes_(lanes)
+    BatchedEngineView(
+        const std::vector<std::unique_ptr<WindowEngine>> &engines,
+        std::size_t trace_events)
+        : lanes_(engines.size())
     {
-        crw_assert(lanes > 0);
-        e_.reserve(lanes);
-        s_.reserve(lanes);
-        t_.reserve(lanes);
-        hot_.reserve(lanes);
-        offset_.reserve(lanes);
-        psr_.reserve(lanes);
-        for (std::size_t l = 0; l < lanes; ++l) {
+        crw_assert(lanes_ > 1);
+        e_.reserve(lanes_);
+        s_.reserve(lanes_);
+        t_.reserve(lanes_);
+        hot_.reserve(lanes_);
+        offset_.reserve(lanes_);
+        psr_.reserve(lanes_);
+        for (std::size_t l = 0; l < lanes_; ++l) {
             WindowEngine &e = *engines[l];
             crw_assert(e.kind_ == engines[0]->kind_);
             crw_assert(!e.checkInvariants_);
@@ -126,18 +134,7 @@ class BatchedEngineView
         threadSaves_.resize(engines[0]->threadCounters_.size());
         threadRestores_.resize(threadSaves_.size());
         threadSwitchesIn_.resize(threadSaves_.size());
-    }
-
-    /**
-     * Pre-size the recorded op stream (engine ops are a fraction of
-     * @p trace_events; half is a generous ceiling). No-op at width 1,
-     * which records nothing.
-     */
-    void
-    reserveOps(std::size_t trace_events)
-    {
-        if (lanes_ > 1)
-            ops_.reserve(trace_events / 2);
+        ops_.reserve(trace_events / 2);
     }
 
     void
@@ -150,8 +147,7 @@ class BatchedEngineView
             s_[0]->template doSave<false>(current_);
         if (out.trapped)
             chargeOverflow(0, out.windowsSaved);
-        if (lanes_ > 1)
-            record(OpRec::Kind::Save, current_, kNoThread);
+        record(OpRec::Kind::Save, current_, kNoThread);
     }
 
     void
@@ -164,14 +160,12 @@ class BatchedEngineView
             s_[0]->template doRestore<false>(current_);
         if (out.trapped)
             chargeUnderflow(0, out.windowsRestored);
-        if (lanes_ > 1)
-            record(OpRec::Kind::Restore, current_, kNoThread);
+        record(OpRec::Kind::Restore, current_, kNoThread);
     }
 
     /**
-     * Switch every lane to @p to. The leader's switch span is kept in
-     * switchBegin(0) .. now(0) for the tracker; followers re-derive
-     * their own costs during replay.
+     * Switch every lane to @p to: the leader now, the followers at
+     * finish(), where they re-derive their own costs.
      */
     void
     contextSwitch(ThreadId to)
@@ -181,11 +175,9 @@ class BatchedEngineView
         current_ = to;
         ++threadSwitchesIn_[static_cast<std::size_t>(to)];
         ++sharedSwitches_;
-        switchBegin0_ = now(0);
         applySwitch(s_[0], t_[0], *e_[0], hot_[0], offset_[0], from,
                     to);
-        if (lanes_ > 1)
-            record(OpRec::Kind::Switch, from, to);
+        record(OpRec::Kind::Switch, from, to);
     }
 
     void
@@ -194,8 +186,7 @@ class BatchedEngineView
         crw_assert(current_ != kNoThread);
         ++sharedExits_;
         s_[0]->template doExit<false>(current_);
-        if (lanes_ > 1)
-            record(OpRec::Kind::Exit, current_, kNoThread);
+        record(OpRec::Kind::Exit, current_, kNoThread);
         current_ = kNoThread;
     }
 
@@ -204,32 +195,27 @@ class BatchedEngineView
 
     /**
      * Working-set wake support: the leader's residency of @p tid, the
-     * queue-placement input the scheduler consumes. Lane-invariant
-     * whenever the batch is wider than one lane (the static batch
-     * rule, trace/replay_batch.h).
+     * queue-placement input the scheduler consumes. The static batch
+     * rule (trace/replay_batch.h) admits a residency-reading policy
+     * only under NS and INF, where a woken thread is resident on no
+     * lane; the assert checks that claim where it is used.
      */
     bool
     resident(ThreadId tid) const
     {
-        return e_[0]->isResident(tid);
+        const bool resident = e_[0]->isResident(tid);
+        crw_assert(!resident);
+        return resident;
     }
 
     ThreadId current() const { return current_; }
-    std::size_t lanes() const { return lanes_; }
 
     /** Leader clock; only lane 0 is live before finish(). */
     Cycles
-    now(std::size_t lane) const
+    now() const
     {
-        crw_assert(lane == 0);
         return charges_ +
                psr_[0] * (sharedSaves_ + sharedRestores_) + offset_[0];
-    }
-    Cycles
-    switchBegin(std::size_t lane) const
-    {
-        crw_assert(lane == 0);
-        return switchBegin0_;
     }
 
     /**
@@ -244,42 +230,30 @@ class BatchedEngineView
     }
 
     /**
-     * The follower pass finish() actually dispatched: the SoA tier it
-     * ran, or Scalar when the per-lane pass handled the followers
-     * (scalar tier, a sharing scheme, or a width-1 batch that replays
-     * nothing). What replay.simd_path publishes.
-     */
-    SimdTier
-    simdPathTaken() const
-    {
-        return simdPathTaken_;
-    }
-
-    /**
      * Replay the recorded op stream through every follower lane, then
      * flush the accumulated clocks/counters back into the engines.
-     * Call exactly once, when the control loop has drained.
+     * Call exactly once, when the control loop has drained. Returns
+     * the follower pass dispatched: the SoA tier it ran, or Scalar
+     * when the per-lane pass handled the followers (scalar tier or a
+     * sharing scheme). What replay.simd_path publishes.
      */
-    void
+    SimdTier
     finish()
     {
-        if (lanes_ > 1) {
-            // The per-lane shape runs one lane per stream pass, so the
-            // branch predictor sees a single lane's trap pattern per
-            // pass (pairing lanes was measured slower — the per-op
-            // trap branches alias across lanes and mispredict). The
-            // sharing schemes always take it: their slot-map probes
-            // are serial per lane, and interleaving lanes in one walk
-            // measured 0.97–0.98x against it (DESIGN.md §16).
-            const SimdTier tier =
-                kHasSoaPass ? effectiveSimdTier() : SimdTier::Scalar;
-            if (tier == SimdTier::Scalar) {
-                for (std::size_t l = 1; l < lanes_; ++l)
-                    replayLane(l);
-            } else if constexpr (kHasSoaPass) {
-                simdPathTaken_ = tier;
-                replaySoa(tier);
-            }
+        // The per-lane shape runs one lane per stream pass, so the
+        // branch predictor sees a single lane's trap pattern per pass
+        // (pairing lanes was measured slower — the per-op trap
+        // branches alias across lanes and mispredict). The sharing
+        // schemes always take it: their slot-map probes are serial per
+        // lane, and interleaving lanes in one walk measured 0.97–0.98x
+        // against it (DESIGN.md §16).
+        const SimdTier tier =
+            kHasSoaPass ? effectiveSimdTier() : SimdTier::Scalar;
+        if (tier == SimdTier::Scalar) {
+            for (std::size_t l = 1; l < lanes_; ++l)
+                replayLane(l);
+        } else if constexpr (kHasSoaPass) {
+            replaySoa(tier);
         }
         const std::uint64_t sr = sharedSaves_ + sharedRestores_;
         for (std::size_t l = 0; l < lanes_; ++l) {
@@ -302,6 +276,7 @@ class BatchedEngineView
                 tc.switchesIn += threadSwitchesIn_[tid];
             }
         }
+        return tier;
     }
 
   private:
@@ -662,7 +637,6 @@ class BatchedEngineView
     }
 
     std::size_t lanes_;
-    SimdTier simdPathTaken_ = SimdTier::Scalar;
     ThreadId current_ = kNoThread;
     /** Shared clock component: the sum of all charges so far. */
     Cycles charges_ = 0;
@@ -681,8 +655,7 @@ class BatchedEngineView
     std::vector<WindowEngine::HotCounters> hot_;
     std::vector<Cycles> offset_;
     std::vector<Cycles> psr_;
-    Cycles switchBegin0_ = 0;
-    /** The engine op stream the followers replay (width > 1 only);
+    /** The engine op stream the followers replay;
      *  64-byte aligned so the SoA pass's linear walk never splits a
      *  cache line (eight 8-byte records per line). */
     AlignedVec<OpRec> ops_;

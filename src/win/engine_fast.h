@@ -1,21 +1,17 @@
 /**
  * @file
- * FastEngineView: the statically-specialized engine event path used by
- * the replay fast loop (trace/replay_driver.cc).
+ * FastEngineView: the statically-specialized single-engine event path
+ * the flat replay loop (trace/replay_loop.h) drives at one lane.
  *
  * Each method is the same event body as the corresponding
- * WindowEngine member (engine.cc — the oracle), with three
- * compile-time specializations applied:
+ * WindowEngine member (engine.cc — the oracle), with two compile-time
+ * specializations applied:
  *
  *  - the Scheme handler is called on the concrete final class
  *    (schemes_impl.h), so it devirtualizes and inlines into the
  *    caller's event loop;
  *  - CostModel lookups go through precomputed FlatCostTables
- *    (cost_model.h), one dense array per cost family;
- *  - the observer is a compile-time policy: NoopEngineObserver
- *    removes every observer branch from the instantiation, while
- *    EngineObserverRef forwards to the installed virtual observer
- *    with exactly the oracle's call sequence.
+ *    (cost_model.h), one dense array per cost family.
  *
  * The view writes the engine's own counters and clock through
  * friendship, so a run driven through it is indistinguishable —
@@ -28,10 +24,10 @@
  * this path (see the policy note in win/window_file.h); the oracle
  * keeps them all.
  *
- * postEventCheck() is deliberately absent: the full invariant walk is
- * a debugging aid of the oracle path, so a view refuses engines
- * configured with checkInvariants (the replay driver falls back to
- * the oracle loop for those).
+ * The observer hooks and postEventCheck() are deliberately absent:
+ * the timeline observer and the full invariant walk are debugging
+ * aids of the oracle path, so a view refuses engines carrying either
+ * (the replay driver takes the oracle loop for those).
  */
 
 #ifndef CRW_WIN_ENGINE_FAST_H_
@@ -40,36 +36,24 @@
 #include "common/logging.h"
 #include "win/engine.h"
 #include "win/schemes_impl.h"
+#include "win/simd.h"
 
 namespace crw {
 
-/** Observer policy: compile-time "no observer installed". */
-struct NoopEngineObserver
-{
-    static constexpr bool kEnabled = false;
-};
-
-/** Observer policy: forward to the engine's installed observer. */
-struct EngineObserverRef
-{
-    static constexpr bool kEnabled = true;
-    EngineObserver *obs;
-};
-
-template <typename SchemeT, typename ObserverPolicy>
+template <typename SchemeT>
 class FastEngineView
 {
   public:
-    FastEngineView(WindowEngine &engine, ObserverPolicy observer)
+    explicit FastEngineView(WindowEngine &engine)
         : e_(engine),
           s_(static_cast<SchemeT &>(*engine.scheme_)),
-          t_(engine.cost_, engine.kind_, engine.file_.numWindows()),
-          o_(observer)
+          t_(engine.cost_, engine.kind_, engine.file_.numWindows())
     {
         // The concrete type must match the engine's runtime scheme,
-        // and the invariant-checking debug mode must use the oracle.
+        // and the oracle-only debug aids must take the oracle.
         crw_assert(s_.kind() == engine.kind_);
         crw_assert(!engine.checkInvariants_);
+        crw_assert(!engine.observer_);
     }
 
     void
@@ -83,26 +67,16 @@ class FastEngineView
         ++e_.threadCounters_[static_cast<std::size_t>(e_.current_)]
               .saves;
         Cycles cycles = t_.plainSaveRestore();
-        Cycles trap = 0;
         if (out.trapped) {
             ++e_.hot_.ovfTraps;
             e_.hot_.ovfSpilled +=
                 static_cast<std::uint64_t>(out.windowsSaved);
-            trap = t_.overflowCost(out.windowsSaved);
+            const Cycles trap = t_.overflowCost(out.windowsSaved);
             e_.hot_.cyclesTrap += trap;
             cycles += trap;
         }
         e_.hot_.cyclesCallret += t_.plainSaveRestore();
         e_.now_ += cycles;
-        if constexpr (ObserverPolicy::kEnabled) {
-            const int depth = e_.file_.thread(e_.current_).depth;
-            o_.obs->onSave(e_.current_, depth);
-            if (out.trapped)
-                o_.obs->onTrap(e_.current_, true, out.windowsSaved,
-                               e_.now_ - trap, e_.now_);
-            o_.obs->onSaveTimed(e_.current_, depth, e_.now_ - cycles,
-                                e_.now_);
-        }
     }
 
     void
@@ -116,26 +90,16 @@ class FastEngineView
         ++e_.threadCounters_[static_cast<std::size_t>(e_.current_)]
               .restores;
         Cycles cycles = t_.plainSaveRestore();
-        Cycles trap = 0;
         if (out.trapped) {
             ++e_.hot_.unfTraps;
             e_.hot_.unfRestored +=
                 static_cast<std::uint64_t>(out.windowsRestored);
-            trap = t_.underflowCost();
+            const Cycles trap = t_.underflowCost();
             e_.hot_.cyclesTrap += trap;
             cycles += trap;
         }
         e_.hot_.cyclesCallret += t_.plainSaveRestore();
         e_.now_ += cycles;
-        if constexpr (ObserverPolicy::kEnabled) {
-            const int depth = e_.file_.thread(e_.current_).depth;
-            o_.obs->onRestore(e_.current_, depth);
-            if (out.trapped)
-                o_.obs->onTrap(e_.current_, false, out.windowsRestored,
-                               e_.now_ - trap, e_.now_);
-            o_.obs->onRestoreTimed(e_.current_, depth,
-                                   e_.now_ - cycles, e_.now_);
-        }
     }
 
     void
@@ -167,9 +131,6 @@ class FastEngineView
         e_.hot_.cyclesSwitch += cycles;
         e_.dSwitchCost_->sample(static_cast<double>(cycles));
         e_.now_ += cycles;
-        if constexpr (ObserverPolicy::kEnabled)
-            o_.obs->onSwitch(from, to, e_.file_.thread(to).depth,
-                             e_.now_ - cycles, e_.now_);
     }
 
     void
@@ -178,8 +139,6 @@ class FastEngineView
         crw_assert(e_.current_ != kNoThread);
         s_.template doExit<false>(e_.current_);
         ++e_.stats_.counter("thread_exits");
-        if constexpr (ObserverPolicy::kEnabled)
-            o_.obs->onExit(e_.current_);
         e_.current_ = kNoThread;
     }
 
@@ -190,14 +149,19 @@ class FastEngineView
         e_.now_ += cycles;
     }
 
+    /** End of the run: a single engine has no followers to replay. */
+    SimdTier finish() const { return SimdTier::Scalar; }
+
     ThreadId current() const { return e_.current_; }
     Cycles now() const { return e_.now_; }
+    int depth(ThreadId tid) const { return e_.file_.thread(tid).depth; }
+    /** Working-set wake support: the engine's residency of @p tid. */
+    bool resident(ThreadId tid) const { return e_.isResident(tid); }
 
   private:
     WindowEngine &e_;
     SchemeT &s_;
     const FlatCostTables t_;
-    ObserverPolicy o_;
 };
 
 } // namespace crw

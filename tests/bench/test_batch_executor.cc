@@ -8,8 +8,8 @@
  * --no-cache path), a --trace-out run falls back to per-point
  * replays (the timeline observer is per-point only), and the static
  * batch rule keeps SNP/SP under the working-set policies at one lane.
- * Batched results must stay bit-identical to fresh per-point replays
- * throughout.
+ * Every result — batched or width-1, at any --jobs — must stay
+ * bit-identical to the oracle loop's replay of the same point.
  */
 
 #include <cstdint>
@@ -28,7 +28,9 @@
 #include "bench/plan.h"
 #include "obs/metrics.h"
 #include "trace/replay_batch.h"
+#include "trace/replay_driver.h"
 #include "trace/run_metrics.h"
+#include "trace/synth.h"
 #include "win/simd.h"
 
 namespace crw {
@@ -87,6 +89,28 @@ std::uint64_t
 counter(const char *name)
 {
     return metrics().counterValue(name);
+}
+
+/**
+ * The oracle loop's replay of @p p (ReplayPath::Legacy): the
+ * reference every executor result must match bit for bit.
+ */
+RunMetrics
+oracleReplay(const PlanPoint &p)
+{
+    ReplayDriver driver(cachedTrace(p.behavior), p.engine, p.policy);
+    driver.setPath(ReplayPath::Legacy);
+    driver.run();
+    return driver.metrics();
+}
+
+/** Expect every point of @p plan served bit-identical to the oracle. */
+void
+expectOracleResults(const ExperimentPlan &plan)
+{
+    for (const PlanPoint &p : plan.points())
+        EXPECT_TRUE(metricsBitIdentical(pointResult(p), oracleReplay(p)))
+            << pointConfigKey(p);
 }
 
 /**
@@ -172,15 +196,9 @@ TEST(BatchExecutor, ColdSweepReplaysOneLockstepBatch)
     EXPECT_EQ(counter("replay.points"), points + windows.size());
     EXPECT_GE(counter("replay.batch_width"), windows.size());
 
-    // Batched results are served bit-identical to a fresh per-point
+    // Batched results are served bit-identical to the oracle's
     // replay of the same coordinate.
-    for (const PlanPoint &p : plan.points()) {
-        const RunMetrics fresh =
-            replayPoint(cachedTrace(p.behavior), p.engine,
-                        p.policy, &cachedFlatTrace(p.behavior));
-        EXPECT_TRUE(metricsBitIdentical(pointResult(p), fresh))
-            << pointConfigKey(p);
-    }
+    expectOracleResults(plan);
 }
 
 TEST(BatchExecutor, WidthCapChunksRaggedBatches)
@@ -248,7 +266,7 @@ TEST(BatchExecutor, CacheDisabledSweepStillBatches)
     // configuration; this test makes the property explicit and also
     // covers a working-set plan end to end: NS under WS batches (a
     // woken thread is resident on no NS lane), and every point must
-    // come out bit-identical to a fresh replay.
+    // come out bit-identical to the oracle's replay.
     const ScopedNoCache nocache;
     const ExperimentPlan plan = windowsPlan(
         SchemeKind::NS, {4, 6, 32}, SchedPolicy::WorkingSet);
@@ -258,13 +276,7 @@ TEST(BatchExecutor, CacheDisabledSweepStillBatches)
     executePlan(plan);
     EXPECT_EQ(counter("replay.batches"), batches + 1);
     EXPECT_EQ(counter("replay.points"), points + 3);
-    for (const PlanPoint &p : plan.points()) {
-        const RunMetrics fresh =
-            replayPoint(cachedTrace(p.behavior), p.engine,
-                        p.policy, &cachedFlatTrace(p.behavior));
-        EXPECT_TRUE(metricsBitIdentical(pointResult(p), fresh))
-            << pointConfigKey(p);
-    }
+    expectOracleResults(plan);
 }
 
 TEST(BatchExecutor, StaticRuleKeepsSharingWorkingSetPointsUnbatched)
@@ -307,15 +319,70 @@ TEST(BatchExecutor, StaticRuleKeepsSharingWorkingSetPointsUnbatched)
               lanes + batchable * windows.size());
     EXPECT_EQ(counter("replay.points"), points + plan.points().size());
 
-    // A CRW_REPLAY_BATCH=0 run replays every miss through
-    // replayPoint(); a fresh replayPoint() per coordinate is that run.
-    for (const PlanPoint &p : plan.points()) {
-        const RunMetrics fresh =
-            replayPoint(cachedTrace(p.behavior), p.engine,
-                        p.policy, &cachedFlatTrace(p.behavior));
-        EXPECT_TRUE(metricsBitIdentical(pointResult(p), fresh))
-            << pointConfigKey(p);
+    expectOracleResults(plan);
+}
+
+/**
+ * The flat loop is invisible at sweep scale. A no-cache plan over a
+ * prioritized, lock-contended synthetic behavior (every policy
+ * reorders or parks threads there) mixes wide batches with every
+ * width-1 unit kind — SNP/SP under WS/WSA, an invariant-checking
+ * point, and a singleton group (INF at one window count) — across
+ * all five policies. At --jobs 1 and 4 every result must be
+ * bit-identical to the oracle's replay of its point.
+ */
+TEST(BatchExecutor, EveryUnitKindMatchesOracleAtAnyJobs)
+{
+    const ScopedNoCache nocache;
+    SynthSpec spec;
+    spec.topology = SynthSpec::Topology::FanInOut;
+    spec.threads = 4;
+    spec.items = 120;
+    spec.streamCapacity = 2;
+    spec.lockRounds = 10;
+    spec.prioritized = true;
+    spec.seed = 21;
+    const BehaviorId behavior = BehaviorId::fromSynth(spec);
+
+    for (const int jobs : {1, 4}) {
+        const std::string flag = "--jobs=" + std::to_string(jobs);
+        const char *argv[] = {"test_batch_executor", flag.c_str()};
+        ASSERT_TRUE(benchInit(2, argv));
+        ASSERT_EQ(sweepJobs(), jobs);
+
+        // Window counts unique to this job count: the in-process
+        // result store would serve a repeated point without a replay.
+        const int w0 = jobs == 1 ? 4 : 7;
+        ExperimentPlan plan;
+        std::size_t wide = 0;
+        for (const SchedPolicy policy : allSchedPolicies()) {
+            for (const SchemeKind scheme :
+                 {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP})
+                for (const int w : {w0, w0 + 1})
+                    plan.add(
+                        makePlanPoint(behavior, scheme, w, policy));
+            for (const SchemeKind scheme :
+                 {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP})
+                if (lockstepBatchable(scheme, policy))
+                    ++wide;
+            plan.add(makePlanPoint(behavior, SchemeKind::Infinite, w0,
+                                   policy));
+        }
+        PlanPoint checked = makePlanPoint(behavior, SchemeKind::SP,
+                                          w0 + 2, SchedPolicy::Fifo);
+        checked.engine.checkInvariants = true;
+        plan.add(checked);
+
+        const std::uint64_t batches = counter("replay.batches");
+        const std::uint64_t points = counter("replay.points");
+        executePlan(plan);
+        EXPECT_EQ(counter("replay.batches"), batches + wide);
+        EXPECT_EQ(counter("replay.points"),
+                  points + plan.points().size());
+        expectOracleResults(plan);
     }
+    const char *reset[] = {"test_batch_executor"};
+    ASSERT_TRUE(benchInit(1, reset));
 }
 
 } // namespace

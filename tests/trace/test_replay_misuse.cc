@@ -1,17 +1,22 @@
 /**
  * @file
  * ReplayDriver lifecycle misuse is fatal, not silent: metrics() before
- * run() would report an all-zero record, run() twice would accumulate
- * into finished counters, and ReplayPath::Fast cannot honor
- * checkInvariants (the post-event walk only exists on the oracle
- * path). Each must throw with the replay coordinate in the message.
+ * run() would report an all-zero record, and run() twice would
+ * accumulate into finished counters. Each must throw with the replay
+ * coordinate in the message. The oracle-only debugging aids
+ * (checkInvariants, an installed observer) route a point to the
+ * oracle loop, and a one-config batch takes the single-engine flat
+ * loop.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
 #include "trace/event_trace.h"
+#include "trace/replay_batch.h"
 #include "trace/replay_driver.h"
+#include "trace/synth.h"
+#include "win/simd.h"
 
 namespace crw {
 namespace {
@@ -48,16 +53,6 @@ TEST(ReplayMisuse, DoubleRunIsFatal)
     EXPECT_EQ(driver.metrics().saves, 1u);
 }
 
-TEST(ReplayMisuse, FastPathRefusesCheckInvariants)
-{
-    const EventTrace trace = tinyTrace();
-    EngineConfig ec;
-    ec.checkInvariants = true;
-    ReplayDriver driver(trace, ec, SchedPolicy::Fifo);
-    driver.setPath(ReplayPath::Fast);
-    EXPECT_THROW(driver.run(), FatalError);
-}
-
 TEST(ReplayMisuse, AutoWithInvariantsFallsBackToOracle)
 {
     const EventTrace trace = tinyTrace();
@@ -68,12 +63,55 @@ TEST(ReplayMisuse, AutoWithInvariantsFallsBackToOracle)
     EXPECT_FALSE(driver.usedFastPath());
 }
 
+/** Counts callbacks; any observer makes a point oracle-only. */
+class CountingObserver final : public EngineObserver
+{
+  public:
+    void onSave(ThreadId, int) override { ++events; }
+    int events = 0;
+};
+
+TEST(ReplayMisuse, InstalledObserverRunsOracle)
+{
+    const EventTrace trace = tinyTrace();
+    ReplayDriver driver(trace, EngineConfig{}, SchedPolicy::Fifo);
+    CountingObserver obs;
+    driver.engine().setObserver(&obs);
+    driver.run();
+    EXPECT_FALSE(driver.usedFastPath());
+    EXPECT_EQ(obs.events, 1);
+}
+
+TEST(ReplayMisuse, SingleConfigBatchMatchesOracleOnScalarPath)
+{
+    SynthSpec spec;
+    spec.threads = 3;
+    spec.items = 40;
+    spec.lockRounds = 5;
+    spec.prioritized = true;
+    const EventTrace trace = generateSynthTrace(spec);
+    for (const SchedPolicy policy : allSchedPolicies()) {
+        EngineConfig ec;
+        ec.scheme = SchemeKind::SP;
+        ec.numWindows = 5;
+        ReplayDriver oracle(trace, ec, policy);
+        oracle.setPath(ReplayPath::Legacy);
+        oracle.run();
+        BatchedReplayDriver batch(trace, {ec}, policy);
+        ASSERT_TRUE(batch.run());
+        EXPECT_TRUE(metricsBitIdentical(oracle.metrics(),
+                                        batch.metrics(0)))
+            << policyName(policy);
+        EXPECT_EQ(batch.simdPath(), SimdTier::Scalar)
+            << policyName(policy);
+    }
+}
+
 TEST(ReplayMisuse, ForcedPathsReportWhichLoopRan)
 {
     const EventTrace trace = tinyTrace();
     {
         ReplayDriver driver(trace, EngineConfig{}, SchedPolicy::Fifo);
-        driver.setPath(ReplayPath::Fast);
         driver.run();
         EXPECT_TRUE(driver.usedFastPath());
     }

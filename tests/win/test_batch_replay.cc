@@ -2,11 +2,10 @@
  * @file
  * The lockstep-batch contract (trace/replay_batch.h, DESIGN.md §14):
  * one forward pass over a FlatTrace advancing K engine states must
- * leave every lane with RunMetrics bit-identical to a per-point
- * replay of the same (scheme, windows, policy, PRW, alloc) point —
- * through both the width-1 ReplayPath::Batched loop and the
- * multi-lane BatchedReplayDriver, including ragged (non-power-of-two,
- * mixed-variant) batches — and on every follower dispatch tier
+ * leave every lane with RunMetrics bit-identical to the oracle's
+ * per-point replay of the same (scheme, windows, policy, PRW, alloc)
+ * point — including ragged (non-power-of-two, mixed-variant) batches
+ * and one-config batches — and on every follower dispatch tier
  * (win/simd.h): the scalar per-lane oracle and the NS/INF lane-SoA
  * pass with SSE2/AVX2 kernels must agree bit-for-bit at every lane
  * width (DESIGN.md §16). Working-set policies batch wide only under
@@ -165,8 +164,6 @@ replayTrace(const EventTrace &trace, const FlatTrace &flat,
     ReplayDriver driver(trace, configOf(v), v.policy, &flat);
     driver.setPath(path);
     driver.run();
-    EXPECT_EQ(driver.usedBatchedPath(), path == ReplayPath::Batched)
-        << variantName(v);
     return driver.metrics();
 }
 
@@ -174,6 +171,36 @@ RunMetrics
 replayOnce(const Variant &v, ReplayPath path)
 {
     return replayTrace(smallTrace(), smallFlat(), v, path);
+}
+
+/** One (trace, variant) point through a one-config batch driver. */
+RunMetrics
+replayWidth1Batch(const EventTrace &trace, const FlatTrace &flat,
+                  const Variant &v)
+{
+    BatchedReplayDriver batch(trace, {configOf(v)}, v.policy, &flat);
+    EXPECT_TRUE(batch.run());
+    EXPECT_EQ(batch.simdPath(), SimdTier::Scalar) << variantName(v);
+    return batch.metrics(0);
+}
+
+/**
+ * Oracle, per-point flat loop and one-config batch driver on one
+ * point: the three must agree bit-for-bit.
+ */
+void
+expectAllPathsAgree(const EventTrace &trace, const FlatTrace &flat,
+                    const Variant &v)
+{
+    const RunMetrics legacy =
+        replayTrace(trace, flat, v, ReplayPath::Legacy);
+    ReplayDriver driver(trace, configOf(v), v.policy, &flat);
+    driver.run();
+    EXPECT_TRUE(driver.usedFastPath()) << variantName(v);
+    const RunMetrics batched = replayWidth1Batch(trace, flat, v);
+    EXPECT_TRUE(metricsBitIdentical(legacy, driver.metrics()))
+        << variantName(v);
+    EXPECT_TRUE(metricsBitIdentical(legacy, batched)) << variantName(v);
 }
 
 /** Scoped follower-dispatch pin (win/simd.h). */
@@ -195,26 +222,45 @@ hostTiers()
 }
 
 /**
- * The width-1 batched loop is the differential anchor: it must agree
- * with both other loops at every variant — including the SNP/SP
- * working-set points the static rule keeps at one lane.
+ * A one-config batch runs the single-engine flat loop, the
+ * differential anchor between the two drivers: it must agree with the
+ * oracle and the per-point driver at every variant, including the
+ * SNP/SP working-set points the static rule keeps at one lane.
  */
 TEST(BatchReplay, Width1BatchedLoopMatchesOracleAndFastEverywhere)
 {
-    for (const Variant &v : allVariants()) {
-        const RunMetrics legacy = replayOnce(v, ReplayPath::Legacy);
-        const RunMetrics fast = replayOnce(v, ReplayPath::Fast);
-        const RunMetrics batched = replayOnce(v, ReplayPath::Batched);
-        EXPECT_TRUE(metricsBitIdentical(legacy, batched))
-            << variantName(v);
-        EXPECT_TRUE(metricsBitIdentical(fast, batched))
-            << variantName(v);
-    }
+    for (const Variant &v : allVariants())
+        expectAllPathsAgree(smallTrace(), smallFlat(), v);
 }
 
 /**
- * Per-lane differential: batch lanes against per-point fast runs.
- * Returns the follower pass the batch dispatched.
+ * Legacy-oracle RunMetrics of one (trace, variant) point, memoized:
+ * the lane-width sweep below asks for the same few dozen points
+ * thousands of times.
+ */
+const RunMetrics &
+legacyOracle(const EventTrace &trace, const FlatTrace &flat,
+             const Variant &v)
+{
+    static std::map<std::tuple<const EventTrace *, int, int, int, int,
+                               int>,
+                    RunMetrics>
+        memo;
+    const auto key = std::make_tuple(
+        &trace, static_cast<int>(v.scheme), v.windows,
+        static_cast<int>(v.policy), static_cast<int>(v.prw),
+        static_cast<int>(v.alloc));
+    auto it = memo.find(key);
+    if (it == memo.end())
+        it = memo.emplace(key, replayTrace(trace, flat, v,
+                                           ReplayPath::Legacy))
+                 .first;
+    return it->second;
+}
+
+/**
+ * Per-lane differential: batch lanes against the oracle's per-point
+ * runs. Returns the follower pass the batch dispatched.
  */
 SimdTier
 expectLanesMatchPerPoint(const std::vector<Variant> &lanes)
@@ -231,12 +277,11 @@ expectLanesMatchPerPoint(const std::vector<Variant> &lanes)
                               &smallFlat());
     EXPECT_TRUE(batch.run());
     EXPECT_EQ(batch.lanes(), lanes.size());
-    for (std::size_t l = 0; l < lanes.size(); ++l) {
-        const RunMetrics solo =
-            replayOnce(lanes[l], ReplayPath::Fast);
-        EXPECT_TRUE(metricsBitIdentical(solo, batch.metrics(l)))
+    for (std::size_t l = 0; l < lanes.size(); ++l)
+        EXPECT_TRUE(metricsBitIdentical(
+            legacyOracle(smallTrace(), smallFlat(), lanes[l]),
+            batch.metrics(l)))
             << "lane " << l << ": " << variantName(lanes[l]);
-    }
     return batch.simdPath();
 }
 
@@ -302,32 +347,8 @@ TEST(BatchReplay, SingleLaneBatchDriverMatchesFast)
     BatchedReplayDriver batch(smallTrace(), {configOf(v)}, v.policy,
                               &smallFlat());
     ASSERT_TRUE(batch.run());
-    EXPECT_TRUE(metricsBitIdentical(replayOnce(v, ReplayPath::Fast),
+    EXPECT_TRUE(metricsBitIdentical(replayOnce(v, ReplayPath::Auto),
                                     batch.metrics(0)));
-}
-
-/**
- * Legacy-oracle RunMetrics of one (trace, scheme, windows, policy)
- * point, memoized: the lane-width sweep below asks for the same few
- * dozen points thousands of times.
- */
-const RunMetrics &
-legacyOracle(const EventTrace &trace, const FlatTrace &flat,
-             const Variant &v)
-{
-    static std::map<std::tuple<const EventTrace *, int, int, int>,
-                    RunMetrics>
-        memo;
-    const auto key = std::make_tuple(&trace,
-                                     static_cast<int>(v.scheme),
-                                     v.windows,
-                                     static_cast<int>(v.policy));
-    auto it = memo.find(key);
-    if (it == memo.end())
-        it = memo.emplace(key, replayTrace(trace, flat, v,
-                                           ReplayPath::Legacy))
-                 .first;
-    return it->second;
 }
 
 /**
@@ -478,7 +499,8 @@ TEST(BatchReplay, WorkingSetIdenticalLanesNeverDiverge)
              {SchedPolicy::WorkingSet, SchedPolicy::WorkingSetAged}) {
             const Variant v{scheme, 8, policy, PrwReclaim::Eager,
                             AllocPolicy::Simple};
-            const RunMetrics solo = replayOnce(v, ReplayPath::Fast);
+            const RunMetrics &solo =
+                legacyOracle(smallTrace(), smallFlat(), v);
             for (const SimdTier tier : hostTiers()) {
                 const ScopedTier pin(tier);
                 const std::vector<EngineConfig> configs(3,
@@ -528,55 +550,40 @@ TEST(BatchReplay, DriverReportsDispatchedSimdPath)
 /**
  * The full policy family on a prioritized, lock-contended synthetic
  * behavior: every policy must produce bit-identical RunMetrics across
- * the Legacy oracle, the Fast loop and the width-1 Batched loop —
- * the replay paths may never disagree, whichever policy reorders the
+ * the oracle, the per-point flat loop and a one-config batch — the
+ * replay paths may never disagree, whichever policy reorders the
  * dispatches.
  */
 TEST(BatchReplay, AllPoliciesAgreeAcrossPathsOnPrioritizedSynth)
 {
-    for (const SchedPolicy policy : allSchedPolicies()) {
+    for (const SchedPolicy policy : allSchedPolicies())
         for (const SchemeKind scheme :
-             {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP}) {
-            for (const int windows : {4, 8}) {
-                const Variant v{scheme, windows, policy,
-                                PrwReclaim::Eager,
-                                AllocPolicy::Simple};
-                const RunMetrics legacy = replayTrace(
-                    synthTrace(), synthFlat(), v, ReplayPath::Legacy);
-                const RunMetrics fast = replayTrace(
-                    synthTrace(), synthFlat(), v, ReplayPath::Fast);
-                const RunMetrics batched =
-                    replayTrace(synthTrace(), synthFlat(), v,
-                                ReplayPath::Batched);
-                EXPECT_TRUE(metricsBitIdentical(legacy, batched))
-                    << variantName(v);
-                EXPECT_TRUE(metricsBitIdentical(fast, batched))
-                    << variantName(v);
-            }
-        }
-    }
+             {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP})
+            for (const int windows : {4, 8})
+                expectAllPathsAgree(
+                    synthTrace(), synthFlat(),
+                    {scheme, windows, policy, PrwReclaim::Eager,
+                     AllocPolicy::Simple});
 }
 
 /**
- * Lane-invariant schedules on the prioritized, lock-contended
- * synthetic behavior: the residency-blind policies under a sharing
- * scheme, and the working-set policies under NS and INF (the static
- * rule's other half — a woken thread is resident on no lane). Each
- * ragged multi-window batch completes lockstep with every lane
- * bit-identical to its per-point fast replay.
+ * Every (scheme, policy) pair the static rule lets batch wide, on the
+ * prioritized, lock-contended synthetic behavior: the residency-blind
+ * policies under every scheme, and the working-set policies under NS
+ * and INF (a woken thread is resident on no lane). Each ragged
+ * multi-window batch completes lockstep with every lane bit-identical
+ * to the oracle's per-point replay.
  */
 TEST(BatchReplay, LaneInvariantPoliciesBatchLocksteppedOnSynth)
 {
     std::vector<std::pair<SchemeKind, SchedPolicy>> pairs;
-    for (const SchedPolicy policy :
-         {SchedPolicy::Fifo, SchedPolicy::RoundRobin,
-          SchedPolicy::Priority})
-        pairs.emplace_back(SchemeKind::SP, policy);
     for (const SchemeKind scheme :
-         {SchemeKind::NS, SchemeKind::Infinite})
-        for (const SchedPolicy policy :
-             {SchedPolicy::WorkingSet, SchedPolicy::WorkingSetAged})
-            pairs.emplace_back(scheme, policy);
+         {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP,
+          SchemeKind::Infinite})
+        for (const SchedPolicy policy : allSchedPolicies())
+            if (lockstepBatchable(scheme, policy))
+                pairs.emplace_back(scheme, policy);
+    ASSERT_EQ(pairs.size(), 16u);
     for (const auto &[scheme, policy] : pairs) {
         std::vector<Variant> lanes;
         for (const int windows : {8, 4, 20, 5, 32})
@@ -590,8 +597,7 @@ TEST(BatchReplay, LaneInvariantPoliciesBatchLocksteppedOnSynth)
         ASSERT_TRUE(batch.run()) << policyName(policy);
         for (std::size_t l = 0; l < lanes.size(); ++l)
             EXPECT_TRUE(metricsBitIdentical(
-                replayTrace(synthTrace(), synthFlat(), lanes[l],
-                            ReplayPath::Fast),
+                legacyOracle(synthTrace(), synthFlat(), lanes[l]),
                 batch.metrics(l)))
                 << variantName(lanes[l]) << " lane " << l;
     }
@@ -613,17 +619,17 @@ TEST(BatchReplay, PriorityReducesToFifoWithoutPrioritiesOnly)
     // RunMetrics names its own policy, so normalize that identity
     // field: what must (or must not) coincide is the schedule-derived
     // remainder.
-    RunMetrics priSpell = replayOnce(pri, ReplayPath::Fast);
+    RunMetrics priSpell = replayOnce(pri, ReplayPath::Auto);
     priSpell.policy = SchedPolicy::Fifo;
-    EXPECT_TRUE(metricsBitIdentical(replayOnce(fifo, ReplayPath::Fast),
+    EXPECT_TRUE(metricsBitIdentical(replayOnce(fifo, ReplayPath::Auto),
                                     priSpell));
 
     RunMetrics priSynth = replayTrace(synthTrace(), synthFlat(), pri,
-                                      ReplayPath::Fast);
+                                      ReplayPath::Auto);
     priSynth.policy = SchedPolicy::Fifo;
     EXPECT_FALSE(metricsBitIdentical(
         replayTrace(synthTrace(), synthFlat(), fifo,
-                    ReplayPath::Fast),
+                    ReplayPath::Auto),
         priSynth));
 }
 

@@ -1,14 +1,14 @@
 /**
  * @file
- * The oracle contract of the devirtualized replay fast path
- * (win/engine_fast.h, DESIGN.md §12): replaying one captured trace
- * through the specialized loop must produce RunMetrics bit-identical
- * to the virtual-Scheme oracle loop at every (scheme, windows,
- * policy, PRW-reclaim, alloc-policy) point, and must deliver the
- * exact same observer callback stream when an observer is installed.
+ * The oracle contract of the flat replay loop (trace/replay_state.h,
+ * DESIGN.md §12): replaying one captured trace through the default
+ * path — the flat loop over the devirtualized single-engine view —
+ * must produce RunMetrics bit-identical to the virtual-Scheme oracle
+ * loop at every (scheme, windows, policy, PRW-reclaim, alloc-policy)
+ * point, on the spell trace and on a prioritized, lock-contended
+ * synthetic behavior that exercises every policy's wake placement.
  */
 
-#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +18,7 @@
 #include "spell/capture.h"
 #include "trace/replay_driver.h"
 #include "trace/run_metrics.h"
+#include "trace/synth.h"
 
 namespace crw {
 namespace {
@@ -43,65 +44,32 @@ smallTrace()
     return trace;
 }
 
-/** Digest of every observer callback, order-sensitive via the mix. */
-class DigestObserver final : public EngineObserver
+/**
+ * A generated behavior with rotating per-thread priorities and a
+ * lock-contention segment: Priority genuinely reorders dispatches
+ * here (the spell trace's all-zero priorities reduce PRI to FIFO),
+ * and the blocked lock contenders exercise wake placement under every
+ * policy.
+ */
+const EventTrace &
+synthTrace()
 {
-  public:
-    void
-    onSave(ThreadId tid, int depth) override
-    {
-        mix(1, tid, depth, 0, 0);
-    }
-    void
-    onRestore(ThreadId tid, int depth) override
-    {
-        mix(2, tid, depth, 0, 0);
-    }
-    void
-    onSwitch(ThreadId from, ThreadId to, int to_depth, Cycles begin,
-             Cycles end) override
-    {
-        mix(3, from, to, begin, end);
-        mix(3, to_depth, 0, 0, 0);
-    }
-    void onExit(ThreadId tid) override { mix(4, tid, 0, 0, 0); }
-    void
-    onSaveTimed(ThreadId tid, int depth, Cycles begin,
-                Cycles end) override
-    {
-        mix(5, tid, depth, begin, end);
-    }
-    void
-    onRestoreTimed(ThreadId tid, int depth, Cycles begin,
-                   Cycles end) override
-    {
-        mix(6, tid, depth, begin, end);
-    }
-    void
-    onTrap(ThreadId tid, bool overflow, int windows_moved,
-           Cycles begin, Cycles end) override
-    {
-        mix(overflow ? 7 : 8, tid, windows_moved, begin, end);
-    }
-
-    std::uint64_t digest() const { return digest_; }
-    std::uint64_t events() const { return events_; }
-
-  private:
-    void
-    mix(std::uint64_t tag, std::uint64_t a, std::uint64_t b,
-        std::uint64_t c, std::uint64_t d)
-    {
-        ++events_;
-        for (const std::uint64_t v : {tag, a, b, c, d}) {
-            digest_ ^= v + 0x9e3779b97f4a7c15ull + (digest_ << 6) +
-                       (digest_ >> 2);
-        }
-    }
-
-    std::uint64_t digest_ = 0;
-    std::uint64_t events_ = 0;
-};
+    static const EventTrace trace = [] {
+        SynthSpec spec;
+        spec.topology = SynthSpec::Topology::FanInOut;
+        spec.threads = 4;
+        spec.items = 200;
+        spec.streamCapacity = 2;
+        spec.meanDepth = 5;
+        spec.depthJitter = 3;
+        spec.meanCharge = 60;
+        spec.lockRounds = 20;
+        spec.prioritized = true;
+        spec.seed = 7;
+        return generateSynthTrace(spec);
+    }();
+    return trace;
+}
 
 struct Variant
 {
@@ -116,8 +84,7 @@ std::vector<Variant>
 allVariants()
 {
     std::vector<Variant> out;
-    for (const SchedPolicy policy :
-         {SchedPolicy::Fifo, SchedPolicy::WorkingSet}) {
+    for (const SchedPolicy policy : allSchedPolicies()) {
         for (const int windows : {4, 8}) {
             // NS and Infinite ignore the PRW/alloc knobs.
             out.push_back({SchemeKind::NS, windows, policy,
@@ -150,56 +117,31 @@ variantName(const Variant &v)
 }
 
 RunMetrics
-replayOnce(const Variant &v, ReplayPath path,
-           DigestObserver *observer)
+replayOnce(const EventTrace &trace, const Variant &v, ReplayPath path)
 {
     EngineConfig ec;
     ec.scheme = v.scheme;
     ec.numWindows = v.windows;
     ec.prwReclaim = v.prw;
     ec.allocPolicy = v.alloc;
-    ReplayDriver driver(smallTrace(), ec, v.policy);
+    ReplayDriver driver(trace, ec, v.policy);
     driver.setPath(path);
-    if (observer)
-        driver.engine().setObserver(observer);
     driver.run();
-    EXPECT_EQ(driver.usedFastPath(), path == ReplayPath::Fast);
+    EXPECT_EQ(driver.usedFastPath(), path == ReplayPath::Auto);
     return driver.metrics();
 }
 
 TEST(FastReplayEquivalence, BitIdenticalMetricsAcrossAllVariants)
 {
-    for (const Variant &v : allVariants()) {
-        const RunMetrics legacy =
-            replayOnce(v, ReplayPath::Legacy, nullptr);
-        const RunMetrics fast =
-            replayOnce(v, ReplayPath::Fast, nullptr);
-        EXPECT_TRUE(metricsBitIdentical(legacy, fast))
-            << variantName(v);
-    }
-}
-
-TEST(FastReplayEquivalence, IdenticalObserverStreamsWhenInstalled)
-{
-    // One point per scheme is enough: the observer instantiation of
-    // the fast loop is per (scheme, observer-policy) pair.
-    for (const SchemeKind scheme :
-         {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP,
-          SchemeKind::Infinite}) {
-        const Variant v{scheme, 6, SchedPolicy::Fifo,
-                        PrwReclaim::Eager, AllocPolicy::Simple};
-        DigestObserver legacy_obs, fast_obs;
-        const RunMetrics legacy =
-            replayOnce(v, ReplayPath::Legacy, &legacy_obs);
-        const RunMetrics fast =
-            replayOnce(v, ReplayPath::Fast, &fast_obs);
-        EXPECT_TRUE(metricsBitIdentical(legacy, fast))
-            << variantName(v);
-        EXPECT_EQ(legacy_obs.events(), fast_obs.events())
-            << variantName(v);
-        EXPECT_EQ(legacy_obs.digest(), fast_obs.digest())
-            << variantName(v);
-        EXPECT_GT(legacy_obs.events(), 0u) << variantName(v);
+    for (const EventTrace *trace : {&smallTrace(), &synthTrace()}) {
+        for (const Variant &v : allVariants()) {
+            const RunMetrics legacy =
+                replayOnce(*trace, v, ReplayPath::Legacy);
+            const RunMetrics flat =
+                replayOnce(*trace, v, ReplayPath::Auto);
+            EXPECT_TRUE(metricsBitIdentical(legacy, flat))
+                << trace->key << " " << variantName(v);
+        }
     }
 }
 
