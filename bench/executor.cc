@@ -78,6 +78,27 @@ counterAtLeast(const std::string &name, std::uint64_t v)
     }
 }
 
+/** Obs label and host span name of one point:
+ *  <behavior>/<scheme>/w<N>/<policy>. */
+std::string
+pointLabel(const std::string &behavior_key, const EngineConfig &engine,
+           SchedPolicy policy)
+{
+    return behavior_key + "/" + schemeName(engine.scheme) + "/w" +
+           std::to_string(engine.numWindows) + "/" + policyName(policy);
+}
+
+/** Merge one finished point's obs record: the engine's counters plus
+ *  the schedule statistics of the core that drove it. */
+void
+publishPoint(const std::string &label, const WindowEngine &engine,
+             const SchedCore &core)
+{
+    obs::PointRecord rec = obs::pointFromEngine(engine);
+    obs::publishSchedCore(core, rec);
+    metrics().mergePoint(label, rec);
+}
+
 /**
  * Replay one lockstep unit (>= 2 lanes) and write each lane's metrics
  * into @p results at the lane's miss index.
@@ -128,17 +149,8 @@ runLockstepUnit(const std::vector<PlanPoint> &misses,
         // per-point cores would have recorded (the schedules are
         // identical — that is what made the batch sound), so the
         // merged records stay bit-identical to an unbatched run.
-        const std::string label =
-            trace.key + "/" + schemeName(p.engine.scheme) + "/w" +
-            std::to_string(p.engine.numWindows) + "/" +
-            policyName(p.policy);
-        obs::PointRecord rec =
-            obs::pointFromEngine(driver.engine(lane));
-        obs::publishSchedCore(driver.core(), rec);
-        metrics().mergePoint(label, rec);
-        manifestNote("schemes", schemeName(p.engine.scheme));
-        manifestNote("windows", std::to_string(p.engine.numWindows));
-        manifestNote("policies", policyName(p.policy));
+        publishPoint(pointLabel(trace.key, p.engine, p.policy),
+                     driver.engine(lane), driver.core());
     }
 }
 
@@ -167,9 +179,8 @@ executePoints(const std::vector<PlanPoint> &points)
         }
     }
 
-    // Manifest coverage for every requested point, replayed or not:
-    // a warm-cache run performs zero replays, and replayPoint() — the
-    // seed's only stamping site — never fires.
+    // Manifest coverage for every requested point, replayed or not
+    // (a warm-cache run performs zero replays): the one stamping site.
     if (obsEnabled()) {
         for (const PlanPoint &p : points) {
             manifestNote("schemes", schemeName(p.engine.scheme));
@@ -275,12 +286,10 @@ executePoints(const std::vector<PlanPoint> &points)
     const auto unitLabel = [&](std::size_t u) {
         const std::vector<std::size_t> &unit = units[u];
         const PlanPoint &p = misses[unit[0]];
-        const std::string head =
-            p.behavior.key() + "/" + schemeName(p.engine.scheme) + "/";
         if (unit.size() == 1)
-            return head + "w" + std::to_string(p.engine.numWindows) +
-                   "/" + policyName(p.policy);
-        return head + policyName(p.policy) + " x" +
+            return pointLabel(p.behavior.key(), p.engine, p.policy);
+        return p.behavior.key() + "/" + schemeName(p.engine.scheme) +
+               "/" + policyName(p.policy) + " x" +
                std::to_string(unit.size());
     };
     std::vector<RunMetrics> results(misses.size());
@@ -557,9 +566,7 @@ replayPoint(const EventTrace &trace, const EngineConfig &engine,
         return driver.metrics();
     }
 
-    const std::string label =
-        trace.key + "/" + schemeName(engine.scheme) + "/w" +
-        std::to_string(engine.numWindows) + "/" + policyName(policy);
+    const std::string label = pointLabel(trace.key, engine, policy);
 
     // Timeline recording is bounded to the paper's headline window
     // count so a full sweep doesn't emit one track per point. An
@@ -576,24 +583,8 @@ replayPoint(const EventTrace &trace, const EngineConfig &engine,
         traceWriter().addTrack(timeline.take());
     }
 
-    obs::PointRecord rec = obs::pointFromEngine(driver.engine());
-    obs::publishSchedCore(driver.core(), rec);
-    metrics().mergePoint(label, rec);
-    manifestNote("schemes", schemeName(engine.scheme));
-    manifestNote("windows", std::to_string(engine.numWindows));
-    manifestNote("policies", policyName(policy));
+    publishPoint(label, driver.engine(), driver.core());
     return driver.metrics();
-}
-
-RunMetrics
-replayPoint(const EventTrace &trace, SchemeKind scheme, int windows,
-            SchedPolicy policy)
-{
-    EngineConfig ec;
-    ec.scheme = scheme;
-    ec.numWindows = windows;
-    ec.checkInvariants = false;
-    return replayPoint(trace, ec, policy);
 }
 
 const std::vector<int> &

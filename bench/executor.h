@@ -129,8 +129,6 @@ const FlatTrace &cachedFlatTrace(ConcurrencyLevel conc,
 RunMetrics replayPoint(const EventTrace &trace,
                        const EngineConfig &engine, SchedPolicy policy,
                        const FlatTrace *flat = nullptr);
-RunMetrics replayPoint(const EventTrace &trace, SchemeKind scheme,
-                       int windows, SchedPolicy policy);
 
 /** The window counts swept by the figure benches (paper: 4..32). */
 const std::vector<int> &defaultWindowSweep();

@@ -6,13 +6,13 @@
  *
  * The report prints deterministic inventory lines (entry and byte
  * counts, point and walk records, format versions) for the
- * arena-backed result store, the flat-trace arena files, the legacy
- * per-file results and the event ring. With --gc it drops every point
- * record and flat-trace file whose trace checksum no longer matches a
- * captured trace in bench_out/traces/, and every walk record whose key
- * the current WalkTable would not produce (an old spec, format version
- * or cost model) — the store is rebuilt (clear + re-put), which also
- * compacts the append-only data region of erased records.
+ * arena-backed result store, the flat-trace arena files and the event
+ * ring. With --gc it drops every point record and flat-trace file
+ * whose trace checksum no longer matches a captured trace in
+ * bench_out/traces/, and every walk record whose key the current
+ * WalkTable would not produce (an old spec, format version or cost
+ * model) — the store is rebuilt (clear + re-put), which also compacts
+ * the append-only data region of erased records.
  *
  * Safe to run while a bench is live: losing the store's writer flock
  * degrades this process to a read-only attacher (stats still print;
@@ -38,7 +38,6 @@
 #include "store/record_store.h"
 #include "trace/event_trace.h"
 #include "trace/flat_trace_io.h"
-#include "trace/run_metrics.h"
 #include "win/simd.h"
 
 namespace crw {
@@ -176,23 +175,6 @@ runGc(store::RecordStore &store,
                 ++flat_dropped;
         }
     std::cout << "gc: flat traces   dropped " << flat_dropped << '\n';
-
-    std::size_t legacy_dropped = 0;
-    std::error_code ec;
-    for (const fs::directory_entry &entry :
-         fs::directory_iterator("bench_out/results", ec)) {
-        if (entry.path().extension() != ".metrics")
-            continue;
-        std::string key;
-        std::uint64_t sum = 0;
-        if (peekMetricsFileKey(entry.path().string(), key) &&
-            keyTraceChecksum(key, sum) && live.count(sum))
-            continue; // alive (unreadable files are dropped too)
-        std::error_code rm;
-        if (fs::remove(entry.path(), rm))
-            ++legacy_dropped;
-    }
-    std::cout << "gc: legacy files  dropped " << legacy_dropped << '\n';
     return 0;
 }
 
@@ -253,16 +235,7 @@ runCache(const FlagSet &flags)
     const FlatInventory flats = flatInventory();
     std::cout << "flat traces    bench_out/flat: " << flats.files
               << " files, " << flats.bytes << " bytes (format v"
-              << kFlatTraceFormatVersion << ")\n";
-
-    std::size_t legacy_files = 0;
-    std::error_code ec;
-    for (const fs::directory_entry &entry :
-         fs::directory_iterator("bench_out/results", ec))
-        if (entry.path().extension() == ".metrics")
-            ++legacy_files;
-    std::cout << "legacy results bench_out/results: " << legacy_files
-              << " .metrics files\n"
+              << kFlatTraceFormatVersion << ")\n"
               << "captured       bench_out/traces: " << trace_files
               << " traces, " << live.size() << " distinct checksums\n";
 
@@ -278,7 +251,7 @@ runCache(const FlagSet &flags)
                       << " events published, capacity "
                       << ring.capacity() << " (format v"
                       << obs::kEventRingFormatVersion << ")\n";
-            std::size_t batches = 0, lanes = 0, fallbacks = 0;
+            std::size_t batches = 0, lanes = 0;
             std::uint32_t max_width = 0;
             std::size_t simd_events = 0;
             std::uint32_t simd_top = 0; // highest SimdTier code seen
@@ -290,9 +263,6 @@ runCache(const FlagSet &flags)
                     lanes += ev.arg;
                     if (ev.arg > max_width)
                         max_width = ev.arg;
-                } else if (code ==
-                           obs::RingEventCode::ReplayBatchFallback) {
-                    ++fallbacks;
                 } else if (code == obs::RingEventCode::ReplaySimd) {
                     ++simd_events;
                     if (ev.arg > simd_top)
@@ -301,8 +271,7 @@ runCache(const FlagSet &flags)
             }
             std::cout << "  replay batch " << batches
                       << " resident batches, " << lanes
-                      << " lanes, max width " << max_width << ", "
-                      << fallbacks << " fallbacks\n"
+                      << " lanes, max width " << max_width << '\n'
                       << "  replay simd  " << simd_events
                       << " resident batches, top tier "
                       << simdTierName(static_cast<SimdTier>(simd_top))

@@ -1,6 +1,5 @@
 #include "bench/result_cache.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 
@@ -44,19 +43,6 @@ resultCacheKey(const std::string &point_key,
 }
 
 std::string
-resultCachePath(const std::string &cache_key)
-{
-    static const char *kHex = "0123456789abcdef";
-    std::uint64_t h = fnv1a64(cache_key);
-    std::string name(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        name[static_cast<std::size_t>(i)] = kHex[h & 0xf];
-        h >>= 4;
-    }
-    return outputPath("results/" + name + ".metrics");
-}
-
-std::string
 resultStorePath()
 {
     const char *env = std::getenv("CRW_RESULT_STORE");
@@ -74,7 +60,7 @@ resultStore()
         if (!st.open(resultStorePath(), kRunMetricsFormatVersion,
                      kResultStoreSlots, kResultStoreDataBytes, &err))
             std::cerr << "note: result store unavailable ("
-                      << err << "); using per-file cache\n";
+                      << err << "); recomputing every result\n";
         return st;
     }();
     return s;
@@ -83,37 +69,21 @@ resultStore()
 bool
 loadCachedResult(const std::string &cache_key, RunMetrics &out)
 {
-    store::RecordStore &store = resultStore();
     std::vector<std::uint8_t> blob;
-    switch (store.find(cache_key, blob)) {
+    switch (resultStore().find(cache_key, blob)) {
       case store::RecordStore::FindResult::Hit:
         if (decodeMetricsRecord(blob.data(), blob.size(), cache_key,
                                 out))
             return true;
         // The record survived its own checksum but not the decode:
         // still file damage, still a countable corrupt miss.
-        countCorrupt();
         break;
       case store::RecordStore::FindResult::Corrupt:
-        countCorrupt();
         break;
       case store::RecordStore::FindResult::Miss:
-        break;
+        return false;
     }
-
-    // Migration path: a pre-store run may have left a legacy file.
-    MetricsLoadStatus status = MetricsLoadStatus::NotFound;
-    if (loadMetricsFile(resultCachePath(cache_key), cache_key, out,
-                        nullptr, &status)) {
-        // Promote so the next run's probe is one mmap lookup.
-        // Best-effort: a reader or full store just keeps the file.
-        if (store.writable())
-            store.put(cache_key,
-                      encodeMetricsRecord(out, cache_key));
-        return true;
-    }
-    if (status == MetricsLoadStatus::Malformed)
-        countCorrupt();
+    countCorrupt();
     return false;
 }
 
@@ -121,20 +91,8 @@ bool
 storeCachedResult(const std::string &cache_key,
                   const RunMetrics &metrics)
 {
-    store::RecordStore &store = resultStore();
-    if (store.writable() &&
-        store.put(cache_key, encodeMetricsRecord(metrics, cache_key)))
-        return true;
-
-    // Reader mode, invalid store, or a full data region: fall back to
-    // the legacy per-file scheme so the result is still durable.
-    std::string err;
-    if (saveMetricsFile(metrics, cache_key, resultCachePath(cache_key),
-                        &err))
-        return true;
-    std::cerr << "warning: could not cache result for " << cache_key
-              << ": " << err << '\n';
-    return false;
+    return resultStore().put(cache_key,
+                             encodeMetricsRecord(metrics, cache_key));
 }
 
 bool
@@ -161,21 +119,15 @@ loadCachedCycles(const std::string &key, Cycles &out)
 bool
 storeCachedCycles(const std::string &key, Cycles cycles)
 {
-    store::RecordStore &store = resultStore();
-    if (!store.writable())
-        return false;
     ByteWriter out;
     out.u64(cycles);
-    return store.put(key, out.bytes);
+    return resultStore().put(key, out.bytes);
 }
 
 bool
 removeCachedResult(const std::string &cache_key)
 {
-    const bool from_store = resultStore().erase(cache_key);
-    const bool from_file =
-        std::remove(resultCachePath(cache_key).c_str()) == 0;
-    return from_store || from_file;
+    return resultStore().erase(cache_key);
 }
 
 } // namespace bench

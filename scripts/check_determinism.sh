@@ -37,9 +37,9 @@
 #     entirely from store.crwstore); a warm --trace-out run attaches
 #     its flat traces from disk (flat.attach > 0); cold and
 #     --no-cache metrics agree once the cache/flat counters (which
-#     legitimately record store traffic) are stripped; and a
-#     concurrent read-only `crw-bench cache` attacher perturbs
-#     nothing.
+#     legitimately record store traffic) are stripped; a concurrent
+#     read-only `crw-bench cache` attacher perturbs nothing; and no
+#     run leaves a *.metrics file beside store.crwstore.
 #
 #  7. Lockstep batch replay (DESIGN.md section 14) is semantically
 #     invisible: `crw-bench fig11 fig12 fig13 --no-cache` with
@@ -451,6 +451,17 @@ for cold_csv in "$workdir"/store/bench_out/*.csv; do
         status=1
     fi
 done
+# The store is the only result container, even for a bench that lost
+# the writer election to an attacher: no part-6 run may leave a
+# per-point file under its bench_out/results/.
+stray=$(find "$workdir"/store*/bench_out/results -name '*.metrics' \
+    2>/dev/null | wc -l)
+if [ "$stray" -eq 0 ]; then
+    echo "  ok   no *.metrics file beside the result store"
+else
+    echo "  FAIL $stray *.metrics files under part-6 bench_out/results"
+    status=1
+fi
 
 # Part 7: lockstep batch replay. CRW_REPLAY_BATCH=0 pins every cache
 # miss to the per-point replay; the default groups misses that

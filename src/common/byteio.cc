@@ -53,17 +53,4 @@ openFileForRead(const std::string &path, std::uint64_t &size,
     return fp;
 }
 
-bool
-readFileBytes(const std::string &path, std::vector<std::uint8_t> &out,
-              std::string *error)
-{
-    std::uint64_t size = 0;
-    const FilePtr fp = openFileForRead(path, size, error);
-    if (!fp)
-        return false;
-    out.resize(size);
-    out.resize(std::fread(out.data(), 1, out.size(), fp.get()));
-    return true;
-}
-
 } // namespace crw

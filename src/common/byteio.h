@@ -1,10 +1,10 @@
 /**
  * @file
  * Flat little-endian byte-buffer writer/reader plus the FNV-1a hash —
- * the serialization substrate shared by the versioned binary file
- * formats (trace/event_trace.cc CRWTRACE, trace/run_metrics.cc
- * CRWMETRS). Both formats frame the same way: magic, u32 version,
- * payload, trailing u64 FNV-1a checksum of the payload.
+ * the serialization substrate of the versioned binary formats: the
+ * CRWTRACE file (trace/event_trace.cc: magic, u32 version, payload,
+ * trailing u64 FNV-1a checksum of the payload) and the RunMetrics
+ * records of the result store (trace/run_metrics.cc).
  *
  * The Reader never throws or asserts on malformed input: a short or
  * truncated buffer flips ok to false and every subsequent read
@@ -171,11 +171,6 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
  */
 FilePtr openFileForRead(const std::string &path, std::uint64_t &size,
                         std::string *error = nullptr);
-
-/** Slurp @p path. False (and *error) if it cannot be opened. */
-bool readFileBytes(const std::string &path,
-                   std::vector<std::uint8_t> &out,
-                   std::string *error = nullptr);
 
 } // namespace crw
 

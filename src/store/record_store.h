@@ -38,8 +38,8 @@
  *
  * Writer election is flock-based (Mapping::tryLockExclusive): exactly
  * one process opens Writer; the rest attach Reader or, if the file is
- * not yet valid, degrade to Invalid and the caller falls back to its
- * legacy path.
+ * not yet valid, degrade to Invalid, where every find misses and
+ * every mutation is refused.
  */
 
 #ifndef CRW_STORE_RECORD_STORE_H_

@@ -245,15 +245,16 @@ bool
 saveTraceFile(const EventTrace &trace, const std::string &path,
               std::string *error)
 {
-    ByteWriter payload;
-    encodeTracePayload(trace, payload);
-
+    // One buffer: the payload is encoded in place after the header,
+    // and the trailer hashes that range of it.
     ByteWriter file;
-    file.bytes.insert(file.bytes.end(), kMagic, kMagic + 8);
+    for (const char c : kMagic)
+        file.bytes.push_back(static_cast<std::uint8_t>(c));
     file.u32(kTraceFormatVersion);
-    file.bytes.insert(file.bytes.end(), payload.bytes.begin(),
-                      payload.bytes.end());
-    file.u64(fnv1a64(payload.bytes.data(), payload.bytes.size()));
+    const std::size_t payload_at = file.bytes.size();
+    encodeTracePayload(trace, file);
+    file.u64(fnv1a64(file.bytes.data() + payload_at,
+                     file.bytes.size() - payload_at));
 
     return writeFileAtomic(file.bytes, path, error);
 }

@@ -7,40 +7,6 @@
 namespace crw {
 namespace {
 
-constexpr char kMetricsMagic[8] = {'C', 'R', 'W', 'M',
-                                   'E', 'T', 'R', 'S'};
-
-void
-encodeMetricsPayload(const RunMetrics &m, const std::string &key,
-                     ByteWriter &w)
-{
-    w.str(key);
-    w.u32(static_cast<std::uint32_t>(m.scheme));
-    w.u32(static_cast<std::uint32_t>(m.policy));
-    w.u32(static_cast<std::uint32_t>(m.windows));
-    w.u64(m.totalCycles);
-    w.u64(m.switches);
-    w.u64(m.saves);
-    w.u64(m.restores);
-    w.u64(m.overflowTraps);
-    w.u64(m.underflowTraps);
-    w.u64(m.switchWindowsSaved);
-    w.u64(m.switchWindowsRestored);
-    w.f64(m.meanSwitchCost);
-    w.f64(m.trapProbability);
-    w.f64(m.activityPerQuantum);
-    w.f64(m.totalWindowActivity);
-    w.f64(m.concurrency);
-    w.f64(m.meanSlackness);
-    w.u64(m.misspelled);
-    w.u32(static_cast<std::uint32_t>(m.perThread.size()));
-    for (const ThreadCounters &t : m.perThread) {
-        w.u64(t.saves);
-        w.u64(t.restores);
-        w.u64(t.switchesIn);
-    }
-}
-
 bool
 bitEqual(double a, double b)
 {
@@ -87,29 +53,44 @@ collectRunMetrics(const WindowEngine &engine,
 }
 
 std::vector<std::uint8_t>
-encodeMetricsRecord(const RunMetrics &metrics, const std::string &key)
+encodeMetricsRecord(const RunMetrics &m, const std::string &key)
 {
-    ByteWriter payload;
-    encodeMetricsPayload(metrics, key, payload);
-    return std::move(payload.bytes);
+    ByteWriter w;
+    w.str(key);
+    w.u32(static_cast<std::uint32_t>(m.scheme));
+    w.u32(static_cast<std::uint32_t>(m.policy));
+    w.u32(static_cast<std::uint32_t>(m.windows));
+    w.u64(m.totalCycles);
+    w.u64(m.switches);
+    w.u64(m.saves);
+    w.u64(m.restores);
+    w.u64(m.overflowTraps);
+    w.u64(m.underflowTraps);
+    w.u64(m.switchWindowsSaved);
+    w.u64(m.switchWindowsRestored);
+    w.f64(m.meanSwitchCost);
+    w.f64(m.trapProbability);
+    w.f64(m.activityPerQuantum);
+    w.f64(m.totalWindowActivity);
+    w.f64(m.concurrency);
+    w.f64(m.meanSlackness);
+    w.u64(m.misspelled);
+    w.u32(static_cast<std::uint32_t>(m.perThread.size()));
+    for (const ThreadCounters &t : m.perThread) {
+        w.u64(t.saves);
+        w.u64(t.restores);
+        w.u64(t.switchesIn);
+    }
+    return std::move(w.bytes);
 }
 
 bool
 decodeMetricsRecord(const std::uint8_t *data, std::size_t n,
-                    const std::string &expected_key, RunMetrics &out,
-                    bool *key_mismatch)
+                    const std::string &expected_key, RunMetrics &out)
 {
-    if (key_mismatch)
-        *key_mismatch = false;
     ByteReader r{data, data + n};
-    const std::string stored_key = r.str();
-    if (!r.ok)
+    if (r.str() != expected_key || !r.ok)
         return false;
-    if (stored_key != expected_key) {
-        if (key_mismatch)
-            *key_mismatch = true;
-        return false;
-    }
 
     RunMetrics m;
     m.scheme = static_cast<SchemeKind>(r.u32());
@@ -142,126 +123,6 @@ decodeMetricsRecord(const std::uint8_t *data, std::size_t n,
         return false;
     out = std::move(m);
     return true;
-}
-
-namespace {
-
-/**
- * Shared CRWMETRS frame validation: on success @p payload / @p size
- * delimit the record payload inside @p bytes.
- */
-MetricsLoadStatus
-checkMetricsFrame(const std::vector<std::uint8_t> &bytes,
-                  const std::uint8_t **payload, std::size_t *size,
-                  std::string *error)
-{
-    auto fail = [error](const std::string &why) {
-        if (error)
-            *error = why;
-    };
-    // 8 magic + 4 version + 8 trailing checksum.
-    if (bytes.size() < 20) {
-        fail("truncated header");
-        return MetricsLoadStatus::Malformed;
-    }
-    if (std::memcmp(bytes.data(), kMetricsMagic, 8) != 0) {
-        fail("bad magic (not a crw metrics record)");
-        return MetricsLoadStatus::Malformed;
-    }
-    ByteReader header{bytes.data() + 8, bytes.data() + bytes.size()};
-    const std::uint32_t version = header.u32();
-    if (version != kRunMetricsFormatVersion) {
-        fail("unsupported metrics version " + std::to_string(version));
-        return MetricsLoadStatus::VersionMismatch;
-    }
-    *payload = bytes.data() + 12;
-    *size = bytes.size() - 20;
-    ByteReader csum{bytes.data() + bytes.size() - 8,
-                    bytes.data() + bytes.size()};
-    if (fnv1a64(*payload, *size) != csum.u64()) {
-        fail("checksum mismatch (corrupted metrics record)");
-        return MetricsLoadStatus::Malformed;
-    }
-    return MetricsLoadStatus::Ok;
-}
-
-} // namespace
-
-bool
-saveMetricsFile(const RunMetrics &metrics, const std::string &key,
-                const std::string &path, std::string *error)
-{
-    const std::vector<std::uint8_t> payload =
-        encodeMetricsRecord(metrics, key);
-
-    ByteWriter file;
-    file.bytes.insert(file.bytes.end(), kMetricsMagic,
-                      kMetricsMagic + 8);
-    file.u32(kRunMetricsFormatVersion);
-    file.bytes.insert(file.bytes.end(), payload.begin(),
-                      payload.end());
-    file.u64(fnv1a64(payload.data(), payload.size()));
-
-    return writeFileAtomic(file.bytes, path, error);
-}
-
-bool
-loadMetricsFile(const std::string &path,
-                const std::string &expected_key, RunMetrics &out,
-                std::string *error, MetricsLoadStatus *status)
-{
-    auto fail = [error, status](MetricsLoadStatus st,
-                                const std::string &why) {
-        if (error)
-            *error = why;
-        if (status)
-            *status = st;
-        return false;
-    };
-
-    std::vector<std::uint8_t> bytes;
-    std::string io_err;
-    if (!readFileBytes(path, bytes, &io_err))
-        return fail(MetricsLoadStatus::NotFound, io_err);
-
-    const std::uint8_t *payload = nullptr;
-    std::size_t payload_size = 0;
-    const MetricsLoadStatus frame =
-        checkMetricsFrame(bytes, &payload, &payload_size, error);
-    if (frame != MetricsLoadStatus::Ok) {
-        if (status)
-            *status = frame;
-        return false;
-    }
-
-    bool key_mismatch = false;
-    if (!decodeMetricsRecord(payload, payload_size, expected_key, out,
-                             &key_mismatch)) {
-        if (key_mismatch)
-            return fail(MetricsLoadStatus::KeyMismatch,
-                        "identity key mismatch");
-        return fail(MetricsLoadStatus::Malformed,
-                    "malformed payload");
-    }
-    if (status)
-        *status = MetricsLoadStatus::Ok;
-    return true;
-}
-
-bool
-peekMetricsFileKey(const std::string &path, std::string &key_out)
-{
-    std::vector<std::uint8_t> bytes;
-    if (!readFileBytes(path, bytes, nullptr))
-        return false;
-    const std::uint8_t *payload = nullptr;
-    std::size_t payload_size = 0;
-    if (checkMetricsFrame(bytes, &payload, &payload_size, nullptr) !=
-        MetricsLoadStatus::Ok)
-        return false;
-    ByteReader r{payload, payload + payload_size};
-    key_out = r.str();
-    return r.ok;
 }
 
 bool

@@ -62,22 +62,22 @@ RunMetrics collectRunMetrics(const WindowEngine &engine,
                              std::size_t misspelled);
 
 /**
- * Versioned binary serialization of one RunMetrics, mirroring
- * event_trace's CRWTRACE framing: magic "CRWMETRS", u32 version,
- * payload, trailing u64 FNV-1a checksum of the payload. Doubles are
- * stored as their exact IEEE-754 bit patterns, so a loaded record is
- * bit-identical to the stored one — the property the bench result
- * cache relies on to keep cached sweeps byte-identical to fresh ones.
+ * Versioned binary encoding of one RunMetrics: the blob the result
+ * store (bench/result_cache.h) keeps per plan point. Doubles are
+ * stored as their exact IEEE-754 bit patterns, so a decoded record is
+ * bit-identical to the encoded one — the property the result store
+ * relies on to keep cached sweeps byte-identical to fresh ones.
  *
- * The payload opens with a caller-supplied identity key (the
+ * The record opens with a caller-supplied identity key (the
  * result-cache key: trace checksum + canonical engine config + policy
- * + cost model + this format version). loadMetricsFile() rejects a
- * file whose stored key differs from the expected one, so a hash
- * collision in the cache's file naming can never alias two points.
+ * + cost model + this format version). decodeMetricsRecord() rejects
+ * a record whose stored key differs from the expected one, so a
+ * record can never be served under another point's key.
  *
  * Bump kRunMetricsFormatVersion whenever RunMetrics gains, loses or
- * reinterprets a field: old cache entries are then rejected (version
- * mismatch) and silently recomputed.
+ * reinterprets a field. It is the result store's app version: a store
+ * written under another version fails to attach, the writer
+ * reformats it, and every result is silently recomputed.
  *
  * Version history:
  *   1  original format
@@ -90,59 +90,18 @@ RunMetrics collectRunMetrics(const WindowEngine &engine,
  */
 inline constexpr std::uint32_t kRunMetricsFormatVersion = 2;
 
-/**
- * Serialize @p metrics with identity @p key into the versioned record
- * payload — the exact bytes the CRWMETRS file frames and the arena
- * result store (bench/result_cache.cc) stores as its blob. One
- * encoder, two containers: a record migrated from a legacy file into
- * the store stays bit-identical.
- */
+/** Serialize @p metrics with identity @p key into one record. */
 std::vector<std::uint8_t> encodeMetricsRecord(const RunMetrics &metrics,
                                               const std::string &key);
 
 /**
- * Decode a payload produced by encodeMetricsRecord. False on
- * malformed bytes or on a stored identity key differing from
- * @p expected_key; @p key_mismatch (may be null) distinguishes the
- * latter — an honest collision, not corruption.
+ * Decode a record produced by encodeMetricsRecord. False, leaving
+ * @p out untouched, on malformed bytes (truncation, trailing bytes)
+ * or on a stored identity key differing from @p expected_key.
  */
 bool decodeMetricsRecord(const std::uint8_t *data, std::size_t n,
                          const std::string &expected_key,
-                         RunMetrics &out,
-                         bool *key_mismatch = nullptr);
-
-/** Why a loadMetricsFile call did not produce a record. */
-enum class MetricsLoadStatus
-{
-    Ok,
-    NotFound,        ///< no file at the path
-    Malformed,       ///< bad magic, truncation, checksum, or decode
-    VersionMismatch, ///< stale format: recompute, don't count corrupt
-    KeyMismatch,     ///< file-name hash collision: silent miss
-};
-
-/** Write @p metrics under identity @p key (temp file + rename). */
-bool saveMetricsFile(const RunMetrics &metrics, const std::string &key,
-                     const std::string &path,
-                     std::string *error = nullptr);
-
-/**
- * Read a metrics record back. False (with a reason in @p error and a
- * classification in @p status, both optional) on a bad magic, unknown
- * version, truncation, checksum mismatch, or a stored identity key
- * differing from @p expected_key.
- */
-bool loadMetricsFile(const std::string &path,
-                     const std::string &expected_key, RunMetrics &out,
-                     std::string *error = nullptr,
-                     MetricsLoadStatus *status = nullptr);
-
-/**
- * Extract the stored identity key of a CRWMETRS file without decoding
- * the record (frame and checksum are still verified). The cache GC
- * uses this to map legacy files back to their trace checksum.
- */
-bool peekMetricsFileKey(const std::string &path, std::string &key_out);
+                         RunMetrics &out);
 
 /**
  * Field-for-field equality, doubles compared bit-exactly (the cache

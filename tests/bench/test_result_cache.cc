@@ -9,8 +9,16 @@
  *  - ExperimentPlan dedupes and digests order-independently;
  *  - a cache hit is bit-identical to a fresh replay across a
  *    scheme x windows matrix;
- *  - a corrupted, truncated or colliding entry degrades to a miss,
- *    never to an error or an aliased result.
+ *  - a corrupted store record — a flipped byte, or a whole record
+ *    that is garbage, truncated or another point's — degrades to a
+ *    counted miss, never to an error or a bad result, and a re-store
+ *    heals it.
+ *
+ * The record codec's own damage modes (foreign key, truncation,
+ * trailing bytes) are tests/trace/test_run_metrics_io.cc, a record
+ * in a store file is tests/store/test_run_metrics_file.cc; a process
+ * that loses the writer election is
+ * tests/bench/test_result_store_reader.cc.
  */
 
 #include <cstdio>
@@ -77,22 +85,6 @@ syntheticMetrics()
     t.switchesIn = 9;
     m.perThread.push_back(t);
     return m;
-}
-
-std::vector<char>
-readAll(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return std::vector<char>(std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>());
-}
-
-void
-writeAll(const std::string &path, const std::vector<char> &bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
 }
 
 // --- key structure ---
@@ -163,17 +155,6 @@ TEST(ResultCacheKey, AppendsChecksumAndFormatVersion)
     EXPECT_NE(resultCacheKey(point_key, 1), key);
 }
 
-TEST(ResultCacheKey, PathIsDeterministicAndDistinct)
-{
-    const std::string a = resultCacheKey(pointConfigKey(basePoint()), 1);
-    PlanPoint q = basePoint();
-    q.engine.numWindows = 9;
-    const std::string b = resultCacheKey(pointConfigKey(q), 1);
-    EXPECT_EQ(resultCachePath(a), resultCachePath(a));
-    EXPECT_NE(resultCachePath(a), resultCachePath(b));
-    EXPECT_NE(resultCachePath(a).find("results/"), std::string::npos);
-}
-
 // --- plan dedupe and digest ---
 
 TEST(ExperimentPlan, DedupesByKeyAndDigestsOrderIndependently)
@@ -209,14 +190,12 @@ class ResultCacheFile : public ::testing::Test
     {
         key_ = resultCacheKey(pointConfigKey(basePoint()),
                               0xfeedfacecafebeefull);
-        path_ = resultCachePath(key_);
         removeCachedResult(key_);
     }
 
     void TearDown() override { removeCachedResult(key_); }
 
     std::string key_;
-    std::string path_;
 };
 
 TEST_F(ResultCacheFile, MissingEntryIsAMiss)
@@ -232,38 +211,6 @@ TEST_F(ResultCacheFile, StoreThenLoadIsBitIdentical)
     RunMetrics out;
     ASSERT_TRUE(loadCachedResult(key_, out));
     EXPECT_TRUE(metricsBitIdentical(m, out));
-}
-
-TEST_F(ResultCacheFile, CorruptLegacyEntryIsAMissAndRecoverable)
-{
-    // Damage on the legacy migration path: plant a per-file entry,
-    // flip one byte. The load must degrade to a miss (counting
-    // cache.corrupt), and a re-store must overwrite the damage.
-    ASSERT_TRUE(saveMetricsFile(syntheticMetrics(), key_, path_));
-    std::vector<char> bytes = readAll(path_);
-    ASSERT_GT(bytes.size(), 20u);
-    bytes[bytes.size() / 2] =
-        static_cast<char>(bytes[bytes.size() / 2] ^ 0x5A);
-    writeAll(path_, bytes);
-
-    const std::uint64_t corrupt0 =
-        metrics().counterValue("cache.corrupt");
-    RunMetrics out;
-    EXPECT_FALSE(loadCachedResult(key_, out)); // silent miss
-    EXPECT_GT(metrics().counterValue("cache.corrupt"), corrupt0);
-    ASSERT_TRUE(storeCachedResult(key_, syntheticMetrics()));
-    EXPECT_TRUE(loadCachedResult(key_, out));
-}
-
-TEST_F(ResultCacheFile, TruncatedLegacyEntryIsAMiss)
-{
-    ASSERT_TRUE(saveMetricsFile(syntheticMetrics(), key_, path_));
-    std::vector<char> bytes = readAll(path_);
-    bytes.resize(bytes.size() / 2);
-    writeAll(path_, bytes);
-
-    RunMetrics out;
-    EXPECT_FALSE(loadCachedResult(key_, out));
 }
 
 TEST_F(ResultCacheFile, CorruptStoreRecordIsAMissAndCounted)
@@ -303,32 +250,57 @@ TEST_F(ResultCacheFile, CorruptStoreRecordIsAMissAndCounted)
     EXPECT_TRUE(loadCachedResult(key_, out));
 }
 
-TEST_F(ResultCacheFile, LegacyFileIsPromotedToStore)
+// The three tests below are named for the per-file entries they
+// once covered; the same damage now reaches loadCachedResult as a
+// store record that passes the store's checksum (it was put whole)
+// but fails the record decode.
+
+TEST_F(ResultCacheFile, CorruptLegacyEntryIsAMissAndRecoverable)
 {
-    ASSERT_TRUE(saveMetricsFile(syntheticMetrics(), key_, path_));
+    // A garbage record under the point's key: counted, missed, and
+    // overwritten by the executor's re-store.
+    const std::vector<std::uint8_t> honest =
+        encodeMetricsRecord(syntheticMetrics(), key_);
+    ASSERT_TRUE(resultStore().put(
+        key_, std::vector<std::uint8_t>(honest.size(), 0xA5)));
+
+    const std::uint64_t corrupt0 =
+        metrics().counterValue("cache.corrupt");
     RunMetrics out;
-    ASSERT_TRUE(loadCachedResult(key_, out)); // legacy hit + promote
-    std::remove(path_.c_str());
-    RunMetrics again;
-    ASSERT_TRUE(loadCachedResult(key_, again)) // now store-resident
-        << "promotion did not reach the store";
-    EXPECT_TRUE(metricsBitIdentical(out, again));
+    EXPECT_FALSE(loadCachedResult(key_, out)); // silent miss
+    EXPECT_GT(metrics().counterValue("cache.corrupt"), corrupt0);
+    ASSERT_TRUE(storeCachedResult(key_, syntheticMetrics()));
+    ASSERT_TRUE(loadCachedResult(key_, out));
+    EXPECT_TRUE(metricsBitIdentical(syntheticMetrics(), out));
+}
+
+TEST_F(ResultCacheFile, TruncatedLegacyEntryIsAMiss)
+{
+    std::vector<std::uint8_t> bytes =
+        encodeMetricsRecord(syntheticMetrics(), key_);
+    bytes.resize(bytes.size() / 2);
+    ASSERT_TRUE(resultStore().put(key_, bytes));
+
+    const std::uint64_t corrupt0 =
+        metrics().counterValue("cache.corrupt");
+    RunMetrics out;
+    EXPECT_FALSE(loadCachedResult(key_, out));
+    EXPECT_GT(metrics().counterValue("cache.corrupt"), corrupt0);
 }
 
 TEST_F(ResultCacheFile, FileNameCollisionDegradesToMiss)
 {
-    // Simulate two keys hashing to the same legacy file: plant key
-    // A's entry at key B's path. The stored identity key must reject
-    // it (the record store performs the same in-record key check).
+    // Another point's record filed under this point's key (what an
+    // index collision would serve without the in-record key check)
+    // degrades to a miss for both keys, never to an aliased result.
     const std::string other_key = resultCacheKey(
         pointConfigKey(basePoint()), 0x1111111111111111ull);
-    const std::string other_path = resultCachePath(other_key);
-    ASSERT_TRUE(
-        saveMetricsFile(syntheticMetrics(), key_, other_path));
+    ASSERT_TRUE(resultStore().put(
+        key_, encodeMetricsRecord(syntheticMetrics(), other_key)));
 
     RunMetrics out;
+    EXPECT_FALSE(loadCachedResult(key_, out));
     EXPECT_FALSE(loadCachedResult(other_key, out));
-    std::remove(other_path.c_str());
 }
 
 TEST(ResultCacheToggle, FlagRoundTrips)

@@ -98,8 +98,9 @@ TEST(ReadyRing, RandomizedDifferentialAgainstDeque)
             model.push_back(op);
         }
         ASSERT_EQ(ring.size(), model.size());
-        if (!model.empty())
+        if (!model.empty()) {
             ASSERT_EQ(ring.front(), model.front());
+        }
     }
 }
 

@@ -50,8 +50,9 @@ TEST(Alignment, AlignedVecStaysAlignedThroughGrowth)
     AlignedVec<std::int32_t> v;
     for (int i = 0; i < 10000; ++i) {
         v.push_back(i);
-        if ((i & (i + 1)) == 0) // around every capacity doubling
+        if ((i & (i + 1)) == 0) { // around every capacity doubling
             ASSERT_TRUE(aligned64(v.data())) << "after " << i;
+        }
     }
     EXPECT_TRUE(aligned64(v.data()));
 

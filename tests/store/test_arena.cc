@@ -141,8 +141,9 @@ TEST(Arena, EveryByteFlipIsDetected)
         std::vector<std::uint8_t> bad = image;
         bad[i] ^= 0x40;
         ArenaView view;
-        if (attachImage(bad, view))
+        if (attachImage(bad, view)) {
             EXPECT_FALSE(view.verifyPayload()) << "byte " << i;
+        }
     }
 }
 

@@ -4,7 +4,8 @@
  * keyed blob store under the bench result cache. Covered here:
  *
  *  - put/find/erase/clear round-trips and same-key replacement;
- *  - durability across close + reopen (the warm-start path);
+ *  - durability across close + reopen (the warm-start path), and no
+ *    record served across an app (payload format) version change;
  *  - graceful refusal when the index or data region fills;
  *  - the publication protocol, cross-process: a forked reader that
  *    attaches mid-write must only ever observe complete, validating
@@ -125,6 +126,35 @@ TEST(RecordStore, SurvivesCloseAndReopen)
         ASSERT_TRUE(store.open(path, 4, 64, 1 << 16));
         EXPECT_EQ(store.stats().entries, 0u);
     }
+    std::remove(path.c_str());
+}
+
+TEST(RecordStore, AppVersionMismatchIsNeverServed)
+{
+    // The app version is the payload format (for the result store,
+    // kRunMetricsFormatVersion): a reader expecting another one must
+    // not attach, and a writer re-formats instead of serving payloads
+    // of the old format.
+    const std::string path = tempPath("appversion");
+    RecordStore writer;
+    ASSERT_TRUE(writer.open(path, 3, 64, 1 << 16));
+    ASSERT_TRUE(writer.put("k", {1, 2}));
+
+    RecordStore reader;
+    reader.open(path, 4, 64, 1 << 16);
+    EXPECT_EQ(reader.mode(), RecordStore::Mode::Invalid);
+    std::vector<std::uint8_t> out;
+    EXPECT_EQ(reader.find("k", out), RecordStore::FindResult::Miss);
+    reader.close();
+    writer.close();
+
+    RecordStore reformat;
+    ASSERT_TRUE(reformat.open(path, 4, 64, 1 << 16));
+    EXPECT_EQ(reformat.mode(), RecordStore::Mode::Writer);
+    EXPECT_EQ(reformat.stats().entries, 0u);
+    EXPECT_EQ(reformat.stats().appVersion, 4u);
+    EXPECT_EQ(reformat.find("k", out), RecordStore::FindResult::Miss);
+    reformat.close();
     std::remove(path.c_str());
 }
 

@@ -1,21 +1,21 @@
 /**
  * @file
- * RunMetrics binary serialization (CRWMETRS): bit-exact round-trip of
- * every field — including the Table-1 per-thread counters and exact
- * IEEE-754 double patterns — plus rejection of every damage mode the
- * bench result cache must survive: wrong magic, unknown version,
- * truncation, payload corruption, and an entry stored under a
- * different identity key (the hash-collision guard).
+ * The RunMetrics record codec (encodeMetricsRecord /
+ * decodeMetricsRecord), the blob the result store keeps per plan
+ * point: bit-exact round-trip of every field — including the Table-1
+ * per-thread counters and exact IEEE-754 double patterns — plus
+ * rejection of a record stored under another identity key, of a
+ * truncated record and of trailing bytes, and a fuzz that damaged
+ * records never crash the decoder. Frame damage (a flipped byte
+ * anywhere in a stored record) is the store's record checksum's job:
+ * tests/store/test_run_metrics_file.cc and
+ * tests/bench/test_result_cache.cc.
  */
 
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -60,50 +60,18 @@ sampleMetrics()
 const char kKey[] = "HC-fine-m1-n1|SNP|w11|prw=eager|alloc=simple|"
                     "cm=test|ws|trace=0123456789abcdef|v1";
 
-class RunMetricsFile : public ::testing::Test
+bool
+decode(const std::vector<std::uint8_t> &bytes, const std::string &key,
+       RunMetrics &out)
 {
-  protected:
-    void
-    SetUp() override
-    {
-        // ctest runs every test as its own process, possibly in
-        // parallel: one path per process and test keeps them apart.
-        const std::string name =
-            "crw_test_run_metrics_" + std::to_string(::getpid()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".metrics";
-        path_ = (std::filesystem::temp_directory_path() / name).string();
-    }
+    return decodeMetricsRecord(bytes.data(), bytes.size(), key, out);
+}
 
-    void TearDown() override { std::remove(path_.c_str()); }
-
-    std::vector<char>
-    readAll() const
-    {
-        std::ifstream in(path_, std::ios::binary);
-        return std::vector<char>(std::istreambuf_iterator<char>(in),
-                                 std::istreambuf_iterator<char>());
-    }
-
-    void
-    writeAll(const std::vector<char> &bytes) const
-    {
-        std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
-
-    std::string path_;
-};
-
-TEST_F(RunMetricsFile, RoundTripIsBitIdentical)
+TEST(RunMetricsRecord, RoundTripIsBitIdentical)
 {
     const RunMetrics m = sampleMetrics();
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(m, kKey, path_, &err)) << err;
-
     RunMetrics loaded;
-    ASSERT_TRUE(loadMetricsFile(path_, kKey, loaded, &err)) << err;
+    ASSERT_TRUE(decode(encodeMetricsRecord(m, kKey), kKey, loaded));
     EXPECT_TRUE(metricsBitIdentical(m, loaded));
 
     // Spot-check the per-thread Table-1 counters survived in order.
@@ -118,150 +86,80 @@ TEST_F(RunMetricsFile, RoundTripIsBitIdentical)
     EXPECT_EQ(loaded.concurrency, 3.9999999999999996);
 }
 
-TEST_F(RunMetricsFile, RoundTripPreservesNonFiniteDoubles)
+TEST(RunMetricsRecord, RoundTripPreservesNonFiniteDoubles)
 {
     // A pathological record must still round-trip bit-exactly:
     // metricsBitIdentical is NaN-safe by design.
     RunMetrics m = sampleMetrics();
     m.meanSwitchCost = std::nan("");
     m.meanSlackness = std::numeric_limits<double>::infinity();
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(m, kKey, path_, &err)) << err;
-
     RunMetrics loaded;
-    ASSERT_TRUE(loadMetricsFile(path_, kKey, loaded, &err)) << err;
+    ASSERT_TRUE(decode(encodeMetricsRecord(m, kKey), kKey, loaded));
     EXPECT_TRUE(metricsBitIdentical(m, loaded));
     EXPECT_TRUE(std::isnan(loaded.meanSwitchCost));
     EXPECT_TRUE(std::isinf(loaded.meanSlackness));
 }
 
-TEST_F(RunMetricsFile, EmptyPerThreadRoundTrips)
+TEST(RunMetricsRecord, EmptyPerThreadRoundTrips)
 {
     RunMetrics m = sampleMetrics();
     m.perThread.clear();
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(m, kKey, path_, &err)) << err;
-
     RunMetrics loaded;
-    ASSERT_TRUE(loadMetricsFile(path_, kKey, loaded, &err)) << err;
+    ASSERT_TRUE(decode(encodeMetricsRecord(m, kKey), kKey, loaded));
     EXPECT_TRUE(metricsBitIdentical(m, loaded));
     EXPECT_TRUE(loaded.perThread.empty());
 }
 
-TEST_F(RunMetricsFile, MissingFileFails)
+TEST(RunMetricsRecord, ForeignIdentityKeyRejected)
 {
+    // A record stored under one key must not decode under another:
+    // a record can never be served as another point's result.
+    const std::vector<std::uint8_t> bytes =
+        encodeMetricsRecord(sampleMetrics(), kKey);
     RunMetrics out;
-    std::string err;
-    EXPECT_FALSE(loadMetricsFile("/nonexistent/dir/none.metrics",
-                                 kKey, out, &err));
-    EXPECT_FALSE(err.empty());
-}
-
-TEST_F(RunMetricsFile, BadMagicRejected)
-{
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(sampleMetrics(), kKey, path_, &err))
-        << err;
-    std::vector<char> bytes = readAll();
-    ASSERT_GE(bytes.size(), 8u);
-    bytes[0] = 'X';
-    writeAll(bytes);
-
-    RunMetrics out;
-    EXPECT_FALSE(loadMetricsFile(path_, kKey, out, &err));
-    EXPECT_NE(err.find("magic"), std::string::npos) << err;
-}
-
-TEST_F(RunMetricsFile, UnknownVersionRejected)
-{
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(sampleMetrics(), kKey, path_, &err))
-        << err;
-    std::vector<char> bytes = readAll();
-    // Version is the little-endian u32 right after the 8-byte magic.
-    ASSERT_GE(bytes.size(), 12u);
-    bytes[8] = static_cast<char>(kRunMetricsFormatVersion + 1);
-    writeAll(bytes);
-
-    RunMetrics out;
-    EXPECT_FALSE(loadMetricsFile(path_, kKey, out, &err));
-    EXPECT_NE(err.find("version"), std::string::npos) << err;
-}
-
-TEST_F(RunMetricsFile, TruncationRejected)
-{
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(sampleMetrics(), kKey, path_, &err))
-        << err;
-    std::vector<char> bytes = readAll();
-    ASSERT_GT(bytes.size(), 20u);
-    bytes.resize(bytes.size() - 9); // clips checksum + payload tail
-    writeAll(bytes);
-
-    RunMetrics out;
-    EXPECT_FALSE(loadMetricsFile(path_, kKey, out, &err));
-    EXPECT_FALSE(err.empty());
-}
-
-TEST_F(RunMetricsFile, PayloadCorruptionRejected)
-{
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(sampleMetrics(), kKey, path_, &err))
-        << err;
-    std::vector<char> bytes = readAll();
-    // Flip one payload byte mid-file: the checksum must catch it.
-    const std::size_t mid = bytes.size() / 2;
-    bytes[mid] = static_cast<char>(bytes[mid] ^ 0x5A);
-    writeAll(bytes);
-
-    RunMetrics out;
-    EXPECT_FALSE(loadMetricsFile(path_, kKey, out, &err));
-    EXPECT_NE(err.find("checksum"), std::string::npos) << err;
-}
-
-TEST_F(RunMetricsFile, ForeignIdentityKeyRejected)
-{
-    // A record stored under one key must not load under another —
-    // this is what turns a file-name hash collision into a plain
-    // cache miss instead of an aliased result.
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(sampleMetrics(), kKey, path_, &err))
-        << err;
-
-    RunMetrics out;
-    EXPECT_FALSE(loadMetricsFile(
-        path_, std::string(kKey) + "-other", out, &err));
-    EXPECT_NE(err.find("identity key"), std::string::npos) << err;
+    out.windows = -1;
+    EXPECT_FALSE(decode(bytes, std::string(kKey) + "-other", out));
+    EXPECT_FALSE(decode(bytes, std::string(kKey).substr(1), out));
+    EXPECT_FALSE(decode(bytes, "", out));
+    EXPECT_EQ(out.windows, -1); // a rejected decode leaves out alone
     // The honest key still works.
-    EXPECT_TRUE(loadMetricsFile(path_, kKey, out, &err)) << err;
+    EXPECT_TRUE(decode(bytes, kKey, out));
 }
 
-TEST_F(RunMetricsFile, TrailingGarbageRejected)
+TEST(RunMetricsRecord, TruncationRejected)
 {
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(sampleMetrics(), kKey, path_, &err))
-        << err;
-    std::vector<char> bytes = readAll();
-    // Splice extra payload bytes in front of the checksum and fix
-    // nothing: the checksum no longer matches.
-    bytes.insert(bytes.end() - 8, 4, '\0');
-    writeAll(bytes);
-
-    RunMetrics out;
-    EXPECT_FALSE(loadMetricsFile(path_, kKey, out, &err));
-    EXPECT_FALSE(err.empty());
+    // Every proper prefix is rejected — from the empty record, through
+    // a clipped key, to a record missing only its last byte.
+    const std::vector<std::uint8_t> bytes =
+        encodeMetricsRecord(sampleMetrics(), kKey);
+    for (std::size_t n = 0; n < bytes.size(); ++n) {
+        RunMetrics out;
+        EXPECT_FALSE(decodeMetricsRecord(bytes.data(), n, kKey, out))
+            << "prefix of " << n << " bytes";
+    }
 }
 
-TEST_F(RunMetricsFile, FuzzedFilesNeverCrashTheLoader)
+TEST(RunMetricsRecord, TrailingBytesRejected)
+{
+    std::vector<std::uint8_t> bytes =
+        encodeMetricsRecord(sampleMetrics(), kKey);
+    bytes.push_back(0);
+    RunMetrics out;
+    EXPECT_FALSE(decode(bytes, kKey, out));
+    bytes.insert(bytes.end(), 7, 0); // a whole spare u64
+    EXPECT_FALSE(decode(bytes, kKey, out));
+}
+
+TEST(RunMetricsRecord, FuzzedRecordsNeverCrashTheDecoder)
 {
     // Deterministic corruption fuzz, mirroring the EventTrace one:
-    // single-bit flips and truncations must load cleanly or fail
-    // gracefully — never crash. (A flip inside the stored key region
-    // is caught by the checksum before the key comparison runs.)
-    std::string err;
-    ASSERT_TRUE(saveMetricsFile(sampleMetrics(), kKey, path_, &err))
-        << err;
-    const std::vector<char> original = readAll();
+    // single-bit flips and truncations must decode or fail cleanly —
+    // never crash, never read out of bounds. The codec has no
+    // checksum of its own, so a flip in a counter may decode to
+    // another record; a flip in the key or a length field must not
+    // decode under the honest key as the original record.
+    const std::vector<std::uint8_t> original =
+        encodeMetricsRecord(sampleMetrics(), kKey);
     ASSERT_GT(original.size(), 24u);
 
     std::uint64_t rng = 0x1993ull;
@@ -272,22 +170,24 @@ TEST_F(RunMetricsFile, FuzzedFilesNeverCrashTheLoader)
         return rng;
     };
 
-    for (int i = 0; i < 200; ++i) {
-        std::vector<char> bytes = original;
+    const std::size_t key_end = 4 + std::string(kKey).size();
+    for (int i = 0; i < 2000; ++i) {
+        std::vector<std::uint8_t> bytes = original;
+        std::size_t at = bytes.size();
         if (i % 2 == 0) {
-            const std::size_t at = next() % bytes.size();
-            bytes[at] = static_cast<char>(
+            at = next() % bytes.size();
+            bytes[at] = static_cast<std::uint8_t>(
                 bytes[at] ^ (1u << (next() % 8)));
         } else {
             bytes.resize(next() % bytes.size());
         }
-        writeAll(bytes);
         RunMetrics out;
-        std::string why;
-        if (loadMetricsFile(path_, kKey, out, &why)) {
-            EXPECT_TRUE(metricsBitIdentical(out, sampleMetrics()));
-        } else {
-            EXPECT_FALSE(why.empty());
+        const bool ok = decode(bytes, kKey, out);
+        if (at < key_end || i % 2 == 1) {
+            EXPECT_FALSE(ok) << "damage at byte " << at;
+        } else if (ok) {
+            EXPECT_EQ(out.perThread.size(),
+                      sampleMetrics().perThread.size());
         }
     }
 }
