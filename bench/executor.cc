@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <mutex>
@@ -53,16 +51,16 @@ storeInsert(const std::string &key, RunMetrics metrics)
     return g_store.emplace(key, std::move(metrics)).first->second;
 }
 
-/**
- * Lockstep batch width cap: $CRW_REPLAY_BATCH through the strict
- * parseReplayBatchCap, falling back to the ISA-aware default. Read
- * per executePoints call so tests can flip the env var between plans.
- */
+/** Test-only batch width cap; -1 = none (setReplayBatchCapOverride). */
+std::atomic<long> g_batchCapOverride{-1};
+
+/** Lockstep batch width cap, read per executePoints call. */
 std::size_t
 replayBatchCap()
 {
-    return parseReplayBatchCap(std::getenv("CRW_REPLAY_BATCH"),
-                               defaultReplayBatchCap());
+    const long ov = g_batchCapOverride.load(std::memory_order_relaxed);
+    return ov >= 0 ? static_cast<std::size_t>(ov)
+                   : defaultReplayBatchCap();
 }
 
 /** Raise the named counter to at least @p v (CAS max — the result is
@@ -250,7 +248,7 @@ executePoints(const std::vector<PlanPoint> &points)
     // batch rule keeps at one lane (SNP/SP under WS/WSA: residency
     // there depends on the window count), every point of a
     // trace-recording run (the timeline observer is per-point only),
-    // and every point when CRW_REPLAY_BATCH=0 pins batching off.
+    // and every point when a test pins the cap to 0 or 1.
     const std::size_t cap = replayBatchCap();
     const bool batching = cap > 1 && !traceRequested();
     std::vector<std::vector<std::size_t>> units;
@@ -320,30 +318,22 @@ executePoints(const std::vector<PlanPoint> &points)
 } // namespace
 
 std::size_t
-parseReplayBatchCap(const char *text, std::size_t fallback)
-{
-    if (!text || !*text)
-        return fallback;
-    errno = 0;
-    char *rest = nullptr;
-    const long v = std::strtol(text, &rest, 10);
-    if (rest == text || *rest != '\0' || errno == ERANGE || v < 0) {
-        std::cerr << "warning: invalid replay batch cap \"" << text
-                  << "\"; using " << fallback << '\n';
-        return fallback;
-    }
-    if (static_cast<unsigned long>(v) > kMaxReplayBatch) {
-        std::cerr << "warning: replay batch cap " << v
-                  << " clamped to " << kMaxReplayBatch << '\n';
-        return kMaxReplayBatch;
-    }
-    return static_cast<std::size_t>(v);
-}
-
-std::size_t
 defaultReplayBatchCap()
 {
     return effectiveSimdTier() == SimdTier::Avx2 ? 32 : 16;
+}
+
+void
+setReplayBatchCapOverride(std::size_t cap)
+{
+    g_batchCapOverride.store(static_cast<long>(cap),
+                             std::memory_order_relaxed);
+}
+
+void
+clearReplayBatchCapOverride()
+{
+    g_batchCapOverride.store(-1, std::memory_order_relaxed);
 }
 
 void

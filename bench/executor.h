@@ -54,28 +54,23 @@ bool resultCacheEnabled();
 void setFlatCacheEnabled(bool enabled);
 bool flatCacheEnabled();
 
-/** Upper bound enforced on $CRW_REPLAY_BATCH (lanes per batch). */
-inline constexpr std::size_t kMaxReplayBatch = 1024;
-
 /**
- * Strictly parse a $CRW_REPLAY_BATCH value, mirroring parseJobs
- * (bench/harness.h): the whole string must be a decimal integer
- * >= 0. Null/empty text quietly returns @p fallback (16 when not
- * given); unparsable or negative text warns on stderr and returns
- * @p fallback — it does NOT silently disable batching; values beyond
- * kMaxReplayBatch are clamped with a warning. 0 and 1 disable
- * batching: every miss replays through replayPoint().
- */
-std::size_t parseReplayBatchCap(const char *text,
-                                std::size_t fallback = 16);
-
-/**
- * ISA-aware batch width the executor uses when $CRW_REPLAY_BATCH is
- * unset: 32 lanes when the SoA follower pass runs 8-wide (AVX2 —
- * 31 followers amortize the recorded stream further), 16 otherwise
- * (the width the per-lane follower pass was tuned at).
+ * ISA-aware lockstep batch width (lanes per batch) the executor uses:
+ * 32 lanes when the SoA follower pass runs 8-wide (AVX2 — 31
+ * followers amortize the recorded stream further), 16 otherwise (the
+ * width the per-lane follower pass was tuned at).
  */
 std::size_t defaultReplayBatchCap();
+
+/**
+ * Test-only: pin the executor's batch width cap for this process, the
+ * way setSimdTierOverride pins the follower tier. 0 and 1 disable
+ * batching: every miss replays through replayPoint().
+ */
+void setReplayBatchCapOverride(std::size_t cap);
+
+/** Drop the override; the cap is defaultReplayBatchCap() again. */
+void clearReplayBatchCapOverride();
 
 /** Execute every point of @p plan exactly once (see file comment). */
 void executePlan(const ExperimentPlan &plan);

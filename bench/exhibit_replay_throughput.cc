@@ -8,8 +8,12 @@
  *
  * One behavior trace is captured (or loaded from the disk cache) and
  * predecoded once; each scheme point then replays it repeatedly on
- * fresh drivers, legacy and fast interleaved, --reps samples per mode
- * with the fastest kept (the minimum is the standard estimator for
+ * fresh drivers, --reps samples per mode. The legs of one rep run
+ * back to back, in an order that alternates from rep to rep, so each
+ * rep is one paired sample: every speedup is the median over reps of
+ * the per-rep wall ratio, which cancels the host's slow drift that a
+ * ratio of two independent best-of walls picks up. Mev/s figures
+ * keep the fastest sample (the minimum is the standard estimator for
  * the noise-free run time on a shared machine). Every rep's
  * RunMetrics must be bit-identical across the two paths — that is the
  * oracle contract the differential suite enforces; here it doubles as
@@ -51,6 +55,32 @@ namespace crw {
 namespace bench {
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+double
+secondsSince(Clock::time_point t0)
+{
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/** @p num / @p den, 0 when either is not positive. */
+double
+ratio(double num, double den)
+{
+    return num > 0 && den > 0 ? num / den : 0;
+}
+
+/** Median of @p v (the mean of the middle two for an even count). */
+double
+median(std::vector<double> v)
+{
+    if (v.empty())
+        return 0;
+    std::sort(v.begin(), v.end());
+    const std::size_t mid = v.size() / 2;
+    return v.size() % 2 ? v[mid] : (v[mid - 1] + v[mid]) / 2;
+}
+
 struct ModeResult
 {
     RunMetrics metrics;
@@ -64,12 +94,11 @@ timedReplay(const EventTrace &trace, const FlatTrace &flat,
 {
     ReplayDriver driver(trace, engine, SchedPolicy::Fifo, &flat);
     driver.setPath(path);
-    const auto t0 = std::chrono::steady_clock::now();
+    const Clock::time_point t0 = Clock::now();
     driver.run();
-    const auto t1 = std::chrono::steady_clock::now();
     ModeResult res;
+    res.wall_s = secondsSince(t0);
     res.metrics = driver.metrics();
-    res.wall_s = std::chrono::duration<double>(t1 - t0).count();
     res.mevps = res.wall_s > 0
                     ? static_cast<double>(trace.eventCount()) /
                           res.wall_s / 1e6
@@ -86,7 +115,8 @@ addReplayThroughputFlags(FlagSet &flags)
     flags.defineInt("rt-windows", 8,
                     "register windows per replay point");
     flags.defineInt("reps", 5,
-                    "wall-time samples per mode (fastest wins)");
+                    "wall-time samples per mode (Mev/s: fastest; "
+                    "speedups: median paired ratio)");
     flags.defineString("json", "",
                        "also write a JSON summary to this path");
     flags.defineString("git-sha", "unknown",
@@ -114,13 +144,16 @@ runReplayThroughput(const FlagSet &flags)
     banner("Replay throughput: devirtualized flat fast path vs "
            "legacy virtual-dispatch loop");
     std::cout << "  behavior high/fine, " << trace.eventCount()
-              << " events, w" << windows << ", fifo, best of "
-              << reps << "\n\n";
+              << " events, w" << windows << ", fifo, " << reps
+              << " paired reps\n\n";
 
     Table table({"scheme", "events", "Mev/s legacy", "Mev/s fast",
                  "speedup"});
-    double total_events = 0, total_wall_legacy = 0,
-           total_wall_fast = 0;
+    double total_events = 0, total_wall_fast = 0;
+    // Per-rep walls summed over the schemes: the paired samples of the
+    // overall fast-vs-legacy speedup.
+    std::vector<double> rep_legacy(static_cast<std::size_t>(reps), 0),
+        rep_fast(static_cast<std::size_t>(reps), 0);
     bool ok = true;
     std::vector<std::string> json_rows;
     for (const SchemeKind scheme : schemes) {
@@ -128,27 +161,32 @@ runReplayThroughput(const FlagSet &flags)
         engine.scheme = scheme;
         engine.numWindows = windows;
         ModeResult legacy, fast;
+        std::vector<double> ratios;
         for (int rep = 0; rep < reps; ++rep) {
-            const ModeResult l =
-                timedReplay(trace, flat, engine, ReplayPath::Legacy);
-            const ModeResult f =
-                timedReplay(trace, flat, engine, ReplayPath::Auto);
+            ModeResult l, f;
+            if (rep % 2 == 0) {
+                l = timedReplay(trace, flat, engine, ReplayPath::Legacy);
+                f = timedReplay(trace, flat, engine, ReplayPath::Auto);
+            } else {
+                f = timedReplay(trace, flat, engine, ReplayPath::Auto);
+                l = timedReplay(trace, flat, engine, ReplayPath::Legacy);
+            }
             if (!metricsBitIdentical(l.metrics, f.metrics)) {
                 ok = false;
                 std::cout << "  [FAIL] " << schemeName(scheme)
                           << ": fast-path metrics diverged from "
                              "the legacy oracle\n";
             }
+            ratios.push_back(ratio(l.wall_s, f.wall_s));
+            rep_legacy[static_cast<std::size_t>(rep)] += l.wall_s;
+            rep_fast[static_cast<std::size_t>(rep)] += f.wall_s;
             if (rep == 0 || l.wall_s < legacy.wall_s)
                 legacy = l;
             if (rep == 0 || f.wall_s < fast.wall_s)
                 fast = f;
         }
-        const double speedup = legacy.wall_s > 0 && fast.wall_s > 0
-                                   ? legacy.wall_s / fast.wall_s
-                                   : 0;
+        const double speedup = median(ratios);
         total_events += static_cast<double>(trace.eventCount());
-        total_wall_legacy += legacy.wall_s;
         total_wall_fast += fast.wall_s;
         char legacy_mevps[32], fast_mevps[32], speedup_s[32];
         std::snprintf(legacy_mevps, sizeof legacy_mevps, "%.1f",
@@ -192,7 +230,9 @@ runReplayThroughput(const FlagSet &flags)
     // vs simd on the NS sweep isolates the lane-SoA kernel win — same
     // recorded op stream, same batch shape — and is the simd_speedup
     // number scripts/bench_perf.sh gates at >= 1.25x; the aggregate
-    // rows report the full three-scheme mix.
+    // rows report the full three-scheme mix. The three legs of a rep
+    // run in forward order on even reps and reversed on odd ones; the
+    // speedups are medians of the per-rep ratios.
     const std::vector<int> &sweep = defaultWindowSweep();
     const SimdTier simd_tier = effectiveSimdTier();
     std::cout << "\n  lockstep batched: one trace walk drives the "
@@ -203,12 +243,14 @@ runReplayThroughput(const FlagSet &flags)
                   "Mev/s scalar", "Mev/s simd", "batch x", "simd x"});
     double batch_wall_point = 0, batch_wall_batched = 0,
            batch_wall_simd = 0;
-    double ns_wall_scalar = 0, ns_wall_simd = 0;
+    double simd_speedup = 0;
     double batch_events = 0;
     std::size_t max_lanes = 0;
+    std::vector<double> rep_point(static_cast<std::size_t>(reps), 0),
+        rep_batched(static_cast<std::size_t>(reps), 0);
     // The pass the gated (NS) simd leg actually dispatched — what the
-    // JSON publishes as simd_path, so a $CRW_SIMD=scalar environment
-    // honestly reports "scalar" and bench_perf.sh can skip its gate.
+    // JSON publishes as simd_path, so bench_perf.sh gates only a run
+    // whose timed leg took the AVX2 kernels.
     SimdTier ns_simd_path = SimdTier::Scalar;
     for (const SchemeKind scheme : schemes) {
         std::vector<EngineConfig> configs;
@@ -221,31 +263,51 @@ runReplayThroughput(const FlagSet &flags)
         const std::size_t lanes = configs.size();
         max_lanes = std::max(max_lanes, lanes);
         double wall_point = 0, wall_batched = 0, wall_simd = 0;
+        std::vector<double> batch_x, simd_x;
         for (int rep = 0; rep < reps; ++rep) {
-            std::vector<RunMetrics> point_metrics(lanes);
-            const auto p0 = std::chrono::steady_clock::now();
-            for (std::size_t l = 0; l < lanes; ++l) {
-                ReplayDriver driver(trace, configs[l],
-                                    SchedPolicy::Fifo, &flat);
-                driver.run();
-                point_metrics[l] = driver.metrics();
-            }
-            const auto p1 = std::chrono::steady_clock::now();
-            setSimdTierOverride(SimdTier::Scalar);
-            BatchedReplayDriver batched(trace, configs,
+            std::vector<RunMetrics> point_metrics(lanes),
+                scalar_metrics(lanes), simd_metrics(lanes);
+            double wp = 0, wb = 0, ws = 0;
+            const auto pointLeg = [&] {
+                const Clock::time_point t0 = Clock::now();
+                for (std::size_t l = 0; l < lanes; ++l) {
+                    ReplayDriver driver(trace, configs[l],
                                         SchedPolicy::Fifo, &flat);
-            batched.run();
-            const auto p2 = std::chrono::steady_clock::now();
-            clearSimdTierOverride(); // auto dispatch, as sweeps run
-            BatchedReplayDriver simd_batched(trace, configs,
-                                             SchedPolicy::Fifo, &flat);
-            simd_batched.run();
-            const auto p3 = std::chrono::steady_clock::now();
-            if (scheme == SchemeKind::NS)
-                ns_simd_path = simd_batched.simdPath();
+                    driver.run();
+                    point_metrics[l] = driver.metrics();
+                }
+                wp = secondsSince(t0);
+            };
+            // scalar: the follower pass pinned to the per-lane oracle;
+            // otherwise the CPU's widest tier, as sweeps run.
+            const auto batchedLeg = [&](bool scalar,
+                                        std::vector<RunMetrics> &out,
+                                        double &wall) {
+                const Clock::time_point t0 = Clock::now();
+                if (scalar)
+                    setSimdTierOverride(SimdTier::Scalar);
+                BatchedReplayDriver batched(trace, configs,
+                                            SchedPolicy::Fifo, &flat);
+                batched.run();
+                wall = secondsSince(t0);
+                clearSimdTierOverride();
+                if (!scalar && scheme == SchemeKind::NS)
+                    ns_simd_path = batched.simdPath();
+                for (std::size_t l = 0; l < lanes; ++l)
+                    out[l] = batched.metrics(l);
+            };
+            if (rep % 2 == 0) {
+                pointLeg();
+                batchedLeg(true, scalar_metrics, wb);
+                batchedLeg(false, simd_metrics, ws);
+            } else {
+                batchedLeg(false, simd_metrics, ws);
+                batchedLeg(true, scalar_metrics, wb);
+                pointLeg();
+            }
             for (std::size_t l = 0; l < lanes; ++l) {
                 if (!metricsBitIdentical(point_metrics[l],
-                                         batched.metrics(l))) {
+                                         scalar_metrics[l])) {
                     ok = false;
                     std::cout << "  [FAIL] " << schemeName(scheme)
                               << " w" << configs[l].numWindows
@@ -254,7 +316,7 @@ runReplayThroughput(const FlagSet &flags)
                                  "path\n";
                 }
                 if (!metricsBitIdentical(point_metrics[l],
-                                         simd_batched.metrics(l))) {
+                                         simd_metrics[l])) {
                     ok = false;
                     std::cout << "  [FAIL] " << schemeName(scheme)
                               << " w" << configs[l].numWindows << " ("
@@ -264,12 +326,10 @@ runReplayThroughput(const FlagSet &flags)
                                  "path\n";
                 }
             }
-            const double wp =
-                std::chrono::duration<double>(p1 - p0).count();
-            const double wb =
-                std::chrono::duration<double>(p2 - p1).count();
-            const double ws =
-                std::chrono::duration<double>(p3 - p2).count();
+            batch_x.push_back(ratio(wp, wb));
+            simd_x.push_back(ratio(wb, ws));
+            rep_point[static_cast<std::size_t>(rep)] += wp;
+            rep_batched[static_cast<std::size_t>(rep)] += wb;
             if (rep == 0 || wp < wall_point)
                 wall_point = wp;
             if (rep == 0 || wb < wall_batched)
@@ -280,10 +340,8 @@ runReplayThroughput(const FlagSet &flags)
         batch_wall_point += wall_point;
         batch_wall_batched += wall_batched;
         batch_wall_simd += wall_simd;
-        if (scheme == SchemeKind::NS) {
-            ns_wall_scalar = wall_batched;
-            ns_wall_simd = wall_simd;
-        }
+        if (scheme == SchemeKind::NS)
+            simd_speedup = median(simd_x);
         const double lane_events =
             static_cast<double>(lanes) *
             static_cast<double>(trace.eventCount());
@@ -303,11 +361,9 @@ runReplayThroughput(const FlagSet &flags)
                           ? lane_events / wall_simd / 1e6
                           : 0.0);
         std::snprintf(speedup_s, sizeof speedup_s, "%.2fx",
-                      wall_batched > 0 ? wall_point / wall_batched
-                                       : 0.0);
+                      median(batch_x));
         std::snprintf(simdx_s, sizeof simdx_s, "%.2fx",
-                      wall_simd > 0 ? wall_batched / wall_simd
-                                    : 0.0);
+                      median(simd_x));
         btable.addRowOf(std::string(schemeName(scheme)), lanes,
                         std::string(point_s), std::string(batched_s),
                         std::string(simd_s), std::string(speedup_s),
@@ -327,16 +383,17 @@ runReplayThroughput(const FlagSet &flags)
         batch_wall_simd > 0
             ? batch_events / batch_wall_simd / 1e6
             : 0;
-    const double batch_speedup =
-        batch_wall_batched > 0 ? batch_wall_point / batch_wall_batched
-                               : 0;
-    // The gated number: the SoA vector-kernel pass against the scalar
-    // follower on the sweep it dispatches to (NS). The sharing
-    // schemes' simd column reads ~1.00x by design — under auto their
-    // lanes pin to the oracle (serial slot-map probes; DESIGN.md §16)
-    // — and the full-mix throughput is published alongside.
-    const double simd_speedup =
-        ns_wall_simd > 0 ? ns_wall_scalar / ns_wall_simd : 0;
+    std::vector<double> rep_batch_x;
+    for (int rep = 0; rep < reps; ++rep)
+        rep_batch_x.push_back(
+            ratio(rep_point[static_cast<std::size_t>(rep)],
+                  rep_batched[static_cast<std::size_t>(rep)]));
+    const double batch_speedup = median(rep_batch_x);
+    // The gated number, simd_speedup: the SoA vector-kernel pass
+    // against the scalar follower on the sweep it dispatches to (NS).
+    // The sharing schemes' simd column reads ~1.00x by design — their
+    // lanes always replay per lane (serial slot-map probes; DESIGN.md
+    // §16) — and the full-mix throughput is published alongside.
     std::cout << "\n  aggregate: " << static_cast<long>(batch_events)
               << " lane-events, " << mevps_batched_agg
               << " Mev/s scalar batched (batch width " << max_lanes
@@ -351,9 +408,12 @@ runReplayThroughput(const FlagSet &flags)
     const double mevps =
         total_wall_fast > 0 ? total_events / total_wall_fast / 1e6
                             : 0;
-    const double overall =
-        total_wall_fast > 0 ? total_wall_legacy / total_wall_fast
-                            : 0;
+    std::vector<double> rep_overall;
+    for (int rep = 0; rep < reps; ++rep)
+        rep_overall.push_back(
+            ratio(rep_legacy[static_cast<std::size_t>(rep)],
+                  rep_fast[static_cast<std::size_t>(rep)]));
+    const double overall = median(rep_overall);
     std::cout << "\n  overall: "
               << static_cast<long>(total_events)
               << " replayed events, " << mevps << " Mev/s fast, "

@@ -129,25 +129,6 @@ findExhibit(const std::string &name)
 }
 
 int
-exhibitMain(const char *name, int argc, char **argv)
-{
-    const Exhibit *ex = findExhibit(name);
-    if (!ex) {
-        std::cerr << "error: unknown exhibit \"" << name
-                  << "\" (run 'crw-bench list' for the available "
-                     "exhibits)\n";
-        return 2;
-    }
-    FlagSet flags;
-    if (ex->addFlags)
-        ex->addFlags(flags);
-    defineCommonExtras(flags);
-    if (!benchInit(argc, argv, flags))
-        return 0;
-    return runSelected({ex}, flags);
-}
-
-int
 crwBenchMain(int argc, char **argv)
 {
     // All exhibits' flags are defined up front: the selection comes

@@ -8,9 +8,7 @@
  * driver selects exhibits by name ("all" = the ten paper exhibits),
  * merges their plans, executes the union once through the shared
  * sweep executor, and runs the reports in command-line order — so
- * `crw-bench fig11 fig12 fig13` replays each shared point once. The
- * legacy bench_* binaries are thin wrappers over exhibitMain() and
- * include only this header.
+ * `crw-bench fig11 fig12 fig13` replays each shared point once.
  */
 
 #ifndef CRW_BENCH_REGISTRY_H_
@@ -27,7 +25,7 @@ namespace bench {
 
 class ExperimentPlan;
 
-/** One paper exhibit behind `crw-bench <name>` / `bench_<name>`. */
+/** One paper exhibit behind `crw-bench <name>`. */
 struct Exhibit
 {
     const char *name;  ///< registry key, e.g. "fig11"
@@ -46,9 +44,6 @@ const std::vector<Exhibit> &exhibitRegistry();
 
 /** Registry lookup by name; null when unknown. */
 const Exhibit *findExhibit(const std::string &name);
-
-/** Entry point of one legacy wrapper binary (plan→execute→report). */
-int exhibitMain(const char *name, int argc, char **argv);
 
 /** Entry point of the crw-bench driver (exhibits from positionals). */
 int crwBenchMain(int argc, char **argv);

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Host-performance gate: configure a Release build, run crw-bench
 # replay-throughput (devirtualized flat replay vs the legacy
-# virtual-dispatch loop) and bench_fig11 (the event-level headline
-# sweep), and record machine-readable summaries at the repo root —
+# virtual-dispatch loop) and crw-bench fig11 (the event-level
+# headline sweep), and record machine-readable summaries at the repo root —
 # BENCH_replay_throughput.json {mevps, speedup, wall_s, git_sha,
 # per-row detail}, plus BENCH_warm_start.json from the arena-store
 # warm-start gate.
@@ -13,8 +13,9 @@
 # Usage: scripts/bench_perf.sh [build-dir] [reps]
 #   build-dir  CMake Release build tree (default: build-perf)
 #   reps       wall-time samples per mode for crw-bench
-#              replay-throughput; each mode reports its fastest
-#              sample (default: 5)
+#              replay-throughput; Mev/s is each mode's fastest
+#              sample, a speedup the median of the per-rep paired
+#              ratios (default: 5)
 set -eu
 
 build_dir=${1:-build-perf}
@@ -36,8 +37,8 @@ echo "== tier-1 gate (ctest -L tier1)"
 ctest --test-dir "$build_dir" -L tier1 \
     -j"$(nproc 2>/dev/null || echo 2)" --output-on-failure
 
-echo "== bench_fig11"
-"$build_dir/bench/bench_fig11"
+echo "== crw-bench fig11"
+"$build_dir/bench/crw-bench" fig11
 
 # Replay-throughput gate: time the devirtualized flat fast path
 # against the legacy virtual-dispatch loop (crw-bench
@@ -97,14 +98,12 @@ simd_agg=$(grep -o '"mevps_simd_aggregate": [0-9.]*' \
 echo "  simd follower pass (${simd_path:-absent}):" \
      "NS sweep ${simd_speedup:-absent}x vs scalar follower," \
      "${simd_agg:-absent} Mev/s full mix"
-# The speedup gate only means something when a true x86 vector tier
-# actually ran the timed leg: under CRW_SIMD=scalar the exhibit times
-# scalar-vs-scalar (~1.0x), and on non-x86 hosts the "tier" is the
-# portable SoA loop with no guarantee over the scalar follower. Both
-# are configuration, not regressions — note and skip.
-host_arch=$(uname -m 2>/dev/null || echo unknown)
-case "${simd_path:-absent}:$host_arch" in
-    sse2:x86_64|avx2:x86_64)
+# The speedup gate only means something when the AVX2 kernels ran the
+# timed leg: on hosts without AVX2 (x86 or not) the leg runs the
+# portable SoA loop, with no guarantee over the scalar follower. That
+# is the host, not a regression — note and skip.
+case "${simd_path:-absent}" in
+    avx2)
         if [ -z "$simd_speedup" ] ||
            awk "BEGIN { exit !($simd_speedup < 1.25) }"; then
             echo "error: SIMD follower pass under 1.25x the scalar" \
@@ -114,15 +113,13 @@ case "${simd_path:-absent}:$host_arch" in
         fi
         ;;
     *)
-        echo "  note: simd leg ran ${simd_path:-absent} on" \
-             "$host_arch — no x86 vector tier timed; simd_speedup" \
-             "gate skipped"
+        echo "  note: simd leg ran ${simd_path:-absent} — no AVX2" \
+             "kernels timed; simd_speedup gate skipped"
         ;;
 esac
 
 echo "== determinism gate (incl. observability + result cache +" \
-     "fast replay path + lockstep batch replay + policy family/" \
-     "synthetic behaviors + simd follower tiers)"
+     "arena stores + policy family/synthetic behaviors)"
 "$repo_root/scripts/check_determinism.sh" "$build_dir"
 
 # Result-cache gate: a warm `crw-bench fig11 fig12 fig13` rerun must
@@ -220,7 +217,7 @@ if [ "$warm_ms" -ge "$cold_ms" ]; then
     exit 1
 fi
 
-# Observability overhead gate: a fully instrumented bench_fig11 run
+# Observability overhead gate: a fully instrumented crw-bench fig11 run
 # (--metrics-out + --trace-out) must stay within a few percent of the
 # plain run. Best-of-3 per mode to shed scheduler noise; timing in ms
 # via date +%s%N where available (falls back to whole seconds).
@@ -247,11 +244,9 @@ best_ms() {
     done
     echo "$best"
 }
-echo "== observability overhead (bench_fig11, best of 3)"
-fig11_abs="$repo_root/$build_dir/bench/bench_fig11"
-[ -x "$fig11_abs" ] || fig11_abs="$build_dir/bench/bench_fig11"
-off_ms=$(best_ms "$fig11_abs")
-on_ms=$(best_ms "$fig11_abs" --metrics-out metrics.json \
+echo "== observability overhead (crw-bench fig11, best of 3)"
+off_ms=$(best_ms "$crwbench_abs" fig11)
+on_ms=$(best_ms "$crwbench_abs" fig11 --metrics-out metrics.json \
                 --trace-out trace.json)
 echo "  obs off: ${off_ms} ms   obs on: ${on_ms} ms"
 if [ "$off_ms" -gt 0 ] && \

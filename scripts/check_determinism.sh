@@ -1,18 +1,19 @@
 #!/usr/bin/env sh
 # Verify that the bench pipeline's output bytes do not depend on how
 # it runs. DESIGN.md and the sources cite the parts below by number,
-# so the numbers stay fixed (there is no part 2 or 5; the oracle vs
-# flat-loop comparison is the tier-1 test
-# BatchExecutor.EveryUnitKindMatchesOracleAtAnyJobs):
+# so the numbers stay fixed. There is no part 2, 5, 7 or 9: the
+# replay shape — oracle vs flat loop, lockstep batch width, follower
+# SIMD tier — is pinned in-process by the tier-1 test
+# BatchExecutor.EveryUnitKindMatchesOracleAtAnyJobs.
 #
-#  1. The parallel sweep runner is deterministic: run bench_fig11
-#     serially (--jobs 1) and in parallel (--jobs N), then require
-#     every emitted CSV to be byte-for-byte identical. A cached trace
+#  1. The parallel sweep runner is deterministic: run `crw-bench
+#     fig11` serially (--jobs 1) and in parallel (--jobs N), then
+#     require every emitted CSV to be byte-for-byte identical. A cached trace
 #     is shared between the two runs, so any difference is a
 #     scheduling bug in ParallelSweep, not workload noise.
 #
 #  3. The observability layer honors its determinism contract
-#     (DESIGN.md section 10): bench_fig11 --metrics-out output is
+#     (DESIGN.md section 10): `crw-bench fig11 --metrics-out` output is
 #     byte-identical across repeated runs and across --jobs 1 vs
 #     --jobs N, once the wall-clock-valued "host" section and the
 #     "jobs" manifest line (the two documented exceptions) are
@@ -23,9 +24,8 @@
 #  4. The point-result cache is invisible in every output byte: a
 #     cold-cache run, a warm-cache rerun and a --no-cache run of
 #     `crw-bench fig11` produce byte-identical stdout and CSVs — and
-#     identical to the legacy bench_fig11 wrapper — while the
-#     cache.*/replay.points counters prove the warm run replayed
-#     nothing. A combined `crw-bench fig11 fig12 fig13` run shares
+#     identical to part 1's serial run — while the cache.* and
+#     replay.points counters prove the warm run replayed nothing. A combined `crw-bench fig11 fig12 fig13` run shares
 #     one sweep: its CSVs match three standalone runs byte-for-byte
 #     and its replay count equals fig11's alone (fig12 and fig13
 #     contribute no new points).
@@ -41,32 +41,12 @@
 #     read-only `crw-bench cache` attacher perturbs nothing; and no
 #     run leaves a *.metrics file beside store.crwstore.
 #
-#  7. Lockstep batch replay (DESIGN.md section 14) is semantically
-#     invisible: `crw-bench fig11 fig12 fig13 --no-cache` with
-#     CRW_REPLAY_BATCH=0 (every point replayed individually) and with
-#     the default batching produces byte-identical stdout, CSVs and
-#     normalized metrics (minus the replay.batch* counters, which only
-#     the batching run records), the batched run agrees with itself at
-#     --jobs 1 vs --jobs N, and the counters prove the batched run
-#     really replayed lockstep batches while the pinned run replayed
-#     none.
-#
 #  8. The synthetic behavior generator and the policy family
 #     (DESIGN.md section 15) are deterministic end to end: `crw-bench
 #     synth --no-cache` regenerates byte-identical synth-*.trace
 #     files and produces byte-identical CSVs, stdout and normalized
-#     metrics across --jobs 1 vs --jobs N and across batched vs
-#     CRW_REPLAY_BATCH=0 replay — all five policies included.
-#
-#  9. The SIMD follower pass (DESIGN.md section 16) is semantically
-#     invisible: `crw-bench fig11 fig12 fig13 --no-cache` under
-#     CRW_SIMD=scalar (per-lane oracle replay), =sse2 and =avx2
-#     (lane-SoA vector kernels; avx2 clamps with a warning on hosts
-#     without it) produces byte-identical CSVs, stdout and normalized
-#     metrics — minus the replay.simd_path counter, which records the
-#     tier itself — and the widest tier agrees with itself at
-#     --jobs 1 vs --jobs N. The counters prove each run took the
-#     tier it was pinned to.
+#     metrics across --jobs 1 vs --jobs N — all five policies
+#     included.
 #
 # Usage: scripts/check_determinism.sh [build-dir] [jobs]
 #   build-dir  CMake build tree containing bench/ (default: build)
@@ -78,9 +58,9 @@ build_dir=${1:-build}
 jobs=${2:-$(nproc 2>/dev/null || echo 2)}
 [ "$jobs" -ge 2 ] || jobs=2
 
-bench="$build_dir/bench/bench_fig11"
-if [ ! -x "$bench" ]; then
-    echo "error: $bench not found or not executable." >&2
+crwbench="$build_dir/bench/crw-bench"
+if [ ! -x "$crwbench" ]; then
+    echo "error: $crwbench not found or not executable." >&2
     echo "Build first: cmake -B $build_dir -S . && \\" >&2
     echo "             cmake --build $build_dir -j" >&2
     exit 2
@@ -91,17 +71,18 @@ fi
 # trace cache is re-captured per run (also deterministic).
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
-bench_abs=$(cd "$(dirname "$bench")" && pwd)/$(basename "$bench")
+crwbench_abs=$(cd "$(dirname "$crwbench")" && pwd)/$(basename "$crwbench")
 
 run() {
     # $1: subdir, $2: --jobs value
     mkdir -p "$workdir/$1"
-    (cd "$workdir/$1" && "$bench_abs" --jobs "$2" > stdout.txt)
+    (cd "$workdir/$1" &&
+     "$crwbench_abs" fig11 --jobs "$2" > stdout.txt)
 }
 
-echo "== bench_fig11 --jobs 1"
+echo "== crw-bench fig11 --jobs 1"
 run serial 1
-echo "== bench_fig11 --jobs $jobs"
+echo "== crw-bench fig11 --jobs $jobs"
 run parallel "$jobs"
 
 status=0
@@ -140,7 +121,8 @@ run_metrics() {
     # $1: subdir, $2: --jobs value
     mkdir -p "$workdir/$1"
     (cd "$workdir/$1" &&
-     "$bench_abs" --jobs "$2" --metrics-out metrics.json > stdout.txt)
+     "$crwbench_abs" fig11 --jobs "$2" --metrics-out metrics.json \
+         > stdout.txt)
 }
 
 # The deterministic view: host section dropped (it is the last JSON
@@ -150,11 +132,11 @@ metrics_view() {
         -e 's/^    "jobs": "[0-9]*"/    "jobs": "N"/' "$1"
 }
 
-echo "== bench_fig11 --jobs 1 --metrics-out (run A)"
+echo "== crw-bench fig11 --jobs 1 --metrics-out (run A)"
 run_metrics obs_a 1
-echo "== bench_fig11 --jobs 1 --metrics-out (run B)"
+echo "== crw-bench fig11 --jobs 1 --metrics-out (run B)"
 run_metrics obs_b 1
-echo "== bench_fig11 --jobs $jobs --metrics-out"
+echo "== crw-bench fig11 --jobs $jobs --metrics-out"
 run_metrics obs_par "$jobs"
 
 for m in obs_a obs_b obs_par; do
@@ -200,15 +182,9 @@ fi
 
 # Part 4: the point-result cache. The cached sweep must be invisible
 # in every output byte — cold, warm and --no-cache runs identical to
-# each other and to the legacy wrapper — and the cache/replay obs
+# each other and to part 1's serial run — and the cache/replay obs
 # counters must prove the warm run replayed nothing and a combined
 # run shared its sweep.
-crwbench="$build_dir/bench/crw-bench"
-if [ ! -x "$crwbench" ]; then
-    echo "error: $crwbench not found or not executable." >&2
-    exit 2
-fi
-crwbench_abs=$(cd "$(dirname "$crwbench")" && pwd)/$(basename "$crwbench")
 
 # "name": N in a metrics.json, 0 when the counter never fired.
 counter() {
@@ -235,9 +211,9 @@ for pair in "cache/stdout_cold.txt cold-cache" \
     f=${pair%% *}
     label=${pair#* }
     if cmp -s "$workdir/serial/stdout.txt" "$workdir/$f"; then
-        echo "  ok   $label stdout matches the legacy wrapper"
+        echo "  ok   $label stdout matches the serial run"
     else
-        echo "  FAIL $label stdout differs from the legacy wrapper"
+        echo "  FAIL $label stdout differs from the serial run"
         status=1
     fi
 done
@@ -463,135 +439,27 @@ else
     status=1
 fi
 
-# Part 7: lockstep batch replay. CRW_REPLAY_BATCH=0 pins every cache
-# miss to the per-point replay; the default groups misses that
-# share a (behavior, scheme, cost model, policy) batch key into one
-# lockstep pass per trace. Both must produce the same bytes, and the
-# counters must show the batched run actually batched. --no-cache
-# keeps every point a live replay; the fig11+fig12+fig13 union is the
-# workload the batching was built for (one walk per scheme).
-run_batchmode() {
-    # $1: subdir, $2: CRW_REPLAY_BATCH value, $3: --jobs value
-    mkdir -p "$workdir/$1"
-    (cd "$workdir/$1" &&
-     CRW_REPLAY_BATCH="$2" "$crwbench_abs" fig11 fig12 fig13 \
-         --no-cache --jobs "$3" --metrics-out metrics.json \
-         > stdout.txt)
-}
-
-echo "== crw-bench fig11 fig12 fig13 --no-cache (CRW_REPLAY_BATCH=0)"
-run_batchmode batch_off 0 1
-echo "== crw-bench fig11 fig12 fig13 --no-cache (batched)"
-run_batchmode batch_on "" 1
-echo "== crw-bench fig11 fig12 fig13 --no-cache (batched, --jobs $jobs)"
-run_batchmode batch_on_par "" "$jobs"
-
-found=0
-for off_csv in "$workdir"/batch_off/bench_out/*.csv; do
-    [ -e "$off_csv" ] || break
-    found=1
-    name=$(basename "$off_csv")
-    if cmp -s "$off_csv" "$workdir/batch_on/bench_out/$name" &&
-       cmp -s "$off_csv" "$workdir/batch_on_par/bench_out/$name"; then
-        echo "  ok   $name identical batched and per-point"
-    else
-        echo "  FAIL $name differs between batched and per-point replay"
-        status=1
-    fi
-done
-if [ "$found" -eq 0 ]; then
-    echo "error: the CRW_REPLAY_BATCH=0 run produced no CSVs" >&2
-    exit 2
-fi
-if cmp -s "$workdir/batch_off/stdout.txt" \
-          "$workdir/batch_on/stdout.txt" &&
-   cmp -s "$workdir/batch_off/stdout.txt" \
-          "$workdir/batch_on_par/stdout.txt"; then
-    echo "  ok   stdout identical batched and per-point"
-else
-    echo "  FAIL stdout differs between batched and per-point replay"
-    status=1
-fi
-
-# Only batched runs record the replay.batch* counters — and
-# replay.simd_path, which only the batched follower pass records;
-# strip both for the batched-vs-per-point views. The batched runs keep
-# them: across job counts they must agree. Stripping a counter that
-# happened to be last in its block leaves the new last line with a
-# now-spurious trailing comma, so the views drop counter-line commas
-# before comparing.
-strip_batch_counters() {
-    metrics_view "$1" | grep -v '^    "replay\.batch' |
-        grep -v '^    "replay\.simd' | sed 's/,$//'
-}
-strip_batch_counters "$workdir/batch_off/metrics.json" \
-    > "$workdir/batch_off.view"
-strip_batch_counters "$workdir/batch_on/metrics.json" \
-    > "$workdir/batch_on.view"
-metrics_view "$workdir/batch_on/metrics.json" \
-    > "$workdir/batch_on_full.view"
-metrics_view "$workdir/batch_on_par/metrics.json" \
-    > "$workdir/batch_on_par.view"
-if cmp -s "$workdir/batch_off.view" "$workdir/batch_on.view"; then
-    echo "  ok   metrics identical batched and per-point (minus" \
-         "replay.batch* counters)"
-else
-    echo "  FAIL metrics differ between batched and per-point replay"
-    status=1
-fi
-if cmp -s "$workdir/batch_on_full.view" "$workdir/batch_on_par.view"; then
-    echo "  ok   batched metrics identical at --jobs 1 and --jobs $jobs"
-else
-    echo "  FAIL batched metrics differ between --jobs 1 and --jobs $jobs"
-    status=1
-fi
-
-off_batches=$(counter "$workdir/batch_off/metrics.json" \
-    "replay.batches")
-on_batches=$(counter "$workdir/batch_on/metrics.json" "replay.batches")
-on_lanes=$(counter "$workdir/batch_on/metrics.json" \
-    "replay.batched_points")
-on_width=$(counter "$workdir/batch_on/metrics.json" \
-    "replay.batch_width")
-off_points=$(counter "$workdir/batch_off/metrics.json" "replay.points")
-on_points=$(counter "$workdir/batch_on/metrics.json" "replay.points")
-if [ "$off_batches" -eq 0 ] && [ "$on_batches" -gt 0 ] &&
-   [ "$on_lanes" -gt 0 ] && [ "$on_width" -gt 1 ] &&
-   [ "$on_points" -eq "$off_points" ]; then
-    echo "  ok   batched run: $on_batches batches, $on_lanes lanes" \
-         "(width <= $on_width) over the same $on_points points"
-else
-    echo "  FAIL batch counters: off batches=$off_batches" \
-         "on batches=$on_batches lanes=$on_lanes width=$on_width" \
-         "points $off_points vs $on_points"
-    status=1
-fi
-
 # Part 8: the policy family and the synthetic behavior generator.
 # `crw-bench synth` sweeps generated behaviors x schemes x windows x
 # all five scheduling policies; the generator is a pure function of
 # its seeded spec, so the emitted trace files, every sweep CSV and
 # the normalized metrics must be byte-identical across --jobs 1 vs
-# --jobs N and across batched vs CRW_REPLAY_BATCH=0 replay. The
-# batched run mixes the residency-blind policies (FIFO/RR/PRI), which
-# batch under every scheme, with the working-set family, which the
-# static batch rule batches under NS and replays one lane at a time
-# under SNP/SP — both halves of the rule against the pinned
-# per-point baseline.
+# --jobs N. The runs mix the residency-blind policies (FIFO/RR/PRI),
+# which batch under every scheme, with the working-set family, which
+# the static batch rule batches under NS and replays one lane at a
+# time under SNP/SP.
 run_synth() {
-    # $1: subdir, $2: CRW_REPLAY_BATCH value, $3: --jobs value
+    # $1: subdir, $2: --jobs value
     mkdir -p "$workdir/$1"
     (cd "$workdir/$1" &&
-     CRW_REPLAY_BATCH="$2" "$crwbench_abs" synth --no-cache \
-         --jobs "$3" --metrics-out metrics.json > stdout.txt)
+     "$crwbench_abs" synth --no-cache --jobs "$2" \
+         --metrics-out metrics.json > stdout.txt)
 }
 
 echo "== crw-bench synth --no-cache (--jobs 1)"
-run_synth synth_serial "" 1
+run_synth synth_serial 1
 echo "== crw-bench synth --no-cache (--jobs $jobs)"
-run_synth synth_par "" "$jobs"
-echo "== crw-bench synth --no-cache (CRW_REPLAY_BATCH=0)"
-run_synth synth_nobatch 0 1
+run_synth synth_par "$jobs"
 
 found=0
 for trace in "$workdir"/synth_serial/bench_out/traces/synth-*.trace; do
@@ -599,10 +467,8 @@ for trace in "$workdir"/synth_serial/bench_out/traces/synth-*.trace; do
     found=1
     name=$(basename "$trace")
     if cmp -s "$trace" \
-              "$workdir/synth_par/bench_out/traces/$name" &&
-       cmp -s "$trace" \
-              "$workdir/synth_nobatch/bench_out/traces/$name"; then
-        echo "  ok   $name regenerated byte-identical in every run"
+              "$workdir/synth_par/bench_out/traces/$name"; then
+        echo "  ok   $name regenerated byte-identical in both runs"
     else
         echo "  FAIL $name differs between generator runs"
         status=1
@@ -618,12 +484,10 @@ for serial_csv in "$workdir"/synth_serial/bench_out/*.csv; do
     [ -e "$serial_csv" ] || break
     found=1
     name=$(basename "$serial_csv")
-    if cmp -s "$serial_csv" "$workdir/synth_par/bench_out/$name" &&
-       cmp -s "$serial_csv" \
-              "$workdir/synth_nobatch/bench_out/$name"; then
-        echo "  ok   $name identical across jobs and batch modes"
+    if cmp -s "$serial_csv" "$workdir/synth_par/bench_out/$name"; then
+        echo "  ok   $name identical at --jobs 1 and --jobs $jobs"
     else
-        echo "  FAIL $name differs across jobs or batch modes"
+        echo "  FAIL $name differs between --jobs 1 and --jobs $jobs"
         status=1
     fi
 done
@@ -632,12 +496,10 @@ if [ "$found" -eq 0 ]; then
     exit 2
 fi
 if cmp -s "$workdir/synth_serial/stdout.txt" \
-          "$workdir/synth_par/stdout.txt" &&
-   cmp -s "$workdir/synth_serial/stdout.txt" \
-          "$workdir/synth_nobatch/stdout.txt"; then
-    echo "  ok   synth stdout identical across jobs and batch modes"
+          "$workdir/synth_par/stdout.txt"; then
+    echo "  ok   synth stdout identical at --jobs 1 and --jobs $jobs"
 else
-    echo "  FAIL synth stdout differs across jobs or batch modes"
+    echo "  FAIL synth stdout differs between --jobs 1 and --jobs $jobs"
     status=1
 fi
 
@@ -645,144 +507,10 @@ metrics_view "$workdir/synth_serial/metrics.json" \
     > "$workdir/synth_serial.view"
 metrics_view "$workdir/synth_par/metrics.json" \
     > "$workdir/synth_par.view"
-strip_batch_counters "$workdir/synth_serial/metrics.json" \
-    > "$workdir/synth_serial_nb.view"
-strip_batch_counters "$workdir/synth_nobatch/metrics.json" \
-    > "$workdir/synth_nobatch.view"
 if cmp -s "$workdir/synth_serial.view" "$workdir/synth_par.view"; then
     echo "  ok   synth metrics identical at --jobs 1 and --jobs $jobs"
 else
     echo "  FAIL synth metrics differ between --jobs 1 and --jobs $jobs"
-    status=1
-fi
-if cmp -s "$workdir/synth_serial_nb.view" \
-          "$workdir/synth_nobatch.view"; then
-    echo "  ok   synth metrics identical batched and per-point (minus" \
-         "replay.batch* counters)"
-else
-    echo "  FAIL synth metrics differ between batched and per-point" \
-         "replay"
-    status=1
-fi
-
-# Part 9: the SIMD follower pass. CRW_SIMD pins the batched follower
-# replay to one dispatch tier: `scalar` is the per-lane oracle, the
-# named vector tiers run the lane-SoA pass for NS/INF batches (the
-# sharing schemes replay per lane on every tier). Every tier must
-# produce the same bytes —
-# the tier may only change host wall time. The replay.simd_path
-# counter records the tier taken, so it is stripped from the
-# cross-tier metrics view and then used to prove each run really ran
-# its pinned tier (scalar=0, sse2=1, avx2=2; avx2 clamps to the
-# host's widest tier, so it is only required to be >= sse2).
-run_simd() {
-    # $1: subdir, $2: CRW_SIMD value, $3: --jobs value
-    mkdir -p "$workdir/$1"
-    (cd "$workdir/$1" &&
-     CRW_SIMD="$2" "$crwbench_abs" fig11 fig12 fig13 --no-cache \
-         --jobs "$3" --metrics-out metrics.json > stdout.txt)
-}
-
-echo "== crw-bench fig11 fig12 fig13 --no-cache (CRW_SIMD=scalar)"
-run_simd simd_scalar scalar 1
-echo "== crw-bench fig11 fig12 fig13 --no-cache (CRW_SIMD=sse2)"
-run_simd simd_sse2 sse2 1
-echo "== crw-bench fig11 fig12 fig13 --no-cache (CRW_SIMD=avx2)"
-run_simd simd_avx2 avx2 1
-echo "== crw-bench fig11 fig12 fig13 --no-cache (CRW_SIMD=avx2," \
-     "--jobs $jobs)"
-run_simd simd_avx2_par avx2 "$jobs"
-
-found=0
-for scalar_csv in "$workdir"/simd_scalar/bench_out/*.csv; do
-    [ -e "$scalar_csv" ] || break
-    found=1
-    name=$(basename "$scalar_csv")
-    if cmp -s "$scalar_csv" "$workdir/simd_sse2/bench_out/$name" &&
-       cmp -s "$scalar_csv" "$workdir/simd_avx2/bench_out/$name" &&
-       cmp -s "$scalar_csv" "$workdir/simd_avx2_par/bench_out/$name"; then
-        echo "  ok   $name identical across every simd tier"
-    else
-        echo "  FAIL $name differs between simd tiers or job counts"
-        status=1
-    fi
-done
-if [ "$found" -eq 0 ]; then
-    echo "error: the CRW_SIMD=scalar run produced no CSVs" >&2
-    exit 2
-fi
-if cmp -s "$workdir/simd_scalar/stdout.txt" \
-          "$workdir/simd_sse2/stdout.txt" &&
-   cmp -s "$workdir/simd_scalar/stdout.txt" \
-          "$workdir/simd_avx2/stdout.txt" &&
-   cmp -s "$workdir/simd_scalar/stdout.txt" \
-          "$workdir/simd_avx2_par/stdout.txt"; then
-    echo "  ok   stdout identical across every simd tier"
-else
-    echo "  FAIL stdout differs between simd tiers or job counts"
-    status=1
-fi
-
-strip_simd_counters() {
-    metrics_view "$1" | grep -v '^    "replay\.simd' | sed 's/,$//'
-}
-strip_simd_counters "$workdir/simd_scalar/metrics.json" \
-    > "$workdir/simd_scalar.view"
-strip_simd_counters "$workdir/simd_sse2/metrics.json" \
-    > "$workdir/simd_sse2.view"
-strip_simd_counters "$workdir/simd_avx2/metrics.json" \
-    > "$workdir/simd_avx2.view"
-metrics_view "$workdir/simd_avx2/metrics.json" \
-    > "$workdir/simd_avx2_full.view"
-metrics_view "$workdir/simd_avx2_par/metrics.json" \
-    > "$workdir/simd_avx2_par.view"
-if cmp -s "$workdir/simd_scalar.view" "$workdir/simd_sse2.view" &&
-   cmp -s "$workdir/simd_scalar.view" "$workdir/simd_avx2.view"; then
-    echo "  ok   metrics identical across simd tiers (minus" \
-         "replay.simd_path)"
-else
-    echo "  FAIL metrics differ between simd tiers"
-    status=1
-fi
-if cmp -s "$workdir/simd_avx2_full.view" \
-          "$workdir/simd_avx2_par.view"; then
-    echo "  ok   widest-tier metrics identical at --jobs 1 and" \
-         "--jobs $jobs"
-else
-    echo "  FAIL widest-tier metrics differ between --jobs 1 and" \
-         "--jobs $jobs"
-    status=1
-fi
-
-scalar_tier=$(counter "$workdir/simd_scalar/metrics.json" \
-    "replay.simd_path")
-sse2_tier=$(counter "$workdir/simd_sse2/metrics.json" \
-    "replay.simd_path")
-avx2_tier=$(counter "$workdir/simd_avx2/metrics.json" \
-    "replay.simd_path")
-if [ "$scalar_tier" -eq 0 ] && [ "$sse2_tier" -eq 1 ] &&
-   [ "$avx2_tier" -ge 1 ]; then
-    echo "  ok   simd_path counters: scalar=$scalar_tier" \
-         "sse2=$sse2_tier avx2=$avx2_tier"
-else
-    echo "  FAIL simd_path counters: scalar=$scalar_tier" \
-         "sse2=$sse2_tier avx2=$avx2_tier"
-    status=1
-fi
-
-# Batching follows a static (scheme, policy) rule, so no batch can
-# diverge and fall back to per-point replay: no run of parts 7-9 may
-# count a replay.batch_fallback.
-fallback_runs=""
-for run in batch_off batch_on batch_on_par synth_serial synth_par \
-           synth_nobatch simd_scalar simd_sse2 simd_avx2 simd_avx2_par; do
-    n=$(counter "$workdir/$run/metrics.json" "replay.batch_fallback")
-    [ "$n" -eq 0 ] || fallback_runs="$fallback_runs $run=$n"
-done
-if [ -z "$fallback_runs" ]; then
-    echo "  ok   no batch fell back to per-point replay in parts 7-9"
-else
-    echo "  FAIL replay.batch_fallback counted in:$fallback_runs"
     status=1
 fi
 
@@ -792,10 +520,8 @@ if [ "$status" -eq 0 ]; then
          "with the result cache cold," \
          "warm, shared and disabled, with the arena stores cold," \
          "warm, bypassed" \
-         "and concurrently attached, with lockstep batch replay" \
-         "on and off, with the synthetic policy sweep across" \
-         "job counts and batch modes, and with the follower replay" \
-         "pinned to every simd tier"
+         "and concurrently attached, and with the synthetic policy" \
+         "sweep across job counts"
 else
     echo "determinism check FAILED" >&2
 fi

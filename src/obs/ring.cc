@@ -110,22 +110,13 @@ EventRing::openFile(const std::string &path, std::uint32_t capacity,
     const std::size_t total =
         kSlotsOff + static_cast<std::size_t>(capacity) * kSlotBytes;
 
-    store::Mapping writable;
-    if (store::Mapping::openFile(path, total, /*writable=*/true,
-                                 writable, error) &&
-        writable.tryLockExclusive()) {
-        mapping_ = std::move(writable);
+    if (!store::Mapping::openElected(path, total, mapping_, error))
+        return false;
+    if (mapping_.locked()) {
         if (!validateHeader())
             initialize(capacity);
         return true;
     }
-    writable.close();
-
-    store::Mapping readonly;
-    if (!store::Mapping::openFile(path, 0, /*writable=*/false,
-                                  readonly, error))
-        return false;
-    mapping_ = std::move(readonly);
     if (!validateHeader()) {
         close();
         if (error)

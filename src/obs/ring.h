@@ -73,7 +73,7 @@ enum class RingEventCode : std::uint32_t
      */
     ReplayBatchFallback = 12,
     /** SIMD follower path of a batch (arg = SimdTier code: 0 scalar
-     *  oracle, 1 SSE2, 2 AVX2; value = batch width). */
+     *  oracle, 1 portable SoA, 2 AVX2; value = batch width). */
     ReplaySimd = 13,
 };
 
@@ -97,9 +97,11 @@ class EventRing
     EventRing &operator=(const EventRing &) = delete;
 
     /**
-     * Open @p path, electing writer via flock. The winner formats the
-     * ring if the header does not validate; a loser attaches
-     * read-only (snapshot works, publish is a no-op). False when
+     * Open @p path, electing writer via flock (Mapping::openElected).
+     * The winner sizes the file and formats the ring if the header
+     * does not validate; a loser attaches read-only to the winner's
+     * ring, whatever its capacity (snapshot works, publish is a
+     * no-op). False when
      * neither works — callers typically retry with openAnonymous.
      */
     bool openFile(const std::string &path, std::uint32_t capacity,

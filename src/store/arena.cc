@@ -116,29 +116,21 @@ Mapping::close()
 }
 
 bool
-Mapping::openFile(const std::string &path, std::size_t create_size,
-                  bool writable, Mapping &out, std::string *error)
+Mapping::mapFd(int fd, const std::string &path, std::size_t min_size,
+               bool writable, std::string *error)
 {
-    out.close();
-    const int flags =
-        (writable ? O_RDWR : O_RDONLY) |
-        (writable && create_size > 0 ? O_CREAT : 0);
-    const int fd = ::open(path.c_str(), flags, 0644);
-    if (fd < 0)
-        return fail(error, "cannot open " + path);
-
     struct stat st;
     if (::fstat(fd, &st) != 0) {
         ::close(fd);
         return fail(error, "cannot stat " + path);
     }
     std::size_t size = static_cast<std::size_t>(st.st_size);
-    if (writable && size < create_size) {
-        if (::ftruncate(fd, static_cast<off_t>(create_size)) != 0) {
+    if (size < min_size) {
+        if (::ftruncate(fd, static_cast<off_t>(min_size)) != 0) {
             ::close(fd);
             return fail(error, "cannot size " + path);
         }
-        size = create_size;
+        size = min_size;
     }
     if (size == 0) {
         ::close(fd);
@@ -152,11 +144,39 @@ Mapping::openFile(const std::string &path, std::size_t create_size,
         ::close(fd);
         return fail(error, "cannot map " + path);
     }
-    out.addr_ = addr;
-    out.size_ = size;
-    out.fd_ = fd;
-    out.writable_ = writable;
+    addr_ = addr;
+    size_ = size;
+    fd_ = fd;
+    writable_ = writable;
     return true;
+}
+
+bool
+Mapping::openReadOnly(const std::string &path, Mapping &out,
+                      std::string *error)
+{
+    out.close();
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
+        return fail(error, "cannot open " + path);
+    return out.mapFd(fd, path, 0, /*writable=*/false, error);
+}
+
+bool
+Mapping::openElected(const std::string &path, std::size_t size,
+                     Mapping &out, std::string *error)
+{
+    out.close();
+    const int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
+    if (fd >= 0 && ::flock(fd, LOCK_EX | LOCK_NB) == 0) {
+        if (!out.mapFd(fd, path, size, /*writable=*/true, error))
+            return false;
+        out.locked_ = true;
+        return true;
+    }
+    if (fd >= 0)
+        ::close(fd);
+    return openReadOnly(path, out, error);
 }
 
 bool
@@ -174,19 +194,6 @@ Mapping::createAnonymous(std::size_t size, Mapping &out,
     out.size_ = size;
     out.fd_ = -1;
     out.writable_ = true;
-    return true;
-}
-
-bool
-Mapping::tryLockExclusive()
-{
-    if (fd_ < 0 || !writable_)
-        return false;
-    if (locked_)
-        return true;
-    if (::flock(fd_, LOCK_EX | LOCK_NB) != 0)
-        return false;
-    locked_ = true;
     return true;
 }
 
@@ -375,7 +382,7 @@ ArenaView::attach(const std::string &path,
                   std::string *error)
 {
     Mapping mapping;
-    if (!Mapping::openFile(path, 0, /*writable=*/false, mapping, error))
+    if (!Mapping::openReadOnly(path, mapping, error))
         return false;
     return attachMapping(std::move(mapping), expected_app_version,
                          expected_key, out, error);

@@ -90,26 +90,29 @@ class Mapping
     Mapping &operator=(const Mapping &) = delete;
 
     /**
-     * Map @p path. @p create_size > 0 creates the file (O_CREAT,
-     * sized with ftruncate — sparse until written) if missing or
-     * shorter; 0 requires it to exist. @p writable selects a shared
-     * read-write mapping. False (and *error) on any syscall failure.
+     * Map an existing, non-empty @p path read-only (a private
+     * mapping). False (and *error) on any syscall failure.
      */
-    static bool openFile(const std::string &path,
-                         std::size_t create_size, bool writable,
-                         Mapping &out, std::string *error = nullptr);
+    static bool openReadOnly(const std::string &path, Mapping &out,
+                             std::string *error = nullptr);
+
+    /**
+     * The writer election for single-writer stores, in one step:
+     * open @p path read-write (creating it if missing), take a
+     * non-blocking flock(LOCK_EX), and only then size the file. The
+     * winner grows it to @p size (ftruncate — sparse until written)
+     * if it is shorter and maps it shared-writable; locked() is
+     * true, and the lock is released when the mapping closes. A
+     * loser (the lock is held by another open file description, or
+     * the file cannot be opened for writing) never resizes the file:
+     * it maps it read-only at its current size, as openReadOnly().
+     */
+    static bool openElected(const std::string &path, std::size_t size,
+                            Mapping &out, std::string *error = nullptr);
 
     /** Anonymous zero-filled writable memory (no backing file). */
     static bool createAnonymous(std::size_t size, Mapping &out,
                                 std::string *error = nullptr);
-
-    /**
-     * Non-blocking flock(LOCK_EX) on the backing file: the writer
-     * election for single-writer stores. False when another process
-     * holds it (or the mapping is anonymous/read-only). The lock is
-     * released when the mapping closes.
-     */
-    bool tryLockExclusive();
 
     bool valid() const { return addr_ != nullptr; }
     void *data() { return addr_; }
@@ -122,6 +125,11 @@ class Mapping
     void close();
 
   private:
+    /** Map the open @p fd (taking ownership), first growing the file
+     *  to @p min_size; closes @p fd on failure. */
+    bool mapFd(int fd, const std::string &path, std::size_t min_size,
+               bool writable, std::string *error);
+
     void *addr_ = nullptr;
     std::size_t size_ = 0;
     int fd_ = -1;

@@ -184,11 +184,9 @@ RecordStore::open(const std::string &path, std::uint32_t app_version,
     const std::size_t total =
         kHeaderBytes + index_slots * 8 + data_capacity;
 
-    Mapping writable;
-    if (Mapping::openFile(path, total, /*writable=*/true, writable,
-                          error) &&
-        writable.tryLockExclusive()) {
-        mapping_ = std::move(writable);
+    if (!Mapping::openElected(path, total, mapping_, error))
+        return false;
+    if (mapping_.locked()) {
         if (!validateHeader(app_version) &&
             !initialize(app_version, index_slots, data_capacity)) {
             close();
@@ -199,15 +197,9 @@ RecordStore::open(const std::string &path, std::uint32_t app_version,
         mode_ = Mode::Writer;
         return true;
     }
-    writable.close();
 
-    // Lost the writer election (or the file is unwritable): attach
-    // read-only against whatever the owning writer has published.
-    Mapping readonly;
-    if (!Mapping::openFile(path, 0, /*writable=*/false, readonly,
-                           error))
-        return false;
-    mapping_ = std::move(readonly);
+    // Lost the writer election (or the file is unwritable): read-only
+    // against whatever the owning writer has published.
     if (!validateHeader(app_version)) {
         close();
         if (error)

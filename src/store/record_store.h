@@ -36,10 +36,10 @@
  * Record encoding at its slot offset (8-byte aligned):
  *   u32 keyLen | key | u32 blobLen | blob | u64 hashArena64(all prior)
  *
- * Writer election is flock-based (Mapping::tryLockExclusive): exactly
- * one process opens Writer; the rest attach Reader or, if the file is
- * not yet valid, degrade to Invalid, where every find misses and
- * every mutation is refused.
+ * Writer election is flock-based (Mapping::openElected): exactly one
+ * process opens Writer and sizes the file; the rest attach Reader to
+ * the file as the writer sized it or, if it is not yet valid, degrade
+ * to Invalid, where every find misses and every mutation is refused.
  */
 
 #ifndef CRW_STORE_RECORD_STORE_H_

@@ -42,8 +42,7 @@
  * engine-op stream, and BatchedEngineView::finish() replays the
  * followers from that record — per lane for the sharing schemes and
  * on the scalar tier, or for NS/INF in one lane-SoA pass with SIMD
- * run kernels on the vector tiers ($CRW_SIMD, win/simd.h, DESIGN.md
- * §16). The tier is a host-side choice only: every tier produces
+ * run kernels on the SoA tiers (win/simd.h, DESIGN.md §16). The tier is a host-side choice only: every tier produces
  * bit-identical lane results. A one-config batch has no followers and
  * runs the single-engine FastEngineView, as a per-point replay does.
  */

@@ -36,13 +36,13 @@
  *      sharing schemes (SNP, SP) take it on every tier; NS and INF
  *      take it on the scalar tier. It is the bit-identity oracle.
  *
- *      Lane-SoA — NS and INF on the Sse2/Avx2 tiers (DESIGN.md §16,
- *      $CRW_SIMD, win/simd.h): the followers' hot state is transposed
+ *      Lane-SoA — NS and INF on the Portable/Avx2 tiers (DESIGN.md
+ *      §16, win/simd.h): the followers' hot state is transposed
  *      into the lane-major arrays of win/lane_soa.h and ONE walk over
  *      the stream applies each op to every lane at once. Runs of
  *      same-thread saves/restores collapse into single calls of the
- *      closed-form kernels (win/scheme.h RunFold math, vectorized 4-
- *      or 8-wide); switches and exits stay scalar per lane against
+ *      closed-form kernels (win/scheme.h RunFold math, 8-wide
+ *      under AVX2); switches and exits stay scalar per lane against
  *      the transposed state. The per-lane engines are only touched
  *      again at writeback, which materializes the SoA state through
  *      the WindowFile import primitives. Both shapes are bit-identical

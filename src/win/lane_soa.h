@@ -24,13 +24,12 @@
  * lane, but they run against the same compact SoA state, so the whole
  * pass touches one small working set once per stream.
  *
- * Three kernel flavors sit behind laneKernels(tier): AVX2 (8 lanes per
- * step), SSE2 (4 lanes per step; min/max emulated — pminsd is SSE4.1),
- * and a portable scalar loop that is also the non-x86 build's only
- * flavor. Every flavor computes the identical integer recurrences, so
- * results are bit-identical across tiers by construction; the scalar
- * *tier* (win/simd.h) bypasses this file entirely and runs the
- * per-lane pass, the differential oracle.
+ * Two kernel flavors sit behind laneKernels(tier): AVX2 (8 lanes per
+ * step) and a portable plain loop, which runs on every host without
+ * AVX2. Both compute the identical integer recurrences, so results are
+ * bit-identical across tiers by construction; the scalar *tier*
+ * (win/simd.h) bypasses this file entirely and runs the per-lane pass,
+ * the differential oracle.
  */
 
 #ifndef CRW_WIN_LANE_SOA_H_
@@ -139,7 +138,7 @@ namespace detail_soa {
 // ---------------------------------------------------------------
 // Portable flavor: plain loops over the padded arrays. The integer
 // recurrences are the closed forms of win/scheme.h verbatim; the
-// SSE2/AVX2 flavors below compute exactly these expressions.
+// AVX2 flavor below computes exactly these expressions.
 // ---------------------------------------------------------------
 
 inline void
@@ -191,115 +190,6 @@ inline constexpr LaneKernels kPortableKernels = {
 };
 
 #if defined(__x86_64__)
-
-// ---------------------------------------------------------------
-// SSE2 flavor: 4 × i32 per step. SSE2 has no pminsd/pmaxsd (those
-// are SSE4.1), so min/max are compare-and-blend; the u64 tally
-// accumulation widens each 4-lane trap vector into two 2 × u64
-// halves via unpacks against zero.
-// ---------------------------------------------------------------
-
-inline __m128i
-minEpi32Sse2(__m128i a, __m128i b)
-{
-    const __m128i a_gt = _mm_cmpgt_epi32(a, b);
-    return _mm_or_si128(_mm_and_si128(a_gt, b),
-                        _mm_andnot_si128(a_gt, a));
-}
-
-inline __m128i
-maxEpi32Sse2(__m128i a, __m128i b)
-{
-    const __m128i a_gt = _mm_cmpgt_epi32(a, b);
-    return _mm_or_si128(_mm_and_si128(a_gt, a),
-                        _mm_andnot_si128(a_gt, b));
-}
-
-/** tally[l] += traps[l] * cost[l] and count[l] += traps[l], over one
- *  2 × u64 half; traps and costs fit 32 bits so pmuludq is exact. */
-inline void
-foldTrapHalfSse2(__m128i traps64, std::uint64_t *count_a,
-                 std::uint64_t *count_b, const std::uint64_t *cost,
-                 std::uint64_t *cycles, std::uint64_t *offset)
-{
-    __m128i *ca = reinterpret_cast<__m128i *>(count_a);
-    __m128i *cb = reinterpret_cast<__m128i *>(count_b);
-    _mm_store_si128(ca,
-                    _mm_add_epi64(_mm_load_si128(ca), traps64));
-    _mm_store_si128(cb,
-                    _mm_add_epi64(_mm_load_si128(cb), traps64));
-    const __m128i c64 = _mm_mul_epu32(
-        traps64,
-        _mm_load_si128(reinterpret_cast<const __m128i *>(cost)));
-    __m128i *cy = reinterpret_cast<__m128i *>(cycles);
-    __m128i *of = reinterpret_cast<__m128i *>(offset);
-    _mm_store_si128(cy, _mm_add_epi64(_mm_load_si128(cy), c64));
-    _mm_store_si128(of, _mm_add_epi64(_mm_load_si128(of), c64));
-}
-
-template <bool Save>
-inline void
-runFoldSse2(LaneSoA &s, ThreadId tid, int k)
-{
-    std::int32_t *res = s.resOf(tid);
-    std::int32_t *top = s.topOf(tid);
-    const __m128i kv = _mm_set1_epi32(k);
-    const __m128i one = _mm_set1_epi32(1);
-    const __m128i zero = _mm_setzero_si128();
-    for (std::size_t l = 0; l < s.pad; l += 4) {
-        const __m128i r = _mm_load_si128(
-            reinterpret_cast<const __m128i *>(res + l));
-        __m128i r2, traps;
-        if constexpr (Save) {
-            const __m128i cap = _mm_load_si128(
-                reinterpret_cast<const __m128i *>(s.nsCap.data() +
-                                                  l));
-            r2 = minEpi32Sse2(_mm_add_epi32(r, kv), cap);
-            traps = _mm_sub_epi32(kv, _mm_sub_epi32(r2, r));
-        } else {
-            r2 = maxEpi32Sse2(_mm_sub_epi32(r, kv), one);
-            traps = _mm_sub_epi32(kv, _mm_sub_epi32(r, r2));
-        }
-        _mm_store_si128(reinterpret_cast<__m128i *>(res + l), r2);
-        {
-            __m128i *tp = reinterpret_cast<__m128i *>(top + l);
-            const __m128i t = _mm_load_si128(tp);
-            _mm_store_si128(tp, Save ? _mm_sub_epi32(t, kv)
-                                     : _mm_add_epi32(t, kv));
-        }
-        const __m128i t_lo = _mm_unpacklo_epi32(traps, zero);
-        const __m128i t_hi = _mm_unpackhi_epi32(traps, zero);
-        std::uint64_t *count_a =
-            (Save ? s.ovfTraps : s.unfTraps).data() + l;
-        std::uint64_t *count_b =
-            (Save ? s.ovfSpilled : s.unfRestored).data() + l;
-        const std::uint64_t *cost =
-            (Save ? s.ovfCost1 : s.unfCost).data() + l;
-        foldTrapHalfSse2(t_lo, count_a, count_b, cost,
-                         s.cyclesTrap.data() + l,
-                         s.offset.data() + l);
-        foldTrapHalfSse2(t_hi, count_a + 2, count_b + 2, cost + 2,
-                         s.cyclesTrap.data() + l + 2,
-                         s.offset.data() + l + 2);
-    }
-}
-
-inline void
-nsSaveRunSse2(LaneSoA &s, ThreadId tid, int k)
-{
-    runFoldSse2<true>(s, tid, k);
-}
-
-inline void
-nsRestoreRunSse2(LaneSoA &s, ThreadId tid, int k)
-{
-    runFoldSse2<false>(s, tid, k);
-}
-
-inline constexpr LaneKernels kSse2Kernels = {
-    &nsSaveRunSse2,
-    &nsRestoreRunSse2,
-};
 
 // ---------------------------------------------------------------
 // AVX2 flavor: 8 × i32 per step, native min/max, cvtepu32 widening.
@@ -402,8 +292,8 @@ inline constexpr LaneKernels kAvx2Kernels = {
 /**
  * Kernel set for @p tier. SimdTier::Scalar callers never reach the
  * SoA pass (engine_batch.h dispatches them to the per-lane oracle),
- * so the request here is only ever Sse2 or Avx2; on non-x86 both
- * resolve to the portable flavor.
+ * so the request here is only ever Portable or Avx2; a non-x86 build
+ * never resolves to Avx2 (win/simd.h).
  */
 inline const LaneKernels &
 laneKernels(SimdTier tier)
@@ -411,8 +301,6 @@ laneKernels(SimdTier tier)
 #if defined(__x86_64__)
     if (tier == SimdTier::Avx2)
         return detail_soa::kAvx2Kernels;
-    if (tier == SimdTier::Sse2)
-        return detail_soa::kSse2Kernels;
 #else
     (void)tier;
 #endif

@@ -35,7 +35,7 @@ namespace crw {
  * What happens to a thread's private reserved window (SP scheme) when
  * the last window of its run is spilled by somebody's growth. The
  * paper does not pin this down; the default (Eager) reproduces its
- * Figure 11 shapes, and bench_ablation compares all three.
+ * Figure 11 shapes, and `crw-bench ablation` compares all three.
  */
 enum class PrwReclaim {
     /** The orphaned PRW keeps its slot until growth reaches it; its
@@ -54,7 +54,7 @@ enum class PrwReclaim {
  * thread that has no windows (paper §4.2). Simple is what the paper
  * evaluates ("we have only considered the simple allocation scheme");
  * FreeSearch is the improvement it suggests may be "worth the extra
- * cost" — used by bench_ablation.
+ * cost" — used by `crw-bench ablation`.
  */
 enum class AllocPolicy {
     /** Allocate directly above the suspended thread's windows (its

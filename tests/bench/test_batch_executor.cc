@@ -3,13 +3,14 @@
  * The sweep executor's lockstep batching (bench/executor.cc,
  * DESIGN.md §14): cache misses sharing a pointBatchKey replay as one
  * batch (replay.batches / replay.batched_points / replay.batch_width
- * count it), CRW_REPLAY_BATCH caps the width (ragged tail chunks) and
- * "0" pins batching off, a cache-disabled sweep still batches (the
- * --no-cache path), a --trace-out run falls back to per-point
- * replays (the timeline observer is per-point only), and the static
- * batch rule keeps SNP/SP under the working-set policies at one lane.
- * Every result — batched or width-1, at any --jobs — must stay
- * bit-identical to the oracle loop's replay of the same point.
+ * count it), the batch width cap chunks groups (ragged tail chunks)
+ * and a cap of 0 pins batching off, a cache-disabled sweep still
+ * batches (the --no-cache path), a --trace-out run falls back to
+ * per-point replays (the timeline observer is per-point only), and
+ * the static batch rule keeps SNP/SP under the working-set policies
+ * at one lane. Every result — batched or width-1, at any follower
+ * tier, batch cap or --jobs — must stay bit-identical to the oracle
+ * loop's replay of the same point, and so must its obs record.
  */
 
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -27,6 +29,8 @@
 #include "bench/harness.h"
 #include "bench/plan.h"
 #include "obs/metrics.h"
+#include "obs/publish.h"
+#include "tests/win/simd_test_util.h"
 #include "trace/replay_batch.h"
 #include "trace/replay_driver.h"
 #include "trace/run_metrics.h"
@@ -53,15 +57,15 @@ const bool g_privateStore = [] {
     return true;
 }();
 
-/** Scoped CRW_REPLAY_BATCH override (unset on destruction). */
-class ScopedBatchEnv
+/** Scoped batch width cap pin (setReplayBatchCapOverride). */
+class ScopedBatchCap
 {
   public:
-    explicit ScopedBatchEnv(const char *value)
+    explicit ScopedBatchCap(std::size_t cap)
     {
-        ::setenv("CRW_REPLAY_BATCH", value, 1);
+        setReplayBatchCapOverride(cap);
     }
-    ~ScopedBatchEnv() { ::unsetenv("CRW_REPLAY_BATCH"); }
+    ~ScopedBatchCap() { clearReplayBatchCapOverride(); }
 };
 
 /**
@@ -131,52 +135,21 @@ windowsPlan(SchemeKind scheme, const std::vector<int> &windows,
     return plan;
 }
 
-TEST(BatchExecutor, ParseReplayBatchCapIsStrict)
-{
-    // Mirrors parseJobs: unset/empty quietly default, garbage and
-    // negatives warn-and-default (never silently disable batching),
-    // huge values clamp.
-    EXPECT_EQ(parseReplayBatchCap(nullptr), 16u);
-    EXPECT_EQ(parseReplayBatchCap(""), 16u);
-
-    EXPECT_EQ(parseReplayBatchCap("0"), 0u);
-    EXPECT_EQ(parseReplayBatchCap("1"), 1u);
-    EXPECT_EQ(parseReplayBatchCap("4"), 4u);
-    EXPECT_EQ(parseReplayBatchCap("1024"), 1024u);
-
-    testing::internal::CaptureStderr();
-    EXPECT_EQ(parseReplayBatchCap("abc"), 16u);
-    EXPECT_EQ(parseReplayBatchCap("8x"), 16u);
-    EXPECT_EQ(parseReplayBatchCap("-3"), 16u);
-    EXPECT_EQ(parseReplayBatchCap("999999999999999999999"), 16u);
-    EXPECT_EQ(parseReplayBatchCap("4096"), kMaxReplayBatch);
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("invalid replay batch cap \"abc\""),
-              std::string::npos);
-    EXPECT_NE(err.find("invalid replay batch cap \"-3\""),
-              std::string::npos);
-    EXPECT_NE(err.find("clamped to"), std::string::npos);
-}
-
 TEST(BatchExecutor, DefaultBatchCapWidensUnderAvx2)
 {
-    // The unset-env default follows the follower dispatch tier: the
-    // wider the vector kernels, the more lanes a batch amortizes its
-    // fixed costs over. Narrower tiers keep the PR 7 width.
+    // The default cap follows the follower dispatch tier: the wider
+    // the vector kernels, the more lanes a batch amortizes its fixed
+    // costs over. Narrower tiers keep the per-lane pass's width.
     setSimdTierOverride(SimdTier::Scalar);
     EXPECT_EQ(defaultReplayBatchCap(), 16u);
-    setSimdTierOverride(SimdTier::Sse2);
+    setSimdTierOverride(SimdTier::Portable);
     EXPECT_EQ(defaultReplayBatchCap(), 16u);
     setSimdTierOverride(SimdTier::Avx2);
     // Overrides clamp to the host's widest tier, so this is 32 only
-    // where AVX2 (or the non-x86 portable-SoA alias) is available.
+    // where AVX2 is available.
     EXPECT_EQ(defaultReplayBatchCap(),
               cpuMaxSimdTier() == SimdTier::Avx2 ? 32u : 16u);
     clearSimdTierOverride();
-
-    // An explicit cap is tier-independent (nullptr keeps the pinned
-    // fallback so test expectations above stay exact).
-    EXPECT_EQ(parseReplayBatchCap("8"), 8u);
 }
 
 TEST(BatchExecutor, ColdSweepReplaysOneLockstepBatch)
@@ -204,7 +177,7 @@ TEST(BatchExecutor, ColdSweepReplaysOneLockstepBatch)
 TEST(BatchExecutor, WidthCapChunksRaggedBatches)
 {
     const ScopedNoCache nocache;
-    const ScopedBatchEnv cap("4");
+    const ScopedBatchCap cap(4);
     // Six misses with one batch key at cap 4: units of 4 and 2.
     const ExperimentPlan plan =
         windowsPlan(SchemeKind::NS, {5, 7, 9, 11, 13, 15});
@@ -219,7 +192,7 @@ TEST(BatchExecutor, WidthCapChunksRaggedBatches)
 TEST(BatchExecutor, BatchZeroPinsPerPointReplay)
 {
     const ScopedNoCache nocache;
-    const ScopedBatchEnv off("0");
+    const ScopedBatchCap off(0);
     const ExperimentPlan plan =
         windowsPlan(SchemeKind::SNP, {5, 7, 9});
 
@@ -323,13 +296,58 @@ TEST(BatchExecutor, StaticRuleKeepsSharingWorkingSetPointsUnbatched)
 }
 
 /**
- * The flat loop is invisible at sweep scale. A no-cache plan over a
- * prioritized, lock-contended synthetic behavior (every policy
- * reorders or parks threads there) mixes wide batches with every
- * width-1 unit kind — SNP/SP under WS/WSA, an invariant-checking
- * point, and a singleton group (INF at one window count) — across
- * all five policies. At --jobs 1 and 4 every result must be
- * bit-identical to the oracle's replay of its point.
+ * The oracle loop's replay of @p p together with the obs record a
+ * per-point replay publishes for it (replayPoint's publication).
+ */
+std::pair<RunMetrics, obs::PointRecord>
+oracleWithRecord(const PlanPoint &p)
+{
+    ReplayDriver driver(cachedTrace(p.behavior), p.engine, p.policy);
+    driver.setPath(ReplayPath::Legacy);
+    driver.run();
+    obs::PointRecord rec = obs::pointFromEngine(driver.engine());
+    obs::publishSchedCore(driver.core(), rec);
+    return {driver.metrics(), rec};
+}
+
+/** Obs label of @p p, as the executor publishes it. */
+std::string
+recordLabel(const PlanPoint &p)
+{
+    return cachedTrace(p.behavior).key + "/" +
+           schemeName(p.engine.scheme) + "/w" +
+           std::to_string(p.engine.numWindows) + "/" +
+           policyName(p.policy);
+}
+
+void
+expectSameRecord(const obs::PointRecord &got,
+                 const obs::PointRecord &want, const std::string &what)
+{
+    EXPECT_EQ(got.cycles.compute, want.cycles.compute) << what;
+    EXPECT_EQ(got.cycles.callret, want.cycles.callret) << what;
+    EXPECT_EQ(got.cycles.trap, want.cycles.trap) << what;
+    EXPECT_EQ(got.cycles.switches, want.cycles.switches) << what;
+    EXPECT_EQ(got.cycles.total, want.cycles.total) << what;
+    EXPECT_EQ(got.counters, want.counters) << what;
+    EXPECT_EQ(got.values, want.values) << what;
+}
+
+/**
+ * The replay shape is invisible at sweep scale. For spell high/fine
+ * and a prioritized, lock-contended synthetic behavior (every policy
+ * reorders or parks threads there), a no-cache plan mixes wide
+ * batches with every width-1 unit kind: SNP/SP under a working-set
+ * policy, an invariant-checking point, and a singleton group (INF at
+ * one window count). The synthetic plan spans all five policies with
+ * five windows per (scheme, policy) group, so a cap of 4 leaves a
+ * width-1 tail; the far longer spell trace runs three windows per
+ * group under FIFO and WS, one policy from each side of the static
+ * batch rule. The plan runs with
+ * obs on at every host follower tier x batch cap (per-point, 4, the
+ * default) x --jobs {1, 4}. Every result must be bit-identical to the
+ * oracle's replay of its point, and every merged obs point record
+ * equal to the one a per-point replay publishes.
  */
 TEST(BatchExecutor, EveryUnitKindMatchesOracleAtAnyJobs)
 {
@@ -342,47 +360,108 @@ TEST(BatchExecutor, EveryUnitKindMatchesOracleAtAnyJobs)
     spec.lockRounds = 10;
     spec.prioritized = true;
     spec.seed = 21;
-    const BehaviorId behavior = BehaviorId::fromSynth(spec);
+    const std::string metrics_out =
+        outputPath("tmp-batch-metrics-" + std::to_string(::getpid()) +
+                   ".json");
+    const std::string metrics_flag = "--metrics-out=" + metrics_out;
 
-    for (const int jobs : {1, 4}) {
-        const std::string flag = "--jobs=" + std::to_string(jobs);
-        const char *argv[] = {"test_batch_executor", flag.c_str()};
-        ASSERT_TRUE(benchInit(2, argv));
-        ASSERT_EQ(sweepJobs(), jobs);
+    // Window bases unique per (behavior, combination): the in-process
+    // result store would serve a repeated point without a replay. The
+    // spell bases sit above every window count the tests above use.
+    struct Subject
+    {
+        BehaviorId behavior;
+        int w0;
+        int groupWindows;
+        std::vector<SchedPolicy> policies;
+    };
+    const Subject subjects[] = {
+        {BehaviorId::spell(ConcurrencyLevel::High,
+                           GranularityLevel::Fine),
+         33, 3, {SchedPolicy::Fifo, SchedPolicy::WorkingSet}},
+        {BehaviorId::fromSynth(spec), 4, 5, allSchedPolicies()},
+    };
+    int combo = 0;
+    for (const SimdTier tier : hostTiers()) {
+        const ScopedTier pin(tier);
+        for (const std::size_t cap :
+             {std::size_t{0}, std::size_t{4}, defaultReplayBatchCap()}) {
+            const ScopedBatchCap capped(cap);
+            for (const int jobs : {1, 4}) {
+                const std::string what =
+                    std::string("tier ") + simdTierName(tier) + " cap " +
+                    std::to_string(cap) + " jobs " +
+                    std::to_string(jobs);
+                const std::string flag =
+                    "--jobs=" + std::to_string(jobs);
+                const char *argv[] = {"test_batch_executor",
+                                      flag.c_str(),
+                                      metrics_flag.c_str()};
+                ASSERT_TRUE(benchInit(3, argv));
+                ASSERT_EQ(sweepJobs(), jobs);
+                ASSERT_TRUE(obsEnabled());
 
-        // Window counts unique to this job count: the in-process
-        // result store would serve a repeated point without a replay.
-        const int w0 = jobs == 1 ? 4 : 7;
-        ExperimentPlan plan;
-        std::size_t wide = 0;
-        for (const SchedPolicy policy : allSchedPolicies()) {
-            for (const SchemeKind scheme :
-                 {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP})
-                for (const int w : {w0, w0 + 1})
-                    plan.add(
-                        makePlanPoint(behavior, scheme, w, policy));
-            for (const SchemeKind scheme :
-                 {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP})
-                if (lockstepBatchable(scheme, policy))
-                    ++wide;
-            plan.add(makePlanPoint(behavior, SchemeKind::Infinite, w0,
-                                   policy));
+                for (const Subject &subject : subjects) {
+                    const int group = subject.groupWindows;
+                    const int w0 = subject.w0 + combo * (group + 1);
+                    ExperimentPlan plan;
+                    std::size_t wide = 0;
+                    for (const SchedPolicy policy : subject.policies) {
+                        for (const SchemeKind scheme :
+                             {SchemeKind::NS, SchemeKind::SNP,
+                              SchemeKind::SP}) {
+                            for (int i = 0; i < group; ++i)
+                                plan.add(makePlanPoint(subject.behavior,
+                                                       scheme, w0 + i,
+                                                       policy));
+                            if (cap > 1 &&
+                                lockstepBatchable(scheme, policy))
+                                ++wide;
+                        }
+                        plan.add(makePlanPoint(subject.behavior,
+                                               SchemeKind::Infinite, w0,
+                                               policy));
+                    }
+                    PlanPoint checked = makePlanPoint(
+                        subject.behavior, SchemeKind::SP,
+                        w0 + group, SchedPolicy::Fifo);
+                    checked.engine.checkInvariants = true;
+                    plan.add(checked);
+
+                    const std::uint64_t batches =
+                        counter("replay.batches");
+                    const std::uint64_t points = counter("replay.points");
+                    executePlan(plan);
+                    EXPECT_EQ(counter("replay.batches"), batches + wide)
+                        << what;
+                    EXPECT_EQ(counter("replay.points"),
+                              points + plan.points().size())
+                        << what;
+                    // The oracle replays are independent: run them on
+                    // the pool, then compare serially.
+                    const std::vector<PlanPoint> &pts = plan.points();
+                    std::vector<std::pair<RunMetrics, obs::PointRecord>>
+                        oracle(pts.size());
+                    ParallelSweep(4).run(pts.size(), [&](std::size_t i) {
+                        oracle[i] = oracleWithRecord(pts[i]);
+                    });
+                    for (std::size_t i = 0; i < pts.size(); ++i) {
+                        const std::string label = recordLabel(pts[i]);
+                        EXPECT_TRUE(metricsBitIdentical(
+                            pointResult(pts[i]), oracle[i].first))
+                            << label << " " << what;
+                        expectSameRecord(metrics().point(label),
+                                         oracle[i].second,
+                                         label + " " + what);
+                    }
+                }
+                ++combo;
+            }
         }
-        PlanPoint checked = makePlanPoint(behavior, SchemeKind::SP,
-                                          w0 + 2, SchedPolicy::Fifo);
-        checked.engine.checkInvariants = true;
-        plan.add(checked);
-
-        const std::uint64_t batches = counter("replay.batches");
-        const std::uint64_t points = counter("replay.points");
-        executePlan(plan);
-        EXPECT_EQ(counter("replay.batches"), batches + wide);
-        EXPECT_EQ(counter("replay.points"),
-                  points + plan.points().size());
-        expectOracleResults(plan);
     }
     const char *reset[] = {"test_batch_executor"};
     ASSERT_TRUE(benchInit(1, reset));
+    std::remove(metrics_out.c_str());
 }
 
 } // namespace

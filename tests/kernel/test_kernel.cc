@@ -214,7 +214,7 @@ class Table2Calibration : public ::testing::Test
 
     /**
      * @p measured must sit inside the paper's band [@p lo, @p hi] and
-     * equal @p exact, the value bench_table2 prints: a one-cycle
+     * equal @p exact, the value crw-bench table2 prints: a one-cycle
      * drift anywhere in the ISA path fails here.
      */
     static void
@@ -274,7 +274,7 @@ TEST_F(Table2Calibration, TrapHandlerCostsAreSane)
     // in-copy + emulation), as the paper's design discussion implies.
     EXPECT_GT(shr_ovf, conv_ovf);
     EXPECT_GT(shr_unf, conv_unf);
-    // Exact, as bench_table2 prints them.
+    // Exact, as crw-bench table2 prints them.
     EXPECT_EQ(conv_ovf, 56u);
     EXPECT_EQ(conv_unf, 50u);
     EXPECT_EQ(shr_ovf, 88u);
@@ -293,7 +293,7 @@ TEST_F(Table2Calibration, MeasuredCostModelIsConsistent)
     EXPECT_GT(m.ns.perSave, 20u);
     EXPECT_GT(m.snp.perRestore, 10u);
     EXPECT_GT(m.underflowSharingBase, 0u);
-    // Exact, as bench_table2 prints them.
+    // Exact, as crw-bench table2 prints them.
     EXPECT_EQ(m.ns.base, 83u);
     EXPECT_EQ(m.ns.perSave, 36u);
     EXPECT_EQ(m.ns.perRestore, 28u);

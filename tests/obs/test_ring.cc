@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -112,6 +113,24 @@ TEST(EventRing, ElectionLoserAttachesReadOnly)
     ASSERT_TRUE(winner.publish(eventNo(2)));
     EXPECT_EQ(loser.published(), 2u);
     EXPECT_EQ(loser.snapshot().size(), 2u);
+
+    winner.close();
+    loser.close();
+    std::remove(path.c_str());
+}
+
+TEST(EventRing, ElectionLoserLeavesTheWriterFileSize)
+{
+    const std::string path = tempPath("loser-size");
+    EventRing winner;
+    ASSERT_TRUE(winner.openFile(path, 16));
+    const auto size = std::filesystem::file_size(path);
+
+    // A loser asking for a larger ring reads the winner's as it is.
+    EventRing loser;
+    ASSERT_TRUE(loser.openFile(path, 1024));
+    EXPECT_FALSE(loser.writable());
+    EXPECT_EQ(std::filesystem::file_size(path), size);
 
     winner.close();
     loser.close();

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -160,29 +161,49 @@ TEST(Mapping, WriterElectionIsExclusivePerMapping)
 {
     const std::string path = tempPath("lock");
     Mapping first;
-    ASSERT_TRUE(
-        Mapping::openFile(path, 4096, /*writable=*/true, first));
-    EXPECT_TRUE(first.tryLockExclusive());
-    EXPECT_TRUE(first.tryLockExclusive()) << "idempotent for the owner";
+    ASSERT_TRUE(Mapping::openElected(path, 4096, first));
+    EXPECT_TRUE(first.locked());
+    EXPECT_TRUE(first.writable());
 
     // flock locks are per open-file-description: a second descriptor
     // in the same process contends exactly like another process.
     Mapping second;
-    ASSERT_TRUE(
-        Mapping::openFile(path, 4096, /*writable=*/true, second));
-    EXPECT_FALSE(second.tryLockExclusive());
+    ASSERT_TRUE(Mapping::openElected(path, 4096, second));
+    EXPECT_FALSE(second.locked());
+    EXPECT_FALSE(second.writable());
 
     first.close();
-    EXPECT_TRUE(second.tryLockExclusive()) << "released with the fd";
+    Mapping third;
+    ASSERT_TRUE(Mapping::openElected(path, 4096, third));
+    EXPECT_TRUE(third.locked()) << "released with the fd";
     second.close();
+    third.close();
+    std::remove(path.c_str());
+}
+
+TEST(Mapping, ElectionLoserNeverResizesTheFile)
+{
+    const std::string path = tempPath("loser-size");
+    Mapping writer;
+    ASSERT_TRUE(Mapping::openElected(path, 4096, writer));
+    ASSERT_TRUE(writer.locked());
+
+    // A loser asking for a larger file maps the writer's bytes as
+    // they are: the size belongs to whoever holds the lock.
+    Mapping loser;
+    ASSERT_TRUE(Mapping::openElected(path, 1 << 20, loser));
+    EXPECT_FALSE(loser.locked());
+    EXPECT_EQ(loser.size(), 4096u);
+    EXPECT_EQ(std::filesystem::file_size(path), 4096u);
+    loser.close();
+    writer.close();
     std::remove(path.c_str());
 }
 
 TEST(Mapping, ReadOnlyOpenRequiresExistingBytes)
 {
     Mapping m;
-    EXPECT_FALSE(Mapping::openFile(tempPath("nofile"), 0,
-                                   /*writable=*/false, m));
+    EXPECT_FALSE(Mapping::openReadOnly(tempPath("nofile"), m));
     EXPECT_FALSE(m.valid());
 }
 

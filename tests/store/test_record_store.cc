@@ -7,6 +7,8 @@
  *  - durability across close + reopen (the warm-start path), and no
  *    record served across an app (payload format) version change;
  *  - graceful refusal when the index or data region fills;
+ *  - the writer election: a loser reads the store read-only and
+ *    never resizes the writer's file;
  *  - the publication protocol, cross-process: a forked reader that
  *    attaches mid-write must only ever observe complete, validating
  *    records — never torn bytes — while the parent keeps putting.
@@ -15,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -126,6 +129,28 @@ TEST(RecordStore, SurvivesCloseAndReopen)
         ASSERT_TRUE(store.open(path, 4, 64, 1 << 16));
         EXPECT_EQ(store.stats().entries, 0u);
     }
+    std::remove(path.c_str());
+}
+
+TEST(RecordStore, ElectionLoserLeavesTheWriterFileSize)
+{
+    // A second opener with a larger geometry loses the writer election
+    // and must read the writer's store as it is, not grow its file.
+    const std::string path = tempPath("loser-size");
+    RecordStore writer;
+    ASSERT_TRUE(writer.open(path, 3, 64, 1 << 12));
+    ASSERT_EQ(writer.mode(), RecordStore::Mode::Writer);
+    ASSERT_TRUE(writer.put("k0", blobFor(0)));
+    const auto size = std::filesystem::file_size(path);
+
+    RecordStore loser;
+    ASSERT_TRUE(loser.open(path, 3, 1 << 16, 1 << 24));
+    EXPECT_EQ(loser.mode(), RecordStore::Mode::Reader);
+    EXPECT_EQ(std::filesystem::file_size(path), size);
+    std::vector<std::uint8_t> out;
+    EXPECT_EQ(loser.find("k0", out), RecordStore::FindResult::Hit);
+    loser.close();
+    writer.close();
     std::remove(path.c_str());
 }
 

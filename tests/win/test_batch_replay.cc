@@ -7,7 +7,7 @@
  * point — including ragged (non-power-of-two, mixed-variant) batches
  * and one-config batches — and on every follower dispatch tier
  * (win/simd.h): the scalar per-lane oracle and the NS/INF lane-SoA
- * pass with SSE2/AVX2 kernels must agree bit-for-bit at every lane
+ * pass with portable/AVX2 kernels must agree bit-for-bit at every lane
  * width (DESIGN.md §16). Working-set policies batch wide only under
  * NS and INF, by the static rule (lockstepBatchable); the driver
  * refuses a wider SNP/SP batch under them.
@@ -26,6 +26,7 @@
 
 #include "common/logging.h"
 #include "spell/capture.h"
+#include "tests/win/simd_test_util.h"
 #include "trace/replay_batch.h"
 #include "trace/replay_driver.h"
 #include "trace/run_metrics.h"
@@ -203,24 +204,6 @@ expectAllPathsAgree(const EventTrace &trace, const FlatTrace &flat,
     EXPECT_TRUE(metricsBitIdentical(legacy, batched)) << variantName(v);
 }
 
-/** Scoped follower-dispatch pin (win/simd.h). */
-class ScopedTier
-{
-  public:
-    explicit ScopedTier(SimdTier tier) { setSimdTierOverride(tier); }
-    ~ScopedTier() { clearSimdTierOverride(); }
-};
-
-/** Scalar + every vector tier the host can actually run. */
-std::vector<SimdTier>
-hostTiers()
-{
-    std::vector<SimdTier> tiers{SimdTier::Scalar, SimdTier::Sse2};
-    if (cpuMaxSimdTier() == SimdTier::Avx2)
-        tiers.push_back(SimdTier::Avx2);
-    return tiers;
-}
-
 /**
  * A one-config batch runs the single-engine flat loop, the
  * differential anchor between the two drivers: it must agree with the
@@ -353,8 +336,8 @@ TEST(BatchReplay, SingleLaneBatchDriverMatchesFast)
 
 /**
  * The follower passes across every lane width the chunking can
- * produce — each width 1–65 (every partial and full SSE2/AVX2 chunk
- * count up to eight AVX2 vectors plus one lane) and 128, 257 — on
+ * produce — each width 1–65 (every partial and full AVX2 chunk count
+ * up to eight AVX2 vectors plus one lane) and 128, 257 — on
  * every host tier. NS and INF run under FIFO and under both
  * working-set policies, which the static rule lets them batch wide,
  * over the lock-contended synthetic behavior (every width) and the

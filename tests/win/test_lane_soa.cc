@@ -3,14 +3,12 @@
  * The lane-SoA kernel layer (win/lane_soa.h, DESIGN.md §16) and its
  * dispatch plumbing (win/simd.h):
  *
- *  - every kernel flavor (portable, SSE2, AVX2 where the host has it)
+ *  - every kernel flavor (portable, AVX2 where the host has it)
  *    computes bit-identical results, and each matches k iterated
  *    single-step applications of the win/scheme.h closed forms — the
  *    fold-vs-iterate property that makes a run kernel call legal;
- *  - $CRW_SIMD parsing is strict (junk warns and falls back to auto,
- *    requests above the CPU clamp with a warning);
  *  - the test/bench override pins the effective tier and clamps
- *    exactly like the env path.
+ *    requests above the CPU's widest tier.
  */
 
 #include <cstdint>
@@ -156,7 +154,7 @@ struct Shadow
 std::vector<SimdTier>
 vectorTiers()
 {
-    std::vector<SimdTier> tiers{SimdTier::Sse2};
+    std::vector<SimdTier> tiers{SimdTier::Portable};
     if (cpuMaxSimdTier() == SimdTier::Avx2)
         tiers.push_back(SimdTier::Avx2);
     return tiers;
@@ -164,8 +162,8 @@ vectorTiers()
 
 TEST(LaneSoaKernels, RunFoldMatchesIteratedStepsEveryFlavor)
 {
-    // Widths straddle both vector strides: partial SSE2 chunks,
-    // partial AVX2 chunks, and multi-chunk batches.
+    // Widths straddle the vector stride: partial AVX2 chunks and
+    // multi-chunk batches.
     for (const std::size_t lanes : {1u, 2u, 3u, 7u, 8u, 16u, 31u}) {
         for (const int k : {1, 2, 3, 9, 40}) {
             for (const SimdTier tier : vectorTiers()) {
@@ -208,55 +206,29 @@ TEST(LaneSoaKernels, FlavorsAgreeBitForBit)
     }
 }
 
-TEST(SimdDispatch, ParseIsStrictAndClamps)
-{
-    EXPECT_EQ(parseSimdTier(nullptr, SimdTier::Avx2),
-              SimdTier::Avx2);
-    EXPECT_EQ(parseSimdTier("", SimdTier::Sse2), SimdTier::Sse2);
-    EXPECT_EQ(parseSimdTier("auto", SimdTier::Avx2), SimdTier::Avx2);
-    EXPECT_EQ(parseSimdTier("scalar", SimdTier::Avx2),
-              SimdTier::Scalar);
-    EXPECT_EQ(parseSimdTier("sse2", SimdTier::Avx2), SimdTier::Sse2);
-    EXPECT_EQ(parseSimdTier("avx2", SimdTier::Avx2), SimdTier::Avx2);
-
-    testing::internal::CaptureStderr();
-    // Junk (wrong case included — the contract is exact lower-case
-    // names) warns and runs as auto; a request above the CPU warns
-    // and clamps.
-    EXPECT_EQ(parseSimdTier("AVX2", SimdTier::Avx2), SimdTier::Avx2);
-    EXPECT_EQ(parseSimdTier("sse42", SimdTier::Avx2),
-              SimdTier::Avx2);
-    EXPECT_EQ(parseSimdTier("avx2", SimdTier::Sse2), SimdTier::Sse2);
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("invalid CRW_SIMD \"AVX2\""),
-              std::string::npos);
-    EXPECT_NE(err.find("invalid CRW_SIMD \"sse42\""),
-              std::string::npos);
-    EXPECT_NE(err.find("not supported by this CPU"),
-              std::string::npos);
-}
-
 TEST(SimdDispatch, OverridePinsClampsAndMarksExplicit)
 {
-    const SimdTier resting = effectiveSimdTier();
+    // Without an override, production dispatch is the CPU's widest
+    // tier; the portable SoA kernels run everywhere.
+    EXPECT_EQ(effectiveSimdTier(), cpuMaxSimdTier());
+    EXPECT_GE(cpuMaxSimdTier(), SimdTier::Portable);
 
     setSimdTierOverride(SimdTier::Scalar);
     EXPECT_EQ(effectiveSimdTier(), SimdTier::Scalar);
 
-    // Requests above the host clamp exactly like $CRW_SIMD.
+    // Requests above the host clamp to its widest tier.
     setSimdTierOverride(SimdTier::Avx2);
     EXPECT_EQ(effectiveSimdTier(), cpuMaxSimdTier());
 
     clearSimdTierOverride();
-    EXPECT_EQ(effectiveSimdTier(), resting);
+    EXPECT_EQ(effectiveSimdTier(), cpuMaxSimdTier());
 }
 
-TEST(SimdDispatch, TierNamesRoundTrip)
+TEST(SimdDispatch, TierNamesAreCanonical)
 {
-    for (const SimdTier tier :
-         {SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2})
-        EXPECT_EQ(parseSimdTier(simdTierName(tier), SimdTier::Avx2),
-                  tier);
+    EXPECT_STREQ(simdTierName(SimdTier::Scalar), "scalar");
+    EXPECT_STREQ(simdTierName(SimdTier::Portable), "portable");
+    EXPECT_STREQ(simdTierName(SimdTier::Avx2), "avx2");
 }
 
 } // namespace
