@@ -1,8 +1,8 @@
 /**
  * @file
  * `crw-bench cache`: inspect and maintain the on-disk stores under
- * bench_out/ (DESIGN.md §13). Not a paper exhibit — excluded from
- * "all" like the host-throughput benches.
+ * bench_out/ (DESIGN.md §13). Not a paper exhibit, so the one
+ * registry entry outside "all".
  *
  * The report prints deterministic inventory lines (entry and byte
  * counts, point and walk records, format versions) for the

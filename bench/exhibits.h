@@ -51,9 +51,6 @@ int runMicrotrace(const FlagSet &flags);
 void planSynth(ExperimentPlan &plan);
 int runSynth(const FlagSet &flags);
 
-void addReplayThroughputFlags(FlagSet &flags);
-int runReplayThroughput(const FlagSet &flags);
-
 void addCacheFlags(FlagSet &flags);
 int runCache(const FlagSet &flags);
 

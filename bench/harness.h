@@ -54,7 +54,7 @@ bool benchInit(int argc, const char *const *argv);
 /**
  * As above, but parsing with the caller's FlagSet so a bench can add
  * its own flags next to the common ones (the exhibit registry does
- * this for --no-cache and the host-throughput exhibits' knobs).
+ * this for --no-cache and the exhibits' own flags).
  */
 bool benchInit(int argc, const char *const *argv, FlagSet &flags);
 

@@ -15,13 +15,12 @@ namespace bench {
 
 namespace {
 
-/** The registry name "all" expands to everything but the host-perf
- *  exhibits (they measure host throughput, not a paper result). */
+/** The registry name "all" expands to everything but `cache`, which
+ *  inventories the on-disk stores rather than a paper result. */
 bool
 inAll(const Exhibit &ex)
 {
-    const std::string name(ex.name);
-    return name != "replay-throughput" && name != "cache";
+    return std::string(ex.name) != "cache";
 }
 
 /** The `crw-bench list` body: the registry with descriptions. */
@@ -111,8 +110,6 @@ exhibitRegistry()
          nullptr, runMicrotrace},
         {"synth", "generated behaviors x full policy family", nullptr,
          planSynth, runSynth},
-        {"replay-throughput", "replay engine host throughput",
-         addReplayThroughputFlags, nullptr, runReplayThroughput},
         {"cache", "bench_out store inventory and GC", addCacheFlags,
          nullptr, runCache},
     };

@@ -38,8 +38,8 @@ struct Exhibit
     int (*report)(const FlagSet &flags);
 };
 
-/** All exhibits, in the canonical "all" order; the ones outside
- *  "all" (replay-throughput, cache) come last, selected by name only. */
+/** All exhibits, in the canonical "all" order; the one outside
+ *  "all" (cache) comes last, selected by name only. */
 const std::vector<Exhibit> &exhibitRegistry();
 
 /** Registry lookup by name; null when unknown. */

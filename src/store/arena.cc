@@ -254,8 +254,12 @@ ArenaBuilder::assemble(std::vector<std::uint8_t> &out) const
         put64(entry + 8, offsets[i]);
         put64(entry + 16, segments_[i].bytes.size());
         entry += kSegmentEntryBytes;
-        std::memcpy(out.data() + offsets[i], segments_[i].bytes.data(),
-                    segments_[i].bytes.size());
+        // An empty segment's vector may hold a null pointer, which
+        // memcpy must not see even for a zero-byte copy.
+        if (!segments_[i].bytes.empty())
+            std::memcpy(out.data() + offsets[i],
+                        segments_[i].bytes.data(),
+                        segments_[i].bytes.size());
     }
     std::memcpy(out.data() + entry, appKey_.data(), appKey_.size());
 

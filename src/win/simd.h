@@ -8,15 +8,14 @@
  * autovectorize. Below both sits the `Scalar` tier, which bypasses
  * the SoA pass entirely and runs the per-lane follower replay — that
  * path is the bit-identity oracle every SoA flavor is differentially
- * pinned against, and the baseline the `simd_speedup` bench gate
- * measures from. The tier only steers NS and INF batches: the sharing
+ * pinned against. The tier only steers NS and INF batches: the sharing
  * schemes (SNP, SP) have no SoA pass and replay their followers per
  * lane on every tier.
  *
  * Production runs always take the widest tier the CPU supports: AVX2
  * where the runtime probe finds it, the portable kernels on every
- * other host (x86 without AVX2, non-x86 builds). Only tests and the
- * replay-throughput exhibit pin a tier, in-process.
+ * other host (x86 without AVX2, non-x86 builds). Only tests pin a
+ * tier, in-process.
  */
 
 #ifndef CRW_WIN_SIMD_H_
@@ -35,7 +34,7 @@ enum class SimdTier : int {
 const char *simdTierName(SimdTier tier);
 
 /**
- * The effective dispatch tier: the test/bench override if one is set,
+ * The effective dispatch tier: the test override if one is set,
  * else cpuMaxSimdTier(). This is what BatchedEngineView::finish()
  * dispatches on and what the executor publishes as replay.simd_path.
  */
@@ -45,9 +44,8 @@ SimdTier effectiveSimdTier();
 SimdTier cpuMaxSimdTier();
 
 /**
- * Pin the effective tier for this process (benches time scalar vs
- * SIMD in-process; tests pin each flavor against the oracle).
- * Requests above cpuMaxSimdTier() clamp to it.
+ * Pin the effective tier for this process (tests pin each flavor
+ * against the oracle). Requests above cpuMaxSimdTier() clamp to it.
  */
 void setSimdTierOverride(SimdTier tier);
 

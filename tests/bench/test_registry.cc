@@ -3,8 +3,11 @@
  * The crw-bench driver's shared flag set: every exhibit's flags are
  * defined in one FlagSet before parsing, so a flag no exhibit owns
  * must be rejected rather than parsed and ignored, and an exhibit's
- * defaults must not depend on which exhibit registered first.
+ * defaults must not depend on which exhibit registered first. A name
+ * the registry does not hold is an error, not an empty selection.
  */
+
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -22,15 +25,26 @@ TEST(CrwBenchFlags, FlagNoExhibitOwnsIsRejected)
     EXPECT_THROW(crwBenchMain(4, const_cast<char **>(argv)), FatalError);
 }
 
-TEST(CrwBenchFlags, ReplayThroughputKeepsItsOwnDefaults)
+TEST(CrwBenchFlags, CacheKeepsItsOwnDefaults)
 {
     FlagSet flags;
     for (const Exhibit &ex : exhibitRegistry())
         if (ex.addFlags)
             ex.addFlags(flags);
-    EXPECT_EQ(flags.getInt("reps"), 5);
-    EXPECT_EQ(flags.getString("json"), "");
-    EXPECT_EQ(flags.getString("git-sha"), "unknown");
+    EXPECT_FALSE(flags.getBool("gc"));
+}
+
+TEST(CrwBenchExhibits, RetiredReplayThroughputIsUnknown)
+{
+    EXPECT_EQ(findExhibit("replay-throughput"), nullptr);
+    const char *argv[] = {"crw-bench", "replay-throughput"};
+    testing::internal::CaptureStderr();
+    const int rc = crwBenchMain(2, const_cast<char **>(argv));
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 2);
+    EXPECT_NE(err.find("unknown exhibit \"replay-throughput\""),
+              std::string::npos)
+        << err;
 }
 
 } // namespace
