@@ -337,6 +337,13 @@ clearReplayBatchCapOverride()
 }
 
 void
+clearPointResults()
+{
+    std::lock_guard<std::mutex> lock(g_storeMu);
+    g_store.clear();
+}
+
+void
 setResultCacheEnabled(bool enabled)
 {
     g_cacheEnabled = enabled;
@@ -352,12 +359,6 @@ void
 setFlatCacheEnabled(bool enabled)
 {
     g_flatCacheEnabled = enabled;
-}
-
-bool
-flatCacheEnabled()
-{
-    return g_flatCacheEnabled;
 }
 
 void

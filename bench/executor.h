@@ -52,7 +52,6 @@ bool resultCacheEnabled();
  * build; when off, every predecode happens in memory.
  */
 void setFlatCacheEnabled(bool enabled);
-bool flatCacheEnabled();
 
 /**
  * ISA-aware lockstep batch width (lanes per batch) the executor uses:
@@ -71,6 +70,13 @@ void setReplayBatchCapOverride(std::size_t cap);
 
 /** Drop the override; the cap is defaultReplayBatchCap() again. */
 void clearReplayBatchCapOverride();
+
+/**
+ * Test-only: forget every in-process result, so the next executePlan
+ * runs points it has already served again. Every reference
+ * pointResult() handed out dangles afterwards.
+ */
+void clearPointResults();
 
 /** Execute every point of @p plan exactly once (see file comment). */
 void executePlan(const ExperimentPlan &plan);

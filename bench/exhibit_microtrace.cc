@@ -18,18 +18,22 @@
  * x defaultWindowSweep() x depth {4, 8}, 72 cells. The walks need no
  * EventTrace, so the exhibit has no plan contribution; instead each
  * cell is one walk| record in the result store (bench/result_cache.h).
- * A cell the store cannot serve is replayed: its depth's up/down
- * decisions are drawn once into a decision tape, and every missing
- * cell replays that tape through a virtual-dispatch WindowEngine on
- * the sweep pool (--jobs), then is stored back. The sweep tables and
- * all self-checks read cells from that table, so each distinct walk
- * runs at most once, and a warm run replays none.
+ * A (depth, scheme) group with any cell the store cannot serve is
+ * walked once, drawing each up/down decision inline, with all 12
+ * window counts as lanes of one lockstep view (DESIGN.md §14); the
+ * groups run on the sweep pool (--jobs) and the missed cells are
+ * stored back. The sweep tables and all self-checks read cells from
+ * that table, so each distinct walk runs at most once, and a warm run
+ * replays none.
  */
 
 #include "bench/microtrace.h"
 
+#include <algorithm>
 #include <iostream>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/executor.h"
@@ -42,30 +46,11 @@
 #include "common/table.h"
 #include "obs/metrics.h"
 #include "win/engine.h"
+#include "win/engine_batch.h"
+#include "win/schemes_impl.h"
 
 namespace crw {
 namespace bench {
-
-WalkTape
-recordWalk(const WalkSpec &spec)
-{
-    WalkTape tape;
-    tape.spec = spec;
-    tape.up.reserve(static_cast<std::size_t>(spec.quanta) *
-                    static_cast<std::size_t>(spec.stepsPerQuantum));
-    Rng rng(spec.seed);
-    std::vector<int> depth(static_cast<std::size_t>(spec.threads), 1);
-    for (int q = 0; q < spec.quanta; ++q) {
-        int &d = depth[static_cast<std::size_t>(q % spec.threads)];
-        for (int s = 0; s < spec.stepsPerQuantum; ++s) {
-            const bool up =
-                d <= 1 || (d < spec.maxDepth && rng.nextBool(0.5));
-            d += up ? 1 : -1;
-            tape.up.push_back(up ? 1 : 0);
-        }
-    }
-    return tape;
-}
 
 EngineConfig
 walkEngineConfig(SchemeKind scheme, int windows)
@@ -76,29 +61,53 @@ walkEngineConfig(SchemeKind scheme, int windows)
     return cfg;
 }
 
-Cycles
-replayWalk(const WalkTape &tape, SchemeKind scheme, int windows)
+std::vector<Cycles>
+walkLockstep(const WalkSpec &spec, SchemeKind scheme,
+             const std::vector<int> &windows)
 {
-    WindowEngine engine(walkEngineConfig(scheme, windows));
-    const WalkSpec &spec = tape.spec;
-    for (ThreadId t = 0; t < spec.threads; ++t)
-        engine.addThread(t);
-
-    ThreadId current = 0;
-    engine.contextSwitch(current);
-    const std::uint8_t *step = tape.up.data();
-    for (int q = 0; q < spec.quanta; ++q) {
-        for (int s = 0; s < spec.stepsPerQuantum; ++s, ++step) {
-            if (*step)
-                engine.save();
-            else
-                engine.restore();
-            engine.charge(kWalkStepCharge);
-        }
-        current = static_cast<ThreadId>((current + 1) % spec.threads);
-        engine.contextSwitch(current);
+    std::vector<std::unique_ptr<WindowEngine>> engines;
+    for (const int w : windows) {
+        engines.push_back(
+            std::make_unique<WindowEngine>(walkEngineConfig(scheme, w)));
+        for (ThreadId t = 0; t < spec.threads; ++t)
+            engines.back()->addThread(t);
     }
-    return engine.now();
+    // The leader advances as each decision is drawn, in global step
+    // order; finish() then replays the recorded ops through the
+    // followers. The walk never asks the view for residency, so every
+    // scheme batches here.
+    detail::visitSchemeClass(scheme, [&](auto scheme_tag) {
+        // The view reserves half its event count for the op stream:
+        // one op per step, a switch per quantum and the first one.
+        BatchedEngineView<typename decltype(scheme_tag)::type> view(
+            engines, 2 * (static_cast<std::size_t>(spec.quanta) *
+                              (spec.stepsPerQuantum + 1) +
+                          1));
+        Rng rng(spec.seed);
+        std::vector<int> depth(static_cast<std::size_t>(spec.threads), 1);
+        ThreadId current = 0;
+        view.contextSwitch(current);
+        for (int q = 0; q < spec.quanta; ++q) {
+            int &d = depth[static_cast<std::size_t>(current)];
+            for (int s = 0; s < spec.stepsPerQuantum; ++s) {
+                if (d <= 1 || (d < spec.maxDepth && rng.nextBool(0.5))) {
+                    view.save();
+                    ++d;
+                } else {
+                    view.restore();
+                    --d;
+                }
+                view.charge(kWalkStepCharge);
+            }
+            current = static_cast<ThreadId>((current + 1) % spec.threads);
+            view.contextSwitch(current);
+        }
+        view.finish();
+    });
+    std::vector<Cycles> cycles;
+    for (const auto &engine : engines)
+        cycles.push_back(engine->now());
+    return cycles;
 }
 
 std::string
@@ -146,47 +155,53 @@ WalkTable
 WalkTable::run(int jobs)
 {
     WalkTable table;
-    std::vector<WalkSpec> specs;
     forEachWalkCell([&](const WalkSpec &spec, SchemeKind scheme, int w) {
         table.cells_.push_back({scheme, w, spec.maxDepth, 0});
-        specs.push_back(spec);
     });
 
-    // Serve what the store holds; the rest are this run's misses.
+    // Serve what the store holds; the rest are this run's misses. One
+    // path: a (depth, scheme) group with any miss walks all of its
+    // window counts, so a lone missing cell never needs a one-lane walk.
     const bool cache = resultCacheEnabled();
     const std::vector<std::string> keys = WalkTable::keys();
     std::vector<std::size_t> misses;
+    std::vector<std::pair<int, SchemeKind>> walked;
     for (std::size_t i = 0; i < table.cells_.size(); ++i) {
-        if (cache && loadCachedCycles(keys[i], table.cells_[i].cycles))
+        WalkCell &cell = table.cells_[i];
+        if (cache && loadCachedCycles(keys[i], cell.cycles)) {
             ++table.cached_;
-        else
-            misses.push_back(i);
+            continue;
+        }
+        misses.push_back(i);
+        const std::pair group(cell.maxDepth, cell.scheme);
+        if (std::find(walked.begin(), walked.end(), group) == walked.end())
+            walked.push_back(group);
     }
-    if (misses.empty())
+    if (walked.empty())
         return table;
 
-    // One tape per depth with a miss, shared by that depth's cells.
-    std::vector<WalkTape> tapes(std::size(kWalkDepths));
-    const std::size_t per_depth = table.cells_.size() / tapes.size();
-    for (const std::size_t i : misses) {
-        WalkTape &tape = tapes[i / per_depth];
-        if (tape.up.empty())
-            tape = recordWalk(specs[i]);
-        table.steps_ += tape.up.size();
-    }
-
+    const std::vector<int> &windows = defaultWindowSweep();
+    table.steps_ = walked.size() * windows.size() *
+                   static_cast<std::uint64_t>(kWalkQuanta) *
+                   kWalkStepsPerQuantum;
     ParallelSweep(jobs).run(
-        misses.size(),
+        walked.size(),
         [&](std::size_t k) {
-            WalkCell &cell = table.cells_[misses[k]];
-            cell.cycles = replayWalk(tapes[misses[k] / per_depth],
-                                     cell.scheme, cell.windows);
+            const auto [max_depth, scheme] = walked[k];
+            WalkSpec spec;
+            spec.maxDepth = max_depth;
+            const std::vector<Cycles> cycles =
+                walkLockstep(spec, scheme, windows);
+            // The group's cells come in window-sweep order.
+            auto lane = cycles.begin();
+            for (WalkCell &cell : table.cells_)
+                if (cell.maxDepth == max_depth && cell.scheme == scheme)
+                    cell.cycles = *lane++;
         },
         [&](std::size_t k) {
-            const WalkCell &cell = table.cells_[misses[k]];
-            return std::string("walk ") + schemeName(cell.scheme) +
-                   "/w" + std::to_string(cell.windows) + "/d" +
-                   std::to_string(cell.maxDepth);
+            return std::string("walk ") + schemeName(walked[k].second) +
+                   "/d" + std::to_string(walked[k].first) + " x" +
+                   std::to_string(windows.size());
         });
 
     if (cache)

@@ -1,15 +1,16 @@
 /**
  * @file
  * The microtrace exhibit's walk table (bench/exhibit_microtrace.cc):
- * random call-depth walks replayed straight into the window engine.
+ * random call-depth walks driven straight into the window engines.
  *
  * A walk's up/down decisions depend only on the RNG, the per-thread
- * depth and the fixed round-robin order — never on the engine — so
- * each depth's walk is recorded once as a WalkTape and every
- * (scheme, windows) cell replays that tape through its own
- * WindowEngine. The cells are independent and fan out on the sweep
- * pool; each writes its own slot, so the table is identical at any
- * worker count.
+ * depth and the fixed round-robin order — never on engine state — so
+ * one walk drives every window count of a (depth, scheme) group in
+ * lockstep through a BatchedEngineView (win/engine_batch.h): the walk
+ * loop draws each decision and advances the leader, and the view's
+ * follower pass brings the other lanes along. The groups fan out on
+ * the sweep pool; each writes its own cells, so the table is
+ * identical at any worker count.
  *
  * Each cell's cycles persist in the result store (bench/result_cache.h)
  * under a walk| key naming everything that can change them, so a warm
@@ -58,24 +59,19 @@ struct WalkSpec
     std::uint64_t seed = kWalkSeed;
 };
 
-/** One walk's decisions, one byte per step in global step order:
- *  1 = save (call), 0 = restore (return). */
-struct WalkTape
-{
-    WalkSpec spec;
-    std::vector<std::uint8_t> up;
-};
-
-/** Draw @p spec's decisions: a thread at depth 1 always calls, at
- *  maxDepth always returns, otherwise calls with probability 1/2. */
-WalkTape recordWalk(const WalkSpec &spec);
-
 /** The engine a walk cell runs on: @p scheme with @p windows,
  *  every other field at its default. */
 EngineConfig walkEngineConfig(SchemeKind scheme, int windows);
 
-/** Replay @p tape through a fresh engine; returns its final cycle. */
-Cycles replayWalk(const WalkTape &tape, SchemeKind scheme, int windows);
+/**
+ * Walk @p spec once under @p scheme with one lockstep lane per entry
+ * of @p windows (at least two): a thread at depth 1 always calls, at
+ * maxDepth always returns, otherwise calls with probability 1/2, and
+ * every step is charged kWalkStepCharge. Returns each lane's final
+ * cycle, in @p windows order.
+ */
+std::vector<Cycles> walkLockstep(const WalkSpec &spec, SchemeKind scheme,
+                                 const std::vector<int> &windows);
 
 /** Result-store key of one walk cell (format in result_cache.h). */
 std::string walkCacheKey(const WalkSpec &spec, const EngineConfig &cfg);
@@ -92,15 +88,16 @@ struct WalkCell
 /**
  * The exhibit's walk table: {NS, SNP, SP} x defaultWindowSweep() x
  * kWalkDepths, every cell served from the result store or replayed
- * once from its depth's tape.
+ * with its (depth, scheme) group's walkLockstep.
  */
 class WalkTable
 {
   public:
     /**
      * Probe the result store for every cell (unless the result cache
-     * is off), record the tapes of the depths with a miss, replay the
-     * misses on ParallelSweep(@p jobs) and store them back.
+     * is off), replay every (depth, scheme) group with a miss — all
+     * of its window counts, one walkLockstep per group — on
+     * ParallelSweep(@p jobs), and store the missed cells back.
      */
     static WalkTable run(int jobs);
 
@@ -113,7 +110,8 @@ class WalkTable
     /** Cycles of one cell; panics if the table has no such cell. */
     Cycles cycles(SchemeKind scheme, int windows, int max_depth) const;
 
-    /** Walk steps replayed by this run (0 when every cell hit). */
+    /** Walk steps replayed by this run, lanes x steps per walk (0
+     *  when every cell hit). */
     std::uint64_t steps() const { return steps_; }
 
     /** Cells served from the result store. */

@@ -3,7 +3,9 @@
 # crw-bench fig11, the determinism gate, the warm-start gate and the
 # observability-overhead check. Each passing run appends one JSON line
 # to BENCH_warm_start.json at the repo root: git SHA, date, host and
-# the warm-start counters and wall times. End-to-end timing of the
+# the warm-start counters and wall times; a tree without a git SHA
+# (e.g. a `git archive` copy) is refused, since a row must name the
+# commit it measured. End-to-end timing of the
 # `crw-bench all` plan is perfbench's job (python3 perfbench/run.py).
 #
 # Run from the repo root. The Release tree lives in build-perf/ so it
@@ -19,6 +21,11 @@ repo_root=$(cd "$(dirname "$0")/.." && pwd)
 cd "$repo_root"
 
 git_sha=$(git rev-parse HEAD 2>/dev/null || echo unknown)
+if [ "$git_sha" = unknown ]; then
+    echo "error: no git SHA for this tree; BENCH_warm_start.json rows" \
+         "must name their commit (run from a git checkout or clone)" >&2
+    exit 1
+fi
 # Stamped into every --metrics-out manifest by the bench harness.
 CRW_GIT_SHA=$git_sha
 export CRW_GIT_SHA
@@ -105,10 +112,13 @@ printf '{"bench": "crw-bench fig11 table2 microtrace", "git_sha": "%s", "date": 
 echo "  appended to BENCH_warm_start.json:"
 tail -n1 "$repo_root/BENCH_warm_start.json"
 
-# Observability overhead gate: a fully instrumented crw-bench fig11 run
-# (--metrics-out + --trace-out) must stay within a few percent of the
-# plain run. Best-of-3 per mode to shed scheduler noise; timing in ms
-# via date +%s%N where available (falls back to whole seconds).
+# Observability overhead check: crw-bench fig11 with --metrics-out
+# must stay within 5% of the plain run's wall time (a warning, not a
+# gate). --trace-out is timed apart and only printed: it is not the
+# same work instrumented (it turns the result store off and replays
+# the w8 points on the oracle loop with a timeline observer), so no
+# bound applies. Best-of-3 per mode to shed scheduler noise; timing in
+# ms via date +%s%N where available (falls back to whole seconds).
 now_ms() {
     t=$(date +%s%N 2>/dev/null)
     case "$t" in
@@ -134,10 +144,11 @@ best_ms() {
 }
 echo "== observability overhead (crw-bench fig11, best of 3)"
 off_ms=$(best_ms "$crwbench_abs" fig11)
-on_ms=$(best_ms "$crwbench_abs" fig11 --metrics-out metrics.json \
-                --trace-out trace.json)
-echo "  obs off: ${off_ms} ms   obs on: ${on_ms} ms"
+on_ms=$(best_ms "$crwbench_abs" fig11 --metrics-out metrics.json)
+trace_ms=$(best_ms "$crwbench_abs" fig11 --trace-out trace.json)
+echo "  obs off: ${off_ms} ms   --metrics-out: ${on_ms} ms"
 if [ "$off_ms" -gt 0 ] && \
    [ $((on_ms * 100)) -gt $((off_ms * 105)) ]; then
-    echo "  WARN observability overhead exceeds 5% of wall time" >&2
+    echo "  WARN --metrics-out overhead exceeds 5% of wall time" >&2
 fi
+echo "  --trace-out (live replays + timeline, no bound): ${trace_ms} ms"

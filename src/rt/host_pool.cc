@@ -34,13 +34,6 @@ HostPool::~HostPool()
         t.join();
 }
 
-int
-HostPool::spawnedHelpers() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<int>(helpers_.size());
-}
-
 void
 HostPool::ensureHelpers(int helpers)
 {

@@ -90,9 +90,6 @@ class HostPool
                                std::uint64_t b);
     static void setEventHook(EventHook hook);
 
-    /** Helper threads currently parked/spawned (for tests). */
-    int spawnedHelpers() const;
-
     HostPool(const HostPool &) = delete;
     HostPool &operator=(const HostPool &) = delete;
 

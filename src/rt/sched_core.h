@@ -496,7 +496,6 @@ class SchedPolicyBox
     explicit SchedPolicyBox(SchedPolicy kind);
 
     SchedPolicy kind() const { return kind_; }
-    bool usesResidency() const { return policyUsesResidency(kind_); }
 
     void
     noteSpawn(ThreadId tid, std::uint8_t priority)

@@ -124,10 +124,4 @@ Scheduler::state(ThreadId tid) const
     return thread(tid).state;
 }
 
-const std::string &
-Scheduler::nameOf(ThreadId tid) const
-{
-    return thread(tid).name;
-}
-
 } // namespace crw

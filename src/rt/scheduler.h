@@ -95,7 +95,6 @@ class Scheduler
     ThreadId currentId() const { return running_; }
 
     ThreadState state(ThreadId tid) const;
-    const std::string &nameOf(ThreadId tid) const;
     int numThreads() const { return static_cast<int>(threads_.size()); }
 
     SchedPolicy policy() const { return core_.policy(); }

@@ -9,7 +9,6 @@
 #ifndef CRW_TRACE_REPLAY_LOOP_H_
 #define CRW_TRACE_REPLAY_LOOP_H_
 
-#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -237,27 +236,13 @@ replayFlatWith(ReplayState &st, const FlatTrace &flat,
                ViewArgs &&...view_args)
 {
     SimdTier taken = SimdTier::Scalar;
-    const auto dispatch = [&](auto scheme_tag) {
+    detail::visitSchemeClass(st.engine(0).scheme(), [&](auto scheme_tag) {
         using SchemeT = typename decltype(scheme_tag)::type;
         st.policy.visit([&](auto &pol) {
             taken = flatLoop<View<SchemeT>>(st, flat, pol, view_args...);
         });
-    };
-    switch (st.engine(0).scheme()) {
-      case SchemeKind::NS:
-        dispatch(std::type_identity<detail::NsScheme>{});
-        return taken;
-      case SchemeKind::SNP:
-        dispatch(std::type_identity<detail::SnpScheme>{});
-        return taken;
-      case SchemeKind::SP:
-        dispatch(std::type_identity<detail::SpScheme>{});
-        return taken;
-      case SchemeKind::Infinite:
-        dispatch(std::type_identity<detail::InfiniteScheme>{});
-        return taken;
-    }
-    crw_unreachable("bad scheme kind");
+    });
+    return taken;
 }
 
 } // namespace detail_replay

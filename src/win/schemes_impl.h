@@ -24,6 +24,8 @@
 #ifndef CRW_WIN_SCHEMES_IMPL_H_
 #define CRW_WIN_SCHEMES_IMPL_H_
 
+#include <type_traits>
+
 #include "common/logging.h"
 #include "win/scheme.h"
 
@@ -616,6 +618,27 @@ class SpScheme final : public SharingSchemeBase
     WindowIndex allocHint_ = kNoWindow;
 };
 
+/**
+ * The one SchemeKind -> concrete class switch: calls
+ * fn(std::type_identity<SchemeT>{}) with @p kind's class, so a caller
+ * instantiates its fast path per scheme without a switch of its own.
+ */
+template <typename Fn>
+void
+visitSchemeClass(SchemeKind kind, Fn &&fn)
+{
+    switch (kind) {
+      case SchemeKind::NS:
+        return fn(std::type_identity<NsScheme>{});
+      case SchemeKind::SNP:
+        return fn(std::type_identity<SnpScheme>{});
+      case SchemeKind::SP:
+        return fn(std::type_identity<SpScheme>{});
+      case SchemeKind::Infinite:
+        return fn(std::type_identity<InfiniteScheme>{});
+    }
+    crw_unreachable("bad scheme kind");
+}
 
 } // namespace detail
 } // namespace crw

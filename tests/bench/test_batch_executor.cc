@@ -346,8 +346,11 @@ expectSameRecord(const obs::PointRecord &got,
  * batch rule. The plan runs with
  * obs on at every host follower tier x batch cap (per-point, 4, the
  * default) x --jobs {1, 4}. Every result must be bit-identical to the
- * oracle's replay of its point, and every merged obs point record
- * equal to the one a per-point replay publishes.
+ * oracle's replay of its point, and every obs point record merge
+ * equal to the one a per-point replay publishes. Every leg runs the
+ * same plans: the oracle replays each point once, and the executor's
+ * in-process results are cleared before each leg so it replays them
+ * all again.
  */
 TEST(BatchExecutor, EveryUnitKindMatchesOracleAtAnyJobs)
 {
@@ -365,9 +368,8 @@ TEST(BatchExecutor, EveryUnitKindMatchesOracleAtAnyJobs)
                    ".json");
     const std::string metrics_flag = "--metrics-out=" + metrics_out;
 
-    // Window bases unique per (behavior, combination): the in-process
-    // result store would serve a repeated point without a replay. The
-    // spell bases sit above every window count the tests above use.
+    // The spell window counts sit above every window count the tests
+    // above use.
     struct Subject
     {
         BehaviorId behavior;
@@ -381,7 +383,42 @@ TEST(BatchExecutor, EveryUnitKindMatchesOracleAtAnyJobs)
          33, 3, {SchedPolicy::Fifo, SchedPolicy::WorkingSet}},
         {BehaviorId::fromSynth(spec), 4, 5, allSchedPolicies()},
     };
-    int combo = 0;
+    struct Case
+    {
+        ExperimentPlan plan;
+        std::size_t batchable = 0; ///< groups that batch when cap > 1
+        std::vector<std::pair<RunMetrics, obs::PointRecord>> oracle;
+    };
+    std::vector<Case> cases;
+    for (const Subject &subject : subjects) {
+        Case &c = cases.emplace_back();
+        const int group = subject.groupWindows;
+        for (const SchedPolicy policy : subject.policies) {
+            for (const SchemeKind scheme :
+                 {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP}) {
+                for (int i = 0; i < group; ++i)
+                    c.plan.add(makePlanPoint(subject.behavior, scheme,
+                                             subject.w0 + i, policy));
+                if (lockstepBatchable(scheme, policy))
+                    ++c.batchable;
+            }
+            c.plan.add(makePlanPoint(subject.behavior,
+                                     SchemeKind::Infinite, subject.w0,
+                                     policy));
+        }
+        PlanPoint checked =
+            makePlanPoint(subject.behavior, SchemeKind::SP,
+                          subject.w0 + group, SchedPolicy::Fifo);
+        checked.engine.checkInvariants = true;
+        c.plan.add(checked);
+        // The oracle replays are independent: run them on the pool.
+        const std::vector<PlanPoint> &pts = c.plan.points();
+        c.oracle.resize(pts.size());
+        ParallelSweep(4).run(pts.size(), [&](std::size_t i) {
+            c.oracle[i] = oracleWithRecord(pts[i]);
+        });
+    }
+
     for (const SimdTier tier : hostTiers()) {
         const ScopedTier pin(tier);
         for (const std::size_t cap :
@@ -401,64 +438,42 @@ TEST(BatchExecutor, EveryUnitKindMatchesOracleAtAnyJobs)
                 ASSERT_EQ(sweepJobs(), jobs);
                 ASSERT_TRUE(obsEnabled());
 
-                for (const Subject &subject : subjects) {
-                    const int group = subject.groupWindows;
-                    const int w0 = subject.w0 + combo * (group + 1);
-                    ExperimentPlan plan;
-                    std::size_t wide = 0;
-                    for (const SchedPolicy policy : subject.policies) {
-                        for (const SchemeKind scheme :
-                             {SchemeKind::NS, SchemeKind::SNP,
-                              SchemeKind::SP}) {
-                            for (int i = 0; i < group; ++i)
-                                plan.add(makePlanPoint(subject.behavior,
-                                                       scheme, w0 + i,
-                                                       policy));
-                            if (cap > 1 &&
-                                lockstepBatchable(scheme, policy))
-                                ++wide;
-                        }
-                        plan.add(makePlanPoint(subject.behavior,
-                                               SchemeKind::Infinite, w0,
-                                               policy));
-                    }
-                    PlanPoint checked = makePlanPoint(
-                        subject.behavior, SchemeKind::SP,
-                        w0 + group, SchedPolicy::Fifo);
-                    checked.engine.checkInvariants = true;
-                    plan.add(checked);
-
+                for (const Case &c : cases) {
+                    clearPointResults();
+                    const std::vector<PlanPoint> &pts = c.plan.points();
+                    // Point records merge by summing, so each leg's
+                    // merge is checked on top of the record so far.
+                    std::vector<obs::PointRecord> before;
+                    for (const PlanPoint &p : pts)
+                        before.push_back(
+                            metrics().point(recordLabel(p)));
                     const std::uint64_t batches =
                         counter("replay.batches");
                     const std::uint64_t points = counter("replay.points");
-                    executePlan(plan);
-                    EXPECT_EQ(counter("replay.batches"), batches + wide)
+                    executePlan(c.plan);
+                    EXPECT_EQ(counter("replay.batches"),
+                              batches + (cap > 1 ? c.batchable : 0))
                         << what;
                     EXPECT_EQ(counter("replay.points"),
-                              points + plan.points().size())
+                              points + pts.size())
                         << what;
-                    // The oracle replays are independent: run them on
-                    // the pool, then compare serially.
-                    const std::vector<PlanPoint> &pts = plan.points();
-                    std::vector<std::pair<RunMetrics, obs::PointRecord>>
-                        oracle(pts.size());
-                    ParallelSweep(4).run(pts.size(), [&](std::size_t i) {
-                        oracle[i] = oracleWithRecord(pts[i]);
-                    });
                     for (std::size_t i = 0; i < pts.size(); ++i) {
                         const std::string label = recordLabel(pts[i]);
                         EXPECT_TRUE(metricsBitIdentical(
-                            pointResult(pts[i]), oracle[i].first))
+                            pointResult(pts[i]), c.oracle[i].first))
                             << label << " " << what;
+                        obs::MetricsRegistry want;
+                        want.mergePoint(label, before[i]);
+                        want.mergePoint(label, c.oracle[i].second);
                         expectSameRecord(metrics().point(label),
-                                         oracle[i].second,
+                                         want.point(label),
                                          label + " " + what);
                     }
                 }
-                ++combo;
             }
         }
     }
+    clearPointResults();
     const char *reset[] = {"test_batch_executor"};
     ASSERT_TRUE(benchInit(1, reset));
     std::remove(metrics_out.c_str());

@@ -1,18 +1,19 @@
 /**
  * @file
  * The microtrace exhibit's walk table (bench/microtrace.h): the table
- * is independent of the worker count, a recorded decision tape
- * replays to exactly the cycles of the inline walk loop it replaced
- * (kept here as the oracle), and three cells stay pinned to the
- * cycle counts the inline loop produced. Those tests run with the
- * result cache off so they exercise the live pool.
+ * is independent of the worker count, a lockstep walk gives every
+ * lane exactly the cycles of the inline single-engine walk loop (kept
+ * here as the oracle) at every follower tier, and three cells stay
+ * pinned to the cycle counts the inline loop produced. Those tests
+ * run with the result cache off so they exercise the live pool.
  *
  * The walk| records in the result store: a cold run stores every
  * cell and a second run replays nothing; a disabled cache neither
- * reads nor writes; a damaged record is counted and re-run; every
- * result-affecting field is in the key; and `crw-bench cache --gc`
- * keeps exactly the keys the current table produces.
- */
+ * reads nor writes; a damaged record is counted and its group
+ * re-walked; one missing cell re-walks its group and rewrites no
+ * other record; every result-affecting field is in the key; and
+ * `crw-bench cache --gc` keeps exactly the keys the current table
+ * produces. */
 
 #include <cstdint>
 #include <cstdio>
@@ -35,6 +36,7 @@
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "store/record_store.h"
+#include "tests/win/simd_test_util.h"
 #include "win/engine.h"
 
 namespace crw {
@@ -146,10 +148,12 @@ TEST(Microtrace, TableIdenticalAcrossJobCounts)
     EXPECT_EQ(pooled.steps(), serial.steps());
 }
 
-TEST(Microtrace, TapeReplayMatchesInlineWalk)
+TEST(Microtrace, LockstepWalkMatchesInlineWalkAtEveryTier)
 {
     // Small shapes: odd thread counts and quantum lengths, and depth
     // bounds on both sides of the smallest window file.
+    const std::vector<int> &windows = defaultWindowSweep();
+    ASSERT_EQ(windows.size(), 12u);
     for (const int max_depth : {2, 5, 9}) {
         WalkSpec spec;
         spec.maxDepth = max_depth;
@@ -157,14 +161,22 @@ TEST(Microtrace, TapeReplayMatchesInlineWalk)
         spec.stepsPerQuantum = 37;
         spec.quanta = 150;
         spec.seed = 7;
-        const WalkTape tape = recordWalk(spec);
-        ASSERT_EQ(tape.up.size(), 150u * 37u);
-        for (const SchemeKind scheme : evaluatedSchemes())
-            for (const int w : {4, 7, 16})
-                EXPECT_EQ(replayWalk(tape, scheme, w),
-                          oracleWalk(spec, scheme, w))
-                    << schemeName(scheme) << " w" << w << " d"
-                    << max_depth;
+        for (const SchemeKind scheme : evaluatedSchemes()) {
+            std::vector<Cycles> oracle;
+            for (const int w : windows)
+                oracle.push_back(oracleWalk(spec, scheme, w));
+            for (const SimdTier tier : hostTiers()) {
+                const ScopedTier pin(tier);
+                const std::vector<Cycles> lanes =
+                    walkLockstep(spec, scheme, windows);
+                ASSERT_EQ(lanes.size(), windows.size());
+                for (std::size_t l = 0; l < windows.size(); ++l)
+                    EXPECT_EQ(lanes[l], oracle[l])
+                        << simdTierName(tier) << " "
+                        << schemeName(scheme) << " w" << windows[l]
+                        << " d" << max_depth;
+            }
+        }
     }
 }
 
@@ -267,7 +279,9 @@ TEST(MicrotraceStore, DamagedRecordIsCountedAndReplayed)
     const WalkTable table = WalkTable::run(4);
     EXPECT_EQ(metrics().counterValue("cache.corrupt"), corrupt0 + 2);
     EXPECT_EQ(table.cached(), 70u);
-    EXPECT_EQ(table.steps(), 2u * kStepsPerWalk);
+    // The two damaged cells sit in two (depth, scheme) groups, and a
+    // group with a miss walks all 12 of its lanes.
+    EXPECT_EQ(table.steps(), 24u * kStepsPerWalk);
     EXPECT_EQ(table.cycles(SchemeKind::SP, 32, 4), 12887978u);
     EXPECT_EQ(table.cycles(SchemeKind::NS, 4, 8), 22920053u);
 
@@ -275,6 +289,38 @@ TEST(MicrotraceStore, DamagedRecordIsCountedAndReplayed)
     const WalkTable healed = WalkTable::run(4);
     EXPECT_EQ(healed.cached(), 72u);
     EXPECT_EQ(healed.steps(), 0u);
+}
+
+TEST(MicrotraceStore, MissingCellRewalksItsGroupAndRewritesNothingElse)
+{
+    WalkTable::run(4); // every cell now in the store
+    const std::vector<std::string> keys = WalkTable::keys();
+    std::vector<std::uint64_t> offsets(keys.size());
+    std::vector<std::uint8_t> blob;
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        ASSERT_EQ(resultStore().find(keys[i], blob, &offsets[i]),
+                  store::RecordStore::FindResult::Hit)
+            << keys[i];
+
+    const std::string erased = exhibitCellKey(SchemeKind::SP, 32, 4);
+    ASSERT_TRUE(resultStore().erase(erased));
+    const WalkTable table = WalkTable::run(4);
+    EXPECT_EQ(table.cached(), 71u);
+    EXPECT_EQ(table.steps(), 12u * kStepsPerWalk);
+    EXPECT_EQ(table.cycles(SchemeKind::SP, 32, 4), 12887978u);
+
+    // Only the missed cell is stored back: a re-put record moves to a
+    // fresh offset, so every other record, its own group's lanes
+    // included, must sit where it was.
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        std::uint64_t offset = 0;
+        ASSERT_EQ(resultStore().find(keys[i], blob, &offset),
+                  store::RecordStore::FindResult::Hit)
+            << keys[i];
+        if (keys[i] != erased) {
+            EXPECT_EQ(offset, offsets[i]) << keys[i];
+        }
+    }
 }
 
 TEST(MicrotraceStore, KeyNamesEveryResultAffectingField)
