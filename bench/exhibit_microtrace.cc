@@ -77,12 +77,12 @@ walkLockstep(const WalkSpec &spec, SchemeKind scheme,
     // followers. The walk never asks the view for residency, so every
     // scheme batches here.
     detail::visitSchemeClass(scheme, [&](auto scheme_tag) {
-        // The view reserves half its event count for the op stream:
-        // one op per step, a switch per quantum and the first one.
+        // The walk records one op per step, a switch per quantum and
+        // the first switch.
         BatchedEngineView<typename decltype(scheme_tag)::type> view(
-            engines, 2 * (static_cast<std::size_t>(spec.quanta) *
-                              (spec.stepsPerQuantum + 1) +
-                          1));
+            engines, static_cast<std::size_t>(spec.quanta) *
+                             (spec.stepsPerQuantum + 1) +
+                         1);
         Rng rng(spec.seed);
         std::vector<int> depth(static_cast<std::size_t>(spec.threads), 1);
         ThreadId current = 0;

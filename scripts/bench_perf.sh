@@ -58,7 +58,8 @@ counter() {
 # steps — every point result and walk cell attaches from
 # store.crwstore, so it must also beat the cold run's wall time. The
 # cold run must have replayed walks (microtrace.steps > 0). A run that
-# passes appends its cold/warm split to BENCH_warm_start.json.
+# passes appends its cold/warm split to BENCH_warm_start.json, with
+# cold_flat_bytes: the bytes the cold leg left under bench_out/flat/.
 echo "== warm-start gate (crw-bench fig11 table2 microtrace cold vs warm)"
 warm_dir=$(mktemp -d)
 t0=$(date +%s%N 2>/dev/null || date +%s)
@@ -66,13 +67,16 @@ t0=$(date +%s%N 2>/dev/null || date +%s)
  "$crwbench_abs" fig11 table2 microtrace --metrics-out cold.json \
      > /dev/null)
 t1=$(date +%s%N 2>/dev/null || date +%s)
+cold_flat_bytes=$(find "$warm_dir/bench_out/flat" -type f -exec cat {} + \
+    2>/dev/null | wc -c | tr -d ' ')
+tw=$(date +%s%N 2>/dev/null || date +%s) # the warm leg starts here
 (cd "$warm_dir" &&
  "$crwbench_abs" fig11 table2 microtrace --metrics-out warm.json \
      > /dev/null)
 t2=$(date +%s%N 2>/dev/null || date +%s)
 case "$t0" in
-    *N) cold_ms=$(( (t1 - t0) * 1000 )); warm_ms=$(( (t2 - t1) * 1000 )) ;;
-    *)  cold_ms=$(( (t1 - t0) / 1000000 )); warm_ms=$(( (t2 - t1) / 1000000 )) ;;
+    *N) cold_ms=$(( (t1 - t0) * 1000 )); warm_ms=$(( (t2 - tw) * 1000 )) ;;
+    *)  cold_ms=$(( (t1 - t0) / 1000000 )); warm_ms=$(( (t2 - tw) / 1000000 )) ;;
 esac
 ws_cold_replays=$(counter "$warm_dir/cold.json" "replay.points")
 ws_warm_replays=$(counter "$warm_dir/warm.json" "replay.points")
@@ -103,12 +107,12 @@ if [ "$warm_ms" -ge "$cold_ms" ]; then
 fi
 cpu_model=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo \
     2>/dev/null | head -n1 | tr -d '"\\')
-printf '{"bench": "crw-bench fig11 table2 microtrace", "git_sha": "%s", "date": "%s", "nproc": %s, "cpu": "%s", "cold_ms": %s, "warm_ms": %s, "cold_replays": %s, "warm_replays": %s, "warm_predecodes": %s, "cold_walk_steps": %s, "warm_walk_steps": %s}\n' \
+printf '{"bench": "crw-bench fig11 table2 microtrace", "git_sha": "%s", "date": "%s", "nproc": %s, "cpu": "%s", "cold_ms": %s, "warm_ms": %s, "cold_replays": %s, "warm_replays": %s, "warm_predecodes": %s, "cold_walk_steps": %s, "warm_walk_steps": %s, "cold_flat_bytes": %s}\n' \
     "$git_sha" "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     "$(nproc 2>/dev/null || echo 0)" "${cpu_model:-$(uname -m)}" \
     "$cold_ms" "$warm_ms" "$ws_cold_replays" "$ws_warm_replays" \
     "$ws_warm_predecodes" "$ws_cold_walk_steps" "$ws_warm_walk_steps" \
-    >> "$repo_root/BENCH_warm_start.json"
+    "$cold_flat_bytes" >> "$repo_root/BENCH_warm_start.json"
 echo "  appended to BENCH_warm_start.json:"
 tail -n1 "$repo_root/BENCH_warm_start.json"
 

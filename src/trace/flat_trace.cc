@@ -1,39 +1,66 @@
 #include "trace/flat_trace.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace crw {
+
+static_assert(static_cast<std::uint32_t>(TraceOp::Exit) <=
+                  FlatTrace::kOpMask,
+              "every TraceOp must fit the op bits of an event word");
+
+std::uint64_t
+FlatTrace::wideOperand(std::uint32_t i) const
+{
+    const WideOperand *const end = wide + wideCount;
+    const WideOperand *const it = std::lower_bound(
+        wide, end, i, [](const WideOperand &w, std::uint32_t e) {
+            return w.event < e;
+        });
+    crw_assert(it != end && it->event == i);
+    return it->operand;
+}
 
 FlatTrace
 FlatTrace::build(const EventTrace &trace)
 {
     FlatTrace flat;
-    // eventCount() walks the same decode; reserving exactly avoids a
-    // second growth pass over multi-megabyte arenas.
-    const std::uint64_t total = trace.eventCount();
-    crw_assert(total <= UINT32_MAX);
-    flat.opsStorage.reserve(total);
-    flat.operandStorage.reserve(total);
+    // Every event takes at least one script byte, so the scripts'
+    // byte length bounds the event count without a second decode
+    // pass; pages of the reserve that are never written stay
+    // unbacked.
+    std::size_t script_bytes = 0;
+    for (const TraceThreadInfo &t : trace.threads)
+        script_bytes += t.code.size();
+    flat.wordStorage.reserve(script_bytes);
     flat.threads.reserve(trace.threads.size());
 
     for (const TraceThreadInfo &t : trace.threads) {
         Span span;
-        span.begin = static_cast<std::uint32_t>(flat.opsStorage.size());
+        span.begin = static_cast<std::uint32_t>(flat.wordStorage.size());
         TraceCursor cur(t.code);
         std::uint64_t operand;
         while (!cur.atEnd()) {
             const TraceOp op = cur.peek(operand);
             cur.advance();
-            flat.opsStorage.push_back(static_cast<std::uint8_t>(op));
-            flat.operandStorage.push_back(operand);
+            std::uint32_t field = kWideOperand;
+            if (operand < kWideOperand)
+                field = static_cast<std::uint32_t>(operand);
+            else
+                flat.wideStorage.push_back(
+                    {flat.wordStorage.size(), operand});
+            flat.wordStorage.push_back(field << kOpBits |
+                                       static_cast<std::uint32_t>(op));
         }
-        span.end = static_cast<std::uint32_t>(flat.opsStorage.size());
+        span.end = static_cast<std::uint32_t>(flat.wordStorage.size());
         flat.threads.push_back(span);
     }
-    flat.ops = flat.opsStorage.data();
-    flat.operands = flat.operandStorage.data();
-    flat.events =
-        static_cast<std::uint32_t>(flat.opsStorage.size());
+    crw_assert(flat.wordStorage.size() <= UINT32_MAX);
+    flat.words = flat.wordStorage.data();
+    flat.events = static_cast<std::uint32_t>(flat.wordStorage.size());
+    flat.wide = flat.wideStorage.data();
+    flat.wideCount = static_cast<std::uint32_t>(flat.wideStorage.size());
     return flat;
 }
 

@@ -1,28 +1,34 @@
 /**
  * @file
- * FlatTrace: the predecoded, structure-of-arrays image of an
- * EventTrace, built once per trace and shared by every replay point.
+ * FlatTrace: the predecoded image of an EventTrace, built once per
+ * trace and shared by every replay point.
  *
  * EventTrace stores each thread's script as a compact tag/varint byte
  * stream — right for the disk cache, wrong for the replay hot loop,
  * which would re-decode every event at every (scheme, windows, policy)
- * point of a sweep. FlatTrace pays the decode exactly once: two
- * parallel arenas (one op byte, one 64-bit operand per event) plus a
- * [begin, end) span per thread, so the replay driver's cursor is a
- * plain index into contiguous memory — no varint, no peek/advance
- * pair, no per-thread allocation.
+ * point of a sweep. FlatTrace pays the decode exactly once: one packed
+ * 32-bit word per event (the TraceOp in the low kOpBits bits, the
+ * operand above it) plus a [begin, end) span per thread, so the replay
+ * driver's cursor is a plain index into contiguous memory — no varint,
+ * no peek/advance pair, no per-thread allocation, four bytes an event.
+ *
+ * The operand field holds every charge and stream id the captured
+ * traces produce inline. An operand too wide for it is escaped: its
+ * field reads kWideOperand and the value sits in the `wide` side
+ * table, sorted by event index. The encoding is lossless for every
+ * operand a script can carry, so no trace is refused or truncated.
  *
  * The flattening is a pure re-encoding: build() walks the exact
  * TraceCursor decode the legacy path uses, so a flat walk and a cursor
  * walk yield the same event sequence by construction
  * (tests/trace/test_flat_trace.cc pins this).
  *
- * The arenas are exposed as pointer views because they have two
- * backings: build() decodes into vectors this struct owns, while
- * trace/flat_trace_io.h attaches the same SoA layout straight out of
- * an mmap'd arena file — a warm start pays neither the TraceCursor
- * walk nor a copy. Either way the replay hot loop sees the same two
- * raw pointers.
+ * The arrays are exposed as pointer views because they have two
+ * backings: build() decodes into storage this struct owns, while
+ * trace/flat_trace_io.h attaches the same layout straight out of an
+ * mmap'd arena file — a warm start pays neither the TraceCursor walk
+ * nor a copy. Either way the replay hot loop sees the same raw word
+ * pointer.
  */
 
 #ifndef CRW_TRACE_FLAT_TRACE_H_
@@ -39,42 +45,80 @@ namespace crw {
 
 struct FlatTrace
 {
-    /** One thread's [begin, end) range in the event arenas. */
+    /** One thread's [begin, end) range in the event words. */
     struct Span
     {
         std::uint32_t begin = 0;
         std::uint32_t end = 0;
     };
 
-    /** TraceOp per event, in thread-script order. */
-    const std::uint8_t *ops = nullptr;
-    /** Charge cycles or stream id per event (0 for Save/.../Exit). */
-    const std::uint64_t *operands = nullptr;
-    /** Number of events behind both arena pointers. */
+    /** An escaped operand: the full value of event @c event. */
+    struct WideOperand
+    {
+        std::uint64_t event = 0;
+        std::uint64_t operand = 0;
+    };
+
+    /** Low bits of an event word that hold its TraceOp. */
+    static constexpr unsigned kOpBits = 3;
+    static constexpr std::uint32_t kOpMask = (1u << kOpBits) - 1;
+    /** Operand field value that sends the read to the wide table;
+     *  every smaller operand is stored inline. */
+    static constexpr std::uint32_t kWideOperand = UINT32_MAX >> kOpBits;
+
+    /** Packed (operand << kOpBits | TraceOp) per event, in
+     *  thread-script order. */
+    const std::uint32_t *words = nullptr;
+    /** Number of events behind @c words. */
     std::uint32_t events = 0;
-    /** Arena span of each thread, indexed by ThreadId (spawn order). */
+    /** Escaped operands, strictly increasing in event. */
+    const WideOperand *wide = nullptr;
+    std::uint32_t wideCount = 0;
+    /** Span of each thread, indexed by ThreadId (spawn order). */
     std::vector<Span> threads;
 
     std::size_t eventCount() const { return events; }
 
-    /** Decode every thread script of @p trace into one flat arena. */
+    static TraceOp
+    opOf(std::uint32_t word)
+    {
+        return static_cast<TraceOp>(word & kOpMask);
+    }
+
+    TraceOp op(std::uint32_t i) const { return opOf(words[i]); }
+
+    /** Charge cycles or stream id of event @p i (0 for Save/.../Exit). */
+    std::uint64_t
+    operand(std::uint32_t i) const
+    {
+        const std::uint32_t field = words[i] >> kOpBits;
+        if (field != kWideOperand) [[likely]]
+            return field;
+        return wideOperand(i);
+    }
+
+    /** The escaped operand of event @p i (binary search; fatal when
+     *  the table has no entry for it). */
+    std::uint64_t wideOperand(std::uint32_t i) const;
+
+    /** Decode every thread script of @p trace into one flat image. */
     static FlatTrace build(const EventTrace &trace);
 
-    // Moving transfers the backing (vector heap buffers or the mmap)
-    // without invalidating the view pointers; copying would not, so
-    // it is forbidden.
+    // Moving transfers the backing (heap buffers or the mmap) without
+    // invalidating the view pointers; copying would not, so it is
+    // forbidden.
     FlatTrace() = default;
     FlatTrace(FlatTrace &&) = default;
     FlatTrace &operator=(FlatTrace &&) = default;
     FlatTrace(const FlatTrace &) = delete;
     FlatTrace &operator=(const FlatTrace &) = delete;
 
-    // Backing storage — exactly one of {vectors, arena} is live.
-    // Both backings start every arena on a cache-line boundary
+    // Backing storage — exactly one of {storage, arena} is live.
+    // Both backings start the word array on a cache-line boundary
     // (AlignedVec in memory, kArenaAlign in the file), so the replay
     // walks stream whole lines regardless of which one is attached.
-    AlignedVec<std::uint8_t> opsStorage;
-    AlignedVec<std::uint64_t> operandStorage;
+    AlignedVec<std::uint32_t> wordStorage;
+    std::vector<WideOperand> wideStorage;
     store::ArenaView arena;
 };
 

@@ -47,9 +47,10 @@ saveFlatTrace(const FlatTrace &flat, std::uint64_t trace_checksum,
 {
     store::ArenaBuilder builder(kFlatTraceFormatVersion,
                                 flatTraceKey(trace_checksum));
-    builder.addSegment("ops", flat.ops, flat.events);
-    builder.addSegment("operands", flat.operands,
-                       flat.events * sizeof(std::uint64_t));
+    builder.addSegment("words", flat.words,
+                       flat.events * sizeof(std::uint32_t));
+    builder.addSegment("wide", flat.wide,
+                       flat.wideCount * sizeof(FlatTrace::WideOperand));
     std::vector<std::uint32_t> spans;
     spans.reserve(flat.threads.size() * 2);
     for (const FlatTrace::Span &s : flat.threads) {
@@ -75,19 +76,20 @@ loadFlatTrace(const std::string &path, std::uint64_t trace_checksum,
     if (!view.verifyPayload())
         return fail(error, "flat trace: payload checksum mismatch");
 
-    std::uint64_t ops_bytes = 0, operand_bytes = 0, span_bytes = 0;
-    const void *ops = view.segment("ops", &ops_bytes);
-    const void *operands = view.segment("operands", &operand_bytes);
+    std::uint64_t word_bytes = 0, wide_bytes = 0, span_bytes = 0;
+    const void *words = view.segment("words", &word_bytes);
+    const void *wide = view.segment("wide", &wide_bytes);
     const void *spans = view.segment("spans", &span_bytes);
-    if (!ops || !operands || !spans)
+    if (!words || !wide || !spans)
         return fail(error, "flat trace: missing segment");
-    if (ops_bytes > UINT32_MAX ||
-        operand_bytes != ops_bytes * sizeof(std::uint64_t) ||
+    if (word_bytes % sizeof(std::uint32_t) != 0 ||
+        word_bytes / sizeof(std::uint32_t) > UINT32_MAX ||
+        wide_bytes % sizeof(FlatTrace::WideOperand) != 0 ||
         span_bytes % (2 * sizeof(std::uint32_t)) != 0)
         return fail(error, "flat trace: segment sizes disagree");
 
     const std::uint32_t events =
-        static_cast<std::uint32_t>(ops_bytes);
+        static_cast<std::uint32_t>(word_bytes / sizeof(std::uint32_t));
     const std::size_t thread_count =
         span_bytes / (2 * sizeof(std::uint32_t));
     std::vector<FlatTrace::Span> threads(thread_count);
@@ -105,14 +107,36 @@ loadFlatTrace(const std::string &path, std::uint64_t trace_checksum,
     if (expected_begin != events)
         return fail(error, "flat trace: spans do not cover the arena");
 
-    out.opsStorage.clear();
-    out.operandStorage.clear();
+    // Every escape must resolve: the wide table is strictly increasing,
+    // in range, and names exactly the escaped words.
+    const auto *word_at = static_cast<const std::uint32_t *>(words);
+    const auto *wide_at = static_cast<const FlatTrace::WideOperand *>(wide);
+    const std::size_t wide_count =
+        wide_bytes / sizeof(FlatTrace::WideOperand);
+    std::size_t escapes = 0;
+    for (std::uint32_t i = 0; i < events; ++i)
+        escapes += (word_at[i] >> FlatTrace::kOpBits) ==
+                   FlatTrace::kWideOperand;
+    for (std::size_t k = 0; k < wide_count; ++k) {
+        const std::uint64_t event = wide_at[k].event;
+        if (event >= events ||
+            (k > 0 && event <= wide_at[k - 1].event) ||
+            (word_at[event] >> FlatTrace::kOpBits) !=
+                FlatTrace::kWideOperand)
+            return fail(error, "flat trace: wide table malformed");
+    }
+    if (escapes != wide_count)
+        return fail(error, "flat trace: wide table malformed");
+
+    out.wordStorage.clear();
+    out.wideStorage.clear();
     out.arena = std::move(view);
-    out.ops = static_cast<const std::uint8_t *>(
-        out.arena.segment("ops", &ops_bytes));
-    out.operands = static_cast<const std::uint64_t *>(
-        out.arena.segment("operands", &operand_bytes));
+    out.words = static_cast<const std::uint32_t *>(
+        out.arena.segment("words", &word_bytes));
     out.events = events;
+    out.wide = static_cast<const FlatTrace::WideOperand *>(
+        out.arena.segment("wide", &wide_bytes));
+    out.wideCount = static_cast<std::uint32_t>(wide_count);
     out.threads = std::move(threads);
     return true;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Durable on-disk form of FlatTrace (DESIGN.md §13): the predecoded
- * SoA arenas land in one arena file (segments "ops", "operands",
+ * event words land in one arena file (segments "words", "wide",
  * "spans") under bench_out/flat/, keyed by the source trace checksum
  * plus kFlatTraceFormatVersion. A cold run pays the TraceCursor walk
  * once and writes the file; every warm start afterwards attaches the
@@ -10,10 +10,10 @@
  * a few bytes per thread).
  *
  * loadFlatTrace re-hashes the payload (ArenaView::verifyPayload) and
- * bounds-checks the span table before handing pointers to the
- * check-free replay hot loop; any validation failure is a clean false
- * and the caller (bench/executor.cc cachedFlatTrace) rebuilds in
- * memory.
+ * bounds-checks the span and wide-operand tables before handing
+ * pointers to the check-free replay hot loop; any validation failure
+ * is a clean false and the caller (bench/executor.cc cachedFlatTrace)
+ * rebuilds in memory.
  */
 
 #ifndef CRW_TRACE_FLAT_TRACE_IO_H_
@@ -32,9 +32,10 @@ namespace crw {
  * check at attach and are rebuilt, never misread. v2: arena segments
  * became cache-line aligned (store/arena.h kArenaAlign 16 -> 64) so
  * mapped replay arenas honour the same alignment contract as the
- * in-memory AlignedVec backing.
+ * in-memory AlignedVec backing. v3: the "ops" and "operands" segments
+ * became one packed "words" segment plus the "wide" escape table.
  */
-inline constexpr std::uint32_t kFlatTraceFormatVersion = 2;
+inline constexpr std::uint32_t kFlatTraceFormatVersion = 3;
 
 /**
  * Identity key stored in the arena superblock: names the source trace

@@ -53,8 +53,18 @@ flatLoop(ReplayState &st, const FlatTrace &flat, PolicyT &pol,
     BehaviorTracker &tracker = st.tracker;
     std::vector<RStream> &streams = st.streams;
     std::vector<RThread> &threads = st.threads;
-    const std::uint8_t *const ops = flat.ops;
-    const std::uint64_t *const operands = flat.operands;
+    const std::uint32_t *const words = flat.words;
+    const auto opAt = [words](std::uint32_t i) {
+        return FlatTrace::opOf(words[i]);
+    };
+    // The operand sits above the op bits; only an escaped (wide)
+    // operand leaves the word for the side table.
+    const auto operandAt = [words, &flat](std::uint32_t i) {
+        const std::uint32_t field = words[i] >> FlatTrace::kOpBits;
+        if (field != FlatTrace::kWideOperand) [[likely]]
+            return static_cast<std::uint64_t>(field);
+        return flat.wideOperand(i);
+    };
 
     // Mirror of ReplayDriver::wakeAllSlow, bound to the concrete
     // policy type so queue placement compiles to straight-line code.
@@ -107,14 +117,14 @@ flatLoop(ReplayState &st, const FlatTrace &flat, PolicyT &pol,
             // branch instead of a round trip through the switch's
             // indirect dispatch. The executed event sequence is
             // exactly the oracle's.
-            switch (static_cast<TraceOp>(ops[pc])) {
+            switch (opAt(pc)) {
               case TraceOp::Save:
               save_op:
                 view.save();
                 tracker.onSave(tid, view.depth(tid));
                 ++pc;
                 if (pc != end &&
-                    static_cast<TraceOp>(ops[pc]) == TraceOp::Charge)
+                    opAt(pc) == TraceOp::Charge)
                     goto charge_op;
                 break;
               case TraceOp::Restore:
@@ -123,20 +133,20 @@ flatLoop(ReplayState &st, const FlatTrace &flat, PolicyT &pol,
                 tracker.onRestore(tid, view.depth(tid));
                 ++pc;
                 if (pc != end &&
-                    static_cast<TraceOp>(ops[pc]) == TraceOp::Save)
+                    opAt(pc) == TraceOp::Save)
                     goto save_op;
                 break;
               case TraceOp::Charge:
-              charge_op:
-                view.charge(static_cast<Cycles>(operands[pc]));
+              charge_op: {
+                const Cycles cycles = static_cast<Cycles>(operandAt(pc));
+                view.charge(cycles);
                 if constexpr (PolicyT::kHasQuantum) {
                     // Preemption point: the charge has executed, then
                     // the thread yields to the tail of the queue —
                     // same statement order as the oracle loop. The
                     // operand is a shared trace value, so every lane
                     // observes the identical quantum schedule.
-                    if (pol.chargeExpires(
-                            static_cast<Cycles>(operands[pc]))) {
+                    if (pol.chargeExpires(cycles)) {
                         ++pc;
                         pol.onQuantumExpiry(core, tid);
                         t.state = RState::Ready;
@@ -146,7 +156,7 @@ flatLoop(ReplayState &st, const FlatTrace &flat, PolicyT &pol,
                 }
                 ++pc;
                 if (pc != end) {
-                    const TraceOp next = static_cast<TraceOp>(ops[pc]);
+                    const TraceOp next = opAt(pc);
                     if (next == TraceOp::Get)
                         goto get_op;
                     if (next == TraceOp::Put)
@@ -155,9 +165,10 @@ flatLoop(ReplayState &st, const FlatTrace &flat, PolicyT &pol,
                         goto save_op;
                 }
                 break;
+              }
               case TraceOp::Put:
               put_op: {
-                RStream &s = streams[operands[pc]];
+                RStream &s = streams[operandAt(pc)];
                 if (s.count == s.capacity) {
                     wakeAll(s.readWaiters);
                     s.writeWaiters.push_back(tid);
@@ -169,7 +180,7 @@ flatLoop(ReplayState &st, const FlatTrace &flat, PolicyT &pol,
                 wakeAll(s.readWaiters);
                 ++pc;
                 if (pc != end) {
-                    const TraceOp next = static_cast<TraceOp>(ops[pc]);
+                    const TraceOp next = opAt(pc);
                     if (next == TraceOp::Restore)
                         goto restore_op;
                     if (next == TraceOp::Put)
@@ -179,7 +190,7 @@ flatLoop(ReplayState &st, const FlatTrace &flat, PolicyT &pol,
               }
               case TraceOp::Get:
               get_op: {
-                RStream &s = streams[operands[pc]];
+                RStream &s = streams[operandAt(pc)];
                 if (s.count == 0) {
                     if (s.openWriters == 0) {
                         ++pc;
@@ -195,12 +206,12 @@ flatLoop(ReplayState &st, const FlatTrace &flat, PolicyT &pol,
                 wakeAll(s.writeWaiters);
                 ++pc;
                 if (pc != end &&
-                    static_cast<TraceOp>(ops[pc]) == TraceOp::Restore)
+                    opAt(pc) == TraceOp::Restore)
                     goto restore_op;
                 break;
               }
               case TraceOp::Close: {
-                RStream &s = streams[operands[pc]];
+                RStream &s = streams[operandAt(pc)];
                 crw_assert(s.openWriters > 0);
                 if (--s.openWriters == 0)
                     wakeAll(s.readWaiters);

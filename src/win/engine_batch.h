@@ -26,9 +26,17 @@
  *    the working-set wakes read — while the view records the *engine
  *    op stream*: the sequence of save/restore/switch/exit events.
  *    Charges never enter the stream; they are lane-invariant trace
- *    operands and accumulate in one shared counter.
- *  - finish() then replays the recorded stream through the followers.
- *    Two pass shapes exist:
+ *    operands and accumulate in one shared counter. Each record is
+ *    four bytes: save, restore and exit act on the current thread, so
+ *    only a switch carries a thread id (its target), and every
+ *    follower pass tracks the current thread itself.
+ *  - The followers replay the recorded stream when the tape fills and
+ *    once more at finish(). The tape is reserved once, at most
+ *    kTapeOps records, and never regrows: a full tape is drained
+ *    through the followers and reused, so its footprint is fixed
+ *    however long the trace runs. Draining early is sound because no
+ *    follower state is read before finish(), and each pass picks up
+ *    exactly where the previous one stopped. Two pass shapes exist:
  *
  *      Per lane — one tight linear pass over the op array per
  *      follower lane, the lane's window file cache-hot and the branch
@@ -73,6 +81,7 @@
 #ifndef CRW_WIN_ENGINE_BATCH_H_
 #define CRW_WIN_ENGINE_BATCH_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -98,14 +107,17 @@ class BatchedEngineView
      *        carry an observer or checkInvariants (oracle-only
      *        features), and all must be at the same point of the
      *        schedule (freshly constructed, same registered threads).
-     * @param trace_events Events of the trace to replay; pre-sizes the
-     *        recorded op stream (engine ops are a fraction of the
-     *        events; half is a generous ceiling).
+     * @param max_ops Engine ops the caller expects to record (an
+     *        upper bound when it knows one). The tape is reserved once
+     *        at min(max_ops, kTapeOps) records; a longer run drains it
+     *        through the followers as it fills.
      */
     BatchedEngineView(
         const std::vector<std::unique_ptr<WindowEngine>> &engines,
-        std::size_t trace_events)
-        : lanes_(engines.size())
+        std::size_t max_ops)
+        : lanes_(engines.size()),
+          tapeCap_(std::clamp<std::size_t>(max_ops, 1, kTapeOps)),
+          tier_(kHasSoaPass ? effectiveSimdTier() : SimdTier::Scalar)
     {
         crw_assert(lanes_ > 1);
         e_.reserve(lanes_);
@@ -131,10 +143,11 @@ class BatchedEngineView
             psr_.push_back(t_.back().plainSaveRestore());
         }
         current_ = engines[0]->current_;
+        tapeFrom_ = current_;
         threadSaves_.resize(engines[0]->threadCounters_.size());
         threadRestores_.resize(threadSaves_.size());
         threadSwitchesIn_.resize(threadSaves_.size());
-        ops_.reserve(trace_events / 2);
+        ops_.reserve(tapeCap_);
     }
 
     void
@@ -147,7 +160,7 @@ class BatchedEngineView
             s_[0]->template doSave<false>(current_);
         if (out.trapped)
             chargeOverflow(0, out.windowsSaved);
-        record(OpRec::Kind::Save, current_, kNoThread);
+        record(OpRec::Kind::Save);
     }
 
     void
@@ -160,7 +173,7 @@ class BatchedEngineView
             s_[0]->template doRestore<false>(current_);
         if (out.trapped)
             chargeUnderflow(0, out.windowsRestored);
-        record(OpRec::Kind::Restore, current_, kNoThread);
+        record(OpRec::Kind::Restore);
     }
 
     /**
@@ -177,7 +190,7 @@ class BatchedEngineView
         ++sharedSwitches_;
         applySwitch(s_[0], t_[0], *e_[0], hot_[0], offset_[0], from,
                     to);
-        record(OpRec::Kind::Switch, from, to);
+        record(OpRec::Kind::Switch, to);
     }
 
     void
@@ -186,8 +199,8 @@ class BatchedEngineView
         crw_assert(current_ != kNoThread);
         ++sharedExits_;
         s_[0]->template doExit<false>(current_);
-        record(OpRec::Kind::Exit, current_, kNoThread);
         current_ = kNoThread;
+        record(OpRec::Kind::Exit);
     }
 
     /** Charges are lane-invariant: one add advances every clock. */
@@ -230,31 +243,18 @@ class BatchedEngineView
     }
 
     /**
-     * Replay the recorded op stream through every follower lane, then
-     * flush the accumulated clocks/counters back into the engines.
-     * Call exactly once, when the control loop has drained. Returns
-     * the follower pass dispatched: the SoA tier it ran, or Scalar
-     * when the per-lane pass handled the followers (scalar tier or a
-     * sharing scheme). What replay.simd_path publishes.
+     * Replay the rest of the recorded op stream through every
+     * follower lane, then flush the accumulated clocks/counters back
+     * into the engines. Call exactly once, when the control loop has
+     * drained. Returns the follower pass dispatched: the SoA tier it
+     * ran, or Scalar when the per-lane pass handled the followers
+     * (scalar tier or a sharing scheme). What replay.simd_path
+     * publishes.
      */
     SimdTier
     finish()
     {
-        // The per-lane shape runs one lane per stream pass, so the
-        // branch predictor sees a single lane's trap pattern per pass
-        // (pairing lanes was measured slower — the per-op trap
-        // branches alias across lanes and mispredict). The sharing
-        // schemes always take it: their slot-map probes are serial per
-        // lane, and interleaving lanes in one walk measured 0.97–0.98x
-        // against it (DESIGN.md §16).
-        const SimdTier tier =
-            kHasSoaPass ? effectiveSimdTier() : SimdTier::Scalar;
-        if (tier == SimdTier::Scalar) {
-            for (std::size_t l = 1; l < lanes_; ++l)
-                replayLane(l);
-        } else if constexpr (kHasSoaPass) {
-            replaySoa(tier);
-        }
+        drainTape();
         const std::uint64_t sr = sharedSaves_ + sharedRestores_;
         for (std::size_t l = 0; l < lanes_; ++l) {
             WindowEngine &e = *e_[l];
@@ -276,14 +276,19 @@ class BatchedEngineView
                 tc.switchesIn += threadSwitchesIn_[tid];
             }
         }
-        return tier;
+        return tier_;
     }
+
+    /** Most records the tape holds before it drains (256 KiB). */
+    static constexpr std::size_t kTapeOps = std::size_t{1} << 16;
 
   private:
     /**
-     * One recorded engine op, packed to eight bytes so a follower pass
+     * One recorded engine op, packed to four bytes so a follower pass
      * streams the fewest possible cache lines (charges never enter the
      * stream, and the lane-invariant counts live in shared scalars).
+     * Save, restore and exit act on the current thread, which each
+     * pass tracks from the switches, so only a switch names a thread.
      */
     struct OpRec
     {
@@ -294,19 +299,47 @@ class BatchedEngineView
             Exit,
         };
         Kind kind;
-        std::int16_t a; ///< op tid, or switch-from
-        std::int16_t b; ///< switch-to
-        std::uint16_t pad = 0;
+        std::uint8_t pad = 0;
+        std::int16_t to = 0; ///< switch target; 0 for the other kinds
     };
-    static_assert(sizeof(OpRec) == 8, "op stream packing");
+    static_assert(sizeof(OpRec) == 4, "op stream packing");
 
+    /** Append one op, called after the leader applied it (so current_
+     *  already names the thread current after it); a full tape drains
+     *  through the followers. */
     void
-    record(typename OpRec::Kind kind, ThreadId a, ThreadId b)
+    record(typename OpRec::Kind kind, ThreadId to = 0)
     {
-        crw_assert(a >= INT16_MIN && a <= INT16_MAX);
-        crw_assert(b >= INT16_MIN && b <= INT16_MAX);
-        ops_.push_back({kind, static_cast<std::int16_t>(a),
-                        static_cast<std::int16_t>(b)});
+        crw_assert(to >= 0 && to <= INT16_MAX);
+        ops_.push_back({kind, 0, static_cast<std::int16_t>(to)});
+        if (ops_.size() == tapeCap_)
+            drainTape();
+    }
+
+    /**
+     * Advance every follower over the recorded ops, then empty the
+     * tape. The per-lane shape runs one lane per tape pass, so the
+     * branch predictor sees a single lane's trap pattern per pass
+     * (pairing lanes was measured slower — the per-op trap branches
+     * alias across lanes and mispredict). The sharing schemes always
+     * take it: their slot-map probes are serial per lane, and
+     * interleaving lanes in one walk measured 0.97–0.98x against it
+     * (DESIGN.md §16). Never inlined, so the flattened replay loop
+     * (trace/replay_loop.h) keeps one copy of the follower passes
+     * instead of one per record() site; flattened itself, so the
+     * scheme bodies still inline into those passes.
+     */
+    __attribute__((noinline, flatten)) void
+    drainTape()
+    {
+        if (tier_ == SimdTier::Scalar) {
+            for (std::size_t l = 1; l < lanes_; ++l)
+                replayLane(l);
+        } else if constexpr (kHasSoaPass) {
+            replaySoa(tier_);
+        }
+        tapeFrom_ = current_;
+        ops_.clear();
     }
 
     // The divergent per-op residue, shared verbatim by the leader
@@ -375,10 +408,11 @@ class BatchedEngineView
         WindowEngine &e = *e_[l];
         WindowEngine::HotCounters h = hot_[l];
         Cycles offset = offset_[l];
+        ThreadId cur = tapeFrom_;
         for (const OpRec &op : ops_) {
             switch (op.kind) {
               case OpRec::Kind::Save: {
-                const OpOutcome out = s->template doSave<false>(op.a);
+                const OpOutcome out = s->template doSave<false>(cur);
                 if (out.trapped) {
                     ++h.ovfTraps;
                     h.ovfSpilled +=
@@ -391,7 +425,7 @@ class BatchedEngineView
               }
               case OpRec::Kind::Restore: {
                 const OpOutcome out =
-                    s->template doRestore<false>(op.a);
+                    s->template doRestore<false>(cur);
                 if (out.trapped) {
                     ++h.unfTraps;
                     h.unfRestored +=
@@ -403,10 +437,12 @@ class BatchedEngineView
                 break;
               }
               case OpRec::Kind::Switch:
-                applySwitch(s, t, e, h, offset, op.a, op.b);
+                applySwitch(s, t, e, h, offset, cur, op.to);
+                cur = op.to;
                 break;
               case OpRec::Kind::Exit:
-                s->template doExit<false>(op.a);
+                s->template doExit<false>(cur);
+                cur = kNoThread;
                 break;
             }
         }
@@ -535,19 +571,20 @@ class BatchedEngineView
         };
 
         // --- the single walk --------------------------------------
+        // Only a switch or an exit changes the current thread, so a
+        // run of same-kind ops is a run on one thread.
         const std::size_t nops = ops_.size();
         std::size_t i = 0;
+        ThreadId cur = tapeFrom_;
         while (i < nops) {
             const OpRec &op = ops_[i];
             switch (op.kind) {
               case OpRec::Kind::Save: {
                 std::size_t r = i + 1;
-                while (r < nops &&
-                       ops_[r].kind == OpRec::Kind::Save &&
-                       ops_[r].a == op.a)
+                while (r < nops && ops_[r].kind == OpRec::Kind::Save)
                     ++r;
                 const int k = static_cast<int>(r - i);
-                const ThreadId tid = op.a;
+                const ThreadId tid = cur;
                 depth[static_cast<std::size_t>(tid)] += k;
                 if constexpr (kSoaIsNs)
                     kern.nsSaveRun(soa, tid, k);
@@ -556,12 +593,10 @@ class BatchedEngineView
               }
               case OpRec::Kind::Restore: {
                 std::size_t r = i + 1;
-                while (r < nops &&
-                       ops_[r].kind == OpRec::Kind::Restore &&
-                       ops_[r].a == op.a)
+                while (r < nops && ops_[r].kind == OpRec::Kind::Restore)
                     ++r;
                 const int k = static_cast<int>(r - i);
-                const ThreadId tid = op.a;
+                const ThreadId tid = cur;
                 const int d = depth[static_cast<std::size_t>(tid)];
                 crw_assert(k <= d);
                 // The run's last restore is the root-frame return
@@ -582,9 +617,10 @@ class BatchedEngineView
               }
               case OpRec::Kind::Switch: {
                 for (std::size_t j = 0; j < nl; ++j)
-                    switchAt(j, op.a, op.b);
-                if (depth[static_cast<std::size_t>(op.b)] == 0)
-                    depth[static_cast<std::size_t>(op.b)] =
+                    switchAt(j, cur, op.to);
+                cur = op.to;
+                if (depth[static_cast<std::size_t>(cur)] == 0)
+                    depth[static_cast<std::size_t>(cur)] =
                         1; // root frame of a fresh thread
                 ++i;
                 break;
@@ -592,8 +628,9 @@ class BatchedEngineView
               case OpRec::Kind::Exit: {
                 if constexpr (kSoaIsNs)
                     for (std::size_t j = 0; j < nl; ++j)
-                        dropAllAt(j, op.a);
-                depth[static_cast<std::size_t>(op.a)] = 0;
+                        dropAllAt(j, cur);
+                depth[static_cast<std::size_t>(cur)] = 0;
+                cur = kNoThread;
                 ++i;
                 break;
               }
@@ -637,7 +674,14 @@ class BatchedEngineView
     }
 
     std::size_t lanes_;
+    /** Records the tape holds before it drains. */
+    std::size_t tapeCap_;
+    /** The follower pass every drain dispatches. */
+    SimdTier tier_;
     ThreadId current_ = kNoThread;
+    /** Current thread at the tape's first record: where every
+     *  follower pass over the tape starts. */
+    ThreadId tapeFrom_ = kNoThread;
     /** Shared clock component: the sum of all charges so far. */
     Cycles charges_ = 0;
     // Shared event tallies — lane-invariant by the lockstep contract,
@@ -657,7 +701,7 @@ class BatchedEngineView
     std::vector<Cycles> psr_;
     /** The engine op stream the followers replay;
      *  64-byte aligned so the SoA pass's linear walk never splits a
-     *  cache line (eight 8-byte records per line). */
+     *  cache line (sixteen 4-byte records per line). */
     AlignedVec<OpRec> ops_;
     // Shared per-tid tallies, identical for every lane (the event
     // sequence decides them); replicated into each engine at finish.

@@ -5,7 +5,9 @@
  * whether the trace was loaded from disk (the verified trailer) or
  * generated in process, and concurrent requests for flat images must
  * predecode each behavior exactly once — distinct behaviors in
- * parallel — into an image identical to a serial FlatTrace::build.
+ * parallel — into an image identical to a serial FlatTrace::build. A
+ * flat file of an older encoding must be refused by its version,
+ * rebuilt and rewritten in the current one.
  */
 
 #include <cstdint>
@@ -23,7 +25,9 @@
 #include "bench/harness.h"
 #include "bench/plan.h"
 #include "obs/metrics.h"
+#include "store/arena.h"
 #include "trace/flat_trace.h"
+#include "trace/flat_trace_io.h"
 #include "trace/synth.h"
 
 namespace crw {
@@ -127,12 +131,15 @@ TEST(FlatTraceMemo, OnePredecodePerBehaviorUnderConcurrentRequests)
             FlatTrace::build(cachedTrace(behaviors[b]));
         ASSERT_EQ(image.eventCount(), serial.eventCount())
             << "behavior " << b;
-        EXPECT_EQ(std::memcmp(image.ops, serial.ops, serial.events), 0)
-            << "behavior " << b;
-        EXPECT_EQ(std::memcmp(image.operands, serial.operands,
-                              serial.events * sizeof(std::uint64_t)),
+        EXPECT_EQ(std::memcmp(image.words, serial.words,
+                              serial.events * sizeof(std::uint32_t)),
                   0)
             << "behavior " << b;
+        ASSERT_EQ(image.wideCount, serial.wideCount) << "behavior " << b;
+        for (std::uint32_t k = 0; k < serial.wideCount; ++k) {
+            EXPECT_EQ(image.wide[k].event, serial.wide[k].event);
+            EXPECT_EQ(image.wide[k].operand, serial.wide[k].operand);
+        }
         ASSERT_EQ(image.threads.size(), serial.threads.size());
         for (std::size_t t = 0; t < serial.threads.size(); ++t) {
             EXPECT_EQ(image.threads[t].begin, serial.threads[t].begin);
@@ -141,6 +148,82 @@ TEST(FlatTraceMemo, OnePredecodePerBehaviorUnderConcurrentRequests)
     }
     for (const std::string &path : paths)
         std::remove(path.c_str());
+}
+
+/**
+ * Write @p flat at @p path in the v2 encoding: one TraceOp byte and
+ * one u64 operand per event, in "ops" and "operands" segments, keyed
+ * "...|v2".
+ */
+void
+writeV2FlatFile(const FlatTrace &flat, std::uint64_t checksum,
+                const std::string &path)
+{
+    std::vector<std::uint8_t> ops;
+    std::vector<std::uint64_t> operands;
+    for (std::uint32_t i = 0; i < flat.events; ++i) {
+        ops.push_back(static_cast<std::uint8_t>(flat.op(i)));
+        operands.push_back(flat.operand(i));
+    }
+    std::vector<std::uint32_t> spans;
+    for (const FlatTrace::Span &span : flat.threads) {
+        spans.push_back(span.begin);
+        spans.push_back(span.end);
+    }
+    std::string key = flatTraceKey(checksum);
+    key.replace(key.rfind("|v"), std::string::npos, "|v2");
+    store::ArenaBuilder builder(2, key);
+    builder.addSegment("ops", ops.data(), ops.size());
+    builder.addSegment("operands", operands.data(),
+                       operands.size() * sizeof(std::uint64_t));
+    builder.addSegment("spans", spans.data(),
+                       spans.size() * sizeof(std::uint32_t));
+    std::string err;
+    ASSERT_TRUE(builder.write(path, &err)) << err;
+}
+
+TEST(FlatTraceMemo, V2FlatFileIsRejectedRebuiltAndRewritten)
+{
+    const BehaviorId behavior =
+        privateBehavior(SynthSpec::Topology::Ring, 4, 60);
+    const std::string trace_path = traceFilePath(behavior);
+    const FlatTrace serial = FlatTrace::build(cachedTrace(behavior));
+    const std::uint64_t checksum = cachedTraceChecksum(behavior);
+    const std::string path =
+        outputPath("flat/" + flatTraceFileName(checksum));
+    writeV2FlatFile(serial, checksum, path);
+
+    FlatTrace stale;
+    std::string err;
+    EXPECT_FALSE(loadFlatTrace(path, checksum, stale, &err));
+    EXPECT_NE(err.find("app version 2"), std::string::npos) << err;
+
+    const std::uint64_t attach = metrics().counterValue("flat.attach");
+    const std::uint64_t predecode =
+        metrics().counterValue("flat.predecode");
+    const std::uint64_t stored = metrics().counterValue("flat.store");
+    const FlatTrace &image = cachedFlatTrace(behavior);
+    EXPECT_EQ(metrics().counterValue("flat.attach"), attach);
+    EXPECT_EQ(metrics().counterValue("flat.predecode"), predecode + 1);
+    EXPECT_EQ(metrics().counterValue("flat.store"), stored + 1);
+
+    // The rewritten file attaches in the current encoding and holds
+    // the serial build's words and spans.
+    FlatTrace rewritten;
+    ASSERT_TRUE(loadFlatTrace(path, checksum, rewritten, &err)) << err;
+    for (const FlatTrace *flat : {&image, &serial}) {
+        ASSERT_EQ(rewritten.eventCount(), flat->eventCount());
+        EXPECT_EQ(std::memcmp(rewritten.words, flat->words,
+                              flat->events * sizeof(std::uint32_t)),
+                  0);
+        ASSERT_EQ(rewritten.threads.size(), flat->threads.size());
+        for (std::size_t t = 0; t < flat->threads.size(); ++t) {
+            EXPECT_EQ(rewritten.threads[t].begin, flat->threads[t].begin);
+            EXPECT_EQ(rewritten.threads[t].end, flat->threads[t].end);
+        }
+    }
+    std::remove(path.c_str());
+    std::remove(trace_path.c_str());
 }
 
 } // namespace

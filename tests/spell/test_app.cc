@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "spell/app.h"
+#include "spell/capture.h"
 #include "trace/behavior.h"
 
 namespace crw {
@@ -131,6 +132,32 @@ TEST(SpellApp, SaveCountIndependentOfBufferSizes)
     EXPECT_EQ(fine, count_saves(16, 16, SchedPolicy::Fifo));
     EXPECT_EQ(fine, count_saves(1024, 4, SchedPolicy::Fifo));
     EXPECT_EQ(fine, count_saves(1, 1, SchedPolicy::WorkingSet));
+}
+
+TEST(SpellApp, ThreadScriptsIndependentOfBufferSizes)
+{
+    // The captured scripts record each thread's calls, charges and
+    // stream operations, none of which depend on the stream
+    // capacities: the m/n buffer sizes change only the stream table
+    // (and with it the replayed schedule), never a thread's code.
+    const auto capture = [](std::size_t m, std::size_t n) {
+        const SpellConfig cfg = smallConfig(m, n);
+        return captureSpellTrace(SpellWorkload::make(cfg), cfg);
+    };
+    const EventTrace fine = capture(1, 1);
+    const EventTrace coarse = capture(1024, 16);
+    ASSERT_EQ(fine.threads.size(), coarse.threads.size());
+    for (std::size_t i = 0; i < fine.threads.size(); ++i) {
+        EXPECT_EQ(fine.threads[i].name, coarse.threads[i].name);
+        EXPECT_EQ(fine.threads[i].code, coarse.threads[i].code)
+            << fine.threads[i].name;
+    }
+    ASSERT_EQ(fine.streams.size(), coarse.streams.size());
+    bool capacities_differ = false;
+    for (std::size_t i = 0; i < fine.streams.size(); ++i)
+        capacities_differ |=
+            fine.streams[i].capacity != coarse.streams[i].capacity;
+    EXPECT_TRUE(capacities_differ);
 }
 
 TEST(SpellApp, FinerGranularityMeansMoreSwitches)

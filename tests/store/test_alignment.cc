@@ -120,8 +120,7 @@ TEST(Alignment, FlatTraceArenasAlignedInMemoryAndFromDisk)
 {
     const EventTrace trace = tinyTrace();
     const FlatTrace built = FlatTrace::build(trace);
-    EXPECT_TRUE(aligned64(built.ops));
-    EXPECT_TRUE(aligned64(built.operands));
+    EXPECT_TRUE(aligned64(built.words));
 
     const std::string path =
         "align-flat-" + std::to_string(::getpid()) + ".flat";
@@ -130,8 +129,8 @@ TEST(Alignment, FlatTraceArenasAlignedInMemoryAndFromDisk)
     ASSERT_TRUE(saveFlatTrace(built, checksum, path, &err)) << err;
     FlatTrace loaded;
     ASSERT_TRUE(loadFlatTrace(path, checksum, loaded, &err)) << err;
-    EXPECT_TRUE(aligned64(loaded.ops));
-    EXPECT_TRUE(aligned64(loaded.operands));
+    EXPECT_TRUE(aligned64(loaded.words));
+    EXPECT_TRUE(aligned64(loaded.wide));
     std::remove(path.c_str());
 }
 

@@ -10,11 +10,15 @@
  * pass with portable/AVX2 kernels must agree bit-for-bit at every lane
  * width (DESIGN.md §16). Working-set policies batch wide only under
  * NS and INF, by the static rule (lockstepBatchable); the driver
- * refuses a wider SNP/SP batch under them.
+ * refuses a wider SNP/SP batch under them. The view's four-byte op
+ * tape must carry thread ids across the whole int16 range and drain
+ * through the followers whenever it fills, without changing a lane.
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <map>
 #include <sstream>
 #include <tuple>
@@ -25,12 +29,14 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "spell/capture.h"
 #include "tests/win/simd_test_util.h"
 #include "trace/replay_batch.h"
 #include "trace/replay_driver.h"
 #include "trace/run_metrics.h"
 #include "trace/synth.h"
+#include "win/engine_batch.h"
 #include "win/simd.h"
 
 namespace crw {
@@ -614,6 +620,186 @@ TEST(BatchReplay, PriorityReducesToFifoWithoutPrioritiesOnly)
         replayTrace(synthTrace(), synthFlat(), fifo,
                     ReplayPath::Auto),
         priSynth));
+}
+
+/** One engine op of a generated lockstep script. */
+struct ScriptOp
+{
+    enum class Kind { Save, Restore, Switch, Exit };
+    Kind kind;
+    ThreadId to = 0; ///< switch target
+};
+
+/**
+ * A random engine-op script over @p tids: nested calls and returns,
+ * switches among the live threads, and exits — some after unwinding
+ * to the root frame's return, some from any depth.
+ */
+std::vector<ScriptOp>
+randomScript(const std::vector<ThreadId> &tids, std::size_t length,
+             std::uint64_t seed)
+{
+    using Kind = ScriptOp::Kind;
+    Rng rng(seed);
+    std::vector<int> depth(tids.size(), 0);
+    std::vector<bool> live(tids.size(), true);
+    std::size_t alive = tids.size();
+    std::vector<ScriptOp> out;
+    std::size_t cur = tids.size(); // none
+    while (out.size() < length) {
+        if (cur == tids.size() || (alive > 1 && rng.nextBool(0.05))) {
+            std::size_t next = rng.nextBelow(tids.size());
+            while (!live[next] || next == cur)
+                next = (next + 1) % tids.size();
+            out.push_back({Kind::Switch, tids[next]});
+            cur = next;
+            if (depth[cur] == 0)
+                depth[cur] = 1; // root frame of a fresh thread
+        } else if (alive > 1 && rng.nextBool(0.002)) {
+            if (rng.nextBool(0.5)) {
+                for (; depth[cur] > 0; --depth[cur])
+                    out.push_back({Kind::Restore});
+            }
+            out.push_back({Kind::Exit});
+            live[cur] = false;
+            --alive;
+            cur = tids.size();
+        } else if (depth[cur] <= 1 ||
+                   (depth[cur] < 14 && rng.nextBool(0.5))) {
+            out.push_back({Kind::Save});
+            ++depth[cur];
+        } else {
+            out.push_back({Kind::Restore});
+            --depth[cur];
+        }
+    }
+    return out;
+}
+
+/** Every observable of @p got equals @p want's. */
+void
+expectEnginesIdentical(const WindowEngine &got, const WindowEngine &want,
+                       const std::vector<ThreadId> &tids,
+                       const std::string &ctx)
+{
+    EXPECT_EQ(got.now(), want.now()) << ctx;
+    EXPECT_EQ(got.current(), want.current()) << ctx;
+    EXPECT_EQ(got.switchCases(), want.switchCases()) << ctx;
+    const StatGroup &gs = got.stats();
+    const StatGroup &ws = want.stats();
+    EXPECT_EQ(gs.counters().size(), ws.counters().size()) << ctx;
+    for (const auto &[name, counter] : ws.counters())
+        EXPECT_EQ(gs.counterValue(name), counter.value())
+            << ctx << " " << name;
+    for (const auto &[name, dist] : ws.distributions()) {
+        ASSERT_TRUE(gs.distributions().count(name)) << ctx << " " << name;
+        const Distribution &g = gs.distributions().at(name);
+        EXPECT_EQ(g.count(), dist.count()) << ctx << " " << name;
+        EXPECT_EQ(g.sum(), dist.sum()) << ctx << " " << name;
+        EXPECT_EQ(g.variance(), dist.variance()) << ctx << " " << name;
+    }
+    for (const ThreadId tid : tids) {
+        const ThreadCounters &gc = got.threadCounters(tid);
+        const ThreadCounters &wc = want.threadCounters(tid);
+        EXPECT_EQ(gc.saves, wc.saves) << ctx << " tid " << tid;
+        EXPECT_EQ(gc.restores, wc.restores) << ctx << " tid " << tid;
+        EXPECT_EQ(gc.switchesIn, wc.switchesIn) << ctx << " tid " << tid;
+        const ThreadWindows &gt = got.file().thread(tid);
+        const ThreadWindows &wt = want.file().thread(tid);
+        EXPECT_EQ(gt.top, wt.top) << ctx << " tid " << tid;
+        EXPECT_EQ(gt.resident, wt.resident) << ctx << " tid " << tid;
+        EXPECT_EQ(gt.prw, wt.prw) << ctx << " tid " << tid;
+        EXPECT_EQ(gt.depth, wt.depth) << ctx << " tid " << tid;
+    }
+}
+
+/**
+ * Drive @p script through a lockstep view whose tape is sized from
+ * @p max_ops, one lane per window count, and op for op through a
+ * plain WindowEngine per lane (the virtual-dispatch oracle): at every
+ * host tier, each lane must end identical to its oracle.
+ */
+void
+expectViewMatchesEngines(SchemeKind scheme,
+                         const std::vector<ThreadId> &tids,
+                         const std::vector<ScriptOp> &script,
+                         std::size_t max_ops)
+{
+    using Kind = ScriptOp::Kind;
+    const std::vector<int> windows{4, 7, 16};
+    for (const SimdTier tier : hostTiers()) {
+        const ScopedTier pin(tier);
+        std::vector<std::unique_ptr<WindowEngine>> lanes;
+        std::vector<std::unique_ptr<WindowEngine>> oracles;
+        for (const int w : windows) {
+            EngineConfig ec;
+            ec.scheme = scheme;
+            ec.numWindows = w;
+            lanes.push_back(std::make_unique<WindowEngine>(ec));
+            oracles.push_back(std::make_unique<WindowEngine>(ec));
+            for (const ThreadId tid : tids) {
+                lanes.back()->addThread(tid);
+                oracles.back()->addThread(tid);
+            }
+        }
+        detail::visitSchemeClass(scheme, [&](auto scheme_tag) {
+            BatchedEngineView<typename decltype(scheme_tag)::type> view(
+                lanes, max_ops);
+            for (const ScriptOp &op : script) {
+                for (const auto &oracle : oracles) {
+                    switch (op.kind) {
+                      case Kind::Save: oracle->save(); break;
+                      case Kind::Restore: oracle->restore(); break;
+                      case Kind::Switch: oracle->contextSwitch(op.to); break;
+                      case Kind::Exit: oracle->threadExit(); break;
+                    }
+                }
+                switch (op.kind) {
+                  case Kind::Save: view.save(); break;
+                  case Kind::Restore: view.restore(); break;
+                  case Kind::Switch: view.contextSwitch(op.to); break;
+                  case Kind::Exit: view.threadExit(); break;
+                }
+                view.charge(3);
+                for (const auto &oracle : oracles)
+                    oracle->charge(3);
+            }
+            view.finish();
+        });
+        for (std::size_t l = 0; l < lanes.size(); ++l)
+            expectEnginesIdentical(
+                *lanes[l], *oracles[l], tids,
+                std::string(schemeName(scheme)) + "/" +
+                    simdTierName(tier) + " lane " + std::to_string(l) +
+                    " max_ops " + std::to_string(max_ops));
+    }
+}
+
+const SchemeKind kAllSchemes[] = {SchemeKind::NS, SchemeKind::SNP,
+                                  SchemeKind::SP, SchemeKind::Infinite};
+
+TEST(OpTape, ThreadIdsAtTheEdgesOfTheInt16Range)
+{
+    // Switch targets 0 and INT16_MAX bracket the tape's thread-id
+    // field; the ids between them are never registered.
+    const std::vector<ThreadId> tids{0, 1, INT16_MAX - 1, INT16_MAX};
+    const std::vector<ScriptOp> script = randomScript(tids, 4000, 11);
+    for (const SchemeKind scheme : kAllSchemes)
+        expectViewMatchesEngines(scheme, tids, script, script.size());
+}
+
+TEST(OpTape, FullTapeDrainsThroughTheFollowers)
+{
+    // Longer than the largest tape, replayed with a five-record tape
+    // (thousands of drains, runs split across them) and with a tape
+    // sized from the exact op count (capped at kTapeOps).
+    const std::vector<ThreadId> tids{0, 1, 2, 3};
+    const std::size_t length =
+        2 * BatchedEngineView<detail::NsScheme>::kTapeOps + 37;
+    const std::vector<ScriptOp> script = randomScript(tids, length, 5);
+    for (const SchemeKind scheme : kAllSchemes)
+        for (const std::size_t max_ops : {std::size_t{5}, length})
+            expectViewMatchesEngines(scheme, tids, script, max_ops);
 }
 
 } // namespace
