@@ -77,13 +77,22 @@ counterAtLeast(const std::string &name, std::uint64_t v)
 }
 
 /** Obs label and host span name of one point:
- *  <behavior>/<scheme>/w<N>/<policy>. */
+ *  <behavior>/<scheme>/w<N>/<policy>, then /prw=<..> and /alloc=<..>
+ *  for a non-default PRW reclamation or allocation policy, so the
+ *  ablation's variants at one window count stay separate records. */
 std::string
 pointLabel(const std::string &behavior_key, const EngineConfig &engine,
            SchedPolicy policy)
 {
-    return behavior_key + "/" + schemeName(engine.scheme) + "/w" +
-           std::to_string(engine.numWindows) + "/" + policyName(policy);
+    const EngineConfig defaults;
+    std::string label = behavior_key + "/" + schemeName(engine.scheme) +
+                        "/w" + std::to_string(engine.numWindows) + "/" +
+                        policyName(policy);
+    if (engine.prwReclaim != defaults.prwReclaim)
+        label += std::string("/prw=") + prwReclaimName(engine.prwReclaim);
+    if (engine.allocPolicy != defaults.allocPolicy)
+        label += std::string("/alloc=") + allocPolicyName(engine.allocPolicy);
+    return label;
 }
 
 /** Merge one finished point's obs record: the engine's counters plus

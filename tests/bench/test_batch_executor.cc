@@ -479,6 +479,63 @@ TEST(BatchExecutor, EveryUnitKindMatchesOracleAtAnyJobs)
     std::remove(metrics_out.c_str());
 }
 
+/**
+ * Points that differ only in PRW reclamation or allocation policy are
+ * distinct obs records: a non-default variant's label carries a
+ * /prw=<..> or /alloc=<..> suffix, the default variant's label is the
+ * plain <behavior>/<scheme>/w<N>/<policy>, and each record equals the
+ * one a per-point replay of that point alone publishes.
+ */
+TEST(BatchExecutor, VariantPointsAtOneWindowKeepSeparateRecords)
+{
+    const ScopedNoCache nocache;
+    SynthSpec spec;
+    spec.topology = SynthSpec::Topology::FanInOut;
+    spec.threads = 4;
+    spec.items = 90;
+    spec.streamCapacity = 2;
+    spec.seed = 23;
+    const BehaviorId behavior = BehaviorId::fromSynth(spec);
+    const std::string metrics_out =
+        outputPath("tmp-variant-metrics-" + std::to_string(::getpid()) +
+                   ".json");
+    const std::string metrics_flag = "--metrics-out=" + metrics_out;
+    const char *argv[] = {"test_batch_executor", "--jobs=1",
+                          metrics_flag.c_str()};
+    ASSERT_TRUE(benchInit(3, argv));
+    ASSERT_TRUE(obsEnabled());
+
+    ExperimentPlan plan;
+    const auto variant = [&](PrwReclaim prw, AllocPolicy alloc) {
+        PlanPoint p = makePlanPoint(behavior, SchemeKind::SP, 6,
+                                    SchedPolicy::Fifo);
+        p.engine.prwReclaim = prw;
+        p.engine.allocPolicy = alloc;
+        return p;
+    };
+    plan.add(variant(PrwReclaim::Eager, AllocPolicy::Simple));
+    plan.add(variant(PrwReclaim::Lazy, AllocPolicy::Simple));
+    plan.add(variant(PrwReclaim::EagerFolded, AllocPolicy::FreeSearch));
+    const std::string base = recordLabel(plan.points()[0]);
+    const std::string labels[] = {base, base + "/prw=lazy",
+                                  base + "/prw=eager-folded"
+                                         "/alloc=free-search"};
+    executePlan(plan);
+
+    for (std::size_t i = 0; i < plan.points().size(); ++i)
+        expectSameRecord(metrics().point(labels[i]),
+                         oracleWithRecord(plan.points()[i]).second,
+                         labels[i]);
+    // The two SP variants really differ, so a merged record would
+    // have shown.
+    EXPECT_NE(metrics().point(labels[0]).counters,
+              metrics().point(labels[1]).counters);
+
+    const char *reset[] = {"test_batch_executor"};
+    ASSERT_TRUE(benchInit(1, reset));
+    std::remove(metrics_out.c_str());
+}
+
 } // namespace
 } // namespace bench
 } // namespace crw
