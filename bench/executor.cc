@@ -201,7 +201,7 @@ executePoints(const std::vector<PlanPoint> &points)
 
     // Capture serially: the probe below keys on each trace's
     // checksum, and workers only ever hit the memo. The flat
-    // arenas are deliberately NOT touched yet: a fully warm run must
+    // images are deliberately NOT touched yet: a fully warm run must
     // resolve every point from the result store below without paying
     // a predecode or even an attach.
     for (const PlanPoint &p : todo)
@@ -231,7 +231,7 @@ executePoints(const std::vector<PlanPoint> &points)
     if (misses.empty())
         return;
 
-    // Only behaviors that actually replay need their flat arenas —
+    // Only behaviors that actually replay need their flat images —
     // attach-or-predecode them on the shared worker pool, the same
     // pool the replay fan-out below uses.
     std::vector<BehaviorId> behaviors;
@@ -469,12 +469,15 @@ loadOrBuildFlat(const BehaviorId &behavior)
         use_store ? outputPath("flat/" + flatTraceFileName(checksum))
                   : std::string();
 
-    // Warm path: attach the predecoded arenas straight off disk. Any
-    // validation failure (absent file, stale version, damage)
-    // silently falls through to an in-memory rebuild.
+    // Warm path: attach the predecoded image straight off disk. Any
+    // validation failure (absent file, stale version, damage, or
+    // thread and stream counts that are not the trace's) silently
+    // falls through to an in-memory rebuild.
     if (use_store) {
         FlatTrace attached;
-        if (loadFlatTrace(path, checksum, attached)) {
+        if (loadFlatTrace(path, checksum, attached) &&
+            attached.threads.size() == slot.trace.threads.size() &&
+            attached.streamCount == slot.trace.streams.size()) {
             metrics().add("flat.attach", 1);
             ringPublish(obs::RingEventCode::FlatAttach, 0, checksum);
             return attached;

@@ -11,8 +11,10 @@
  *  2. probe the on-disk point-result cache (bench/result_cache.h) for
  *     every point not yet in the in-process store — hits are counted
  *     (cache.hit) and need no replay;
- *  3. replay the misses on one ParallelSweep worker pool (--jobs) and
- *     persist each fresh result back to the cache (cache.store).
+ *  3. attach or predecode the flat image of each behavior with a miss
+ *     (cachedFlatTrace), then replay the misses, both on one
+ *     ParallelSweep worker pool (--jobs), and persist each fresh
+ *     result back to the cache (cache.store).
  *
  * Reports then look results up by plan coordinate (pointResult,
  * sweepSchemes); a lookup the plan forgot falls back to on-demand
@@ -47,9 +49,9 @@ bool resultCacheEnabled();
 
 /**
  * Toggle the on-disk flat-trace store (default on; --no-cache turns
- * it off). When on, cachedFlatTrace attaches bench_out/flat/ arena
- * files instead of re-walking TraceCursor, writing them on first
- * build; when off, every predecode happens in memory.
+ * it off). When on, cachedFlatTrace attaches bench_out/flat/ files
+ * (trace/flat_trace_io.h) instead of re-walking TraceCursor, writing
+ * them on first build; when off, every predecode happens in memory.
  */
 void setFlatCacheEnabled(bool enabled);
 
@@ -111,8 +113,8 @@ std::uint64_t cachedTraceChecksum(ConcurrencyLevel conc,
 
 /**
  * The predecoded flat image of the behavior's trace (flat_trace.h),
- * built once per behavior and shared by every replay point of the
- * sweep. Thread-safe: the executor predecodes on the worker pool,
+ * attached from bench_out/flat/ or built (and stored) once per
+ * behavior, and shared by every replay point of the sweep. Thread-safe: the executor predecodes on the worker pool,
  * distinct behaviors concurrently, each exactly once. The underlying
  * trace should already be captured (cachedTrace).
  */

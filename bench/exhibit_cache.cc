@@ -6,8 +6,7 @@
  *
  * The report prints deterministic inventory lines (entry and byte
  * counts, point and walk records, format versions) for the
- * arena-backed result store, the flat-trace arena files and the event
- * ring. With --gc it drops every point record and flat-trace file
+ * arena-backed result store, the flat-trace files and the event ring. With --gc it drops every point record and flat-trace file
  * whose trace checksum no longer matches a captured trace in
  * bench_out/traces/, and every walk record whose key the current
  * WalkTable would not produce (an old spec, format version or cost

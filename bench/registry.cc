@@ -57,7 +57,7 @@ runSelected(const std::vector<const Exhibit *> &selected,
     setResultCacheEnabled(!flags.getBool("no-cache") &&
                           !traceRequested());
     // The flat-trace store stays on for --trace-out (attaching a
-    // predecoded arena does not skew a timeline the way a cached
+    // predecoded image does not skew a timeline the way a cached
     // result would), but --no-cache bypasses it like everything else.
     setFlatCacheEnabled(!flags.getBool("no-cache"));
 

@@ -1,39 +1,66 @@
 #include "common/byteio.h"
 
+#include <cerrno>
 #include <cstdio>
-#include <filesystem>
+#include <cstdlib>
+#include <cstring>
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 namespace crw {
 
+namespace {
+
+/** Write all @p n bytes at @p p to @p fd, retrying short writes. */
 bool
-writeFileAtomic(const std::vector<std::uint8_t> &bytes,
+writeAll(int fd, const void *p, std::size_t n)
+{
+    const char *at = static_cast<const char *>(p);
+    while (n > 0) {
+        const ssize_t put = ::write(fd, at, n);
+        if (put < 0 && errno == EINTR)
+            continue;
+        if (put <= 0)
+            return false;
+        at += put;
+        n -= static_cast<std::size_t>(put);
+    }
+    return true;
+}
+
+} // namespace
+
+bool
+writeFileAtomic(const std::vector<ByteRange> &ranges,
                 const std::string &path, std::string *error)
 {
-    const std::string tmp = path + ".tmp";
-    std::FILE *fp = std::fopen(tmp.c_str(), "wb");
-    if (!fp) {
+    const auto fail = [error](const std::string &why) {
         if (error)
-            *error = "cannot open " + tmp;
+            *error = why;
         return false;
-    }
-    const bool wrote =
-        std::fwrite(bytes.data(), 1, bytes.size(), fp) == bytes.size();
-    std::fclose(fp);
+    };
+    // mkstemp names the file uniquely in the target directory (so the
+    // rename stays on one file system) and creates it 0600; widen it
+    // to what a plain fopen would have made.
+    std::string tmp = path + ".tmpXXXXXX";
+    const int fd = ::mkstemp(tmp.data());
+    if (fd < 0)
+        return fail("cannot create a temp file beside " + path + ": " +
+                    std::strerror(errno));
+    bool wrote = ::fchmod(fd, 0644) == 0;
+    for (const ByteRange &r : ranges)
+        wrote = wrote && writeAll(fd, r.data, r.bytes);
+    if (::close(fd) != 0)
+        wrote = false;
     if (!wrote) {
-        if (error)
-            *error = "short write to " + tmp;
-        std::remove(tmp.c_str());
-        return false;
+        ::unlink(tmp.c_str());
+        return fail("short write to " + tmp);
     }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        if (error)
-            *error = "rename failed: " + ec.message();
-        std::remove(tmp.c_str());
-        return false;
+    if (::rename(tmp.c_str(), path.c_str()) != 0) {
+        const std::string why = std::strerror(errno);
+        ::unlink(tmp.c_str());
+        return fail("rename failed: " + why);
     }
     return true;
 }

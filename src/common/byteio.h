@@ -147,12 +147,21 @@ struct ByteReader
     }
 };
 
+/** One contiguous run of bytes of a file image. */
+struct ByteRange
+{
+    const void *data;
+    std::size_t bytes;
+};
+
 /**
- * Write @p bytes to @p path atomically (temp file + rename) so a
- * crashed writer can never leave a torn file behind for a later
- * reader to trip over.
+ * Write the concatenation of @p ranges to @p path atomically: the
+ * bytes go to a temp file of a unique name beside @p path, which is
+ * then renamed over it, so a crashed writer never leaves a torn file
+ * and concurrent writers of one path never share a temp file. A
+ * failed write removes its temp file.
  */
-bool writeFileAtomic(const std::vector<std::uint8_t> &bytes,
+bool writeFileAtomic(const std::vector<ByteRange> &ranges,
                      const std::string &path,
                      std::string *error = nullptr);
 

@@ -256,7 +256,8 @@ saveTraceFile(const EventTrace &trace, const std::string &path,
     file.u64(fnv1a64(file.bytes.data() + payload_at,
                      file.bytes.size() - payload_at));
 
-    return writeFileAtomic(file.bytes, path, error);
+    return writeFileAtomic({{file.bytes.data(), file.bytes.size()}}, path,
+                           error);
 }
 
 namespace {

@@ -35,6 +35,7 @@ FlatTrace::build(const EventTrace &trace)
         script_bytes += t.code.size();
     flat.wordStorage.reserve(script_bytes);
     flat.threads.reserve(trace.threads.size());
+    flat.streamCount = static_cast<std::uint32_t>(trace.streams.size());
 
     for (const TraceThreadInfo &t : trace.threads) {
         Span span;

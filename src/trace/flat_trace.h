@@ -25,9 +25,9 @@
  *
  * The arrays are exposed as pointer views because they have two
  * backings: build() decodes into storage this struct owns, while
- * trace/flat_trace_io.h attaches the same layout straight out of an
- * mmap'd arena file — a warm start pays neither the TraceCursor walk
- * nor a copy. Either way the replay hot loop sees the same raw word
+ * trace/flat_trace_io.h attaches the same arrays straight out of an
+ * mmap'd flat file — an attach pays neither the TraceCursor walk nor
+ * a copy. Either way the replay hot loop sees the same raw word
  * pointer.
  */
 
@@ -76,6 +76,9 @@ struct FlatTrace
     std::uint32_t wideCount = 0;
     /** Span of each thread, indexed by ThreadId (spawn order). */
     std::vector<Span> threads;
+    /** Streams of the source trace: every Put/Get/Close operand is
+     *  below this. */
+    std::uint32_t streamCount = 0;
 
     std::size_t eventCount() const { return events; }
 
@@ -113,13 +116,13 @@ struct FlatTrace
     FlatTrace(const FlatTrace &) = delete;
     FlatTrace &operator=(const FlatTrace &) = delete;
 
-    // Backing storage — exactly one of {storage, arena} is live.
-    // Both backings start the word array on a cache-line boundary
-    // (AlignedVec in memory, kArenaAlign in the file), so the replay
-    // walks stream whole lines regardless of which one is attached.
+    // Backing storage — exactly one of {storage, mapping} is live.
+    // Both backings start the word array on a kCacheAlign boundary
+    // (AlignedVec in memory, the file's 64-byte offsets on disk), so
+    // the replay walks stream whole lines whichever one is attached.
     AlignedVec<std::uint32_t> wordStorage;
     std::vector<WideOperand> wideStorage;
-    store::ArenaView arena;
+    store::Mapping mapping;
 };
 
 } // namespace crw

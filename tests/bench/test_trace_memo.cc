@@ -6,14 +6,17 @@
  * generated in process, and concurrent requests for flat images must
  * predecode each behavior exactly once — distinct behaviors in
  * parallel — into an image identical to a serial FlatTrace::build. A
- * flat file of an older encoding must be refused by its version,
- * rebuilt and rewritten in the current one.
+ * flat file of an older format must be refused, rebuilt and
+ * rewritten in the current one, and so must a current
+ * one whose hash is valid but whose words the replay loop cannot
+ * run.
  */
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "bench/harness.h"
 #include "bench/plan.h"
 #include "obs/metrics.h"
+#include "common/byteio.h"
 #include "store/arena.h"
 #include "trace/flat_trace.h"
 #include "trace/flat_trace_io.h"
@@ -151,9 +155,10 @@ TEST(FlatTraceMemo, OnePredecodePerBehaviorUnderConcurrentRequests)
 }
 
 /**
- * Write @p flat at @p path in the v2 encoding: one TraceOp byte and
- * one u64 operand per event, in "ops" and "operands" segments, keyed
- * "...|v2".
+ * Write @p flat at @p path as a v2 flat file: the segmented-arena
+ * format the flat store used before v4 ("CRWARENA" superblock, segment
+ * table, identity key "...|v2"), with one TraceOp byte and one u64
+ * operand per event in "ops" and "operands" segments.
  */
 void
 writeV2FlatFile(const FlatTrace &flat, std::uint64_t checksum,
@@ -165,38 +170,81 @@ writeV2FlatFile(const FlatTrace &flat, std::uint64_t checksum,
         ops.push_back(static_cast<std::uint8_t>(flat.op(i)));
         operands.push_back(flat.operand(i));
     }
-    std::vector<std::uint32_t> spans;
-    for (const FlatTrace::Span &span : flat.threads) {
-        spans.push_back(span.begin);
-        spans.push_back(span.end);
+    char sum[17];
+    std::snprintf(sum, sizeof sum, "%016llx",
+                  static_cast<unsigned long long>(checksum));
+    const std::string key = "flat|trace=" + std::string(sum) + "|v2";
+    struct Segment
+    {
+        const char *name;
+        const void *data;
+        std::size_t bytes;
+    };
+    const Segment segments[] = {
+        {"ops", ops.data(), ops.size()},
+        {"operands", operands.data(), operands.size() * 8},
+        {"spans", flat.threads.data(), flat.threads.size() * 8},
+    };
+    const auto align = [](std::size_t n) { return (n + 63) / 64 * 64; };
+
+    // Superblock, segment table and key, then the 64-byte aligned
+    // segments; the payload hash, then the header hash, come last.
+    std::vector<std::uint8_t> image(
+        align(48 + std::size(segments) * 24 + key.size()));
+    const std::size_t payload_at = image.size();
+    const auto put = [&image](std::size_t off, auto v) {
+        std::memcpy(image.data() + off, &v, sizeof v);
+    };
+    std::memcpy(image.data(), "CRWARENA", 8);
+    put(8, std::uint32_t{2});  // arena format version
+    put(12, std::uint32_t{2}); // flat-trace format version
+    put(32, static_cast<std::uint32_t>(std::size(segments)));
+    put(36, static_cast<std::uint32_t>(key.size()));
+    std::size_t entry = 48;
+    for (const Segment &seg : segments) {
+        const std::size_t at = image.size();
+        std::strncpy(reinterpret_cast<char *>(image.data() + entry),
+                     seg.name, 8);
+        put(entry + 8, std::uint64_t{at});
+        put(entry + 16, std::uint64_t{seg.bytes});
+        entry += 24;
+        image.resize(align(at + seg.bytes));
+        if (seg.bytes != 0)
+            std::memcpy(image.data() + at, seg.data, seg.bytes);
     }
-    std::string key = flatTraceKey(checksum);
-    key.replace(key.rfind("|v"), std::string::npos, "|v2");
-    store::ArenaBuilder builder(2, key);
-    builder.addSegment("ops", ops.data(), ops.size());
-    builder.addSegment("operands", operands.data(),
-                       operands.size() * sizeof(std::uint64_t));
-    builder.addSegment("spans", spans.data(),
-                       spans.size() * sizeof(std::uint32_t));
+    std::memcpy(image.data() + entry, key.data(), key.size());
+    put(16, std::uint64_t{image.size()});
+    put(24, store::hashArena64(image.data() + payload_at,
+                               image.size() - payload_at));
+    put(40, fnv1a64(image.data(), payload_at));
     std::string err;
-    ASSERT_TRUE(builder.write(path, &err)) << err;
+    ASSERT_TRUE(writeFileAtomic({{image.data(), image.size()}}, path, &err))
+        << err;
 }
 
-TEST(FlatTraceMemo, V2FlatFileIsRejectedRebuiltAndRewritten)
+/**
+ * The file at the behavior's flat path is refused by loadFlatTrace
+ * (its error names @p why) or, for an empty @p why, loads but does
+ * not fit the behavior's trace; either way cachedFlatTrace predecodes
+ * and stores the image once instead of attaching it: the rewritten
+ * file attaches and holds the serial build's words and spans.
+ */
+void
+expectRefusedRebuiltAndRewritten(const BehaviorId &behavior,
+                                 const FlatTrace &serial,
+                                 const std::string &why)
 {
-    const BehaviorId behavior =
-        privateBehavior(SynthSpec::Topology::Ring, 4, 60);
-    const std::string trace_path = traceFilePath(behavior);
-    const FlatTrace serial = FlatTrace::build(cachedTrace(behavior));
     const std::uint64_t checksum = cachedTraceChecksum(behavior);
     const std::string path =
         outputPath("flat/" + flatTraceFileName(checksum));
-    writeV2FlatFile(serial, checksum, path);
-
     FlatTrace stale;
     std::string err;
-    EXPECT_FALSE(loadFlatTrace(path, checksum, stale, &err));
-    EXPECT_NE(err.find("app version 2"), std::string::npos) << err;
+    if (why.empty()) {
+        EXPECT_TRUE(loadFlatTrace(path, checksum, stale, &err)) << err;
+    } else {
+        EXPECT_FALSE(loadFlatTrace(path, checksum, stale, &err));
+        EXPECT_NE(err.find(why), std::string::npos) << err;
+    }
 
     const std::uint64_t attach = metrics().counterValue("flat.attach");
     const std::uint64_t predecode =
@@ -207,8 +255,6 @@ TEST(FlatTraceMemo, V2FlatFileIsRejectedRebuiltAndRewritten)
     EXPECT_EQ(metrics().counterValue("flat.predecode"), predecode + 1);
     EXPECT_EQ(metrics().counterValue("flat.store"), stored + 1);
 
-    // The rewritten file attaches in the current encoding and holds
-    // the serial build's words and spans.
     FlatTrace rewritten;
     ASSERT_TRUE(loadFlatTrace(path, checksum, rewritten, &err)) << err;
     for (const FlatTrace *flat : {&image, &serial}) {
@@ -223,7 +269,104 @@ TEST(FlatTraceMemo, V2FlatFileIsRejectedRebuiltAndRewritten)
         }
     }
     std::remove(path.c_str());
-    std::remove(trace_path.c_str());
+}
+
+TEST(FlatTraceMemo, V2FlatFileIsRejectedRebuiltAndRewritten)
+{
+    const BehaviorId behavior =
+        privateBehavior(SynthSpec::Topology::Ring, 4, 60);
+    const FlatTrace serial = FlatTrace::build(cachedTrace(behavior));
+    const std::uint64_t checksum = cachedTraceChecksum(behavior);
+    writeV2FlatFile(serial, checksum,
+                    outputPath("flat/" + flatTraceFileName(checksum)));
+    expectRefusedRebuiltAndRewritten(behavior, serial, "bad magic");
+    std::remove(traceFilePath(behavior).c_str());
+}
+
+/**
+ * Save a copy of @p serial whose first event of kind @p op has its
+ * word replaced by @p word(old word), claiming @p extra_streams more
+ * streams than the trace has. The save stamps a valid payload hash,
+ * so only the attach-time checks can refuse it.
+ */
+template <typename Doctor>
+void
+writeDoctoredFlatFile(const BehaviorId &behavior, const FlatTrace &serial,
+                      TraceOp op, Doctor word, std::uint32_t extra_streams = 0)
+{
+    FlatTrace doctored;
+    doctored.wordStorage.resize(serial.events);
+    std::memcpy(doctored.wordStorage.data(), serial.words,
+                serial.events * sizeof(std::uint32_t));
+    std::uint32_t i = 0;
+    while (i < serial.events && serial.op(i) != op)
+        ++i;
+    ASSERT_LT(i, serial.events) << "no event of op " << static_cast<int>(op);
+    doctored.wordStorage[i] = word(serial.words[i]);
+    doctored.words = doctored.wordStorage.data();
+    doctored.events = serial.events;
+    doctored.wide = serial.wide;
+    doctored.wideCount = serial.wideCount;
+    doctored.threads = serial.threads;
+    doctored.streamCount = serial.streamCount + extra_streams;
+    const std::uint64_t checksum = cachedTraceChecksum(behavior);
+    std::string err;
+    ASSERT_TRUE(saveFlatTrace(
+        doctored, checksum,
+        outputPath("flat/" + flatTraceFileName(checksum)), &err))
+        << err;
+}
+
+TEST(FlatTraceMemo, OpBitsPastExitAreRejectedAndRebuilt)
+{
+    // Op bits 7 match no case of the replay loop's switch, which
+    // would then spin on the event forever.
+    const BehaviorId behavior =
+        privateBehavior(SynthSpec::Topology::Pipeline, 3, 61);
+    const FlatTrace serial = FlatTrace::build(cachedTrace(behavior));
+    writeDoctoredFlatFile(behavior, serial, TraceOp::Charge,
+                          [](std::uint32_t w) {
+                              return w | FlatTrace::kOpMask;
+                          });
+    expectRefusedRebuiltAndRewritten(behavior, serial, "op bits 7");
+    std::remove(traceFilePath(behavior).c_str());
+}
+
+TEST(FlatTraceMemo, StreamOperandPastTheStreamsIsRejectedAndRebuilt)
+{
+    // A Put naming a stream the trace does not have would index the
+    // replay's stream table out of bounds.
+    const BehaviorId behavior =
+        privateBehavior(SynthSpec::Topology::Pipeline, 3, 62);
+    const FlatTrace serial = FlatTrace::build(cachedTrace(behavior));
+    ASSERT_GT(serial.streamCount, 0u);
+    const std::uint32_t streams = serial.streamCount;
+    writeDoctoredFlatFile(behavior, serial, TraceOp::Put,
+                          [streams](std::uint32_t w) {
+                              return streams << FlatTrace::kOpBits |
+                                     (w & FlatTrace::kOpMask);
+                          });
+    expectRefusedRebuiltAndRewritten(behavior, serial, "names stream");
+    std::remove(traceFilePath(behavior).c_str());
+}
+
+TEST(FlatTraceMemo, StreamCountOtherThanTheTracesIsRebuilt)
+{
+    // The same Put in a file that also claims one stream more: the
+    // file is consistent in itself, so only the attach's comparison
+    // with the trace's own stream count can refuse it.
+    const BehaviorId behavior =
+        privateBehavior(SynthSpec::Topology::Pipeline, 3, 63);
+    const FlatTrace serial = FlatTrace::build(cachedTrace(behavior));
+    const std::uint32_t streams = serial.streamCount;
+    writeDoctoredFlatFile(
+        behavior, serial, TraceOp::Put,
+        [streams](std::uint32_t w) {
+            return streams << FlatTrace::kOpBits | (w & FlatTrace::kOpMask);
+        },
+        1);
+    expectRefusedRebuiltAndRewritten(behavior, serial, "");
+    std::remove(traceFilePath(behavior).c_str());
 }
 
 } // namespace

@@ -1,15 +1,13 @@
 /**
  * @file
- * The arena/segment layer (store/arena.h): superblock round-trips,
- * O(1) attach validation, and the hard promise behind every consumer's
- * check-free hot loop — a damaged file is rejected by attach() or by
- * verifyPayload(), cleanly, never by crashing. The fuzz here flips
- * every byte and tries every truncation of a small arena image.
+ * The mapped-file primitives (store/arena.h): the payload hash over
+ * split ranges, and Mapping's writer election and read-only open.
+ * The flat-trace file built on them is fuzzed in
+ * tests/store/test_flat_trace_io.cc.
  */
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -32,129 +30,27 @@ tempPath(const char *tag)
            std::to_string(static_cast<int>(::getpid())) + ".bin";
 }
 
-/** A three-segment arena with distinctive, alignment-probing sizes. */
-ArenaBuilder
-sampleBuilder()
+TEST(ArenaHash, RangesHashLikeTheirConcatenation)
 {
-    ArenaBuilder builder(7, "unit|arena|v7");
-    const std::vector<std::uint8_t> ops{1, 2, 3, 4, 5, 6, 7};
-    const std::vector<std::uint64_t> operands{10, 20, 30};
-    const std::vector<std::uint32_t> spans{0, 3, 3, 7};
-    builder.addSegment("ops", ops.data(), ops.size());
-    builder.addSegment("operands", operands.data(),
-                       operands.size() * 8);
-    builder.addSegment("spans", spans.data(), spans.size() * 4);
-    return builder;
-}
-
-bool
-attachImage(const std::vector<std::uint8_t> &image, ArenaView &out,
-            std::string *error = nullptr)
-{
-    Mapping mapping;
-    if (!Mapping::createAnonymous(image.size(), mapping))
-        return false;
-    std::memcpy(mapping.data(), image.data(), image.size());
-    return ArenaView::attachMapping(std::move(mapping), 7,
-                                    "unit|arena|v7", out, error);
-}
-
-TEST(Arena, SuperblockRoundTripsThroughAFile)
-{
-    const std::string path = tempPath("roundtrip");
-    ASSERT_TRUE(sampleBuilder().write(path));
-
-    ArenaView view;
-    std::string err;
-    ASSERT_TRUE(ArenaView::attach(path, 7, "unit|arena|v7", view, &err))
-        << err;
-    EXPECT_EQ(view.appVersion(), 7u);
-    EXPECT_EQ(view.appKey(), "unit|arena|v7");
-    ASSERT_EQ(view.segments().size(), 3u);
-
-    std::uint64_t n = 0;
-    const auto *ops =
-        static_cast<const std::uint8_t *>(view.segment("ops", &n));
-    ASSERT_NE(ops, nullptr);
-    ASSERT_EQ(n, 7u);
-    EXPECT_EQ(ops[0], 1);
-    EXPECT_EQ(ops[6], 7);
-
-    const auto *operands = static_cast<const std::uint64_t *>(
-        view.segment("operands", &n));
-    ASSERT_NE(operands, nullptr);
-    ASSERT_EQ(n, 24u);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(operands) % kArenaAlign,
-              0u)
-        << "segments must be 16-aligned for SoA reinterpretation";
-    EXPECT_EQ(operands[2], 30u);
-
-    EXPECT_EQ(view.segment("absent", &n), nullptr);
-    EXPECT_EQ(n, 0u);
-    EXPECT_TRUE(view.verifyPayload());
-
-    std::remove(path.c_str());
-}
-
-TEST(Arena, RejectsWrongVersionAndKey)
-{
-    std::vector<std::uint8_t> image;
-    sampleBuilder().assemble(image);
-
-    Mapping m1;
-    ASSERT_TRUE(Mapping::createAnonymous(image.size(), m1));
-    std::memcpy(m1.data(), image.data(), image.size());
-    ArenaView view;
-    EXPECT_FALSE(ArenaView::attachMapping(std::move(m1), 8,
-                                          "unit|arena|v7", view));
-
-    Mapping m2;
-    ASSERT_TRUE(Mapping::createAnonymous(image.size(), m2));
-    std::memcpy(m2.data(), image.data(), image.size());
-    EXPECT_FALSE(ArenaView::attachMapping(std::move(m2), 7,
-                                          "other|key", view));
-}
-
-TEST(Arena, EveryTruncationFailsCleanly)
-{
-    std::vector<std::uint8_t> image;
-    sampleBuilder().assemble(image);
-    ASSERT_GT(image.size(), 48u);
-
-    for (std::size_t n = 1; n < image.size(); ++n) {
-        const std::vector<std::uint8_t> cut(image.begin(),
-                                            image.begin() +
-                                                static_cast<long>(n));
-        ArenaView view;
-        EXPECT_FALSE(attachImage(cut, view)) << "length " << n;
-    }
-}
-
-TEST(Arena, EveryByteFlipIsDetected)
-{
-    std::vector<std::uint8_t> image;
-    sampleBuilder().assemble(image);
-
-    // The two checksums partition the file: any flipped byte must be
-    // caught at attach (header) or at verifyPayload (payload). A flip
-    // that attaches AND verifies would silently poison a replay.
-    for (std::size_t i = 0; i < image.size(); ++i) {
-        std::vector<std::uint8_t> bad = image;
-        bad[i] ^= 0x40;
-        ArenaView view;
-        if (attachImage(bad, view)) {
-            EXPECT_FALSE(view.verifyPayload()) << "byte " << i;
+    // The flat-trace writer hashes its image in place, piece by
+    // piece; the reader hashes the mapped file in one call. Both
+    // must agree however the pieces cut the 8-byte words.
+    std::vector<std::uint8_t> bytes(203);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    const std::uint64_t whole = hashArena64(bytes.data(), bytes.size());
+    for (std::size_t a = 0; a <= 20; ++a) {
+        for (std::size_t b = a; b <= 40; b += 3) {
+            const std::vector<ByteRange> ranges = {
+                {bytes.data(), a},
+                {nullptr, 0},
+                {bytes.data() + a, b - a},
+                {bytes.data() + b, bytes.size() - b},
+            };
+            EXPECT_EQ(hashArena64(ranges), whole) << a << "," << b;
         }
     }
-}
-
-TEST(Arena, AttachRequiresAnExistingFile)
-{
-    ArenaView view;
-    std::string err;
-    EXPECT_FALSE(ArenaView::attach(tempPath("missing"), 7,
-                                   "unit|arena|v7", view, &err));
-    EXPECT_FALSE(err.empty());
+    EXPECT_NE(hashArena64(bytes.data(), bytes.size() - 1), whole);
 }
 
 TEST(Mapping, WriterElectionIsExclusivePerMapping)

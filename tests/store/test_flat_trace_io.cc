@@ -1,21 +1,25 @@
 /**
  * @file
  * The durable FlatTrace store (trace/flat_trace_io.h): a round-trip
- * through a .flat arena file must hand the replay fast loop exactly
- * the bytes FlatTrace::build produces — event words, wide operands
- * and spans all bit-identical — and every validation failure (wrong
- * checksum, wrong version key, damage) must fall back cleanly to a
- * load failure, so cachedFlatTrace re-predecodes instead of replaying
- * garbage. Operands too wide for an event word must survive the
- * escape both in memory and through the file, and replay exactly as
- * the oracle decodes them.
+ * through a .flat file must hand the replay fast loop exactly the
+ * bytes FlatTrace::build produces — event words, wide operands and
+ * spans all bit-identical — and every validation failure (wrong
+ * checksum, wrong version, every truncation, every byte flip) must
+ * fall back cleanly to a load failure, so cachedFlatTrace
+ * re-predecodes instead of replaying garbage. Operands too wide for
+ * an event word must survive the escape both in memory and through
+ * the file, and replay exactly as the oracle decodes them. Concurrent
+ * saves of one path must all land.
  */
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -23,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "rt/sched_core.h"
+#include "store/arena.h"
 #include "trace/event_trace.h"
 #include "trace/flat_trace.h"
 #include "trace/flat_trace_io.h"
@@ -40,9 +45,10 @@ tempPath(const char *tag)
            std::to_string(static_cast<int>(::getpid())) + ".flat";
 }
 
-/** Same shape as the predecode unit test: all ops, both encodings. */
+/** Same shape as the predecode unit test: all ops, both encodings.
+ *  A @p big_charge of kWideOperand or more escapes one operand. */
 EventTrace
-sampleTrace()
+sampleTrace(std::uint64_t big_charge = 1000000)
 {
     TraceRecorder rec("m1-n1-d4000-v500", 1993, 3000);
     rec.onThreadSpawn(0, "T1:producer", 0);
@@ -54,7 +60,7 @@ sampleTrace()
     rec.recordPut(0, s1);
     rec.recordSave(0);
     rec.recordRestore(0);
-    rec.recordCharge(0, 1000000);
+    rec.recordCharge(0, big_charge);
     rec.recordClose(0, s1);
     rec.recordExit(0);
 
@@ -77,7 +83,8 @@ TEST(FlatTraceIo, RoundTripIsBitIdenticalToBuild)
 
     FlatTrace loaded;
     ASSERT_TRUE(loadFlatTrace(path, checksum, loaded, &err)) << err;
-    EXPECT_TRUE(loaded.arena.valid()) << "must serve the mmap, not a copy";
+    EXPECT_TRUE(loaded.mapping.valid()) << "must serve the mmap, not a copy";
+    EXPECT_EQ(loaded.streamCount, built.streamCount);
 
     ASSERT_EQ(loaded.eventCount(), built.eventCount());
     EXPECT_EQ(std::memcmp(loaded.words, built.words,
@@ -104,8 +111,8 @@ TEST(FlatTraceIo, WrongChecksumIsRejected)
     const std::string path = tempPath("wrongsum");
     ASSERT_TRUE(saveFlatTrace(FlatTrace::build(trace), checksum, path));
 
-    // A stale capture (different checksum) must never attach: the key
-    // embeds the checksum, so this is an identity mismatch.
+    // A stale capture (different checksum) must never attach: the
+    // header names the trace it was built from.
     FlatTrace loaded;
     EXPECT_FALSE(loadFlatTrace(path, checksum ^ 1, loaded));
     std::remove(path.c_str());
@@ -118,8 +125,8 @@ TEST(FlatTraceIo, DamagedPayloadIsRejected)
     const std::string path = tempPath("damage");
     ASSERT_TRUE(saveFlatTrace(FlatTrace::build(trace), checksum, path));
 
-    // Flip one byte near the end (inside the payload): attach's O(1)
-    // header check passes, but loadFlatTrace's verifyPayload must not.
+    // Flip one byte near the end (inside the payload): the header
+    // still matches, but the payload hash must not.
     {
         std::fstream f(path,
                        std::ios::in | std::ios::out | std::ios::binary);
@@ -146,16 +153,180 @@ TEST(FlatTraceIo, MissingFileIsAMiss)
     EXPECT_FALSE(err.empty());
 }
 
+std::vector<char>
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+}
+
+void
+writeBytes(const std::string &path, const std::vector<char> &bytes)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+template <typename T>
+T
+fieldAt(const std::vector<char> &bytes, std::size_t off)
+{
+    T v;
+    std::memcpy(&v, bytes.data() + off, sizeof v);
+    return v;
+}
+
+template <typename T>
+void
+setField(std::vector<char> &bytes, std::size_t off, T v)
+{
+    std::memcpy(bytes.data() + off, &v, sizeof v);
+}
+
+/** Re-stamp the header checksum (off 8) over [16, end). */
+void
+rehash(std::vector<char> &bytes)
+{
+    setField(bytes, 8,
+             store::hashArena64(bytes.data() + 16, bytes.size() - 16));
+}
+
 TEST(FlatTraceIo, KeyAndFileNameEmbedTheChecksum)
 {
     EXPECT_EQ(flatTraceFileName(0x0123456789abcdefull),
               "c0123456789abcdef.flat");
-    const std::string key = flatTraceKey(0x0123456789abcdefull);
-    EXPECT_NE(key.find("trace=0123456789abcdef"), std::string::npos)
-        << key;
-    EXPECT_NE(key.find("|v" + std::to_string(kFlatTraceFormatVersion)),
-              std::string::npos)
-        << key;
+
+    // The file's identity key is the trace checksum in its header,
+    // beside the format version.
+    const std::string path = tempPath("key");
+    ASSERT_TRUE(saveFlatTrace(FlatTrace::build(sampleTrace()),
+                              0x0123456789abcdefull, path));
+    const std::vector<char> bytes = readBytes(path);
+    std::remove(path.c_str());
+    ASSERT_GE(bytes.size(), 64u);
+    EXPECT_EQ(std::string(bytes.data(), 8), std::string("CRWFLAT\0", 8));
+    EXPECT_EQ(fieldAt<std::uint32_t>(bytes, 16), kFlatTraceFormatVersion);
+    EXPECT_EQ(fieldAt<std::uint64_t>(bytes, 24), 0x0123456789abcdefull);
+}
+
+/** A small saved flat file with one escaped operand, as bytes. */
+std::vector<char>
+smallImage(std::uint64_t checksum)
+{
+    const std::string path = tempPath("small");
+    EXPECT_TRUE(saveFlatTrace(
+        FlatTrace::build(sampleTrace(std::uint64_t{1} << 40)), checksum,
+        path));
+    std::vector<char> bytes = readBytes(path);
+    std::remove(path.c_str());
+    return bytes;
+}
+
+TEST(FlatTraceIo, RejectsWrongVersionAndKey)
+{
+    const std::string path = tempPath("version");
+    std::vector<char> image = smallImage(77);
+    writeBytes(path, image);
+    FlatTrace loaded;
+    std::string err;
+    ASSERT_TRUE(loadFlatTrace(path, 77, loaded, &err)) << err;
+    EXPECT_EQ(loaded.wideCount, 1u);
+    EXPECT_FALSE(loadFlatTrace(path, 78, loaded, &err));
+    EXPECT_NE(err.find("built from trace"), std::string::npos) << err;
+
+    // Another version is refused by the version check itself, even
+    // with a payload hash that matches.
+    setField(image, 16, kFlatTraceFormatVersion - 1);
+    rehash(image);
+    writeBytes(path, image);
+    EXPECT_FALSE(loadFlatTrace(path, 77, loaded, &err));
+    EXPECT_NE(err.find("format version"), std::string::npos) << err;
+    std::remove(path.c_str());
+}
+
+TEST(FlatTraceIo, EveryTruncationFailsCleanly)
+{
+    const std::vector<char> image = smallImage(77);
+    ASSERT_GT(image.size(), 64u);
+    const std::string path = tempPath("cut");
+    for (std::size_t n = 0; n < image.size(); ++n) {
+        writeBytes(path, std::vector<char>(image.begin(),
+                                           image.begin() +
+                                               static_cast<long>(n)));
+        FlatTrace loaded;
+        EXPECT_FALSE(loadFlatTrace(path, 77, loaded)) << "length " << n;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(FlatTraceIo, EveryByteFlipIsDetected)
+{
+    // A flip that loads would silently poison a replay: the magic,
+    // version and trace checksum are compared, and the hash covers
+    // every byte after its own field, padding included.
+    const std::vector<char> image = smallImage(77);
+    const std::string path = tempPath("flip");
+    for (std::size_t i = 0; i < image.size(); ++i) {
+        std::vector<char> bad = image;
+        bad[i] = static_cast<char>(bad[i] ^ 0x40);
+        writeBytes(path, bad);
+        FlatTrace loaded;
+        EXPECT_FALSE(loadFlatTrace(path, 77, loaded)) << "byte " << i;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(FlatTraceIo, ConcurrentSavesOfOnePathAllLand)
+{
+    // Each writer gets a temp file of its own, so no save fails and
+    // no rename publishes another writer's half-written image. Each
+    // image is 4 MB, so a save takes several write calls.
+    FlatTrace flat;
+    flat.wordStorage.resize(std::size_t{1} << 20);
+    for (std::size_t i = 0; i < flat.wordStorage.size(); ++i)
+        flat.wordStorage[i] = static_cast<std::uint32_t>(i % 97)
+                                  << FlatTrace::kOpBits |
+                              static_cast<std::uint32_t>(TraceOp::Charge);
+    flat.words = flat.wordStorage.data();
+    flat.events = static_cast<std::uint32_t>(flat.wordStorage.size());
+    flat.threads.push_back({0, flat.events});
+
+    const std::string path = tempPath("concurrent");
+    constexpr int kWriters = 4;
+    constexpr int kRounds = 16;
+    int failed[kWriters] = {};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w)
+        writers.emplace_back([&, w] {
+            for (int r = 0; r < kRounds; ++r) {
+                std::string err;
+                if (!saveFlatTrace(flat, 99, path, &err)) {
+                    ++failed[w];
+                    ADD_FAILURE() << "writer " << w << ": " << err;
+                }
+            }
+        });
+    for (std::thread &t : writers)
+        t.join();
+    for (int w = 0; w < kWriters; ++w)
+        EXPECT_EQ(failed[w], 0) << "writer " << w;
+
+    FlatTrace loaded;
+    std::string err;
+    ASSERT_TRUE(loadFlatTrace(path, 99, loaded, &err)) << err;
+    ASSERT_EQ(loaded.events, flat.events);
+    EXPECT_EQ(std::memcmp(loaded.words, flat.words,
+                          flat.events * sizeof(std::uint32_t)),
+              0);
+    std::remove(path.c_str());
+
+    // No temp file outlives its save.
+    const std::string stem = std::filesystem::path(path).filename();
+    for (const auto &entry : std::filesystem::directory_iterator("."))
+        EXPECT_NE(entry.path().filename().string().rfind(stem + ".tmp", 0),
+                  0u)
+            << entry.path();
 }
 
 TEST(FlatTraceIo, EmptyTraceRoundTrips)
@@ -313,6 +484,7 @@ TEST(FlatTraceIo, WideTableMustNameEveryEscape)
     dropped.events = built.events;
     dropped.wide = built.wide;
     dropped.wideCount = built.wideCount - 1; // one escape unresolved
+    dropped.streamCount = built.streamCount;
     for (const FlatTrace::Span &s : built.threads)
         dropped.threads.push_back(s);
     ASSERT_TRUE(saveFlatTrace(dropped, checksum, path));
