@@ -42,7 +42,7 @@ echo "== crw-bench fig11"
 "$build_dir/bench/crw-bench" fig11
 
 echo "== determinism gate (incl. observability + result cache +" \
-     "arena stores + policy family/synthetic behaviors)"
+     "on-disk stores + policy family/synthetic behaviors)"
 "$repo_root/scripts/check_determinism.sh" "$build_dir"
 
 crwbench_abs=$(cd "$build_dir/bench" && pwd)/crw-bench
@@ -52,7 +52,7 @@ counter() {
     echo "${v:-0}"
 }
 
-# Warm-start gate (DESIGN.md section 13): with the arena stores
+# Warm-start gate (DESIGN.md section 13): with the on-disk stores
 # populated, a warm `crw-bench fig11 table2 microtrace` rerun must
 # replay zero points, predecode zero flat traces and replay zero walk
 # steps — every point result and walk cell attaches from
