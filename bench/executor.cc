@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <tuple>
 #include <utility>
 
 #include "bench/harness.h"
@@ -397,6 +398,28 @@ struct TraceSlot
 };
 
 /**
+ * The spell workload (corpus and dictionaries) a capture of @p cfg
+ * runs on. SpellWorkload::make reads only the vocabulary size, seed
+ * and dictionary and corpus sizes, never the buffer sizes m and n, so
+ * the six Table 1 behaviors share one workload; it is built once per
+ * distinct tuple of those fields. Called under traceSlot's lock.
+ */
+const SpellWorkload &
+spellWorkload(const SpellConfig &cfg)
+{
+    static std::map<std::tuple<int, std::uint64_t, std::size_t,
+                               std::size_t>,
+                    SpellWorkload>
+        made;
+    const auto key = std::make_tuple(cfg.vocabularyWords, cfg.seed,
+                                     cfg.dictBytes, cfg.corpusBytes);
+    auto it = made.find(key);
+    if (it == made.end())
+        it = made.emplace(key, SpellWorkload::make(cfg)).first;
+    return it->second;
+}
+
+/**
  * The memo behind cachedTrace and cachedTraceChecksum. The lock is
  * held across a miss too, so a load or capture never races a lookup;
  * the executor still takes every miss before it fans out, and std::map
@@ -445,8 +468,7 @@ traceSlot(const BehaviorId &behavior)
     }
 
     if (is_spell) {
-        const SpellWorkload wl = SpellWorkload::make(cfg);
-        slot.trace = captureSpellTrace(wl, cfg);
+        slot.trace = captureSpellTrace(spellWorkload(cfg), cfg);
     } else {
         slot.trace = generateSynthTrace(behavior.synth);
     }

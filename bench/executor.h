@@ -103,7 +103,7 @@ const EventTrace &cachedTrace(ConcurrencyLevel conc,
                               GranularityLevel gran);
 
 /**
- * FNV-1a checksum of the behavior's trace (traceChecksum), memoized
+ * Payload checksum of the behavior's trace (traceChecksum), memoized
  * with the trace: the trailer loadTraceFile verified for a trace read
  * from disk, one hash at capture or generation otherwise.
  */

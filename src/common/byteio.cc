@@ -1,5 +1,6 @@
 #include "common/byteio.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +31,51 @@ writeAll(int fd, const void *p, std::size_t n)
 }
 
 } // namespace
+
+void
+PayloadHasher::update(const void *data, std::size_t n)
+{
+    if (n == 0)
+        return;
+    const std::uint8_t *p = static_cast<const std::uint8_t *>(data);
+    if (have_ != 0) {
+        const std::size_t take = std::min(sizeof carry_ - have_, n);
+        std::memcpy(carry_ + have_, p, take);
+        have_ += take;
+        p += take;
+        n -= take;
+        if (have_ < sizeof carry_)
+            return;
+        h_ = mix(h_, carry_);
+        have_ = 0;
+    }
+    std::uint64_t h = h_;
+    for (; n >= 8; p += 8, n -= 8)
+        h = mix(h, p);
+    h_ = h;
+    std::memcpy(carry_, p, n);
+    have_ = n;
+}
+
+std::uint64_t
+payloadHash64(const void *data, std::size_t n)
+{
+    PayloadHasher h(n);
+    h.update(data, n);
+    return h.finish();
+}
+
+std::uint64_t
+payloadHash64(const std::vector<ByteRange> &ranges)
+{
+    std::uint64_t n = 0;
+    for (const ByteRange &r : ranges)
+        n += r.bytes;
+    PayloadHasher h(n);
+    for (const ByteRange &r : ranges)
+        h.update(r.data, r.bytes);
+    return h.finish();
+}
 
 bool
 writeFileAtomic(const std::vector<ByteRange> &ranges,

@@ -1,10 +1,14 @@
 /**
  * @file
- * Flat little-endian byte-buffer writer/reader plus the FNV-1a hash —
+ * Flat little-endian byte-buffer writer/reader plus the two hashes —
  * the serialization substrate of the versioned binary formats: the
  * CRWTRACE file (trace/event_trace.cc: magic, u32 version, payload,
- * trailing u64 FNV-1a checksum of the payload) and the RunMetrics
- * records of the result store (trace/run_metrics.cc).
+ * trailing u64 payloadHash64 of the payload), the flat-trace file
+ * (trace/flat_trace_io.cc) and the RunMetrics records of the result
+ * store (trace/run_metrics.cc, store/record_store.cc).
+ *
+ * fnv1a64 hashes short keys (cache keys, file headers, digests);
+ * payloadHash64 hashes payloads, which run to megabytes.
  *
  * The Reader never throws or asserts on malformed input: a short or
  * truncated buffer flips ok to false and every subsequent read
@@ -16,6 +20,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -153,6 +158,72 @@ struct ByteRange
     const void *data;
     std::size_t bytes;
 };
+
+/**
+ * The payload hash of every file format that checksums a payload:
+ * trace files (whose trailer is also each trace's identity, see
+ * traceChecksum), flat-trace files and result-store records. FNV-1a
+ * walks one byte per step; this mixes eight (the FNV idea at word
+ * granularity, with an extra shift-xor so high bytes diffuse) and so
+ * runs several times faster. The state starts from the total length,
+ * so the streaming form is told it up front; then any split of the
+ * bytes across update() calls gives the hash of their concatenation
+ * (a word that straddles two calls is gathered first). The short
+ * tail goes through FNV-1a seeded with the running state.
+ * Deterministic across runs and platforms of equal endianness.
+ */
+class PayloadHasher
+{
+  public:
+    explicit PayloadHasher(std::uint64_t total_bytes)
+        : h_(0x9e3779b97f4a7c15ull ^ total_bytes)
+    {}
+
+    /** Fold the next @p n bytes in (@p data may be null when n is 0). */
+    void update(const void *data, std::size_t n);
+
+    /** Bytes that would complete the partial word fed last (0 when
+     *  the bytes fed so far fill whole words). */
+    std::size_t gap() const { return have_ == 0 ? 0 : 8 - have_; }
+
+    /** update() of the 32 bytes at @p p when gap() is 0, inline for a
+     *  caller that walks the same bytes for its own ends. */
+    void
+    update32(const std::uint8_t *p)
+    {
+        for (int i = 0; i < 4; ++i)
+            h_ = mix(h_, p + 8 * i);
+    }
+
+    /** One step: fold the word at @p at into @p h. */
+    static std::uint64_t
+    mix(std::uint64_t h, const std::uint8_t *at)
+    {
+        std::uint64_t w;
+        std::memcpy(&w, at, 8);
+        h ^= w;
+        h *= 0xff51afd7ed558ccdull;
+        return h ^ (h >> 29);
+    }
+
+    /** The hash of everything fed so far; the hasher stays usable. */
+    std::uint64_t
+    finish() const
+    {
+        return fnv1a64(carry_, have_, h_);
+    }
+
+  private:
+    std::uint64_t h_;
+    std::uint8_t carry_[8] = {};
+    std::size_t have_ = 0;
+};
+
+/** payloadHash64 of @p n bytes at @p data. */
+std::uint64_t payloadHash64(const void *data, std::size_t n);
+
+/** payloadHash64 of the concatenation of @p ranges, without making it. */
+std::uint64_t payloadHash64(const std::vector<ByteRange> &ranges);
 
 /**
  * Write the concatenation of @p ranges to @p path atomically: the

@@ -45,9 +45,11 @@ captureSpellTrace(const SpellWorkload &workload,
     TraceRecorder recorder(spellTraceKey(config), config.seed,
                            config.corpusBytes);
 
+    // The scripts do not depend on the engine configuration, so the
+    // capture runs the one scheme that simulates no windows at all.
     RuntimeConfig rc;
     rc.engine.numWindows = 8;
-    rc.engine.scheme = SchemeKind::SP;
+    rc.engine.scheme = SchemeKind::Infinite;
     rc.engine.checkInvariants = false;
     rc.policy = SchedPolicy::Fifo;
     Runtime rt(rc);

@@ -39,8 +39,10 @@ std::string spellTraceKey(const SpellConfig &config);
 /**
  * Capture the workload's event trace with one live run. The engine
  * configuration of the capture run is irrelevant to the result (the
- * recorded per-thread scripts are configuration-independent; the
- * round-trip test asserts this), so a cheap fixed one is used.
+ * recorded per-thread scripts are configuration-independent;
+ * CaptureInvariance in tests/win/test_replay_equivalence.cc asserts
+ * this), so the capture runs under SchemeKind::Infinite, which takes
+ * no window traps.
  */
 EventTrace captureSpellTrace(const SpellWorkload &workload,
                              const SpellConfig &config);

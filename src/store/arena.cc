@@ -1,6 +1,5 @@
 #include "store/arena.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include <fcntl.h>
@@ -24,67 +23,7 @@ fail(std::string *error, const std::string &why)
     return false;
 }
 
-std::uint64_t
-hashRanges(const ByteRange *ranges, std::size_t count)
-{
-    // Eight bytes per step: xor-fold each word into the state, then
-    // multiply-mix (the FNV idea at word granularity, with an extra
-    // shift-xor so high bytes diffuse). The short tail goes through
-    // plain FNV-1a seeded with the running state. A word that
-    // straddles two ranges is gathered in `carry` first, so the
-    // result is the hash of the ranges' concatenation.
-    const ByteRange *const end = ranges + count;
-    std::size_t n = 0;
-    for (const ByteRange *r = ranges; r != end; ++r)
-        n += r->bytes;
-    std::uint64_t h = 0x9e3779b97f4a7c15ull ^ n;
-    const auto mix = [&h](const std::uint8_t *at) {
-        std::uint64_t w;
-        std::memcpy(&w, at, 8);
-        h ^= w;
-        h *= 0xff51afd7ed558ccdull;
-        h ^= h >> 29;
-    };
-    std::uint8_t carry[8];
-    std::size_t have = 0;
-    for (const ByteRange *r = ranges; r != end; ++r) {
-        if (r->bytes == 0) // an empty range's data may be null
-            continue;
-        const std::uint8_t *p = static_cast<const std::uint8_t *>(r->data);
-        std::size_t left = r->bytes;
-        if (have != 0) {
-            const std::size_t take = std::min(sizeof carry - have, left);
-            std::memcpy(carry + have, p, take);
-            have += take;
-            p += take;
-            left -= take;
-            if (have < sizeof carry)
-                continue;
-            mix(carry);
-            have = 0;
-        }
-        for (; left >= 8; p += 8, left -= 8)
-            mix(p);
-        std::memcpy(carry, p, left);
-        have = left;
-    }
-    return fnv1a64(carry, have, h);
-}
-
 } // namespace
-
-std::uint64_t
-hashArena64(const void *data, std::size_t n)
-{
-    const ByteRange one{data, n};
-    return hashRanges(&one, 1);
-}
-
-std::uint64_t
-hashArena64(const std::vector<ByteRange> &ranges)
-{
-    return hashRanges(ranges.data(), ranges.size());
-}
 
 // ---------------------------------------------------------------- Mapping
 

@@ -1,18 +1,11 @@
 /**
  * @file
- * Mapped-file primitives shared by the on-disk stores (DESIGN.md §13):
- *
- *  - Mapping: an RAII mmap of a file (read-only or shared-writable)
- *    or of anonymous memory, plus non-blocking flock-based writer
- *    election. The result store, the event ring and the flat-trace
- *    files all sit on one.
- *
- *  - hashArena64: the payload checksum of those files. FNV-1a is the
- *    repo's identity hash but walks one byte per step; flat-trace
- *    payloads are tens of MB, so this one mixes eight bytes per step
- *    (same spirit as wyhash's folding) and exists only as a
- *    *format-internal* integrity check — it never names anything
- *    outside the file that carries it.
+ * Mapped-file primitive shared by the on-disk stores (DESIGN.md §13):
+ * Mapping, an RAII mmap of a file (read-only or shared-writable) or
+ * of anonymous memory, plus non-blocking flock-based writer election.
+ * The result store, the event ring and the flat-trace files all sit
+ * on one. Their payload checksums are payloadHash64 (common/byteio.h),
+ * the hash trace files carry too.
  */
 
 #ifndef CRW_STORE_ARENA_H_
@@ -21,22 +14,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/byteio.h"
 
 namespace crw {
 namespace store {
-
-/**
- * Word-at-a-time mixing hash for mapped-file payload checksums.
- * Format-internal only (see file comment); deterministic across runs
- * and platforms of equal endianness.
- */
-std::uint64_t hashArena64(const void *data, std::size_t n);
-
-/** hashArena64 of the concatenation of @p ranges, without making it. */
-std::uint64_t hashArena64(const std::vector<ByteRange> &ranges);
 
 /** RAII mmap of a file or of anonymous memory. Move-only. */
 class Mapping

@@ -273,7 +273,7 @@ RecordStore::find(const std::string &key,
         if (kRecordOverhead + key_len + blob_len > room)
             return FindResult::Corrupt;
         const std::uint64_t body = 8 + key_len + blob_len;
-        if (hashArena64(rec, body) != readU64(rec + body))
+        if (payloadHash64(rec, body) != readU64(rec + body))
             return FindResult::Corrupt;
         if (key_len != key.size() ||
             std::memcmp(rec + 4, key.data(), key_len) != 0)
@@ -350,7 +350,7 @@ RecordStore::put(const std::string &key,
              static_cast<std::uint32_t>(blob.size()));
     std::memcpy(rec + 8 + key.size(), blob.data(), blob.size());
     const std::uint64_t body = 8 + key.size() + blob.size();
-    writeU64(rec + body, hashArena64(rec, body));
+    writeU64(rec + body, payloadHash64(rec, body));
 
     const std::uint64_t seq = loadRelaxed(b + kSeqOff);
     storeRelease(b + kSeqOff, seq + 1); // odd: stats update in flight
@@ -439,7 +439,7 @@ RecordStore::forEachRecord(
         if (kRecordOverhead + key_len + blob_len > room)
             continue;
         const std::uint64_t body = 8 + key_len + blob_len;
-        if (hashArena64(rec, body) != readU64(rec + body))
+        if (payloadHash64(rec, body) != readU64(rec + body))
             continue;
         const std::string key(reinterpret_cast<const char *>(rec + 4),
                               key_len);

@@ -34,7 +34,7 @@
  * aliased result. Multi-field stats travel under a seqlock.
  *
  * Record encoding at its slot offset (8-byte aligned):
- *   u32 keyLen | key | u32 blobLen | blob | u64 hashArena64(all prior)
+ *   u32 keyLen | key | u32 blobLen | blob | u64 payloadHash64(all prior)
  *
  * Writer election is flock-based (Mapping::openElected): exactly one
  * process opens Writer and sizes the file; the rest attach Reader to

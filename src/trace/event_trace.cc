@@ -1,11 +1,20 @@
 #include "trace/event_trace.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include "common/byteio.h"
 #include "common/logging.h"
+#include "win/simd.h"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace crw {
 namespace {
@@ -27,30 +36,61 @@ appendVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
     out.push_back(static_cast<std::uint8_t>(v));
 }
 
-// The exact byte sequence saveTraceFile() checksums and writes between
-// the version word and the trailing checksum; traceChecksum() hashes
-// the same bytes so an in-memory trace and its file agree on identity.
-void
-encodeTracePayload(const EventTrace &trace, ByteWriter &payload)
+/**
+ * The payload of a trace file, the bytes between the version word and
+ * the trailing checksum, as saveTraceFile() writes them and
+ * traceChecksum() hashes them, so an in-memory trace and its file
+ * agree on identity. Every field but the scripts is encoded into
+ * `meta`; each script stays in its thread's vector and is only
+ * referenced, at the meta offset where it belongs.
+ */
+class PayloadImage
 {
-    payload.str(trace.key);
-    payload.u64(trace.seed);
-    payload.u64(trace.corpusBytes);
-    payload.u64(trace.misspelled);
-    payload.u64(trace.wordsFromDelatex);
-    payload.u32(static_cast<std::uint32_t>(trace.streams.size()));
-    for (const TraceStreamInfo &s : trace.streams) {
-        payload.str(s.name);
-        payload.u32(s.capacity);
-        payload.u32(s.writers);
+  public:
+    explicit PayloadImage(const EventTrace &trace)
+    {
+        meta_.str(trace.key);
+        meta_.u64(trace.seed);
+        meta_.u64(trace.corpusBytes);
+        meta_.u64(trace.misspelled);
+        meta_.u64(trace.wordsFromDelatex);
+        meta_.u32(static_cast<std::uint32_t>(trace.streams.size()));
+        for (const TraceStreamInfo &s : trace.streams) {
+            meta_.str(s.name);
+            meta_.u32(s.capacity);
+            meta_.u32(s.writers);
+        }
+        meta_.u32(static_cast<std::uint32_t>(trace.threads.size()));
+        for (const TraceThreadInfo &t : trace.threads) {
+            meta_.str(t.name);
+            meta_.u32(t.priority); // format v2
+            meta_.u64(t.code.size());
+            scripts_.push_back({meta_.bytes.size(), &t.code});
+        }
     }
-    payload.u32(static_cast<std::uint32_t>(trace.threads.size()));
-    for (const TraceThreadInfo &t : trace.threads) {
-        payload.str(t.name);
-        payload.u32(t.priority); // format v2
-        payload.blob(t.code);
+
+    /** The payload in file order: meta pieces with the scripts
+     *  between them, none of them copied. */
+    std::vector<ByteRange>
+    ranges() const
+    {
+        std::vector<ByteRange> out;
+        std::size_t from = 0;
+        for (const auto &[at, code] : scripts_) {
+            out.push_back({meta_.bytes.data() + from, at - from});
+            out.push_back({code->data(), code->size()});
+            from = at;
+        }
+        out.push_back(
+            {meta_.bytes.data() + from, meta_.bytes.size() - from});
+        return out;
     }
-}
+
+  private:
+    ByteWriter meta_;
+    std::vector<std::pair<std::size_t, const std::vector<std::uint8_t> *>>
+        scripts_;
+};
 
 } // namespace
 
@@ -236,129 +276,308 @@ TraceRecorder::take(std::uint64_t misspelled,
 std::uint64_t
 traceChecksum(const EventTrace &trace)
 {
-    ByteWriter payload;
-    encodeTracePayload(trace, payload);
-    return fnv1a64(payload.bytes.data(), payload.bytes.size());
+    return payloadHash64(PayloadImage(trace).ranges());
 }
 
 bool
 saveTraceFile(const EventTrace &trace, const std::string &path,
               std::string *error)
 {
-    // One buffer: the payload is encoded in place after the header,
-    // and the trailer hashes that range of it.
-    ByteWriter file;
+    // Header, then the payload ranges (the scripts written from the
+    // trace's own vectors), then the trailer that hashes them.
+    const PayloadImage payload(trace);
+    std::vector<ByteRange> file = payload.ranges();
+    ByteWriter head;
     for (const char c : kMagic)
-        file.bytes.push_back(static_cast<std::uint8_t>(c));
-    file.u32(kTraceFormatVersion);
-    const std::size_t payload_at = file.bytes.size();
-    encodeTracePayload(trace, file);
-    file.u64(fnv1a64(file.bytes.data() + payload_at,
-                     file.bytes.size() - payload_at));
-
-    return writeFileAtomic({{file.bytes.data(), file.bytes.size()}}, path,
-                           error);
+        head.bytes.push_back(static_cast<std::uint8_t>(c));
+    head.u32(kTraceFormatVersion);
+    ByteWriter trailer;
+    trailer.u64(payloadHash64(file));
+    file.insert(file.begin(), {head.bytes.data(), head.bytes.size()});
+    file.push_back({trailer.bytes.data(), trailer.bytes.size()});
+    return writeFileAtomic(file, path, error);
 }
 
 namespace {
 
+bool
+namesStream(unsigned high)
+{
+    return high >= static_cast<unsigned>(TraceOp::Put) &&
+           high <= static_cast<unsigned>(TraceOp::Close);
+}
+
 /**
- * The one rule set for event scripts (see validateTraceCode()).
- * Scans @p code and folds every byte of it into the FNV-1a state
- * @p hash, so the loader checks and hashes a script in a single pass.
- * On a violation it still folds the rest of the script before failing,
- * so @p hash always ends as the hash of the whole script.
+ * The reference rules for the one event at @p p (p < end), which
+ * leave @p p past it: a known op, a spilled varint that terminates
+ * inside the script without overflowing 64 bits, and a stream operand
+ * in range where the op names a stream. False, with the broken rule
+ * in @p why, on a violation.
  */
 bool
-scanTraceCode(const std::uint8_t *code, std::size_t size,
-              std::size_t num_streams, std::uint64_t &hash,
-              std::string *error)
+checkEvent(const std::uint8_t *&p, const std::uint8_t *end,
+           std::size_t num_streams, std::string &why)
 {
-    const auto names_stream = [](unsigned high) {
-        return high >= static_cast<unsigned>(TraceOp::Put) &&
-               high <= static_cast<unsigned>(TraceOp::Close);
-    };
-    // The hash chain bounds the loop, so a tag byte that passes every
-    // rule on its own (no spill, a known op, an inline stream id in
-    // range) costs one table lookup; only the rest take the checks
-    // below, which also name the rule a bad tag breaks.
-    bool plain[256];
-    for (unsigned tag = 0; tag < 256; ++tag) {
-        const unsigned high = tag >> 4;
-        const unsigned low = tag & 0x0F;
-        plain[tag] = high <= static_cast<unsigned>(TraceOp::Exit) &&
-                     low != kSpill &&
-                     !(names_stream(high) && low >= num_streams);
-    }
-
-    const std::uint8_t *p = code;
-    const std::uint8_t *const end = code + size;
-    const std::uint8_t *event = p;
-    std::uint64_t h = hash;
-    const auto next = [&p, &h]() {
-        const std::uint8_t b = *p++;
-        h = (h ^ b) * 0x100000001b3ull;
-        return b;
-    };
-    const auto fail = [&](const std::string &why) {
-        hash = fnv1a64(p, static_cast<std::size_t>(end - p), h);
-        if (error)
-            *error = why + " at offset " +
-                     std::to_string(event - code);
+    const std::uint8_t tag = *p++;
+    const unsigned high = tag >> 4;
+    if (high > static_cast<unsigned>(TraceOp::Exit)) {
+        why = "unknown event op " + std::to_string(high);
         return false;
-    };
-
-    while (p != end) {
-        event = p;
-        const std::uint8_t tag = next();
-        if (plain[tag])
-            continue;
-        const unsigned high = tag >> 4;
-        if (high > static_cast<unsigned>(TraceOp::Exit))
-            return fail("unknown event op " + std::to_string(high));
-        std::uint64_t operand = tag & 0x0F;
-        if (operand == kSpill) {
-            std::uint64_t v = 0;
-            int shift = 0;
-            while (true) {
-                if (p == end)
-                    return fail("truncated varint");
-                if (shift > 63)
-                    return fail("oversized varint");
-                const std::uint8_t b = next();
-                v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-                if (!(b & 0x80))
-                    break;
-                shift += 7;
-            }
-            operand = v;
-        }
-        if (names_stream(high) && operand >= num_streams)
-            return fail("stream id " + std::to_string(operand) +
-                        " out of range");
     }
-    hash = h;
+    std::uint64_t operand = tag & 0x0F;
+    if (operand == kSpill) {
+        std::uint64_t v = 0;
+        int shift = 0;
+        while (true) {
+            if (p == end) {
+                why = "truncated varint";
+                return false;
+            }
+            if (shift > 63) {
+                why = "oversized varint";
+                return false;
+            }
+            const std::uint8_t b = *p++;
+            v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+            if (!(b & 0x80))
+                break;
+            shift += 7;
+        }
+        operand = v;
+    }
+    if (namesStream(high) && operand >= num_streams) {
+        why = "stream id " + std::to_string(operand) + " out of range";
+        return false;
+    }
     return true;
 }
 
 /**
+ * The plain-tag rule as two nibble tables: a tag passes every rule on
+ * its own (a known op, no spill, an inline stream id in range), and so
+ * is a whole valid event, exactly when hi[tag >> 4] & lo[tag & 15] is
+ * zero. Each bit is one way to fail: bit 0 an op past Exit, bit 1 the
+ * spill marker, bit 2 a stream op whose inline id is out of range.
+ * `bad` is the same rule for all 256 tags.
+ */
+struct PlainTagRule
+{
+    alignas(16) std::uint8_t hi[16];
+    alignas(16) std::uint8_t lo[16];
+    std::uint8_t bad[256];
+
+    explicit PlainTagRule(std::size_t num_streams)
+    {
+        for (unsigned n = 0; n < 16; ++n) {
+            hi[n] = static_cast<std::uint8_t>(
+                (n > static_cast<unsigned>(TraceOp::Exit) ? 1 : 0) | 2 |
+                (namesStream(n) ? 4 : 0));
+            lo[n] = static_cast<std::uint8_t>(
+                1 | (n == kSpill ? 2 : 0) | (n >= num_streams ? 4 : 0));
+        }
+        for (unsigned tag = 0; tag < 256; ++tag)
+            bad[tag] = hi[tag >> 4] & lo[tag & 0x0F];
+    }
+};
+
+/** Bit i set for each tag p[i] of the 32 at @p p that is not plain:
+ *  eight table lookups per step, and bits only for a step that holds
+ *  one. */
+std::uint32_t
+blockMaskPortable(const std::uint8_t *p, const PlainTagRule &rule)
+{
+    const std::uint8_t *const bad = rule.bad;
+    std::uint32_t mask = 0;
+    for (unsigned i = 0; i < 32; i += 8, p += 8) {
+        if (!(bad[p[0]] | bad[p[1]] | bad[p[2]] | bad[p[3]] | bad[p[4]] |
+              bad[p[5]] | bad[p[6]] | bad[p[7]]))
+            continue;
+        for (unsigned j = 0; j < 8; ++j)
+            mask |= static_cast<std::uint32_t>(bad[p[j]] != 0) << (i + j);
+    }
+    return mask;
+}
+
+/**
+ * Hash and scan one script in a single walk over it (the loader's
+ * scan; validateTraceCode's with no @p hash). Each step folds one
+ * 32-byte block into the hash and checks every event that starts in
+ * the 32-byte block at the same distance from the script start: the
+ * tags @p block_mask flags as not plain go through the reference
+ * rules (checkEvent), the rest are whole events and are skipped. The
+ * hash's blocks start where its partial word ends, so they may sit up
+ * to seven bytes past the scan's. A violation stops the scan but not
+ * the hash: the whole script is always folded in.
+ */
+template <class BlockMask>
+[[gnu::always_inline]] inline bool
+scanLoop(const std::uint8_t *code, std::size_t size,
+         std::size_t num_streams, const PlainTagRule &rule,
+         bool skip_plain, PayloadHasher *hash, std::string *error,
+         BlockMask block_mask)
+{
+    const std::uint8_t *const end = code + size;
+    const std::size_t head = hash ? std::min(hash->gap(), size) : 0;
+    if (hash)
+        hash->update(code, head);
+    const std::size_t blocks = (size - head) / 32;
+    // A local copy keeps the hash state in a register across the
+    // walk, out of reach of the stores the slow path makes.
+    PayloadHasher h = hash ? *hash : PayloadHasher(0);
+
+    const std::uint8_t *p = code; // the next event
+    const std::uint8_t *event = p;
+    std::string why;
+    bool ok = true;
+    for (std::size_t i = 0; i < blocks; ++i) {
+        if (hash)
+            h.update32(code + head + 32 * i);
+        const std::uint8_t *const block = code + 32 * i;
+        if (!ok || p >= block + 32)
+            continue;
+        const std::uint32_t mask = block_mask(block);
+        while (p < block + 32) {
+            const std::uint32_t rest =
+                mask & (~0u << static_cast<unsigned>(p - block));
+            if (rest == 0) {
+                p = block + 32;
+                break;
+            }
+            event = p = block + __builtin_ctz(rest);
+            if (!checkEvent(p, end, num_streams, why)) {
+                ok = false;
+                break;
+            }
+        }
+    }
+    if (hash) {
+        *hash = h;
+        hash->update(code + head + 32 * blocks, size - head - 32 * blocks);
+    }
+    while (ok && p != end) {
+        if (skip_plain && rule.bad[*p] == 0) {
+            ++p;
+            continue;
+        }
+        event = p;
+        ok = checkEvent(p, end, num_streams, why);
+    }
+    if (!ok && error)
+        *error = why + " at offset " + std::to_string(event - code);
+    return ok;
+}
+
+#if defined(__x86_64__)
+
+/** scanLoop with the block mask from two nibble-table shuffles over
+ *  32 tags. target("avx2") keeps the binary portable; scanScript
+ *  only calls it when the CPU probe says so (win/simd.h). */
+__attribute__((target("avx2"))) bool
+scanAvx2(const std::uint8_t *code, std::size_t size,
+         std::size_t num_streams, const PlainTagRule &rule,
+         PayloadHasher *hash, std::string *error)
+{
+    const __m256i hi = _mm256_broadcastsi128_si256(
+        _mm_load_si128(reinterpret_cast<const __m128i *>(rule.hi)));
+    const __m256i lo = _mm256_broadcastsi128_si256(
+        _mm_load_si128(reinterpret_cast<const __m128i *>(rule.lo)));
+    const __m256i nibble = _mm256_set1_epi8(0x0F);
+    const __m256i zero = _mm256_setzero_si256();
+    const auto block_mask =
+        [&](const std::uint8_t *p) __attribute__((target("avx2"))) {
+            const __m256i v =
+                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
+            const __m256i bad = _mm256_and_si256(
+                _mm256_shuffle_epi8(
+                    hi, _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble)),
+                _mm256_shuffle_epi8(lo, _mm256_and_si256(v, nibble)));
+            return ~static_cast<std::uint32_t>(
+                _mm256_movemask_epi8(_mm256_cmpeq_epi8(bad, zero)));
+        };
+    return scanLoop(code, size, num_streams, rule, true, hash, error,
+                    block_mask);
+}
+
+#endif
+
+/**
+ * The one scanner for event scripts (see validateTraceCode()), which
+ * also folds the script into @p hash when one is given. The block
+ * flavour follows effectiveSimdTier(): 32 tags per shuffle pair, or
+ * per four table-lookup steps. The scalar tier flags every tag, so
+ * every event goes through the reference rules: it is the oracle the
+ * block flavours are pinned against.
+ */
+bool
+scanScript(const std::uint8_t *code, std::size_t size,
+           std::size_t num_streams, PayloadHasher *hash,
+           std::string *error)
+{
+    const PlainTagRule rule(num_streams);
+    switch (effectiveSimdTier()) {
+      case SimdTier::Scalar:
+        return scanLoop(code, size, num_streams, rule, false, hash, error,
+                        [](const std::uint8_t *) { return ~0u; });
+      case SimdTier::Avx2:
+#if defined(__x86_64__)
+        return scanAvx2(code, size, num_streams, rule, hash, error);
+#else
+        break;
+#endif
+      case SimdTier::Portable:
+        break;
+    }
+    return scanLoop(code, size, num_streams, rule, true, hash, error,
+                    [&rule](const std::uint8_t *p) {
+                        return blockMaskPortable(p, rule);
+                    });
+}
+
+/**
+ * Fault in the whole pages of the fresh, untouched buffer of @p n
+ * bytes at @p p in one call. A warm run loads ~10 MB of scripts into
+ * fresh vectors, and taking their ~2500 pages one first-touch fault
+ * at a time cost about as much as hashing and scanning them. Only a
+ * hint: where MADV_POPULATE_WRITE is missing or refused, the pages
+ * fault in as they are touched.
+ */
+void
+prefault(const void *p, std::size_t n)
+{
+#if defined(MADV_POPULATE_WRITE)
+    const std::uintptr_t page =
+        static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+    const std::uintptr_t at = reinterpret_cast<std::uintptr_t>(p);
+    const std::uintptr_t lo = (at + page - 1) & ~(page - 1);
+    const std::uintptr_t hi = (at + n) & ~(page - 1);
+    if (hi > lo)
+        ::madvise(reinterpret_cast<void *>(lo), hi - lo,
+                  MADV_POPULATE_WRITE);
+#else
+    (void)p;
+    (void)n;
+#endif
+}
+
+/**
  * Sequential reader over a trace file's payload, straight from the
- * file: every byte it consumes is folded into the running FNV-1a
- * payload hash, and no length is trusted beyond the payload bytes
- * still unread. Like ByteReader it never throws: a field that does not
- * fit flips ok to false and later reads return zero values.
+ * file: every byte it consumes is folded into the running payload
+ * hash, and no length is trusted beyond the payload bytes still
+ * unread. Like ByteReader it never throws: a field that does not fit
+ * flips ok to false and later reads return zero values.
  */
 class PayloadReader
 {
   public:
     PayloadReader(std::FILE *fp, std::uint64_t payload_size)
-        : fp_(fp),
+        : hash(payload_size),
+          fp_(fp),
           left_(payload_size)
     {}
 
     bool ok = true;        ///< every field fit in the payload
     bool ioFailed = false; ///< the file ended before its stat size
-    std::uint64_t hash = 0xcbf29ce484222325ull;
+    PayloadHasher hash;
 
     std::uint32_t
     u32()
@@ -388,10 +607,10 @@ class PayloadReader
     }
 
     /**
-     * Read a length-prefixed event script into @p code and scan it
-     * (scanTraceCode) while it is hot. False, with the reason in
-     * @p why, only for a script that breaks a rule; a blob that does
-     * not fit flips ok instead.
+     * Read a length-prefixed event script into @p code, then hash and
+     * scan it in one walk (scanScript) while it is hot. False, with
+     * the reason in @p why, only for a script that breaks a rule; a
+     * blob that does not fit flips ok instead.
      */
     bool
     script(std::vector<std::uint8_t> &code, std::size_t num_streams,
@@ -400,11 +619,12 @@ class PayloadReader
         const std::uint64_t n = u64();
         if (!fits(n))
             return true;
+        code.reserve(static_cast<std::size_t>(n));
+        prefault(code.data(), code.capacity());
         code.resize(static_cast<std::size_t>(n));
-        if (!read(code.data(), code.size()))
-            return true;
-        return scanTraceCode(code.data(), code.size(), num_streams,
-                             hash, why);
+        return !read(code.data(), code.size()) ||
+               scanScript(code.data(), code.size(), num_streams, &hash,
+                          why);
     }
 
     /** Fold the unread rest of the payload into the hash; leftover
@@ -419,7 +639,7 @@ class PayloadReader
             const std::size_t n = static_cast<std::size_t>(
                 std::min<std::uint64_t>(left_, sizeof buf));
             if (read(buf, n))
-                hash = fnv1a64(buf, n, hash);
+                hash.update(buf, n);
         }
     }
 
@@ -437,8 +657,7 @@ class PayloadReader
     take(void *dst, std::size_t n)
     {
         if (fits(n) && read(dst, n))
-            hash = fnv1a64(static_cast<const std::uint8_t *>(dst), n,
-                           hash);
+            hash.update(dst, n);
     }
 
     bool
@@ -463,9 +682,8 @@ bool
 validateTraceCode(const std::vector<std::uint8_t> &code,
                   std::size_t num_streams, std::string *error)
 {
-    std::uint64_t unused_hash = 0;
-    return scanTraceCode(code.data(), code.size(), num_streams,
-                         unused_hash, error);
+    return scanScript(code.data(), code.size(), num_streams, nullptr,
+                      error);
 }
 
 bool
@@ -543,7 +761,7 @@ loadTraceFile(const std::string &path, EventTrace &out,
         return fail("truncated trace (file changed while loading)");
     const std::uint64_t checksum =
         ByteReader{trailer, trailer + 8}.u64();
-    if (r.hash != checksum)
+    if (r.hash.finish() != checksum)
         return fail("checksum mismatch (corrupted trace)");
     if (!r.ok)
         return fail("malformed payload");

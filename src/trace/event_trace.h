@@ -202,7 +202,8 @@ class TraceRecorder : public TraceSink
 /**
  * Binary serialization with a versioned header and a payload checksum
  * so stale or corrupted cache files are rejected, never replayed.
- * Layout: magic "CRWTRACE", u32 version, payload, u64 FNV-1a checksum.
+ * Layout: magic "CRWTRACE", u32 version, payload, u64 payloadHash64
+ * (common/byteio.h) of the payload.
  *
  * Version history:
  *   1  original format
@@ -210,19 +211,27 @@ class TraceRecorder : public TraceSink
  *      the name and the code blob). v1 files are rejected and
  *      re-captured deterministically — re-capture emits identical
  *      scripts, so downstream results are unchanged.
+ *   3  the trailer is payloadHash64 instead of FNV-1a, over the same
+ *      payload bytes; v2 files are rejected and re-captured the same
+ *      way.
  */
-inline constexpr std::uint32_t kTraceFormatVersion = 2;
+inline constexpr std::uint32_t kTraceFormatVersion = 3;
 
 /**
- * FNV-1a of the trace's serialized payload — exactly the bytes
- * saveTraceFile() checksums, so an in-memory trace and its cache file
- * agree on identity. This is the trace-identity component of the
- * bench result-cache key (bench/result_cache.h): any change to the
- * captured behavior invalidates every point result derived from it.
+ * payloadHash64 of the trace's serialized payload — exactly the bytes
+ * saveTraceFile() checksums, hashed where they lie (the scripts in
+ * their own vectors, nothing re-encoded into one buffer), so an
+ * in-memory trace and its cache file agree on identity. This is the
+ * trace-identity component of the bench result-cache key
+ * (bench/result_cache.h) and the name of its flat-trace file: any
+ * change to the captured behavior invalidates every point result
+ * derived from it.
  */
 std::uint64_t traceChecksum(const EventTrace &trace);
 
-/** Write @p trace to @p path (via a temp file + rename). */
+/** Write @p trace to @p path (via a temp file + rename): the header,
+ *  the payload with each script written from its own vector, and the
+ *  trailer, with no whole-file copy. */
 bool saveTraceFile(const EventTrace &trace, const std::string &path,
                    std::string *error = nullptr);
 
@@ -236,8 +245,12 @@ bool saveTraceFile(const EventTrace &trace, const std::string &path,
  * runs tens of millions of times per sweep and must stay check-free —
  * so everything that enters a replay MUST pass through this gate
  * first. loadTraceFile() applies the same rules to every thread (one
- * scanner serves both); a trace built by TraceRecorder is well-formed
- * by construction.
+ * scanner serves both, with the same messages); a trace built by
+ * TraceRecorder is well-formed by construction. The scanner skips
+ * runs of tags that pass every rule on their own in blocks, with the
+ * flavour effectiveSimdTier() (win/simd.h) selects, and takes every
+ * other tag through the reference rules; the scalar tier takes every
+ * tag through them.
  */
 bool validateTraceCode(const std::vector<std::uint8_t> &code,
                        std::size_t num_streams,

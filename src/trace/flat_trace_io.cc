@@ -124,7 +124,7 @@ saveFlatTrace(const FlatTrace &flat, std::uint64_t trace_checksum,
     // Hash the same ranges with the header cut at kHashedFrom.
     image[0] = {reinterpret_cast<const std::uint8_t *>(&h) + kHashedFrom,
                 sizeof h - kHashedFrom};
-    h.checksum = store::hashArena64(image);
+    h.checksum = payloadHash64(image);
     image[0] = {&h, sizeof h};
     return writeFileAtomic(image, path, error);
 }
@@ -158,7 +158,7 @@ loadFlatTrace(const std::string &path, std::uint64_t trace_checksum,
         return fail(error, "file has " + std::to_string(size) +
                                " bytes, its counts give " +
                                std::to_string(at.fileBytes()));
-    if (store::hashArena64(base + kHashedFrom, size - kHashedFrom) !=
+    if (payloadHash64(base + kHashedFrom, size - kHashedFrom) !=
         h.checksum)
         return fail(error, "payload checksum mismatch");
 

@@ -11,7 +11,7 @@
  * host):
  *
  *   off  0  magic[8]         "CRWFLAT\0"
- *   off  8  u64 checksum     hashArena64 over [16, file end)
+ *   off  8  u64 checksum     payloadHash64 over [16, file end)
  *   off 16  u32 version      kFlatTraceFormatVersion
  *   off 20  u32 threads
  *   off 24  u64 traceChecksum  the source trace's checksum

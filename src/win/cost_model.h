@@ -31,7 +31,7 @@ enum class SchemeKind {
     NS,       ///< non-sharing: flush everything on a switch
     SNP,      ///< sharing, single global reserved window
     SP,       ///< sharing, private reserved window per thread
-    Infinite, ///< oracle: unbounded windows, no traps (testing only)
+    Infinite, ///< oracle: unbounded windows, no traps
 };
 
 /** Short display name ("NS", "SNP", "SP", "INF"). */

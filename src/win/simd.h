@@ -12,6 +12,11 @@
  * schemes (SNP, SP) have no SoA pass and replay their followers per
  * lane on every tier.
  *
+ * The same tier picks the block flavour of the trace-script scanner
+ * (trace/event_trace.cc, DESIGN.md §8): 32 tags per step, 8 per step,
+ * or, at `Scalar`, none skipped, every tag through the reference
+ * rules.
+ *
  * Production runs always take the widest tier the CPU supports: AVX2
  * where the runtime probe finds it, the portable kernels on every
  * other host (x86 without AVX2, non-x86 builds). Only tests pin a

@@ -3,9 +3,11 @@
  * The executor's per-behavior memos (bench/executor.h): a trace's
  * memoized checksum must equal traceChecksum of the trace itself,
  * whether the trace was loaded from disk (the verified trailer) or
- * generated in process, and concurrent requests for flat images must
- * predecode each behavior exactly once — distinct behaviors in
- * parallel — into an image identical to a serial FlatTrace::build. A
+ * generated in process; a trace file of a retired format must be
+ * refused, re-made and rewritten; and concurrent requests for flat
+ * images must predecode each behavior exactly once — distinct
+ * behaviors in parallel — into an image identical to a serial
+ * FlatTrace::build. A
  * flat file of an older format must be refused, rebuilt and
  * rewritten in the current one, and so must a current
  * one whose hash is valid but whose words the replay loop cannot
@@ -88,6 +90,46 @@ TEST(TraceMemo, ChecksumMatchesLoadedAndFreshTraces)
 
     std::remove(path.c_str());
     std::remove(fresh_path.c_str());
+}
+
+TEST(TraceMemo, RetiredV2TraceFileIsRecapturedAndRewritten)
+{
+    // A v2 file at the behavior's path: the v3 layout under the
+    // version word 2 and the FNV-1a trailer that version carried.
+    const BehaviorId behavior =
+        privateBehavior(SynthSpec::Topology::Ring, 4, 3);
+    const std::string path = traceFilePath(behavior);
+    std::string err;
+    ASSERT_TRUE(saveTraceFile(generateSynthTrace(behavior.synth), path,
+                              &err))
+        << err;
+    std::vector<std::uint8_t> bytes;
+    {
+        std::uint64_t size = 0;
+        const FilePtr fp = openFileForRead(path, size, &err);
+        ASSERT_TRUE(fp) << err;
+        bytes.resize(static_cast<std::size_t>(size));
+        ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), fp.get()),
+                  bytes.size());
+    }
+    bytes[8] = 2;
+    const std::uint64_t fnv = fnv1a64(bytes.data() + 12, bytes.size() - 20);
+    std::memcpy(bytes.data() + bytes.size() - 8, &fnv, 8);
+    ASSERT_TRUE(writeFileAtomic({{bytes.data(), bytes.size()}}, path, &err))
+        << err;
+    EventTrace stale;
+    EXPECT_FALSE(loadTraceFile(path, stale, &err));
+    EXPECT_EQ(err, "unsupported trace version 2");
+
+    // The memo refuses it, generates the trace afresh and saves it in
+    // the current format.
+    const EventTrace &fresh = cachedTrace(behavior);
+    EXPECT_EQ(fresh.fileChecksum, 0u) << "served from the v2 file";
+    EventTrace rewritten;
+    ASSERT_TRUE(loadTraceFile(path, rewritten, &err)) << err;
+    EXPECT_TRUE(rewritten == fresh);
+    EXPECT_EQ(rewritten.fileChecksum, cachedTraceChecksum(behavior));
+    std::remove(path.c_str());
 }
 
 /** Scoped flat-store bypass (restored even when an ASSERT returns). */
@@ -214,7 +256,7 @@ writeV2FlatFile(const FlatTrace &flat, std::uint64_t checksum,
     }
     std::memcpy(image.data() + entry, key.data(), key.size());
     put(16, std::uint64_t{image.size()});
-    put(24, store::hashArena64(image.data() + payload_at,
+    put(24, payloadHash64(image.data() + payload_at,
                                image.size() - payload_at));
     put(40, fnv1a64(image.data(), payload_at));
     std::string err;

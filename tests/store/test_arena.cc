@@ -1,9 +1,9 @@
 /**
  * @file
- * The mapped-file primitives (store/arena.h): the payload hash over
- * split ranges, and Mapping's writer election and read-only open.
- * The flat-trace file built on them is fuzzed in
- * tests/store/test_flat_trace_io.cc.
+ * The mapped-file primitive (store/arena.h): Mapping's writer
+ * election and read-only open. The flat-trace file built on it is
+ * fuzzed in tests/store/test_flat_trace_io.cc; the payload hash the
+ * stores share is tested in tests/common/test_byteio.cc.
  */
 
 #include <cstdint>
@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/byteio.h"
 #include "store/arena.h"
 
 namespace crw {
@@ -28,29 +27,6 @@ tempPath(const char *tag)
 {
     return "arena-test-" + std::string(tag) + "-" +
            std::to_string(static_cast<int>(::getpid())) + ".bin";
-}
-
-TEST(ArenaHash, RangesHashLikeTheirConcatenation)
-{
-    // The flat-trace writer hashes its image in place, piece by
-    // piece; the reader hashes the mapped file in one call. Both
-    // must agree however the pieces cut the 8-byte words.
-    std::vector<std::uint8_t> bytes(203);
-    for (std::size_t i = 0; i < bytes.size(); ++i)
-        bytes[i] = static_cast<std::uint8_t>(i * 37 + 11);
-    const std::uint64_t whole = hashArena64(bytes.data(), bytes.size());
-    for (std::size_t a = 0; a <= 20; ++a) {
-        for (std::size_t b = a; b <= 40; b += 3) {
-            const std::vector<ByteRange> ranges = {
-                {bytes.data(), a},
-                {nullptr, 0},
-                {bytes.data() + a, b - a},
-                {bytes.data() + b, bytes.size() - b},
-            };
-            EXPECT_EQ(hashArena64(ranges), whole) << a << "," << b;
-        }
-    }
-    EXPECT_NE(hashArena64(bytes.data(), bytes.size() - 1), whole);
 }
 
 TEST(Mapping, WriterElectionIsExclusivePerMapping)

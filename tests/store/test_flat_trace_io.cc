@@ -189,7 +189,7 @@ void
 rehash(std::vector<char> &bytes)
 {
     setField(bytes, 8,
-             store::hashArena64(bytes.data() + 16, bytes.size() - 16));
+             payloadHash64(bytes.data() + 16, bytes.size() - 16));
 }
 
 TEST(FlatTraceIo, KeyAndFileNameEmbedTheChecksum)

@@ -2,8 +2,10 @@
  * @file
  * EventTrace binary serialization: round-trip equality, and rejection
  * of every corruption the cache loader must survive — wrong magic,
- * unknown version, truncation, and payload/checksum damage. A stale or
- * damaged cache file must never be replayed.
+ * unknown or retired version, truncation, and payload/checksum
+ * damage. A stale or damaged cache file must never be replayed. The
+ * block-skipping script scanner is pinned to a plain decode of the
+ * rules on every dispatch tier the host runs.
  */
 
 #include <cstdio>
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "common/byteio.h"
+#include "tests/win/simd_test_util.h"
 #include "trace/event_trace.h"
 #include "trace/synth.h"
 
@@ -52,7 +55,7 @@ sampleTrace()
 }
 
 /** File offset of thread @p tid's u64 script length in the saved
- *  form of @p trace (format v2 layout, see encodeTracePayload). */
+ *  form of @p trace (format v3 layout, see PayloadImage). */
 std::size_t
 scriptLengthOffset(const EventTrace &trace, std::size_t tid)
 {
@@ -68,13 +71,13 @@ scriptLengthOffset(const EventTrace &trace, std::size_t tid)
 }
 
 /** Rewrite the trailer so it honestly checksums the (edited)
- *  payload: only the loader's structural checks can then object. */
+ *  payload with the format's payload hash: only the loader's
+ *  structural checks can then object. */
 void
 resealTrailer(std::vector<char> &bytes)
 {
-    const std::uint64_t h = fnv1a64(
-        reinterpret_cast<const std::uint8_t *>(bytes.data()) + 12,
-        bytes.size() - 20);
+    const std::uint64_t h =
+        payloadHash64(bytes.data() + 12, bytes.size() - 20);
     for (int i = 0; i < 8; ++i)
         bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
             static_cast<char>(h >> (8 * i));
@@ -184,6 +187,28 @@ TEST_F(EventTraceFile, UnknownVersionRejected)
     EXPECT_FALSE(err.empty());
 }
 
+TEST_F(EventTraceFile, RetiredV2FileRejected)
+{
+    // A genuine v2 file: the same layout under the FNV-1a trailer
+    // that version carried. It must be refused by its version, before
+    // any hash is taken, so the cache re-captures it.
+    std::string err;
+    ASSERT_TRUE(saveTraceFile(sampleTrace(), path_, &err)) << err;
+    std::vector<char> bytes = readAll();
+    bytes[8] = 2;
+    const std::uint64_t h = fnv1a64(
+        reinterpret_cast<const std::uint8_t *>(bytes.data()) + 12,
+        bytes.size() - 20);
+    for (int i = 0; i < 8; ++i)
+        bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
+            static_cast<char>(h >> (8 * i));
+    writeAll(bytes);
+
+    EventTrace out;
+    EXPECT_FALSE(loadTraceFile(path_, out, &err));
+    EXPECT_EQ(err, "unsupported trace version 2");
+}
+
 TEST_F(EventTraceFile, TruncationRejected)
 {
     std::string err;
@@ -275,6 +300,153 @@ TEST(ValidateTraceCode, RejectsOutOfRangeStreamId)
     EXPECT_TRUE(validateTraceCode(code, 6, &why)) << why;
 }
 
+/**
+ * The script rules decoded one event at a time, written out apart
+ * from the scanner: the verdict and message validateTraceCode must
+ * give on every tier.
+ */
+std::string
+referenceVerdict(const std::vector<std::uint8_t> &code,
+                 std::size_t num_streams)
+{
+    std::size_t i = 0;
+    while (i < code.size()) {
+        const std::size_t event = i;
+        const auto fail = [event](const std::string &why) {
+            return why + " at offset " + std::to_string(event);
+        };
+        const unsigned op = code[i] >> 4;
+        std::uint64_t operand = code[i] & 0x0F;
+        ++i;
+        if (op > 6)
+            return fail("unknown event op " + std::to_string(op));
+        if (operand == 15) {
+            operand = 0;
+            for (int shift = 0;; shift += 7) {
+                if (i == code.size())
+                    return fail("truncated varint");
+                if (shift > 63)
+                    return fail("oversized varint");
+                const std::uint8_t b = code[i++];
+                operand |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+                if (!(b & 0x80))
+                    break;
+            }
+        }
+        if (op >= 3 && op <= 5 && operand >= num_streams)
+            return fail("stream id " + std::to_string(operand) +
+                        " out of range");
+    }
+    return "ok";
+}
+
+/** validateTraceCode's verdict, in referenceVerdict's terms. */
+std::string
+scannerVerdict(const std::vector<std::uint8_t> &code,
+               std::size_t num_streams)
+{
+    std::string why;
+    return validateTraceCode(code, num_streams, &why) ? "ok" : why;
+}
+
+/** A script of @p size plain tags of every op that fit @p streams. */
+std::vector<std::uint8_t>
+plainScript(std::size_t size)
+{
+    static const std::uint8_t kPlain[] = {0x00, 0x11, 0x2E, 0x30, 0x41,
+                                          0x51, 0x60, 0x23, 0x10, 0x01};
+    std::vector<std::uint8_t> code(size);
+    for (std::size_t i = 0; i < size; ++i)
+        code[i] = kPlain[i % std::size(kPlain)];
+    return code;
+}
+
+TEST(ScriptScanner, EverySubstitutionMatchesTheReferenceOnEveryTier)
+{
+    // Plain runs longer than a 32-byte block between spills of one to
+    // three varint bytes, stream ops at the range edge, and a spill
+    // that ends the script.
+    std::vector<std::uint8_t> code = plainScript(37);
+    for (const std::uint8_t b : {0x2F, 0x80, 0x01, 0x11, 0x31, 0x2F,
+                                 0x7F})
+        code.push_back(b);
+    const std::vector<std::uint8_t> run = plainScript(40);
+    code.insert(code.end(), run.begin(), run.end());
+    for (const std::uint8_t b : {0x3F, 0x01, 0x41, 0x2F, 0xFF, 0xFF,
+                                 0x03})
+        code.push_back(b);
+    constexpr std::size_t kStreams = 2;
+    ASSERT_EQ(referenceVerdict(code, kStreams), "ok");
+
+    for (const SimdTier tier : hostTiers()) {
+        const ScopedTier pin(tier);
+        std::vector<std::uint8_t> mutated = code;
+        for (std::size_t at = 0; at < code.size(); ++at) {
+            for (unsigned v = 0; v < 256; ++v) {
+                mutated[at] = static_cast<std::uint8_t>(v);
+                ASSERT_EQ(scannerVerdict(mutated, kStreams),
+                          referenceVerdict(mutated, kStreams))
+                    << simdTierName(tier) << " offset " << at
+                    << " byte " << v;
+            }
+            mutated[at] = code[at];
+        }
+    }
+}
+
+TEST(ScriptScanner, FirstNonPlainTagAtEveryOffsetAroundABlock)
+{
+    // The first tag the block skip must stop at lands at every offset
+    // from 0 to past two 32-byte blocks, in scripts that end right
+    // after it or run on: a spill that is fine, one cut short, a bad
+    // op and an out-of-range stream id.
+    const std::vector<std::vector<std::uint8_t>> stops = {
+        {0x2F, 0x81, 0x01}, {0x2F, 0x80}, {0x70}, {0x56}, {0x4F, 0x06}};
+    for (const SimdTier tier : hostTiers()) {
+        const ScopedTier pin(tier);
+        for (std::size_t at = 0; at <= 72; ++at) {
+            for (const std::vector<std::uint8_t> &stop : stops) {
+                for (const std::size_t after : {0, 1, 9, 40}) {
+                    std::vector<std::uint8_t> code = plainScript(at);
+                    code.insert(code.end(), stop.begin(), stop.end());
+                    const std::vector<std::uint8_t> tail =
+                        plainScript(after);
+                    code.insert(code.end(), tail.begin(), tail.end());
+                    for (const std::size_t streams : {2, 6, 16}) {
+                        ASSERT_EQ(scannerVerdict(code, streams),
+                                  referenceVerdict(code, streams))
+                            << simdTierName(tier) << " at " << at
+                            << " after " << after << " streams "
+                            << streams;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(ScriptScanner, EveryTagAloneMatchesTheReference)
+{
+    for (const SimdTier tier : hostTiers()) {
+        const ScopedTier pin(tier);
+        for (unsigned v = 0; v < 256; ++v) {
+            for (const std::size_t streams : {0, 1, 5, 6, 15, 16}) {
+                // Alone, and in the middle of a long plain run.
+                std::vector<std::uint8_t> code = plainScript(70);
+                code[35] = static_cast<std::uint8_t>(v);
+                const std::vector<std::uint8_t> alone = {
+                    static_cast<std::uint8_t>(v)};
+                EXPECT_EQ(scannerVerdict(alone, streams),
+                          referenceVerdict(alone, streams))
+                    << simdTierName(tier) << " byte " << v;
+                EXPECT_EQ(scannerVerdict(code, streams),
+                          referenceVerdict(code, streams))
+                    << simdTierName(tier) << " byte " << v;
+            }
+        }
+    }
+}
+
 TEST_F(EventTraceFile, ValidChecksumButCorruptScriptRejected)
 {
     // A well-formed container around a malformed event script: the
@@ -353,6 +525,37 @@ TEST_F(EventTraceFile, SynthTraceRoundTripsWithItsChecksum)
     }
 }
 
+TEST_F(EventTraceFile, ScriptsRoundTripAtEveryWordPhaseOnEveryTier)
+{
+    // The loader folds a script into the hash in 32-byte blocks that
+    // start where the running hash's partial word ends. Thread names
+    // of 0 to 7 bytes start the script at every phase of an 8-byte
+    // word, and the lengths put its tail anywhere in a block.
+    for (const SimdTier tier : hostTiers()) {
+        const ScopedTier pin(tier);
+        for (std::size_t name = 0; name < 8; ++name) {
+            for (const std::size_t size :
+                 {0, 1, 7, 8, 31, 32, 33, 39, 40, 63, 64, 65, 100, 300}) {
+                EventTrace trace = sampleTrace();
+                trace.threads[0].name = std::string(name, 'x');
+                trace.threads[0].code = plainScript(size);
+                if (size >= 4) { // a spilled charge mid-script
+                    trace.threads[0].code[size / 2] = 0x2F;
+                    trace.threads[0].code[size / 2 + 1] = 0x05;
+                }
+                std::string err;
+                ASSERT_TRUE(saveTraceFile(trace, path_, &err)) << err;
+                EventTrace loaded;
+                ASSERT_TRUE(loadTraceFile(path_, loaded, &err))
+                    << simdTierName(tier) << " name " << name << " size "
+                    << size << ": " << err;
+                EXPECT_TRUE(trace == loaded);
+                EXPECT_EQ(loaded.fileChecksum, traceChecksum(trace));
+            }
+        }
+    }
+}
+
 TEST_F(EventTraceFile, FlippedScriptByteUnderStaleTrailerIsChecksum)
 {
     const EventTrace trace = sampleTrace();
@@ -376,6 +579,28 @@ TEST_F(EventTraceFile, FlippedScriptByteUnderStaleTrailerIsChecksum)
     EXPECT_NE(err.find("invalid event script in thread 1"),
               std::string::npos)
         << err;
+}
+
+TEST_F(EventTraceFile, ScriptFailingEarlyIsStillHashedToItsEnd)
+{
+    // A bad tag in the first block of a script many blocks long,
+    // under the honest trailer saveTraceFile writes: the loader must
+    // hash past the fault to the end of the script, on every tier, or
+    // the honest file would read as a checksum mismatch.
+    EventTrace trace = sampleTrace();
+    std::vector<std::uint8_t> code = plainScript(300);
+    code[3] = 0x70;
+    trace.threads[0].code = code;
+    std::string err;
+    ASSERT_TRUE(saveTraceFile(trace, path_, &err)) << err;
+    for (const SimdTier tier : hostTiers()) {
+        const ScopedTier pin(tier);
+        EventTrace out;
+        EXPECT_FALSE(loadTraceFile(path_, out, &err));
+        EXPECT_EQ(err, "invalid event script in thread 0 (T1:delatex): "
+                       "unknown event op 7 at offset 3")
+            << simdTierName(tier);
+    }
 }
 
 TEST_F(EventTraceFile, MalformedPayloadOutranksABadScript)

@@ -1,7 +1,8 @@
 /**
  * @file
- * Shared helpers for tests that pin the follower dispatch tier
- * (win/simd.h) in-process.
+ * Shared helpers for tests that pin the SIMD dispatch tier
+ * (win/simd.h) in-process: the follower replay and the trace-script
+ * scanner.
  */
 
 #ifndef CRW_TESTS_WIN_SIMD_TEST_UTIL_H_
@@ -13,7 +14,7 @@
 
 namespace crw {
 
-/** Scoped follower-dispatch pin. */
+/** Scoped dispatch-tier pin. */
 class ScopedTier
 {
   public:
@@ -21,7 +22,7 @@ class ScopedTier
     ~ScopedTier() { clearSimdTierOverride(); }
 };
 
-/** The scalar oracle plus every SoA tier the host can run. */
+/** The scalar oracle plus every wider tier the host can run. */
 inline std::vector<SimdTier>
 hostTiers()
 {

@@ -140,8 +140,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 /**
  * The trace must not depend on the engine configuration of the
- * capture run: capture under two very different configurations and
- * require byte-identical traces (the Kahn-network argument).
+ * capture run: capture under very different configurations and
+ * require byte-identical traces (the Kahn-network argument). The INF
+ * leg is the configuration captureSpellTrace itself runs, so its
+ * output must match too.
  */
 TEST(CaptureInvariance, TraceIndependentOfCaptureConfiguration)
 {
@@ -157,8 +159,22 @@ TEST(CaptureInvariance, TraceIndependentOfCaptureConfiguration)
                  &recB);
     const EventTrace b = recB.take(0, 0);
 
+    TraceRecorder recInf(spellTraceKey(cfg), cfg.seed, cfg.corpusBytes);
+    runSpellLive(SchemeKind::Infinite, 8, SchedPolicy::Fifo, wl, cfg,
+                 &recInf);
+    const EventTrace inf = recInf.take(0, 0);
+
     EXPECT_TRUE(a == b);
+    EXPECT_TRUE(a == inf);
     EXPECT_GT(a.eventCount(), 0u);
+
+    // captureSpellTrace stamps the run's outputs as well; its scripts
+    // and stream table are the configuration-independent part.
+    const EventTrace captured = captureSpellTrace(wl, cfg);
+    EXPECT_EQ(captured.key, a.key);
+    EXPECT_TRUE(captured.streams == a.streams);
+    EXPECT_TRUE(captured.threads == a.threads);
+    EXPECT_GT(captured.wordsFromDelatex, 0u);
 }
 
 } // namespace
