@@ -136,8 +136,7 @@ runLockstepUnit(const std::vector<PlanPoint> &misses,
     // records the widest tier any batch used this session, the ring
     // event every batch's tier and width. The driver reports the pass
     // it dispatched, not the ambient tier — the sharing schemes replay
-    // their followers per lane on every tier and must not claim a
-    // vector pass.
+    // lane by lane on every tier and must not claim a vector pass.
     const SimdTier tier = driver.simdPath();
     counterAtLeast("replay.simd_path",
                    static_cast<std::uint64_t>(tier));

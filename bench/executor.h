@@ -57,9 +57,9 @@ void setFlatCacheEnabled(bool enabled);
 
 /**
  * ISA-aware lockstep batch width (lanes per batch) the executor uses:
- * 32 lanes when the SoA follower pass runs 8-wide (AVX2 — 31
- * followers amortize the recorded stream further), 16 otherwise (the
- * width the per-lane follower pass was tuned at).
+ * 32 lanes when the SoA lane pass runs 8-wide (AVX2 — 32 lanes
+ * amortize the recorded stream further), 16 otherwise (the width the
+ * per-lane pass was tuned at).
  */
 std::size_t defaultReplayBatchCap();
 

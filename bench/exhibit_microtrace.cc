@@ -72,10 +72,10 @@ walkLockstep(const WalkSpec &spec, SchemeKind scheme,
         for (ThreadId t = 0; t < spec.threads; ++t)
             engines.back()->addThread(t);
     }
-    // The leader advances as each decision is drawn, in global step
-    // order; finish() then replays the recorded ops through the
-    // followers. The walk never asks the view for residency, so every
-    // scheme batches here.
+    // Each decision is recorded as it is drawn, in global step order;
+    // the view replays the recorded ops through every lane as its tape
+    // fills and at finish(). The walk never asks the view for
+    // residency, so every scheme batches here.
     detail::visitSchemeClass(scheme, [&](auto scheme_tag) {
         // The walk records one op per step, a switch per quantum and
         // the first switch.

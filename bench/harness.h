@@ -7,11 +7,11 @@
  *   plan     bench/plan.h      declarative point sets per exhibit
  *   execute  bench/executor.h  shared sweep runner + result cache
  *   report   bench/exhibits.h  per-exhibit tables/charts/CSVs
- *   driver   bench/registry.h  crw-bench + the thin legacy wrappers
+ *   driver   bench/registry.h  the crw-bench exhibit registry
  *
  * This header is deliberately light — everything heavyweight (spell,
  * replay, obs implementation types) is forward-declared — so the
- * wrapper binaries and report TUs compile against the layer they use.
+ * driver and report TUs compile against the layer they use.
  *
  * Conventions: each exhibit runs standalone with sensible defaults,
  * prints an aligned table plus an ASCII chart of the figure's series,

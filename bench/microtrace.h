@@ -7,8 +7,8 @@
  * depth and the fixed round-robin order — never on engine state — so
  * one walk drives every window count of a (depth, scheme) group in
  * lockstep through a BatchedEngineView (win/engine_batch.h): the walk
- * loop draws each decision and advances the leader, and the view's
- * follower pass brings the other lanes along. The groups fan out on
+ * loop draws each decision and records it, and the view's lane passes
+ * bring every lane along. The groups fan out on
  * the sweep pool; each writes its own cells, so the table is
  * identical at any worker count.
  *

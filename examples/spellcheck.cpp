@@ -60,7 +60,7 @@ main(int argc, char **argv)
 
     SpellApp app(rt, workload, cfg);
     rt.run();
-    tracker.finish(rt.now());
+    tracker.finish();
 
     const auto &s = rt.engine().stats();
     std::cout << "spell checker: corpus " << workload.corpus.size()

@@ -30,9 +30,24 @@ fi
 CRW_GIT_SHA=$git_sha
 export CRW_GIT_SHA
 
-echo "== configure + build ($build_dir, Release)"
+# The build must print no compiler warning: a Release (-O3) build
+# warns where the default build does not, and warnings left standing
+# bury new ones. Only what the build recompiles is checked, so a new
+# build-dir checks every file.
+echo "== configure + build ($build_dir, Release, no warnings)"
 cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build "$build_dir" -j"$(nproc 2>/dev/null || echo 2)"
+build_log=$(mktemp)
+status=0
+cmake --build "$build_dir" -j"$(nproc 2>/dev/null || echo 2)" \
+    > "$build_log" 2>&1 || status=$?
+cat "$build_log"
+warnings=$(grep -c 'warning:' "$build_log" || true)
+rm -f "$build_log"
+[ "$status" -eq 0 ] || exit "$status"
+if [ "$warnings" -ne 0 ]; then
+    echo "FAIL: the Release build printed $warnings compiler warning(s)" >&2
+    exit 1
+fi
 
 echo "== tier-1 gate (ctest -L tier1)"
 ctest --test-dir "$build_dir" -L tier1 \

@@ -18,6 +18,8 @@
 #ifndef CRW_COMMON_BYTEIO_H_
 #define CRW_COMMON_BYTEIO_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -53,19 +55,9 @@ struct ByteWriter
 {
     std::vector<std::uint8_t> bytes;
 
-    void
-    u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    void u32(std::uint32_t v) { le(v); }
 
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    void u64(std::uint64_t v) { le(v); }
 
     /** Doubles travel as their exact IEEE-754 bit pattern. */
     void
@@ -81,14 +73,38 @@ struct ByteWriter
     str(const std::string &s)
     {
         u32(static_cast<std::uint32_t>(s.size()));
-        bytes.insert(bytes.end(), s.begin(), s.end());
+        append(s.begin(), s.end());
     }
 
     void
     blob(const std::vector<std::uint8_t> &b)
     {
         u64(b.size());
-        bytes.insert(bytes.end(), b.begin(), b.end());
+        append(b.begin(), b.end());
+    }
+
+    /** Append @p v's bytes, least significant first. */
+    template <typename T>
+    void
+    le(T v)
+    {
+        std::uint8_t b[sizeof v];
+        for (std::size_t i = 0; i < sizeof v; ++i)
+            b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        append(b, b + sizeof v);
+    }
+
+    /** Every append resizes, then copies: GCC 12 at -O3 misreads a
+     *  push_back or insert into a vector it last saw empty as a write
+     *  past the end (-Wstringop-overflow, -Warray-bounds). */
+    template <typename It>
+    void
+    append(It first, It last)
+    {
+        const std::size_t at = bytes.size();
+        bytes.resize(at + static_cast<std::size_t>(last - first));
+        std::copy(first, last,
+                  bytes.begin() + static_cast<std::ptrdiff_t>(at));
     }
 };
 

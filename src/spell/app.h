@@ -108,24 +108,6 @@ class SpellApp
     ThreadId tids_[kNumThreads] = {};
 };
 
-/**
- * Convenience: run one full spell-check with the given engine config
- * and scheduling policy; returns the Runtime (with all stats) and the
- * report via out-parameters packaged in a small struct.
- */
-struct SpellRunResult
-{
-    Cycles totalCycles = 0;
-    std::uint64_t switches = 0;
-    std::uint64_t saves = 0;
-    std::uint64_t restores = 0;
-    std::uint64_t overflowTraps = 0;
-    std::uint64_t underflowTraps = 0;
-    Cycles switchCycles = 0;
-    double meanSwitchCost = 0.0;
-    std::size_t misspelledCount = 0;
-};
-
 } // namespace crw
 
 #endif // CRW_SPELL_APP_H_

@@ -1,5 +1,7 @@
 #include "spell/capture.h"
 
+#include <cstdio>
+
 namespace crw {
 
 RunMetrics
@@ -21,7 +23,7 @@ runSpellLive(SchemeKind scheme, int windows, SchedPolicy policy,
 
     SpellApp app(rt, workload, config);
     rt.run();
-    tracker.finish(rt.now());
+    tracker.finish();
 
     return collectRunMetrics(rt.engine(), tracker,
                              rt.scheduler().slackness(), policy,
@@ -32,10 +34,10 @@ runSpellLive(SchemeKind scheme, int windows, SchedPolicy policy,
 std::string
 spellTraceKey(const SpellConfig &config)
 {
-    return "m" + std::to_string(config.m) + "-n" +
-           std::to_string(config.n) + "-d" +
-           std::to_string(config.dictBytes) + "-v" +
-           std::to_string(config.vocabularyWords);
+    char key[96];
+    std::snprintf(key, sizeof key, "m%zu-n%zu-d%zu-v%d", config.m,
+                  config.n, config.dictBytes, config.vocabularyWords);
+    return key;
 }
 
 EventTrace

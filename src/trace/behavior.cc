@@ -32,15 +32,15 @@ void
 BehaviorTracker::onExit(ThreadId tid)
 {
     (void)tid;
-    // The quantum ends here; granularity is closed by the next switch
-    // (or finish()). Nothing special to do: the thread's depth range
+    // The quantum ends here; it is closed by the next switch (or
+    // finish()). Nothing special to do: the thread's depth range
     // within the period remains counted.
 }
 
 void
-BehaviorTracker::finish(Cycles now)
+BehaviorTracker::finish()
 {
-    closeQuantum(now);
+    closeQuantum();
     running_ = kNoThread;
     closePeriod();
 }

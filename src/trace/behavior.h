@@ -19,9 +19,6 @@
  *  - "Concurrency": the number of distinct threads scheduled at least
  *    once during a period.
  *
- *  - "Granularity": execution run length between two successive
- *    context switches (cycles per scheduling quantum).
- *
  *  - "Parallel slackness" is sampled by the Scheduler itself (ready
  *    queue length at dispatch).
  *
@@ -66,8 +63,12 @@ class BehaviorTracker final : public EngineObserver
                   Cycles begin, Cycles end) override;
     void onExit(ThreadId tid) override;
 
+    /** A switch to @p to at call depth @p to_depth; no metric here
+     *  reads a clock, so the replay loops call this directly. */
+    void switchTo(ThreadId to, int to_depth);
+
     /** Flush the in-progress quantum and period. Call once at end. */
-    void finish(Cycles now);
+    void finish();
 
     /** Windows used per scheduling quantum (activity per thread). */
     const Distribution &activityPerQuantum() const
@@ -84,12 +85,6 @@ class BehaviorTracker final : public EngineObserver
     /** Distinct threads scheduled per period. */
     const Distribution &concurrency() const { return concurrency_; }
 
-    /** Cycles per scheduling quantum. */
-    const Distribution &granularityCycles() const
-    {
-        return granularity_;
-    }
-
     std::uint64_t quanta() const
     {
         return activityPerQuantum_.count();
@@ -97,7 +92,7 @@ class BehaviorTracker final : public EngineObserver
 
   private:
     void noteDepth(ThreadId tid, int depth);
-    void closeQuantum(Cycles now);
+    void closeQuantum();
     void closePeriod();
 
     struct DepthRange
@@ -125,7 +120,6 @@ class BehaviorTracker final : public EngineObserver
     // Current quantum.
     ThreadId running_ = kNoThread;
     DepthRange quantumRange_;
-    Cycles quantumStart_ = 0;
 
     // Current period. periodRanges_ is indexed by ThreadId (grown on
     // demand); touchedInPeriod_ counts touched entries, i.e. the
@@ -137,7 +131,6 @@ class BehaviorTracker final : public EngineObserver
     Distribution activityPerQuantum_;
     Distribution totalActivity_;
     Distribution concurrency_;
-    Distribution granularity_;
 };
 
 inline void
@@ -166,12 +159,11 @@ BehaviorTracker::onRestore(ThreadId tid, int depth)
 }
 
 inline void
-BehaviorTracker::closeQuantum(Cycles now)
+BehaviorTracker::closeQuantum()
 {
     if (running_ == kNoThread)
         return;
     activityPerQuantum_.sample(quantumRange_.span());
-    granularity_.sample(static_cast<double>(now - quantumStart_));
 }
 
 inline void
@@ -179,10 +171,17 @@ BehaviorTracker::onSwitch(ThreadId from, ThreadId to, int to_depth,
                           Cycles begin, Cycles end)
 {
     (void)from;
-    closeQuantum(begin);
+    (void)begin;
+    (void)end;
+    switchTo(to, to_depth);
+}
+
+inline void
+BehaviorTracker::switchTo(ThreadId to, int to_depth)
+{
+    closeQuantum();
     running_ = to;
     quantumRange_ = DepthRange{};
-    quantumStart_ = end;
     // The scheduled thread's current window counts as used right away
     // (its stack-top is demanded first, §3.1).
     noteDepth(to, to_depth);

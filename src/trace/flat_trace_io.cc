@@ -94,7 +94,9 @@ isStreamOp(TraceOp op)
 std::string
 flatTraceFileName(std::uint64_t trace_checksum)
 {
-    return "c" + hex16(trace_checksum) + ".flat";
+    std::string name = "c";
+    name += hex16(trace_checksum);
+    return name + ".flat";
 }
 
 bool

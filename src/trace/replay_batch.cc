@@ -10,7 +10,7 @@ SimdTier
 ReplayState::replayLockstep(const FlatTrace &flat)
 {
     // The event count bounds the saves, restores and exits but not
-    // the switches; a tape that fills drains through the followers,
+    // the switches; a tape that fills drains through the lanes,
     // so any schedule fits.
     return detail_replay::replayFlatWith<BatchedEngineView>(
         *this, flat, engines_, flat.eventCount());

@@ -25,8 +25,8 @@
  * (paper §4.5), while INF never makes a thread resident at all — so
  * under both the answer at every wake is `false` on every lane. Under
  * SNP and SP it depends on the window count, so those points replay
- * one lane at a time. The leader asserts the NS/INF claim at each
- * wake of a wider batch.
+ * one lane at a time. Every lane pass of a wider batch checks the NS
+ * claim as it replays each switch.
  *
  * Each lane still produces RunMetrics bit-identical to a per-point
  * replay: every tracker field RunMetrics reads (activity, total
@@ -38,13 +38,14 @@
  * (tests/win/test_batch_replay.cc pins all of this differentially).
  *
  * A batch runs the one flat replay loop (replay_state.h) over a
- * BatchedEngineView: only lane 0 runs the walk inline; it records the
- * engine-op stream, and BatchedEngineView::finish() replays the
- * followers from that record — per lane for the sharing schemes and
- * on the scalar tier, or for NS/INF in one lane-SoA pass with SIMD
- * run kernels on the SoA tiers (win/simd.h, DESIGN.md §16). The tier is a host-side choice only: every tier produces
- * bit-identical lane results. A one-config batch has no followers and
- * runs the single-engine FastEngineView, as a per-point replay does.
+ * BatchedEngineView: the loop records the engine-op stream and touches
+ * no engine; every lane replays that record when the tape fills and at
+ * finish() — per lane for the sharing schemes and on the scalar tier,
+ * or for NS/INF in one lane-SoA pass with SIMD run kernels on the SoA
+ * tiers (win/simd.h, DESIGN.md §16). The tier is a host-side choice
+ * only: every tier produces bit-identical lane results. A one-config
+ * batch records no tape and runs the single-engine FastEngineView, as
+ * a per-point replay does.
  */
 
 #ifndef CRW_TRACE_REPLAY_BATCH_H_
@@ -127,9 +128,9 @@ class BatchedReplayDriver
     const SchedCore &core() const { return state_.core; }
 
     /**
-     * The follower pass run() actually dispatched: Scalar when the
-     * per-lane pass replayed the followers (scalar tier, or a sharing
-     * scheme on any tier) or there were none (one lane), else the
+     * The lane pass run() actually dispatched: Scalar when the
+     * per-lane pass replayed the tape (scalar tier, or a sharing
+     * scheme on any tier) or there was none (one lane), else the
      * lane-SoA tier. Meaningless before run().
      */
     SimdTier simdPath() const { return simdPath_; }

@@ -138,11 +138,8 @@ ReplayDriver::runLegacy()
         crw_assert(t.state == RState::Ready);
         t.state = RState::Running;
         if (engine.current() != tid) {
-            const ThreadId from = engine.current();
-            const Cycles begin = engine.now();
             engine.contextSwitch(tid);
-            state_.tracker.onSwitch(from, tid, engine.depthOf(tid),
-                                    begin, engine.now());
+            state_.tracker.switchTo(tid, engine.depthOf(tid));
         }
         runThread(tid);
     }

@@ -24,8 +24,8 @@ namespace detail_replay {
  * index into the predecoded arena and every engine event inlined
  * through a View built from @p view_args. The stream/waiter/scheduler
  * statements are the oracle's exactly — only the event decode and the
- * engine dispatch differ. Returns the view's finish(): the follower
- * pass a batch dispatched.
+ * engine dispatch differ. Returns the view's finish(): the lane pass
+ * a batch dispatched.
  *
  * The view is a local of the loop on purpose: its cost tables and
  * engine pointers then provably alias none of the counters the event
@@ -33,8 +33,8 @@ namespace detail_replay {
  *
  * The view answers the one engine-state read of the control path,
  * residency at a wake (consulted by the working-set policies only).
- * A BatchedEngineView answers for its leader; the static batch rule
- * (lockstepBatchable, replay_batch.h) makes that answer lane-invariant.
+ * A BatchedEngineView answers `false` for every lane; the static batch
+ * rule (lockstepBatchable, replay_batch.h) makes that the answer.
  * Every other policy input (static priorities, the round-robin
  * quantum's charge operands) is lane-invariant by the policy
  * determinism contract (rt/sched_core.h).
@@ -96,11 +96,8 @@ flatLoop(ReplayState &st, const FlatTrace &flat, PolicyT &pol,
         crw_assert(t.state == RState::Ready);
         t.state = RState::Running;
         if (view.current() != tid) {
-            const ThreadId from = view.current();
-            const Cycles begin = view.now();
             view.contextSwitch(tid);
-            tracker.onSwitch(from, tid, view.depth(tid), begin,
-                             view.now());
+            tracker.switchTo(tid, view.depth(tid));
         }
 
         std::uint32_t pc = t.pc;

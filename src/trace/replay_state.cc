@@ -89,10 +89,7 @@ ReplayState::endRun()
                       << ") never finished — trace/config mismatch, "
                       << context();
     }
-    // One finish at lane 0's clock: the sole clock-dependent tracker
-    // state is the granularity distribution, which no RunMetrics
-    // field reads.
-    tracker.finish(engines_[0]->now());
+    tracker.finish();
 }
 
 RunMetrics

@@ -15,7 +15,7 @@
  * (replay_loop.h), templated on the engine view. The view is picked
  * by lane count: a
  * single lane runs FastEngineView (win/engine_fast.h), more than one
- * the leader/follower BatchedEngineView (win/engine_batch.h). Both
+ * the record-and-replay BatchedEngineView (win/engine_batch.h). Both
  * views stay because each wins on traffic the sweeps run: a width-1
  * batch measured 1.10–1.32x slower than the single-engine view, and a
  * quarter of a --no-cache sweep's points replay alone.
@@ -97,9 +97,9 @@ class ReplayState
 
     /**
      * Replay the whole trace through the flat loop — FastEngineView
-     * at one lane, BatchedEngineView above. Returns the follower pass
+     * at one lane, BatchedEngineView above. Returns the lane pass
      * the batch dispatched (BatchedEngineView::finish); Scalar at one
-     * lane, which has no followers.
+     * lane, which replays no tape.
      */
     SimdTier replayFlat();
 
@@ -137,12 +137,8 @@ class ReplayState
     const EventTrace &trace;
     SchedCore core;
     SchedPolicyBox policy;
-    /**
-     * One tracker for all lanes: every field RunMetrics reads from it
-     * depends only on the shared event sequence (the granularity
-     * distribution is the lone per-clock member, and nothing collects
-     * it from a replay).
-     */
+    /** One tracker for all lanes: every metric it keeps depends only
+     *  on the shared event sequence. */
     BehaviorTracker tracker;
     std::vector<RStream> streams;
     std::vector<RThread> threads;

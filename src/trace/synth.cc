@@ -10,6 +10,18 @@
 namespace crw {
 namespace {
 
+/** @p prefix, @p index in decimal, then @p suffix: a stream or thread
+ *  name. Appended piecewise, since GCC 12 at -O3 warns (-Wrestrict)
+ *  on a literal + temporary string concatenation. */
+std::string
+indexedName(const char *prefix, int index, const char *suffix = "")
+{
+    std::string name = prefix;
+    name += std::to_string(index);
+    name += suffix;
+    return name;
+}
+
 std::uint8_t
 priorityOf(const SynthSpec &spec, int tid)
 {
@@ -95,11 +107,11 @@ emitPipeline(TraceRecorder &rec, Rng &rng, const SynthSpec &spec)
     std::vector<int> link(static_cast<std::size_t>(stages - 1));
     for (int i = 0; i + 1 < stages; ++i)
         link[static_cast<std::size_t>(i)] = rec.onStreamCreate(
-            "P" + std::to_string(i), static_cast<std::size_t>(cap), 1);
+            indexedName("P", i), static_cast<std::size_t>(cap), 1);
     const int lock = createLockStream(rec, spec, stages);
 
     for (int i = 0; i < stages; ++i)
-        rec.onThreadSpawn(i, "T" + std::to_string(i) + ":stage",
+        rec.onThreadSpawn(i, indexedName("T", i, ":stage"),
                           priorityOf(spec, i));
 
     for (int i = 0; i < stages; ++i) {
@@ -131,17 +143,16 @@ emitFanInOut(TraceRecorder &rec, Rng &rng, const SynthSpec &spec)
     std::vector<int> scatter(static_cast<std::size_t>(workers));
     for (int w = 0; w < workers; ++w)
         scatter[static_cast<std::size_t>(w)] = rec.onStreamCreate(
-            "F" + std::to_string(w), static_cast<std::size_t>(cap), 1);
+            indexedName("F", w), static_cast<std::size_t>(cap), 1);
     const int gather = rec.onStreamCreate(
         "J", static_cast<std::size_t>(cap), workers);
     const int lock = createLockStream(rec, spec, total);
 
     rec.onThreadSpawn(0, "T0:source", priorityOf(spec, 0));
     for (int w = 0; w < workers; ++w)
-        rec.onThreadSpawn(1 + w, "T" + std::to_string(1 + w) + ":worker",
+        rec.onThreadSpawn(1 + w, indexedName("T", 1 + w, ":worker"),
                           priorityOf(spec, 1 + w));
-    rec.onThreadSpawn(total - 1,
-                      "T" + std::to_string(total - 1) + ":sink",
+    rec.onThreadSpawn(total - 1, indexedName("T", total - 1, ":sink"),
                       priorityOf(spec, total - 1));
 
     // Source: round-robin scatter, one shallow activation per item.
@@ -204,11 +215,11 @@ emitRing(TraceRecorder &rec, Rng &rng, const SynthSpec &spec)
     std::vector<int> ring(static_cast<std::size_t>(size));
     for (int i = 0; i < size; ++i)
         ring[static_cast<std::size_t>(i)] = rec.onStreamCreate(
-            "R" + std::to_string(i), static_cast<std::size_t>(cap), 1);
+            indexedName("R", i), static_cast<std::size_t>(cap), 1);
     const int lock = createLockStream(rec, spec, size);
 
     for (int i = 0; i < size; ++i)
-        rec.onThreadSpawn(i, "T" + std::to_string(i) + ":ring",
+        rec.onThreadSpawn(i, indexedName("T", i, ":ring"),
                           priorityOf(spec, i));
 
     // Thread 0 primes at most `cap` tokens and strictly get-then-puts

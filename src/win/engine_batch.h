@@ -10,44 +10,43 @@
  * Why this is sound: the replay state machine's control flow (dispatch
  * order, stream blocking, thread scripts) never reads engine state
  * except at one point — working-set queue placement consults
- * isResident() at wake time. The static batch rule
+ * residency at wake time. The static batch rule
  * (trace/replay_batch.h, lockstepBatchable) admits a residency-reading
  * policy into a batch wider than one lane only under NS and INF, where
- * a woken thread is resident on no lane; every other policy ignores
- * residency. So every lane follows the identical schedule no matter how
- * its window count, PRW reclamation or allocation policy differ, and
- * per-lane state evolves exactly as K independent FastEngineView runs
- * would.
+ * a woken thread is resident on no lane, so the view answers `false`
+ * without asking an engine; every other policy ignores residency. So
+ * every lane follows the identical schedule no matter how its window
+ * count, PRW reclamation or allocation policy differ, and per-lane
+ * state evolves exactly as K independent FastEngineView runs would.
  *
- * Execution is leader/follower rather than per-event interleaved:
+ * Execution is record, then replay:
  *
- *  - Lane 0 (the leader) advances inline with the control loop — it is
- *    the lane whose clock, call depths and residency the tracker and
- *    the working-set wakes read — while the view records the *engine
- *    op stream*: the sequence of save/restore/switch/exit events.
- *    Charges never enter the stream; they are lane-invariant trace
- *    operands and accumulate in one shared counter. Each record is
- *    four bytes: save, restore and exit act on the current thread, so
- *    only a switch carries a thread id (its target), and every
- *    follower pass tracks the current thread itself.
- *  - The followers replay the recorded stream when the tape fills and
- *    once more at finish(). The tape is reserved once, at most
- *    kTapeOps records, and never regrows: a full tape is drained
- *    through the followers and reused, so its footprint is fixed
- *    however long the trace runs. Draining early is sound because no
- *    follower state is read before finish(), and each pass picks up
- *    exactly where the previous one stopped. Two pass shapes exist:
+ *  - The control loop's save/restore/switch/exit calls touch no
+ *    engine. Each updates the shared tallies and the shared call
+ *    depths (the only engine state the loop reads) and appends one
+ *    record to the *op tape*. Charges never enter the tape; they are
+ *    lane-invariant trace operands and accumulate in one shared
+ *    counter. Each record is four bytes: save, restore and exit act
+ *    on the current thread, so only a switch carries a thread id (its
+ *    target), and every lane pass tracks the current thread itself.
+ *  - Every lane replays the recorded tape when it fills and once more
+ *    at finish(). The tape is reserved once, at most kTapeOps records,
+ *    and never regrows: a full tape is drained through the lanes and
+ *    reused, so its footprint is fixed however long the trace runs.
+ *    Draining early is sound because no lane state is read before
+ *    finish(), and each pass picks up exactly where the previous one
+ *    stopped. Two pass shapes exist:
  *
- *      Per lane — one tight linear pass over the op array per
- *      follower lane, the lane's window file cache-hot and the branch
- *      predictor seeing one lane's trap pattern at a time. The
- *      sharing schemes (SNP, SP) take it on every tier; NS and INF
- *      take it on the scalar tier. It is the bit-identity oracle.
+ *      Per lane — one tight linear pass over the op array per lane,
+ *      the lane's window file cache-hot and the branch predictor
+ *      seeing one lane's trap pattern at a time. The sharing schemes
+ *      (SNP, SP) take it on every tier; NS and INF take it on the
+ *      scalar tier. It is the bit-identity oracle.
  *
  *      Lane-SoA — NS and INF on the Portable/Avx2 tiers (DESIGN.md
- *      §16, win/simd.h): the followers' hot state is transposed
- *      into the lane-major arrays of win/lane_soa.h and ONE walk over
- *      the stream applies each op to every lane at once. Runs of
+ *      §16, win/simd.h): the lanes' hot state is transposed into the
+ *      lane-major arrays of win/lane_soa.h and ONE walk over the
+ *      stream applies each op to every lane at once. Runs of
  *      same-thread saves/restores collapse into single calls of the
  *      closed-form kernels (win/scheme.h RunFold math, 8-wide
  *      under AVX2); switches and exits stay scalar per lane against
@@ -57,6 +56,10 @@
  *      by construction — the SoA recurrences are the proven closed
  *      forms of the scalar bodies — and the differential suite pins
  *      them against each other.
+ *
+ *    Both passes check the NS non-residency claim on every lane: after
+ *    each NS switch, the thread switched away from holds no window.
+ *    INF never makes a thread resident.
  *
  * Everything the shared schedule makes lane-invariant is accumulated
  * once, in shared scalars, and folded into each lane at finish():
@@ -110,7 +113,7 @@ class BatchedEngineView
      * @param max_ops Engine ops the caller expects to record (an
      *        upper bound when it knows one). The tape is reserved once
      *        at min(max_ops, kTapeOps) records; a longer run drains it
-     *        through the followers as it fills.
+     *        through the lanes as it fills.
      */
     BatchedEngineView(
         const std::vector<std::unique_ptr<WindowEngine>> &engines,
@@ -147,19 +150,25 @@ class BatchedEngineView
         threadSaves_.resize(engines[0]->threadCounters_.size());
         threadRestores_.resize(threadSaves_.size());
         threadSwitchesIn_.resize(threadSaves_.size());
+        for (std::size_t tid = 0; tid < threadSaves_.size(); ++tid)
+            depth_.push_back(
+                engines[0]->file_.thread(static_cast<ThreadId>(tid)).depth);
         ops_.reserve(tapeCap_);
     }
+
+    // The engine verbs record the op for the lanes and keep the shared
+    // call depths by the rules every scheme body applies: a save
+    // pushes a frame, a restore pops one, a switch into a fresh thread
+    // pushes its root frame, an exit clears the stack.
 
     void
     save()
     {
         crw_assert(current_ != kNoThread);
-        ++threadSaves_[static_cast<std::size_t>(current_)];
+        const auto cur = static_cast<std::size_t>(current_);
+        ++threadSaves_[cur];
         ++sharedSaves_;
-        const OpOutcome out =
-            s_[0]->template doSave<false>(current_);
-        if (out.trapped)
-            chargeOverflow(0, out.windowsSaved);
+        ++depth_[cur];
         record(OpRec::Kind::Save);
     }
 
@@ -167,29 +176,25 @@ class BatchedEngineView
     restore()
     {
         crw_assert(current_ != kNoThread);
-        ++threadRestores_[static_cast<std::size_t>(current_)];
+        const auto cur = static_cast<std::size_t>(current_);
+        ++threadRestores_[cur];
         ++sharedRestores_;
-        const OpOutcome out =
-            s_[0]->template doRestore<false>(current_);
-        if (out.trapped)
-            chargeUnderflow(0, out.windowsRestored);
+        --depth_[cur];
         record(OpRec::Kind::Restore);
     }
 
-    /**
-     * Switch every lane to @p to: the leader now, the followers at
-     * finish(), where they re-derive their own costs.
-     */
+    /** Switch every lane to @p to; each lane re-derives its own costs
+     *  when the tape drains. */
     void
     contextSwitch(ThreadId to)
     {
         crw_assert(to != current_);
-        const ThreadId from = current_;
+        const auto t = static_cast<std::size_t>(to);
         current_ = to;
-        ++threadSwitchesIn_[static_cast<std::size_t>(to)];
+        ++threadSwitchesIn_[t];
         ++sharedSwitches_;
-        applySwitch(s_[0], t_[0], *e_[0], hot_[0], offset_[0], from,
-                    to);
+        if (depth_[t] == 0)
+            depth_[t] = 1;
         record(OpRec::Kind::Switch, to);
     }
 
@@ -198,7 +203,7 @@ class BatchedEngineView
     {
         crw_assert(current_ != kNoThread);
         ++sharedExits_;
-        s_[0]->template doExit<false>(current_);
+        depth_[static_cast<std::size_t>(current_)] = 0;
         current_ = kNoThread;
         record(OpRec::Kind::Exit);
     }
@@ -207,49 +212,39 @@ class BatchedEngineView
     void charge(Cycles cycles) { charges_ += cycles; }
 
     /**
-     * Working-set wake support: the leader's residency of @p tid, the
+     * Working-set wake support: residency of @p tid, the
      * queue-placement input the scheduler consumes. The static batch
      * rule (trace/replay_batch.h) admits a residency-reading policy
      * only under NS and INF, where a woken thread is resident on no
-     * lane; the assert checks that claim where it is used.
+     * lane; each lane pass checks that claim as it replays.
      */
     bool
     resident(ThreadId tid) const
     {
-        const bool resident = e_[0]->isResident(tid);
-        crw_assert(!resident);
-        return resident;
+        (void)tid;
+        return false;
     }
 
     ThreadId current() const { return current_; }
 
-    /** Leader clock; only lane 0 is live before finish(). */
-    Cycles
-    now() const
-    {
-        return charges_ +
-               psr_[0] * (sharedSaves_ + sharedRestores_) + offset_[0];
-    }
-
     /**
      * Call depth of @p tid. Depth is pure call nesting — every scheme
      * pushes/pops exactly one frame per save/restore — so it is
-     * identical across lanes; the leader answers for all.
+     * identical across lanes and kept once, for all of them.
      */
     int
     depth(ThreadId tid) const
     {
-        return e_[0]->file_.thread(tid).depth;
+        return depth_[static_cast<std::size_t>(tid)];
     }
 
     /**
-     * Replay the rest of the recorded op stream through every
-     * follower lane, then flush the accumulated clocks/counters back
-     * into the engines. Call exactly once, when the control loop has
-     * drained. Returns the follower pass dispatched: the SoA tier it
-     * ran, or Scalar when the per-lane pass handled the followers
-     * (scalar tier or a sharing scheme). What replay.simd_path
-     * publishes.
+     * Replay the rest of the recorded op stream through every lane,
+     * then flush the accumulated clocks/counters back into the
+     * engines. Call exactly once, when the control loop has drained.
+     * Returns the lane pass dispatched: the SoA tier it ran, or Scalar
+     * when the per-lane pass handled the lanes (scalar tier or a
+     * sharing scheme). What replay.simd_path publishes.
      */
     SimdTier
     finish()
@@ -284,7 +279,7 @@ class BatchedEngineView
 
   private:
     /**
-     * One recorded engine op, packed to four bytes so a follower pass
+     * One recorded engine op, packed to four bytes so a lane pass
      * streams the fewest possible cache lines (charges never enter the
      * stream, and the lane-invariant counts live in shared scalars).
      * Save, restore and exit act on the current thread, which each
@@ -304,9 +299,9 @@ class BatchedEngineView
     };
     static_assert(sizeof(OpRec) == 4, "op stream packing");
 
-    /** Append one op, called after the leader applied it (so current_
-     *  already names the thread current after it); a full tape drains
-     *  through the followers. */
+    /** Append one op, called after the shared state took it (so
+     *  current_ already names the thread current after it); a full
+     *  tape drains through the lanes. */
     void
     record(typename OpRec::Kind kind, ThreadId to = 0)
     {
@@ -317,23 +312,23 @@ class BatchedEngineView
     }
 
     /**
-     * Advance every follower over the recorded ops, then empty the
-     * tape. The per-lane shape runs one lane per tape pass, so the
-     * branch predictor sees a single lane's trap pattern per pass
-     * (pairing lanes was measured slower — the per-op trap branches
-     * alias across lanes and mispredict). The sharing schemes always
+     * Advance every lane over the recorded ops, then empty the tape.
+     * The per-lane shape runs one lane per tape pass, so the branch
+     * predictor sees a single lane's trap pattern per pass (pairing
+     * lanes was measured slower — the per-op trap branches alias
+     * across lanes and mispredict). The sharing schemes always
      * take it: their slot-map probes are serial per lane, and
      * interleaving lanes in one walk measured 0.97–0.98x against it
      * (DESIGN.md §16). Never inlined, so the flattened replay loop
-     * (trace/replay_loop.h) keeps one copy of the follower passes
-     * instead of one per record() site; flattened itself, so the
-     * scheme bodies still inline into those passes.
+     * (trace/replay_loop.h) keeps one copy of the lane passes instead
+     * of one per record() site; flattened itself, so the scheme bodies
+     * still inline into those passes.
      */
     __attribute__((noinline, flatten)) void
     drainTape()
     {
         if (tier_ == SimdTier::Scalar) {
-            for (std::size_t l = 1; l < lanes_; ++l)
+            for (std::size_t l = 0; l < lanes_; ++l)
                 replayLane(l);
         } else if constexpr (kHasSoaPass) {
             replaySoa(tier_);
@@ -342,60 +337,33 @@ class BatchedEngineView
         ops_.clear();
     }
 
-    // The divergent per-op residue, shared verbatim by the leader
-    // (l = 0, inline with the control loop) and the follower replay.
-
-    void
-    chargeOverflow(std::size_t l, int windows_saved)
+    /**
+     * A switch's tally residue on one lane, shared by both passes;
+     * returns its cost. Each pass calls it in recorded op order, so
+     * the switch-case histograms and the switch-cost Distribution's
+     * sample sequence match a per-point replay.
+     */
+    static Cycles
+    chargeSwitch(const FlatCostTables &t, WindowEngine &e,
+                 WindowEngine::HotCounters &h, int saved, int restored)
     {
-        WindowEngine::HotCounters &h = hot_[l];
-        ++h.ovfTraps;
-        h.ovfSpilled += static_cast<std::uint64_t>(windows_saved);
-        const Cycles trap = t_[l].overflowCost(windows_saved);
-        h.cyclesTrap += trap;
-        offset_[l] += trap;
-    }
-
-    void
-    chargeUnderflow(std::size_t l, int windows_restored)
-    {
-        WindowEngine::HotCounters &h = hot_[l];
-        ++h.unfTraps;
-        h.unfRestored += static_cast<std::uint64_t>(windows_restored);
-        const Cycles trap = t_[l].underflowCost();
-        h.cyclesTrap += trap;
-        offset_[l] += trap;
-    }
-
-    static void
-    applySwitch(SchemeT *s, const FlatCostTables &t, WindowEngine &e,
-                WindowEngine::HotCounters &h, Cycles &offset,
-                ThreadId from, ThreadId to)
-    {
-        crw_assert(e.file_.hasThread(to));
-        const SwitchOutcome out =
-            s->template doSwitchIn<false>(from, to);
-        h.switchSaved += static_cast<std::uint64_t>(out.windowsSaved);
-        h.switchRestored +=
-            static_cast<std::uint64_t>(out.windowsRestored);
-        if (out.windowsSaved < WindowEngine::kSmallSwitchCase &&
-            out.windowsRestored < WindowEngine::kSmallSwitchCase)
-            ++e.switchCasesSmall_[out.windowsSaved]
-                                 [out.windowsRestored];
+        h.switchSaved += static_cast<std::uint64_t>(saved);
+        h.switchRestored += static_cast<std::uint64_t>(restored);
+        if (saved < WindowEngine::kSmallSwitchCase &&
+            restored < WindowEngine::kSmallSwitchCase)
+            ++e.switchCasesSmall_[saved][restored];
         else
-            ++e.switchCasesLarge_[{out.windowsSaved,
-                                   out.windowsRestored}];
-        const Cycles cycles =
-            t.switchCost(out.windowsSaved, out.windowsRestored);
+            ++e.switchCasesLarge_[{saved, restored}];
+        const Cycles cycles = t.switchCost(saved, restored);
         h.cyclesSwitch += cycles;
         e.dSwitchCost_->sample(static_cast<double>(cycles));
-        offset += cycles;
+        return cycles;
     }
 
     /**
-     * The per-lane follower pass: one linear walk over the op stream
-     * applying lane @p l's scheme bodies against local (alias-free)
-     * copies of its hot state. Per-lane event order — and with it the
+     * The per-lane pass: one linear walk over the op stream applying
+     * lane @p l's scheme bodies against local (alias-free) copies of
+     * its hot state. Per-lane event order — and with it the
      * switch-cost Distribution's sample order and the switch-case
      * histograms — matches a per-point replay exactly, because the
      * stream *is* the shared schedule restricted to engine ops.
@@ -436,10 +404,19 @@ class BatchedEngineView
                 }
                 break;
               }
-              case OpRec::Kind::Switch:
-                applySwitch(s, t, e, h, offset, cur, op.to);
+              case OpRec::Kind::Switch: {
+                crw_assert(e.file_.hasThread(op.to));
+                const SwitchOutcome out =
+                    s->template doSwitchIn<false>(cur, op.to);
+                offset += chargeSwitch(t, e, h, out.windowsSaved,
+                                       out.windowsRestored);
+                // The non-residency claim resident() answers with.
+                if constexpr (kIsNs)
+                    crw_assert(cur == kNoThread ||
+                               !e.file_.thread(cur).isResident());
                 cur = op.to;
                 break;
+              }
               case OpRec::Kind::Exit:
                 s->template doExit<false>(cur);
                 cur = kNoThread;
@@ -450,17 +427,17 @@ class BatchedEngineView
         offset_[l] = offset;
     }
 
-    // Scheme shape traits of the SoA pass: only the non-sharing
-    // schemes have one (the sharing schemes replay per lane).
-    static constexpr bool kSoaIsInf =
+    // Scheme shape traits: only the non-sharing schemes have an SoA
+    // pass (the sharing schemes replay per lane).
+    static constexpr bool kIsInf =
         std::is_same_v<SchemeT, detail::InfiniteScheme>;
-    static constexpr bool kSoaIsNs =
+    static constexpr bool kIsNs =
         std::is_same_v<SchemeT, detail::NsScheme>;
-    static constexpr bool kHasSoaPass = kSoaIsInf || kSoaIsNs;
+    static constexpr bool kHasSoaPass = kIsInf || kIsNs;
 
     /**
-     * The lane-SoA follower pass (DESIGN.md §16), NS and INF only:
-     * transpose the followers' hot state into win/lane_soa.h arrays,
+     * The lane-SoA pass (DESIGN.md §16), NS and INF only: transpose
+     * the lanes' hot state into win/lane_soa.h arrays,
      * walk the op stream ONCE applying each op to every lane —
      * same-thread save/restore runs through the tier's vector kernels,
      * switches and exits scalar per lane against the transposed state
@@ -475,24 +452,22 @@ class BatchedEngineView
     {
         static_assert(kHasSoaPass, "no SoA pass for sharing schemes");
         const LaneKernels &kern = laneKernels(tier);
-        const std::size_t nl = lanes_ - 1; // follower lanes
+        const std::size_t nl = lanes_;
         const int threads = static_cast<int>(threadSaves_.size());
 
         LaneSoA soa;
         soa.init(nl, threads);
 
         // --- transpose --------------------------------------------
-        // Followers were never touched by the control loop, so their
-        // files still hold the batch's start state. The shared call
-        // depths come from lane 1: depth is pure call nesting and the
-        // lockstep contract makes it lane-invariant.
-        for (std::size_t l = 1; l < lanes_; ++l) {
-            const std::size_t j = l - 1;
-            const WindowFile &f = e_[l]->file_;
+        // The control loop never touches a lane, so every file still
+        // holds the tape's start state; so do lane 0's call depths,
+        // which the lockstep contract makes lane-invariant.
+        for (std::size_t j = 0; j < nl; ++j) {
+            const WindowFile &f = e_[j]->file_;
             soa.numWin[j] = f.numWindows();
             soa.nsCap[j] = f.numWindows() - 1;
-            const Cycles ovf1 = t_[l].overflowCost(1);
-            const Cycles unf = t_[l].underflowCost();
+            const Cycles ovf1 = t_[j].overflowCost(1);
+            const Cycles unf = t_[j].underflowCost();
             // The vector tally fold multiplies traps by cost in one
             // 32x32->64 lane product.
             crw_assert(ovf1 <= UINT32_MAX && unf <= UINT32_MAX);
@@ -507,7 +482,7 @@ class BatchedEngineView
         std::vector<int> depth(static_cast<std::size_t>(threads));
         for (ThreadId tid = 0; tid < threads; ++tid)
             depth[static_cast<std::size_t>(tid)] =
-                e_[1]->file_.thread(tid).depth;
+                e_[0]->file_.thread(tid).depth;
 
         // --- per-lane cyclic helpers ------------------------------
         auto belowAt = [&soa](std::size_t j, int w) {
@@ -527,27 +502,6 @@ class BatchedEngineView
             soa.topOf(tid)[j] = kNoWindow;
         };
 
-        // applySwitch's tally residue, per lane (histograms and the
-        // switch-cost Distribution sample in recorded op order, so
-        // each lane's sample sequence matches a per-point replay).
-        auto chargeSwitchAt = [&](std::size_t j, int saved,
-                                  int restored) {
-            const std::size_t l = j + 1;
-            WindowEngine &e = *e_[l];
-            WindowEngine::HotCounters &h = hot_[l];
-            h.switchSaved += static_cast<std::uint64_t>(saved);
-            h.switchRestored += static_cast<std::uint64_t>(restored);
-            if (saved < WindowEngine::kSmallSwitchCase &&
-                restored < WindowEngine::kSmallSwitchCase)
-                ++e.switchCasesSmall_[saved][restored];
-            else
-                ++e.switchCasesLarge_[{saved, restored}];
-            const Cycles cycles = t_[l].switchCost(saved, restored);
-            h.cyclesSwitch += cycles;
-            e.dSwitchCost_->sample(static_cast<double>(cycles));
-            soa.offset[j] += cycles;
-        };
-
         // doSwitchIn per scheme. Call depth is lane-invariant (the
         // dispatcher below maintains the shared depth array once per
         // op).
@@ -555,7 +509,7 @@ class BatchedEngineView
                             ThreadId to) {
             int saved = 0;
             int restored = 0;
-            if constexpr (kSoaIsNs) {
+            if constexpr (kIsNs) {
                 if (from != kNoThread) {
                     std::int32_t *fres = soa.resOf(from);
                     saved = fres[j]; // flush the whole run
@@ -567,7 +521,8 @@ class BatchedEngineView
                 if (depth[static_cast<std::size_t>(to)] > 0)
                     restored = 1;
             } // INF: no window motion, ever
-            chargeSwitchAt(j, saved, restored);
+            soa.offset[j] +=
+                chargeSwitch(t_[j], *e_[j], hot_[j], saved, restored);
         };
 
         // --- the single walk --------------------------------------
@@ -586,7 +541,7 @@ class BatchedEngineView
                 const int k = static_cast<int>(r - i);
                 const ThreadId tid = cur;
                 depth[static_cast<std::size_t>(tid)] += k;
-                if constexpr (kSoaIsNs)
+                if constexpr (kIsNs)
                     kern.nsSaveRun(soa, tid, k);
                 i = r;
                 break;
@@ -604,7 +559,7 @@ class BatchedEngineView
                 // all windows instead of trapping, so it is peeled
                 // off the folded run (restoreRunFold precondition).
                 const int k1 = k < d ? k : d - 1;
-                if constexpr (kSoaIsNs) {
+                if constexpr (kIsNs) {
                     if (k1 > 0)
                         kern.nsRestoreRun(soa, tid, k1);
                     if (k1 < k)
@@ -616,8 +571,13 @@ class BatchedEngineView
                 break;
               }
               case OpRec::Kind::Switch: {
+                crw_assert(e_[0]->file_.hasThread(op.to));
                 for (std::size_t j = 0; j < nl; ++j)
                     switchAt(j, cur, op.to);
+                // The non-residency claim resident() answers with.
+                if (kIsNs && cur != kNoThread)
+                    for (std::size_t j = 0; j < nl; ++j)
+                        crw_assert(soa.resOf(cur)[j] == 0);
                 cur = op.to;
                 if (depth[static_cast<std::size_t>(cur)] == 0)
                     depth[static_cast<std::size_t>(cur)] =
@@ -626,7 +586,7 @@ class BatchedEngineView
                 break;
               }
               case OpRec::Kind::Exit: {
-                if constexpr (kSoaIsNs)
+                if constexpr (kIsNs)
                     for (std::size_t j = 0; j < nl; ++j)
                         dropAllAt(j, cur);
                 depth[static_cast<std::size_t>(cur)] = 0;
@@ -638,22 +598,21 @@ class BatchedEngineView
         }
 
         // --- writeback --------------------------------------------
-        for (std::size_t l = 1; l < lanes_; ++l) {
-            const std::size_t j = l - 1;
-            WindowEngine::HotCounters &h = hot_[l];
+        for (std::size_t j = 0; j < nl; ++j) {
+            WindowEngine::HotCounters &h = hot_[j];
             h.ovfTraps += soa.ovfTraps[j];
             h.ovfSpilled += soa.ovfSpilled[j];
             h.unfTraps += soa.unfTraps[j];
             h.unfRestored += soa.unfRestored[j];
             h.cyclesTrap += soa.cyclesTrap[j];
-            offset_[l] += soa.offset[j];
-            WindowFile &f = e_[l]->file_;
-            if constexpr (kSoaIsNs)
+            offset_[j] += soa.offset[j];
+            WindowFile &f = e_[j]->file_;
+            if constexpr (kIsNs)
                 f.resetSlotsForImport();
             for (ThreadId tid = 0; tid < threads; ++tid) {
                 ThreadWindows tw;
                 tw.depth = depth[static_cast<std::size_t>(tid)];
-                if constexpr (kSoaIsNs) {
+                if constexpr (kIsNs) {
                     tw.resident = soa.resOf(tid)[j];
                     if (tw.resident > 0) {
                         // NS keeps `top` unwrapped during the pass;
@@ -676,11 +635,11 @@ class BatchedEngineView
     std::size_t lanes_;
     /** Records the tape holds before it drains. */
     std::size_t tapeCap_;
-    /** The follower pass every drain dispatches. */
+    /** The lane pass every drain dispatches. */
     SimdTier tier_;
     ThreadId current_ = kNoThread;
     /** Current thread at the tape's first record: where every
-     *  follower pass over the tape starts. */
+     *  lane pass over the tape starts. */
     ThreadId tapeFrom_ = kNoThread;
     /** Shared clock component: the sum of all charges so far. */
     Cycles charges_ = 0;
@@ -699,7 +658,7 @@ class BatchedEngineView
     std::vector<WindowEngine::HotCounters> hot_;
     std::vector<Cycles> offset_;
     std::vector<Cycles> psr_;
-    /** The engine op stream the followers replay;
+    /** The engine op stream the lanes replay;
      *  64-byte aligned so the SoA pass's linear walk never splits a
      *  cache line (sixteen 4-byte records per line). */
     AlignedVec<OpRec> ops_;
@@ -708,6 +667,8 @@ class BatchedEngineView
     std::vector<std::uint64_t> threadSaves_;
     std::vector<std::uint64_t> threadRestores_;
     std::vector<std::uint64_t> threadSwitchesIn_;
+    /** Call depth per tid, the same on every lane. */
+    std::vector<int> depth_;
 };
 
 } // namespace crw

@@ -149,11 +149,10 @@ class FastEngineView
         e_.now_ += cycles;
     }
 
-    /** End of the run: a single engine has no followers to replay. */
+    /** End of the run: a single engine has no tape to replay. */
     SimdTier finish() const { return SimdTier::Scalar; }
 
     ThreadId current() const { return e_.current_; }
-    Cycles now() const { return e_.now_; }
     int depth(ThreadId tid) const { return e_.file_.thread(tid).depth; }
     /** Working-set wake support: the engine's residency of @p tid. */
     bool resident(ThreadId tid) const { return e_.isResident(tid); }

@@ -4,8 +4,8 @@
  * plus the SIMD kernels that advance it (DESIGN.md §16).
  *
  * The batched lockstep view (win/engine_batch.h) records one engine-op
- * stream and replays it through every follower lane. The per-lane pass
- * runs one lane per stream walk — K - 1 full walks, with each lane's
+ * stream and replays it through every lane. The per-lane pass
+ * runs one lane per stream walk — K full walks, with each lane's
  * state scattered across its own WindowEngine. For NS and INF this
  * layer flips the loop order: the hot per-lane state (resident counts,
  * stack-top cursors, trap tallies, clock offsets) is transposed into

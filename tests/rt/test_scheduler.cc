@@ -41,7 +41,7 @@ TEST(Scheduler, EngineSeesEverySwitch)
 {
     Runtime rt(makeConfig());
     for (int i = 0; i < 4; ++i)
-        rt.spawn("t" + std::to_string(i), [] {});
+        rt.spawn(std::string("t").append(std::to_string(i)), [] {});
     rt.run();
     EXPECT_EQ(rt.engine().stats().counterValue("switches"), 4u);
     EXPECT_EQ(rt.engine().stats().counterValue("thread_exits"), 4u);

@@ -187,7 +187,7 @@ TEST(SpellApp, LowConcurrencyReducesMeasuredConcurrency)
         rt.engine().setObserver(&tracker);
         SpellApp app(rt, wl, cfg);
         rt.run();
-        tracker.finish(rt.now());
+        tracker.finish();
         return tracker.concurrency().mean();
     };
     const double high = measure(2, 2);

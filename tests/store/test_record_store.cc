@@ -39,6 +39,16 @@ tempPath(const char *tag)
            std::to_string(static_cast<int>(::getpid())) + ".crwstore";
 }
 
+/** Key of record @p i ("k" then @p i), built without a literal +
+ *  temporary concatenation, which GCC 12 at -O3 flags (-Wrestrict). */
+std::string
+keyFor(unsigned i)
+{
+    std::string key = "k";
+    key += std::to_string(i);
+    return key;
+}
+
 std::vector<std::uint8_t>
 blobFor(unsigned i)
 {
@@ -59,11 +69,11 @@ TEST(RecordStore, PutFindEraseClearRoundTrip)
     EXPECT_EQ(store.find("k0", out), RecordStore::FindResult::Miss);
 
     for (unsigned i = 0; i < 40; ++i)
-        ASSERT_TRUE(store.put("k" + std::to_string(i), blobFor(i)));
+        ASSERT_TRUE(store.put(keyFor(i), blobFor(i)));
     EXPECT_EQ(store.stats().entries, 40u);
 
     for (unsigned i = 0; i < 40; ++i) {
-        ASSERT_EQ(store.find("k" + std::to_string(i), out),
+        ASSERT_EQ(store.find(keyFor(i), out),
                   RecordStore::FindResult::Hit)
             << i;
         EXPECT_EQ(out, blobFor(i)) << i;
@@ -107,7 +117,7 @@ TEST(RecordStore, SurvivesCloseAndReopen)
         ASSERT_TRUE(store.open(path, 3, 64, 1 << 16));
         EXPECT_EQ(store.mode(), RecordStore::Mode::Writer);
         for (unsigned i = 0; i < 10; ++i)
-            ASSERT_TRUE(store.put("k" + std::to_string(i), blobFor(i)));
+            ASSERT_TRUE(store.put(keyFor(i), blobFor(i)));
     }
     {
         RecordStore store;
@@ -116,7 +126,7 @@ TEST(RecordStore, SurvivesCloseAndReopen)
             << "reopen must not re-format a valid store";
         std::vector<std::uint8_t> out;
         for (unsigned i = 0; i < 10; ++i) {
-            ASSERT_EQ(store.find("k" + std::to_string(i), out),
+            ASSERT_EQ(store.find(keyFor(i), out),
                       RecordStore::FindResult::Hit)
                 << i;
             EXPECT_EQ(out, blobFor(i)) << i;
@@ -238,7 +248,7 @@ TEST(RecordStore, ForEachRecordVisitsEveryLiveRecord)
     RecordStore store;
     ASSERT_TRUE(store.openAnonymous(1, 64, 1 << 16));
     for (unsigned i = 0; i < 5; ++i)
-        ASSERT_TRUE(store.put("k" + std::to_string(i), blobFor(i)));
+        ASSERT_TRUE(store.put(keyFor(i), blobFor(i)));
     ASSERT_TRUE(store.erase("k2"));
 
     std::vector<std::string> seen;
@@ -283,7 +293,7 @@ TEST(RecordStore, ForkedReaderNeverObservesATornRecord)
         std::vector<std::uint8_t> blob;
         while (max_seen < kRecords) {
             for (unsigned i = 0; i < kRecords; ++i) {
-                switch (reader.find("k" + std::to_string(i), blob)) {
+                switch (reader.find(keyFor(i), blob)) {
                   case RecordStore::FindResult::Hit:
                     if (blob != blobFor(i))
                         ::_exit(3); // complete but wrong bytes
@@ -304,7 +314,7 @@ TEST(RecordStore, ForkedReaderNeverObservesATornRecord)
     }
 
     for (unsigned i = 0; i < kRecords; ++i)
-        ASSERT_TRUE(writer.put("k" + std::to_string(i), blobFor(i)));
+        ASSERT_TRUE(writer.put(keyFor(i), blobFor(i)));
 
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);

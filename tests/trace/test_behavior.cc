@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests of the §5 behavior metrics (window activity, concurrency,
- * granularity), including the paper's claim that they are independent
+ * Tests of the §5 behavior metrics (window activity, concurrency),
+ * including the paper's claim that they are independent
  * of the window-management scheme under FIFO scheduling.
  */
 
@@ -31,7 +31,7 @@ TEST(BehaviorTracker, ActivityOfFlatQuantumIsOne)
     e.addThread(0);
     e.contextSwitch(0);
     e.charge(100); // no calls at all
-    tracker.finish(e.now());
+    tracker.finish();
     ASSERT_EQ(tracker.quanta(), 1u);
     EXPECT_DOUBLE_EQ(tracker.activityPerQuantum().mean(), 1.0);
 }
@@ -50,7 +50,7 @@ TEST(BehaviorTracker, ActivityCountsDepthRange)
     e.restore();
     e.restore();
     e.save();
-    tracker.finish(e.now());
+    tracker.finish();
     EXPECT_DOUBLE_EQ(tracker.activityPerQuantum().mean(), 4.0);
 }
 
@@ -66,7 +66,7 @@ TEST(BehaviorTracker, RepeatedWindowCountsOnce)
         e.save();
         e.restore();
     }
-    tracker.finish(e.now());
+    tracker.finish();
     EXPECT_DOUBLE_EQ(tracker.activityPerQuantum().mean(), 2.0);
 }
 
@@ -81,7 +81,7 @@ TEST(BehaviorTracker, PerThreadActivityResetsAtSwitch)
     e.save();
     e.save(); // quantum activity 3
     e.contextSwitch(1); // fresh: activity 1
-    tracker.finish(e.now());
+    tracker.finish();
     ASSERT_EQ(tracker.quanta(), 2u);
     EXPECT_DOUBLE_EQ(tracker.activityPerQuantum().max(), 3.0);
     EXPECT_DOUBLE_EQ(tracker.activityPerQuantum().min(), 1.0);
@@ -101,7 +101,7 @@ TEST(BehaviorTracker, TotalActivitySumsThreadFootprints)
     e.save(); // t1 spans 1..2 -> 2
     e.contextSwitch(0); // t0 again: still within 1..3
     e.restore();
-    tracker.finish(e.now());
+    tracker.finish();
     ASSERT_EQ(tracker.totalWindowActivity().count(), 1u);
     EXPECT_DOUBLE_EQ(tracker.totalWindowActivity().mean(), 5.0);
     EXPECT_DOUBLE_EQ(tracker.concurrency().mean(), 2.0);
@@ -118,27 +118,9 @@ TEST(BehaviorTracker, PeriodsRollOver)
     e.contextSwitch(1);
     e.contextSwitch(0);
     e.contextSwitch(1);
-    tracker.finish(e.now());
+    tracker.finish();
     // 4 switches -> 2 full periods (plus nothing pending).
     EXPECT_EQ(tracker.totalWindowActivity().count(), 2u);
-}
-
-TEST(BehaviorTracker, GranularityMeasuresRunLength)
-{
-    WindowEngine e(config(SchemeKind::SP, 16));
-    BehaviorTracker tracker(64);
-    e.setObserver(&tracker);
-    e.addThread(0);
-    e.addThread(1);
-    e.contextSwitch(0);
-    e.charge(1000);
-    e.contextSwitch(1);
-    e.charge(500);
-    tracker.finish(e.now());
-    ASSERT_EQ(tracker.granularityCycles().count(), 2u);
-    // Quantum 0 ran 1000 compute cycles (plus nothing else).
-    EXPECT_DOUBLE_EQ(tracker.granularityCycles().max(), 1000.0);
-    EXPECT_DOUBLE_EQ(tracker.granularityCycles().min(), 500.0);
 }
 
 TEST(BehaviorTracker, MetricsIndependentOfSchemeUnderFifo)
@@ -160,7 +142,7 @@ TEST(BehaviorTracker, MetricsIndependentOfSchemeUnderFifo)
                 e.restore();
             e.contextSwitch(round % 2 == 0 ? 1 : 0);
         }
-        tracker.finish(e.now());
+        tracker.finish();
         return std::make_tuple(tracker.activityPerQuantum().mean(),
                                tracker.totalWindowActivity().mean(),
                                tracker.concurrency().mean(),

@@ -15,6 +15,7 @@
  * through the followers whenever it fills, without changing a lane.
  */
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -717,7 +718,9 @@ expectEnginesIdentical(const WindowEngine &got, const WindowEngine &want,
  * Drive @p script through a lockstep view whose tape is sized from
  * @p max_ops, one lane per window count, and op for op through a
  * plain WindowEngine per lane (the virtual-dispatch oracle): at every
- * host tier, each lane must end identical to its oracle.
+ * host tier, every lane, lane 0 included, must still equal a fresh
+ * engine just before the tape first fills, and must end identical to
+ * its oracle.
  */
 void
 expectViewMatchesEngines(SchemeKind scheme,
@@ -731,21 +734,39 @@ expectViewMatchesEngines(SchemeKind scheme,
         const ScopedTier pin(tier);
         std::vector<std::unique_ptr<WindowEngine>> lanes;
         std::vector<std::unique_ptr<WindowEngine>> oracles;
+        std::vector<std::unique_ptr<WindowEngine>> fresh;
         for (const int w : windows) {
             EngineConfig ec;
             ec.scheme = scheme;
             ec.numWindows = w;
             lanes.push_back(std::make_unique<WindowEngine>(ec));
             oracles.push_back(std::make_unique<WindowEngine>(ec));
+            fresh.push_back(std::make_unique<WindowEngine>(ec));
             for (const ThreadId tid : tids) {
                 lanes.back()->addThread(tid);
                 oracles.back()->addThread(tid);
+                fresh.back()->addThread(tid);
             }
         }
+        const std::string ctx = std::string(schemeName(scheme)) + "/" +
+                                simdTierName(tier) + " max_ops " +
+                                std::to_string(max_ops);
         detail::visitSchemeClass(scheme, [&](auto scheme_tag) {
-            BatchedEngineView<typename decltype(scheme_tag)::type> view(
-                lanes, max_ops);
-            for (const ScriptOp &op : script) {
+            using View =
+                BatchedEngineView<typename decltype(scheme_tag)::type>;
+            View view(lanes, max_ops);
+            // The record that fills the tape is the first to drain.
+            const std::size_t undrained =
+                std::min(max_ops, View::kTapeOps) - 1;
+            ASSERT_LT(undrained, script.size()) << ctx;
+            for (std::size_t i = 0; i < script.size(); ++i) {
+                if (i == undrained)
+                    for (std::size_t l = 0; l < lanes.size(); ++l)
+                        expectEnginesIdentical(
+                            *lanes[l], *fresh[l], tids,
+                            ctx + " lane " + std::to_string(l) +
+                                " before the first drain");
+                const ScriptOp &op = script[i];
                 for (const auto &oracle : oracles) {
                     switch (op.kind) {
                       case Kind::Save: oracle->save(); break;
@@ -767,11 +788,8 @@ expectViewMatchesEngines(SchemeKind scheme,
             view.finish();
         });
         for (std::size_t l = 0; l < lanes.size(); ++l)
-            expectEnginesIdentical(
-                *lanes[l], *oracles[l], tids,
-                std::string(schemeName(scheme)) + "/" +
-                    simdTierName(tier) + " lane " + std::to_string(l) +
-                    " max_ops " + std::to_string(max_ops));
+            expectEnginesIdentical(*lanes[l], *oracles[l], tids,
+                                   ctx + " lane " + std::to_string(l));
     }
 }
 
