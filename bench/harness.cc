@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <iostream>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -47,14 +48,20 @@ hostMicros()
         .count();
 }
 
+/** The --jobs flag by parseJobs's rules; 0 means automatic:
+ *  $CRW_JOBS, else the hardware concurrency. */
 int
 resolveJobs(std::int64_t flag_jobs)
 {
+    // A positive count parses: parseJobs takes it or clamps it.
     if (flag_jobs > 0)
-        return static_cast<int>(flag_jobs);
+        return parseJobs(std::to_string(flag_jobs).c_str(), kMaxJobs);
     const unsigned hw = std::thread::hardware_concurrency();
-    const int fallback = hw > 0 ? static_cast<int>(hw) : 1;
-    return parseJobs(std::getenv("CRW_JOBS"), fallback);
+    const int automatic = parseJobs(std::getenv("CRW_JOBS"),
+                                    hw > 0 ? static_cast<int>(hw) : 1);
+    return flag_jobs < 0
+               ? parseJobs(std::to_string(flag_jobs).c_str(), automatic)
+               : automatic;
 }
 
 } // namespace

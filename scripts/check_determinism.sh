@@ -3,8 +3,8 @@
 # it runs. DESIGN.md and the sources cite the parts below by number,
 # so the numbers stay fixed. There is no part 2, 5, 7 or 9: the
 # replay shape — oracle vs flat loop, lockstep batch width, follower
-# SIMD tier — is pinned in-process by the tier-1 test
-# BatchExecutor.EveryUnitKindMatchesOracleAtAnyJobs.
+# SIMD tier — is pinned in-process by the tier-1 replay net,
+# tests/bench/test_replay_net.cc.
 #
 #  1. The parallel sweep runner is deterministic: run `crw-bench
 #     fig11` serially (--jobs 1) and in parallel (--jobs N), then

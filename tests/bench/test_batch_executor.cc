@@ -8,9 +8,9 @@
  * batches (the --no-cache path), a --trace-out run falls back to
  * per-point replays (the timeline observer is per-point only), and
  * the static batch rule keeps SNP/SP under the working-set policies
- * at one lane. Every result — batched or width-1, at any follower
- * tier, batch cap or --jobs — must stay bit-identical to the oracle
- * loop's replay of the same point, and so must its obs record.
+ * at one lane. Every result stays bit-identical to the oracle loop's
+ * replay of its point; the replay net (test_replay_net.cc) sweeps that
+ * across tiers, caps, --jobs and obs.
  */
 
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -30,11 +29,8 @@
 #include "bench/plan.h"
 #include "obs/metrics.h"
 #include "obs/publish.h"
-#include "tests/win/simd_test_util.h"
+#include "tests/win/replay_test_util.h"
 #include "trace/replay_batch.h"
-#include "trace/replay_driver.h"
-#include "trace/run_metrics.h"
-#include "trace/synth.h"
 #include "win/simd.h"
 
 namespace crw {
@@ -69,10 +65,10 @@ class ScopedBatchCap
 };
 
 /**
- * Scoped result+flat cache disable: every planned point is a cache
- * miss, so the sweep replays all of them live — the deterministic
- * setting for counter-delta assertions (and exactly what --no-cache
- * configures).
+ * Scoped result+flat cache disable, starting from an empty in-process
+ * store: every planned point is a miss, so the sweep replays all of
+ * them live — the deterministic setting for counter-delta assertions
+ * (and exactly what --no-cache configures).
  */
 class ScopedNoCache
 {
@@ -81,6 +77,7 @@ class ScopedNoCache
     {
         setResultCacheEnabled(false);
         setFlatCacheEnabled(false);
+        clearPointResults();
     }
     ~ScopedNoCache()
     {
@@ -95,17 +92,11 @@ counter(const char *name)
     return metrics().counterValue(name);
 }
 
-/**
- * The oracle loop's replay of @p p (ReplayPath::Legacy): the
- * reference every executor result must match bit for bit.
- */
-RunMetrics
-oracleReplay(const PlanPoint &p)
+/** The oracle loop's replay of @p p and the record it publishes. */
+const OracleRun &
+oracle(const PlanPoint &p)
 {
-    ReplayDriver driver(cachedTrace(p.behavior), p.engine, p.policy);
-    driver.setPath(ReplayPath::Legacy);
-    driver.run();
-    return driver.metrics();
+    return legacyOracle(cachedTrace(p.behavior), p.engine, p.policy);
 }
 
 /** Expect every point of @p plan served bit-identical to the oracle. */
@@ -113,25 +104,41 @@ void
 expectOracleResults(const ExperimentPlan &plan)
 {
     for (const PlanPoint &p : plan.points())
-        EXPECT_TRUE(metricsBitIdentical(pointResult(p), oracleReplay(p)))
+        EXPECT_TRUE(metricsBitIdentical(pointResult(p), oracle(p).metrics))
             << pointConfigKey(p);
 }
 
-/**
- * One single-scheme plan over distinct window counts. Window counts
- * are chosen per test and never reused across tests: the executor's
- * in-process result store memoizes by point key, and only points it
- * has never seen reach the replay (and its counters) at all.
- */
+/** How far one executePlan moved the replay counters. */
+struct Replayed
+{
+    std::uint64_t batches, lanes, points;
+};
+
+Replayed
+execute(const ExperimentPlan &plan)
+{
+    const auto now = [] {
+        return Replayed{counter("replay.batches"),
+                        counter("replay.batched_points"),
+                        counter("replay.points")};
+    };
+    const Replayed before = now();
+    executePlan(plan);
+    const Replayed after = now();
+    return {after.batches - before.batches, after.lanes - before.lanes,
+            after.points - before.points};
+}
+
+/** One single-scheme plan of the prioritized synthetic behavior. */
 ExperimentPlan
 windowsPlan(SchemeKind scheme, const std::vector<int> &windows,
             SchedPolicy policy = SchedPolicy::Fifo)
 {
+    const BehaviorId behavior =
+        BehaviorId::fromSynth(prioritizedSynthSpec());
     ExperimentPlan plan;
     for (const int w : windows)
-        plan.add(makePlanPoint(ConcurrencyLevel::High,
-                               GranularityLevel::Fine, scheme, w,
-                               policy));
+        plan.add(makePlanPoint(behavior, scheme, w, policy));
     return plan;
 }
 
@@ -159,14 +166,10 @@ TEST(BatchExecutor, ColdSweepReplaysOneLockstepBatch)
     const ExperimentPlan plan =
         windowsPlan(SchemeKind::SP, windows);
 
-    const std::uint64_t batches = counter("replay.batches");
-    const std::uint64_t lanes = counter("replay.batched_points");
-    const std::uint64_t points = counter("replay.points");
-    executePlan(plan);
-    EXPECT_EQ(counter("replay.batches"), batches + 1);
-    EXPECT_EQ(counter("replay.batched_points"),
-              lanes + windows.size());
-    EXPECT_EQ(counter("replay.points"), points + windows.size());
+    const Replayed r = execute(plan);
+    EXPECT_EQ(r.batches, 1u);
+    EXPECT_EQ(r.lanes, windows.size());
+    EXPECT_EQ(r.points, windows.size());
     EXPECT_GE(counter("replay.batch_width"), windows.size());
 
     // Batched results are served bit-identical to the oracle's
@@ -182,11 +185,9 @@ TEST(BatchExecutor, WidthCapChunksRaggedBatches)
     const ExperimentPlan plan =
         windowsPlan(SchemeKind::NS, {5, 7, 9, 11, 13, 15});
 
-    const std::uint64_t batches = counter("replay.batches");
-    const std::uint64_t lanes = counter("replay.batched_points");
-    executePlan(plan);
-    EXPECT_EQ(counter("replay.batches"), batches + 2);
-    EXPECT_EQ(counter("replay.batched_points"), lanes + 6);
+    const Replayed r = execute(plan);
+    EXPECT_EQ(r.batches, 2u);
+    EXPECT_EQ(r.lanes, 6u);
 }
 
 TEST(BatchExecutor, BatchZeroPinsPerPointReplay)
@@ -196,13 +197,10 @@ TEST(BatchExecutor, BatchZeroPinsPerPointReplay)
     const ExperimentPlan plan =
         windowsPlan(SchemeKind::SNP, {5, 7, 9});
 
-    const std::uint64_t batches = counter("replay.batches");
-    const std::uint64_t lanes = counter("replay.batched_points");
-    const std::uint64_t points = counter("replay.points");
-    executePlan(plan);
-    EXPECT_EQ(counter("replay.batches"), batches);
-    EXPECT_EQ(counter("replay.batched_points"), lanes);
-    EXPECT_EQ(counter("replay.points"), points + 3);
+    const Replayed r = execute(plan);
+    EXPECT_EQ(r.batches, 0u);
+    EXPECT_EQ(r.lanes, 0u);
+    EXPECT_EQ(r.points, 3u);
 }
 
 TEST(BatchExecutor, TraceOutRequestForcesPerPointReplay)
@@ -220,11 +218,9 @@ TEST(BatchExecutor, TraceOutRequestForcesPerPointReplay)
 
     const ExperimentPlan plan =
         windowsPlan(SchemeKind::SP, {17, 19, 21});
-    const std::uint64_t batches = counter("replay.batches");
-    const std::uint64_t points = counter("replay.points");
-    executePlan(plan);
-    EXPECT_EQ(counter("replay.batches"), batches);
-    EXPECT_EQ(counter("replay.points"), points + 3);
+    const Replayed r = execute(plan);
+    EXPECT_EQ(r.batches, 0u);
+    EXPECT_EQ(r.points, 3u);
 
     // Reset the harness flags so later tests see no --trace-out.
     const char *reset[] = {"test_batch_executor"};
@@ -244,11 +240,9 @@ TEST(BatchExecutor, CacheDisabledSweepStillBatches)
     const ExperimentPlan plan = windowsPlan(
         SchemeKind::NS, {4, 6, 32}, SchedPolicy::WorkingSet);
 
-    const std::uint64_t batches = counter("replay.batches");
-    const std::uint64_t points = counter("replay.points");
-    executePlan(plan);
-    EXPECT_EQ(counter("replay.batches"), batches + 1);
-    EXPECT_EQ(counter("replay.points"), points + 3);
+    const Replayed r = execute(plan);
+    EXPECT_EQ(r.batches, 1u);
+    EXPECT_EQ(r.points, 3u);
     expectOracleResults(plan);
 }
 
@@ -272,42 +266,21 @@ TEST(BatchExecutor, StaticRuleKeepsSharingWorkingSetPointsUnbatched)
                               policy == SchedPolicy::Fifo;
             EXPECT_EQ(lockstepBatchable(scheme, policy), wide)
                 << schemeName(scheme) << "/" << policyName(policy);
-            if (wide)
-                ++batchable;
-            for (const int w : windows)
-                plan.add(makePlanPoint(ConcurrencyLevel::High,
-                                       GranularityLevel::Fine, scheme,
-                                       w, policy));
+            batchable += wide;
+            const ExperimentPlan group = windowsPlan(scheme, windows, policy);
+            for (const PlanPoint &p : group.points())
+                plan.add(p);
         }
     }
     ASSERT_EQ(batchable, 5u);
 
-    const std::uint64_t batches = counter("replay.batches");
-    const std::uint64_t lanes = counter("replay.batched_points");
-    const std::uint64_t points = counter("replay.points");
-    executePlan(plan);
+    const Replayed r = execute(plan);
     EXPECT_EQ(counter("replay.batch_fallback"), 0u);
-    EXPECT_EQ(counter("replay.batches"), batches + batchable);
-    EXPECT_EQ(counter("replay.batched_points"),
-              lanes + batchable * windows.size());
-    EXPECT_EQ(counter("replay.points"), points + plan.points().size());
+    EXPECT_EQ(r.batches, batchable);
+    EXPECT_EQ(r.lanes, batchable * windows.size());
+    EXPECT_EQ(r.points, plan.points().size());
 
     expectOracleResults(plan);
-}
-
-/**
- * The oracle loop's replay of @p p together with the obs record a
- * per-point replay publishes for it (replayPoint's publication).
- */
-std::pair<RunMetrics, obs::PointRecord>
-oracleWithRecord(const PlanPoint &p)
-{
-    ReplayDriver driver(cachedTrace(p.behavior), p.engine, p.policy);
-    driver.setPath(ReplayPath::Legacy);
-    driver.run();
-    obs::PointRecord rec = obs::pointFromEngine(driver.engine());
-    obs::publishSchedCore(driver.core(), rec);
-    return {driver.metrics(), rec};
 }
 
 /** Obs label of @p p, as the executor publishes it. */
@@ -320,165 +293,6 @@ recordLabel(const PlanPoint &p)
            policyName(p.policy);
 }
 
-void
-expectSameRecord(const obs::PointRecord &got,
-                 const obs::PointRecord &want, const std::string &what)
-{
-    EXPECT_EQ(got.cycles.compute, want.cycles.compute) << what;
-    EXPECT_EQ(got.cycles.callret, want.cycles.callret) << what;
-    EXPECT_EQ(got.cycles.trap, want.cycles.trap) << what;
-    EXPECT_EQ(got.cycles.switches, want.cycles.switches) << what;
-    EXPECT_EQ(got.cycles.total, want.cycles.total) << what;
-    EXPECT_EQ(got.counters, want.counters) << what;
-    EXPECT_EQ(got.values, want.values) << what;
-}
-
-/**
- * The replay shape is invisible at sweep scale. For spell high/fine
- * and a prioritized, lock-contended synthetic behavior (every policy
- * reorders or parks threads there), a no-cache plan mixes wide
- * batches with every width-1 unit kind: SNP/SP under a working-set
- * policy, an invariant-checking point, and a singleton group (INF at
- * one window count). The synthetic plan spans all five policies with
- * five windows per (scheme, policy) group, so a cap of 4 leaves a
- * width-1 tail; the far longer spell trace runs three windows per
- * group under FIFO and WS, one policy from each side of the static
- * batch rule. The plan runs with
- * obs on at every host follower tier x batch cap (per-point, 4, the
- * default) x --jobs {1, 4}. Every result must be bit-identical to the
- * oracle's replay of its point, and every obs point record merge
- * equal to the one a per-point replay publishes. Every leg runs the
- * same plans: the oracle replays each point once, and the executor's
- * in-process results are cleared before each leg so it replays them
- * all again.
- */
-TEST(BatchExecutor, EveryUnitKindMatchesOracleAtAnyJobs)
-{
-    const ScopedNoCache nocache;
-    SynthSpec spec;
-    spec.topology = SynthSpec::Topology::FanInOut;
-    spec.threads = 4;
-    spec.items = 120;
-    spec.streamCapacity = 2;
-    spec.lockRounds = 10;
-    spec.prioritized = true;
-    spec.seed = 21;
-    const std::string metrics_out =
-        outputPath("tmp-batch-metrics-" + std::to_string(::getpid()) +
-                   ".json");
-    const std::string metrics_flag = "--metrics-out=" + metrics_out;
-
-    // The spell window counts sit above every window count the tests
-    // above use.
-    struct Subject
-    {
-        BehaviorId behavior;
-        int w0;
-        int groupWindows;
-        std::vector<SchedPolicy> policies;
-    };
-    const Subject subjects[] = {
-        {BehaviorId::spell(ConcurrencyLevel::High,
-                           GranularityLevel::Fine),
-         33, 3, {SchedPolicy::Fifo, SchedPolicy::WorkingSet}},
-        {BehaviorId::fromSynth(spec), 4, 5, allSchedPolicies()},
-    };
-    struct Case
-    {
-        ExperimentPlan plan;
-        std::size_t batchable = 0; ///< groups that batch when cap > 1
-        std::vector<std::pair<RunMetrics, obs::PointRecord>> oracle;
-    };
-    std::vector<Case> cases;
-    for (const Subject &subject : subjects) {
-        Case &c = cases.emplace_back();
-        const int group = subject.groupWindows;
-        for (const SchedPolicy policy : subject.policies) {
-            for (const SchemeKind scheme :
-                 {SchemeKind::NS, SchemeKind::SNP, SchemeKind::SP}) {
-                for (int i = 0; i < group; ++i)
-                    c.plan.add(makePlanPoint(subject.behavior, scheme,
-                                             subject.w0 + i, policy));
-                if (lockstepBatchable(scheme, policy))
-                    ++c.batchable;
-            }
-            c.plan.add(makePlanPoint(subject.behavior,
-                                     SchemeKind::Infinite, subject.w0,
-                                     policy));
-        }
-        PlanPoint checked =
-            makePlanPoint(subject.behavior, SchemeKind::SP,
-                          subject.w0 + group, SchedPolicy::Fifo);
-        checked.engine.checkInvariants = true;
-        c.plan.add(checked);
-        // The oracle replays are independent: run them on the pool.
-        const std::vector<PlanPoint> &pts = c.plan.points();
-        c.oracle.resize(pts.size());
-        ParallelSweep(4).run(pts.size(), [&](std::size_t i) {
-            c.oracle[i] = oracleWithRecord(pts[i]);
-        });
-    }
-
-    for (const SimdTier tier : hostTiers()) {
-        const ScopedTier pin(tier);
-        for (const std::size_t cap :
-             {std::size_t{0}, std::size_t{4}, defaultReplayBatchCap()}) {
-            const ScopedBatchCap capped(cap);
-            for (const int jobs : {1, 4}) {
-                const std::string what =
-                    std::string("tier ") + simdTierName(tier) + " cap " +
-                    std::to_string(cap) + " jobs " +
-                    std::to_string(jobs);
-                const std::string flag =
-                    "--jobs=" + std::to_string(jobs);
-                const char *argv[] = {"test_batch_executor",
-                                      flag.c_str(),
-                                      metrics_flag.c_str()};
-                ASSERT_TRUE(benchInit(3, argv));
-                ASSERT_EQ(sweepJobs(), jobs);
-                ASSERT_TRUE(obsEnabled());
-
-                for (const Case &c : cases) {
-                    clearPointResults();
-                    const std::vector<PlanPoint> &pts = c.plan.points();
-                    // Point records merge by summing, so each leg's
-                    // merge is checked on top of the record so far.
-                    std::vector<obs::PointRecord> before;
-                    for (const PlanPoint &p : pts)
-                        before.push_back(
-                            metrics().point(recordLabel(p)));
-                    const std::uint64_t batches =
-                        counter("replay.batches");
-                    const std::uint64_t points = counter("replay.points");
-                    executePlan(c.plan);
-                    EXPECT_EQ(counter("replay.batches"),
-                              batches + (cap > 1 ? c.batchable : 0))
-                        << what;
-                    EXPECT_EQ(counter("replay.points"),
-                              points + pts.size())
-                        << what;
-                    for (std::size_t i = 0; i < pts.size(); ++i) {
-                        const std::string label = recordLabel(pts[i]);
-                        EXPECT_TRUE(metricsBitIdentical(
-                            pointResult(pts[i]), c.oracle[i].first))
-                            << label << " " << what;
-                        obs::MetricsRegistry want;
-                        want.mergePoint(label, before[i]);
-                        want.mergePoint(label, c.oracle[i].second);
-                        expectSameRecord(metrics().point(label),
-                                         want.point(label),
-                                         label + " " + what);
-                    }
-                }
-            }
-        }
-    }
-    clearPointResults();
-    const char *reset[] = {"test_batch_executor"};
-    ASSERT_TRUE(benchInit(1, reset));
-    std::remove(metrics_out.c_str());
-}
-
 /**
  * Points that differ only in PRW reclamation or allocation policy are
  * distinct obs records: a non-default variant's label carries a
@@ -489,13 +303,8 @@ TEST(BatchExecutor, EveryUnitKindMatchesOracleAtAnyJobs)
 TEST(BatchExecutor, VariantPointsAtOneWindowKeepSeparateRecords)
 {
     const ScopedNoCache nocache;
-    SynthSpec spec;
-    spec.topology = SynthSpec::Topology::FanInOut;
-    spec.threads = 4;
-    spec.items = 90;
-    spec.streamCapacity = 2;
-    spec.seed = 23;
-    const BehaviorId behavior = BehaviorId::fromSynth(spec);
+    const BehaviorId behavior =
+        BehaviorId::fromSynth(prioritizedSynthSpec());
     const std::string metrics_out =
         outputPath("tmp-variant-metrics-" + std::to_string(::getpid()) +
                    ".json");
@@ -523,9 +332,9 @@ TEST(BatchExecutor, VariantPointsAtOneWindowKeepSeparateRecords)
     executePlan(plan);
 
     for (std::size_t i = 0; i < plan.points().size(); ++i)
-        expectSameRecord(metrics().point(labels[i]),
-                         oracleWithRecord(plan.points()[i]).second,
-                         labels[i]);
+        EXPECT_TRUE(sameRecord(metrics().point(labels[i]),
+                               oracle(plan.points()[i]).record))
+            << labels[i];
     // The two SP variants really differ, so a merged record would
     // have shown.
     EXPECT_NE(metrics().point(labels[0]).counters,

@@ -68,6 +68,19 @@ TEST(ParseJobs, ClampsOversizedCounts)
     EXPECT_EQ(parseJobs("99999999999999999999", 2), 2);
 }
 
+TEST(ParseJobs, JobsFlagObeysTheSameBound)
+{
+    // --jobs is bounded like $CRW_JOBS: a huge count clamps, and one
+    // past the int range must clamp too, not wrap to a small count.
+    for (const char *flag : {"--jobs=100000", "--jobs=4294967297"}) {
+        const char *argv[] = {"test_harness", flag};
+        ASSERT_TRUE(benchInit(2, argv)) << flag;
+        EXPECT_EQ(sweepJobs(), kMaxJobs) << flag;
+    }
+    const char *reset[] = {"test_harness"};
+    ASSERT_TRUE(benchInit(1, reset));
+}
+
 TEST(ParallelSweep, RunsEveryIndexOnceAtAnyJobCount)
 {
     for (const int jobs : {1, 3, 8}) {

@@ -14,38 +14,11 @@
 #include <gtest/gtest.h>
 
 #include "spell/capture.h"
+#include "tests/win/replay_test_util.h"
 #include "trace/replay_driver.h"
 
 namespace crw {
 namespace {
-
-/** Small corpus: the full matrix runs 18 live + 18 replay points. */
-SpellConfig
-smallConfig()
-{
-    SpellConfig cfg;
-    cfg.corpusBytes = 3000;
-    cfg.dictBytes = 4000;
-    cfg.vocabularyWords = 500;
-    cfg.m = 1;
-    cfg.n = 1;
-    return cfg;
-}
-
-const SpellWorkload &
-smallWorkload()
-{
-    static const SpellWorkload wl = SpellWorkload::make(smallConfig());
-    return wl;
-}
-
-const EventTrace &
-smallTrace()
-{
-    static const EventTrace trace =
-        captureSpellTrace(smallWorkload(), smallConfig());
-    return trace;
-}
 
 struct Point
 {
@@ -70,49 +43,21 @@ TEST_P(ReplayEquivalence, LiveAndReplayedMetricsIdentical)
 {
     const Point p = GetParam();
 
-    const RunMetrics live = runSpellLive(
-        p.scheme, p.windows, p.policy, smallWorkload(), smallConfig());
+    const RunMetrics live =
+        runSpellLive(p.scheme, p.windows, p.policy, smallSpellWorkload(),
+                     smallSpellConfig());
 
-    EngineConfig ec;
-    ec.scheme = p.scheme;
-    ec.numWindows = p.windows;
-    ReplayDriver driver(smallTrace(), ec, p.policy);
+    ReplayDriver driver(smallSpellTrace(),
+                        configOf({p.scheme, p.windows, p.policy}),
+                        p.policy);
     driver.run();
+    // Every field, doubles bit for bit: both paths fold the same
+    // samples in the same order.
     const RunMetrics replayed = driver.metrics();
-
-    EXPECT_EQ(live.scheme, replayed.scheme);
-    EXPECT_EQ(live.policy, replayed.policy);
-    EXPECT_EQ(live.windows, replayed.windows);
-    EXPECT_EQ(live.totalCycles, replayed.totalCycles);
-    EXPECT_EQ(live.switches, replayed.switches);
-    EXPECT_EQ(live.saves, replayed.saves);
-    EXPECT_EQ(live.restores, replayed.restores);
-    EXPECT_EQ(live.overflowTraps, replayed.overflowTraps);
-    EXPECT_EQ(live.underflowTraps, replayed.underflowTraps);
-    EXPECT_EQ(live.switchWindowsSaved, replayed.switchWindowsSaved);
-    EXPECT_EQ(live.switchWindowsRestored,
-              replayed.switchWindowsRestored);
-    // Derived doubles must be bit-identical, not just close: both
-    // paths fold the same samples in the same order.
-    EXPECT_EQ(live.meanSwitchCost, replayed.meanSwitchCost);
-    EXPECT_EQ(live.trapProbability, replayed.trapProbability);
-    EXPECT_EQ(live.activityPerQuantum, replayed.activityPerQuantum);
-    EXPECT_EQ(live.totalWindowActivity, replayed.totalWindowActivity);
-    EXPECT_EQ(live.concurrency, replayed.concurrency);
-    EXPECT_EQ(live.meanSlackness, replayed.meanSlackness);
-    EXPECT_EQ(live.misspelled, replayed.misspelled);
-
-    ASSERT_EQ(live.perThread.size(), replayed.perThread.size());
-    for (std::size_t t = 0; t < live.perThread.size(); ++t) {
-        EXPECT_EQ(live.perThread[t].saves, replayed.perThread[t].saves)
-            << "thread " << t;
-        EXPECT_EQ(live.perThread[t].restores,
-                  replayed.perThread[t].restores)
-            << "thread " << t;
-        EXPECT_EQ(live.perThread[t].switchesIn,
-                  replayed.perThread[t].switchesIn)
-            << "thread " << t;
-    }
+    EXPECT_TRUE(metricsBitIdentical(live, replayed))
+        << "live " << live.totalCycles << " cycles, " << live.switches
+        << " switches; replayed " << replayed.totalCycles << " cycles, "
+        << replayed.switches << " switches";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -147,8 +92,8 @@ INSTANTIATE_TEST_SUITE_P(
  */
 TEST(CaptureInvariance, TraceIndependentOfCaptureConfiguration)
 {
-    const SpellConfig cfg = smallConfig();
-    const SpellWorkload &wl = smallWorkload();
+    const SpellConfig cfg = smallSpellConfig();
+    const SpellWorkload &wl = smallSpellWorkload();
 
     TraceRecorder recA(spellTraceKey(cfg), cfg.seed, cfg.corpusBytes);
     runSpellLive(SchemeKind::NS, 4, SchedPolicy::Fifo, wl, cfg, &recA);
