@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <iostream>
 #include <map>
 #include <mutex>
@@ -299,18 +300,46 @@ executePoints(const std::vector<PlanPoint> &points)
                "/" + policyName(p.policy) + " x" +
                std::to_string(unit.size());
     };
+    // Under obs, the replay wall time summed over the units of each
+    // kind — host.replay.point_s for the width-1 units,
+    // host.replay.batch_s for the lockstep batches — one sample per
+    // kind that ran. Host timing, outside the determinism contract.
+    using Clock = std::chrono::steady_clock;
+    const bool timed = obsEnabled();
+    const auto point_units = std::count_if(
+        units.begin(), units.end(),
+        [](const std::vector<std::size_t> &u) { return u.size() == 1; });
+    std::atomic<std::int64_t> point_ns{0};
+    std::atomic<std::int64_t> batch_ns{0};
     std::vector<RunMetrics> results(misses.size());
     pool.run(units.size(), [&](std::size_t u) {
         const std::vector<std::size_t> &unit = units[u];
+        const Clock::time_point t0 = timed ? Clock::now()
+                                           : Clock::time_point{};
         if (unit.size() == 1) {
             const PlanPoint &p = misses[unit[0]];
             results[unit[0]] =
                 replayPoint(cachedTrace(p.behavior), p.engine,
                             p.policy, &cachedFlatTrace(p.behavior));
-            return;
+        } else {
+            runLockstepUnit(misses, unit, results);
         }
-        runLockstepUnit(misses, unit, results);
+        if (!timed)
+            return;
+        const std::int64_t ns =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                Clock::now() - t0)
+                .count();
+        (unit.size() == 1 ? point_ns : batch_ns) += ns;
     }, unitLabel);
+    if (timed) {
+        if (point_units > 0)
+            metrics().sample("host.replay.point_s",
+                             static_cast<double>(point_ns) * 1e-9);
+        if (static_cast<std::size_t>(point_units) < units.size())
+            metrics().sample("host.replay.batch_s",
+                             static_cast<double>(batch_ns) * 1e-9);
+    }
     for (std::size_t i = 0; i < misses.size(); ++i) {
         storeInsert(missKeys[i], std::move(results[i]));
         if (use_cache) {

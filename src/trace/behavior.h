@@ -67,6 +67,15 @@ class BehaviorTracker final : public EngineObserver
      *  reads a clock, so the replay loops call this directly. */
     void switchTo(ThreadId to, int to_depth);
 
+    /**
+     * The running thread @p tid's saves and restores since its
+     * switch-in visited the depths [@p lo, @p hi] — the same as one
+     * onSave/onRestore per depth in it. The flat replay loop keeps
+     * the range in locals and folds it in once, before the next
+     * switchTo() and at the end of its run.
+     */
+    void noteRange(ThreadId tid, int lo, int hi);
+
     /** Flush the in-progress quantum and period. Call once at end. */
     void finish();
 
@@ -99,15 +108,21 @@ class BehaviorTracker final : public EngineObserver
     {
         // Empty is encoded as an inverted range so note() needs no
         // touched flag: both extreme updates are branch-free min/max
-        // (noteDepth runs on every save/restore and switch).
+        // (noteDepth runs on every oracle save/restore and switch).
         int minDepth = std::numeric_limits<int>::max();
         int maxDepth = std::numeric_limits<int>::min();
 
         void
         note(int depth)
         {
-            minDepth = depth < minDepth ? depth : minDepth;
-            maxDepth = depth > maxDepth ? depth : maxDepth;
+            note(depth, depth);
+        }
+
+        void
+        note(int lo, int hi)
+        {
+            minDepth = lo < minDepth ? lo : minDepth;
+            maxDepth = hi > maxDepth ? hi : maxDepth;
         }
 
         bool touched() const { return minDepth <= maxDepth; }
@@ -142,6 +157,17 @@ BehaviorTracker::noteDepth(ThreadId tid, int depth)
     DepthRange &r = periodRanges_[static_cast<std::size_t>(tid)];
     touchedInPeriod_ += static_cast<int>(!r.touched());
     r.note(depth);
+}
+
+inline void
+BehaviorTracker::noteRange(ThreadId tid, int lo, int hi)
+{
+    crw_assert(tid == running_ && lo <= hi);
+    quantumRange_.note(lo, hi);
+    // switchTo(tid) sized the table.
+    DepthRange &r = periodRanges_[static_cast<std::size_t>(tid)];
+    touchedInPeriod_ += static_cast<int>(!r.touched());
+    r.note(lo, hi);
 }
 
 inline void

@@ -39,12 +39,14 @@ FlatTrace::build(const EventTrace &trace)
 
     for (const TraceThreadInfo &t : trace.threads) {
         Span span;
+        ThreadTally tally;
         span.begin = static_cast<std::uint32_t>(flat.wordStorage.size());
         TraceCursor cur(t.code);
         std::uint64_t operand;
         while (!cur.atEnd()) {
             const TraceOp op = cur.peek(operand);
             cur.advance();
+            tally.count(op, operand);
             std::uint32_t field = kWideOperand;
             if (operand < kWideOperand)
                 field = static_cast<std::uint32_t>(operand);
@@ -56,6 +58,7 @@ FlatTrace::build(const EventTrace &trace)
         }
         span.end = static_cast<std::uint32_t>(flat.wordStorage.size());
         flat.threads.push_back(span);
+        tally.addTo(flat.tallies);
     }
     crw_assert(flat.wordStorage.size() <= UINT32_MAX);
     flat.words = flat.wordStorage.data();

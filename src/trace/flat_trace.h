@@ -23,6 +23,10 @@
  * walk yield the same event sequence by construction
  * (tests/trace/test_flat_trace.cc pins this).
  *
+ * Alongside the words, build() and an attach count the ScriptTallies
+ * (win/engine.h) the single-engine replay view folds in at the end of
+ * a run instead of counting per event.
+ *
  * The arrays are exposed as pointer views because they have two
  * backings: build() decodes into storage this struct owns, while
  * trace/flat_trace_io.h attaches the same arrays straight out of an
@@ -40,6 +44,7 @@
 #include "common/aligned.h"
 #include "store/arena.h"
 #include "trace/event_trace.h"
+#include "win/engine.h"
 
 namespace crw {
 
@@ -79,6 +84,10 @@ struct FlatTrace
     /** Streams of the source trace: every Put/Get/Close operand is
      *  below this. */
     std::uint32_t streamCount = 0;
+    /** Per-thread save/restore counts and the charge sum, counted by
+     *  build() and by loadFlatTrace's validation pass; not stored in
+     *  the file. */
+    ScriptTallies tallies;
 
     std::size_t eventCount() const { return events; }
 
@@ -106,6 +115,35 @@ struct FlatTrace
 
     /** Decode every thread script of @p trace into one flat image. */
     static FlatTrace build(const EventTrace &trace);
+
+    /**
+     * One thread's share of the ScriptTallies, counted in locals as
+     * build() and loadFlatTrace decode its events (a store through
+     * the tallies' vectors per event would alias the word appends).
+     */
+    struct ThreadTally
+    {
+        std::uint64_t saves = 0;
+        std::uint64_t restores = 0;
+        Cycles charges = 0;
+
+        void
+        count(TraceOp op, std::uint64_t operand)
+        {
+            saves += op == TraceOp::Save;
+            restores += op == TraceOp::Restore;
+            charges += op == TraceOp::Charge ? operand : 0;
+        }
+
+        /** Append this thread's counts to @p t. */
+        void
+        addTo(ScriptTallies &t) const
+        {
+            t.saves.push_back(saves);
+            t.restores.push_back(restores);
+            t.charges += charges;
+        }
+    };
 
     // Moving transfers the backing (heap buffers or the mmap) without
     // invalidating the view pointers; copying would not, so it is

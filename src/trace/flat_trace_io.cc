@@ -187,24 +187,32 @@ loadFlatTrace(const std::string &path, std::uint64_t trace_checksum,
         reinterpret_cast<const std::uint32_t *>(base + at.wordsAt);
     const auto *wide =
         reinterpret_cast<const FlatTrace::WideOperand *>(base + at.wideAt);
+    // The same pass counts the script tallies FlatTrace::build does.
+    ScriptTallies tallies;
     std::uint32_t k = 0;
-    for (std::uint32_t i = 0; i < h.events; ++i) {
-        const std::uint32_t op = words[i] & FlatTrace::kOpMask;
-        if (op > static_cast<std::uint32_t>(TraceOp::Exit))
-            return fail(error, "event " + std::to_string(i) +
-                                   " has op bits " + std::to_string(op));
-        std::uint64_t operand = words[i] >> FlatTrace::kOpBits;
-        if (operand == FlatTrace::kWideOperand) {
-            if (k == h.wideCount || wide[k].event != i)
-                return fail(error, "wide table malformed");
-            operand = wide[k++].operand;
+    for (const FlatTrace::Span &s : threads) {
+        FlatTrace::ThreadTally tally;
+        for (std::uint32_t i = s.begin; i < s.end; ++i) {
+            const std::uint32_t op = words[i] & FlatTrace::kOpMask;
+            if (op > static_cast<std::uint32_t>(TraceOp::Exit))
+                return fail(error, "event " + std::to_string(i) +
+                                       " has op bits " +
+                                       std::to_string(op));
+            std::uint64_t operand = words[i] >> FlatTrace::kOpBits;
+            if (operand == FlatTrace::kWideOperand) {
+                if (k == h.wideCount || wide[k].event != i)
+                    return fail(error, "wide table malformed");
+                operand = wide[k++].operand;
+            }
+            const TraceOp kind = FlatTrace::opOf(words[i]);
+            if (isStreamOp(kind) && operand >= h.streams)
+                return fail(error, "event " + std::to_string(i) +
+                                       " names stream " +
+                                       std::to_string(operand) + " of " +
+                                       std::to_string(h.streams));
+            tally.count(kind, operand);
         }
-        if (isStreamOp(FlatTrace::opOf(words[i])) &&
-            operand >= h.streams)
-            return fail(error, "event " + std::to_string(i) +
-                                   " names stream " +
-                                   std::to_string(operand) + " of " +
-                                   std::to_string(h.streams));
+        tally.addTo(tallies);
     }
     if (k != h.wideCount)
         return fail(error, "wide table malformed");
@@ -217,6 +225,7 @@ loadFlatTrace(const std::string &path, std::uint64_t trace_checksum,
     out.wideCount = h.wideCount;
     out.threads = std::move(threads);
     out.streamCount = h.streams;
+    out.tallies = std::move(tallies);
     out.mapping = std::move(mapping);
     return true;
 }

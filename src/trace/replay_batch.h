@@ -34,8 +34,9 @@
  * sequence, so ONE BehaviorTracker serves the whole batch; per-lane
  * switch-cost Distributions sample in per-lane event order; and the
  * shared core's slackness/dispatch statistics are schedule-derived —
- * identical to what K per-point cores would each record
- * (tests/win/test_batch_replay.cc pins all of this differentially).
+ * identical to what K per-point cores would each record (the replay
+ * net, tests/bench/test_replay_net.cc, pins all of this
+ * differentially).
  *
  * A batch runs the one flat replay loop (replay_state.h) over a
  * BatchedEngineView: the loop records the engine-op stream and touches

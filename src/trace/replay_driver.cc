@@ -9,8 +9,8 @@ namespace crw {
 SimdTier
 ReplayState::replaySingle(const FlatTrace &flat)
 {
-    return detail_replay::replayFlatWith<FastEngineView>(*this, flat,
-                                                         *engines_[0]);
+    return detail_replay::replayFlatWith<FastEngineView>(
+        *this, flat, *engines_[0], flat.tallies);
 }
 
 ReplayDriver::ReplayDriver(const EventTrace &trace,

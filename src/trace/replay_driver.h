@@ -32,8 +32,9 @@
  * loop unless the engine carries an oracle-only debugging aid: the
  * checkInvariants walk or an installed observer (the --trace-out
  * timeline). Legacy forces the oracle for differential testing. Both
- * loops must produce bit-identical RunMetrics; the fast-replay test
- * sweeps that equivalence across every scheme and variant.
+ * loops must produce bit-identical RunMetrics; the replay net
+ * (tests/bench/test_replay_net.cc) sweeps that equivalence across
+ * every scheme and variant.
  */
 
 #ifndef CRW_TRACE_REPLAY_DRIVER_H_

@@ -88,6 +88,22 @@ flatLoop(ReplayState &st, const FlatTrace &flat, PolicyT &pol,
             wakeAllSlow(waiters);
     };
 
+    // The tracker's running thread, its call depth, and the depths
+    // its saves and restores visited since its switch-in. A save only
+    // raises the depth and a restore only lowers it, so each bumps one
+    // end; starting the range inverted around the switch-in depth
+    // keeps it empty until the first op and exact after it (the
+    // tracker already noted the switch-in depth itself). It is folded
+    // into the tracker before the next switchTo and at the end.
+    ThreadId tracked = kNoThread;
+    int depth = 0;
+    int lo = 1;
+    int hi = -1;
+    const auto foldRange = [&] {
+        if (lo <= hi)
+            tracker.noteRange(tracked, lo, hi);
+    };
+
     while (!core.idle()) {
         const ThreadId tid = core.dispatchNext();
         if constexpr (PolicyT::kHasQuantum)
@@ -96,8 +112,13 @@ flatLoop(ReplayState &st, const FlatTrace &flat, PolicyT &pol,
         crw_assert(t.state == RState::Ready);
         t.state = RState::Running;
         if (view.current() != tid) {
+            foldRange();
             view.contextSwitch(tid);
-            tracker.switchTo(tid, view.depth(tid));
+            tracked = tid;
+            depth = view.depth(tid);
+            lo = depth + 1;
+            hi = depth - 1;
+            tracker.switchTo(tid, depth);
         }
 
         std::uint32_t pc = t.pc;
@@ -118,7 +139,8 @@ flatLoop(ReplayState &st, const FlatTrace &flat, PolicyT &pol,
               case TraceOp::Save:
               save_op:
                 view.save();
-                tracker.onSave(tid, view.depth(tid));
+                ++depth;
+                hi = depth > hi ? depth : hi;
                 ++pc;
                 if (pc != end &&
                     opAt(pc) == TraceOp::Charge)
@@ -127,7 +149,8 @@ flatLoop(ReplayState &st, const FlatTrace &flat, PolicyT &pol,
               case TraceOp::Restore:
               restore_op:
                 view.restore();
-                tracker.onRestore(tid, view.depth(tid));
+                --depth;
+                lo = depth < lo ? depth : lo;
                 ++pc;
                 if (pc != end &&
                     opAt(pc) == TraceOp::Save)
@@ -228,6 +251,7 @@ flatLoop(ReplayState &st, const FlatTrace &flat, PolicyT &pol,
         }
         t.pc = pc;
     }
+    foldRange();
     return view.finish();
 }
 

@@ -17,8 +17,10 @@
  * single lane runs FastEngineView (win/engine_fast.h), more than one
  * the record-and-replay BatchedEngineView (win/engine_batch.h). Both
  * views stay because each wins on traffic the sweeps run: a width-1
- * batch measured 1.10–1.32x slower than the single-engine view, and a
- * quarter of a --no-cache sweep's points replay alone.
+ * batch replays a FIFO point of the finest spell trace 1.09x (SP),
+ * 1.12x (SNP) and 1.42x (NS) slower than the single-engine view
+ * (EXPERIMENTS.md, "Replay design measurements"), and a quarter of a
+ * --no-cache sweep's points replay alone.
  */
 
 #ifndef CRW_TRACE_REPLAY_STATE_H_

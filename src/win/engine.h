@@ -131,6 +131,20 @@ struct ThreadCounters
     std::uint64_t switchesIn = 0;
 };
 
+/**
+ * What a run's thread scripts fix whatever the engine: every thread
+ * runs its whole script, so its save and restore counts and the sum
+ * of the charges are properties of the trace, not of the replay
+ * point. FlatTrace counts them once; FastEngineView folds them into
+ * the engine when its run ends instead of counting them per event.
+ */
+struct ScriptTallies
+{
+    std::vector<std::uint64_t> saves;    ///< per thread (ThreadId)
+    std::vector<std::uint64_t> restores; ///< per thread (ThreadId)
+    Cycles charges = 0;                  ///< sum of Charge operands
+};
+
 template <typename SchemeT>
 class FastEngineView;
 
@@ -150,7 +164,8 @@ class BatchedEngineView;
  * path (win/engine_fast.h) instantiates the same event bodies with the
  * concrete scheme class resolved at compile time; it accesses the
  * engine's internals through the FastEngineView friend below and must
- * stay bit-identical to the oracle (tests/win/test_fast_replay.cc).
+ * stay bit-identical to the oracle (the replay net,
+ * tests/bench/test_replay_net.cc, and tests/win/test_lazy_run.cc).
  */
 class WindowEngine
 {

@@ -67,8 +67,11 @@
  * save/restore cost (psr × event count — per-lane psr, shared count),
  * and the per-thread tallies. The per-op work that remains on each
  * lane is exactly the divergent residue: the scheme's window motion
- * and the trap/switch costs it implies. Consequently a lane's clock
- * decomposes as
+ * and the trap/switch costs it implies. Under SNP and SP even the
+ * window motion of a plain save or restore is only a LazyRun offset
+ * (win/lazy_run.h), written to the lane's file before each switch,
+ * exit and trap and at the end of each pass. Consequently a lane's
+ * clock decomposes as
  *
  *   now(l) = charges + psr(l)·(saves+restores) + offset(l)
  *
@@ -95,6 +98,7 @@
 #include "common/logging.h"
 #include "win/engine.h"
 #include "win/lane_soa.h"
+#include "win/lazy_run.h"
 #include "win/schemes_impl.h"
 #include "win/simd.h"
 
@@ -363,7 +367,8 @@ class BatchedEngineView
     /**
      * The per-lane pass: one linear walk over the op stream applying
      * lane @p l's scheme bodies against local (alias-free) copies of
-     * its hot state. Per-lane event order — and with it the
+     * its hot state; under SNP and SP only traps reach a save or
+     * restore body. Per-lane event order — and with it the
      * switch-cost Distribution's sample order and the switch-case
      * histograms — matches a per-point replay exactly, because the
      * stream *is* the shared schedule restricted to engine ops.
@@ -377,10 +382,21 @@ class BatchedEngineView
         WindowEngine::HotCounters h = hot_[l];
         Cycles offset = offset_[l];
         ThreadId cur = tapeFrom_;
+        // SNP/SP: the current thread's plain saves and restores only
+        // move the run's offset (win/lazy_run.h); it is written to
+        // the lane's file before each trap (by the run), switch and
+        // exit, and when the pass ends.
+        LazyRun<SchemeT> run(e.file_);
+        if constexpr (kLazy)
+            run.begin(cur);
         for (const OpRec &op : ops_) {
             switch (op.kind) {
               case OpRec::Kind::Save: {
-                const OpOutcome out = s->template doSave<false>(cur);
+                OpOutcome out;
+                if constexpr (kLazy)
+                    out = run.save(*s);
+                else
+                    out = s->template doSave<false>(cur);
                 if (out.trapped) {
                     ++h.ovfTraps;
                     h.ovfSpilled +=
@@ -392,8 +408,11 @@ class BatchedEngineView
                 break;
               }
               case OpRec::Kind::Restore: {
-                const OpOutcome out =
-                    s->template doRestore<false>(cur);
+                OpOutcome out;
+                if constexpr (kLazy)
+                    out = run.restore(*s);
+                else
+                    out = s->template doRestore<false>(cur);
                 if (out.trapped) {
                     ++h.unfTraps;
                     h.unfRestored +=
@@ -406,6 +425,8 @@ class BatchedEngineView
               }
               case OpRec::Kind::Switch: {
                 crw_assert(e.file_.hasThread(op.to));
+                if constexpr (kLazy)
+                    run.materialize();
                 const SwitchOutcome out =
                     s->template doSwitchIn<false>(cur, op.to);
                 offset += chargeSwitch(t, e, h, out.windowsSaved,
@@ -415,14 +436,22 @@ class BatchedEngineView
                     crw_assert(cur == kNoThread ||
                                !e.file_.thread(cur).isResident());
                 cur = op.to;
+                if constexpr (kLazy)
+                    run.begin(cur);
                 break;
               }
               case OpRec::Kind::Exit:
+                if constexpr (kLazy)
+                    run.materialize();
                 s->template doExit<false>(cur);
                 cur = kNoThread;
+                if constexpr (kLazy)
+                    run.begin(cur);
                 break;
             }
         }
+        if constexpr (kLazy)
+            run.materialize();
         hot_[l] = h;
         offset_[l] = offset;
     }
@@ -434,6 +463,7 @@ class BatchedEngineView
     static constexpr bool kIsNs =
         std::is_same_v<SchemeT, detail::NsScheme>;
     static constexpr bool kHasSoaPass = kIsInf || kIsNs;
+    static constexpr bool kLazy = kHasLazyRun<SchemeT>;
 
     /**
      * The lane-SoA pass (DESIGN.md §16), NS and INF only: transpose

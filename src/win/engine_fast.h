@@ -16,13 +16,25 @@
  * The view writes the engine's own counters and clock through
  * friendship, so a run driven through it is indistinguishable —
  * bit-for-bit, including the switch-cost Distribution's summation
- * order — from one driven through the engine members. That invariant
- * is enforced by tests/win/test_fast_replay.cc across every scheme,
- * policy and PRW/allocation variant. Backed by that differential
+ * order — from one driven through the engine members. The replay net
+ * (tests/bench/test_replay_net.cc) holds every scheme, policy and
+ * PRW/allocation variant to that. Backed by that differential
  * pinning, the view instantiates the Checked = false flavor of the
  * scheme event bodies: structural assertions are not evaluated on
  * this path (see the policy note in win/window_file.h); the oracle
  * keeps them all.
+ *
+ * Per event the view does only what depends on the engine (DESIGN.md
+ * §12): the window motion and the trap and switch costs it implies.
+ * What the scripts fix (ScriptTallies: per-thread save and restore
+ * counts, the charge sum) is folded in once by finish(), so
+ *
+ *   now = charges + psr·(saves+restores) + traps + switches
+ *
+ * as in BatchedEngineView::finish. Under SNP and SP the running
+ * thread's plain saves and restores are a LazyRun offset
+ * (win/lazy_run.h), written to the file before every switch, exit and
+ * trap and at the end of the run.
  *
  * The observer hooks and postEventCheck() are deliberately absent:
  * the timeline observer and the full invariant walk are debugging
@@ -35,6 +47,7 @@
 
 #include "common/logging.h"
 #include "win/engine.h"
+#include "win/lazy_run.h"
 #include "win/schemes_impl.h"
 #include "win/simd.h"
 
@@ -44,62 +57,65 @@ template <typename SchemeT>
 class FastEngineView
 {
   public:
-    explicit FastEngineView(WindowEngine &engine)
+    /**
+     * @param tallies What the replayed scripts fix (not owned; must
+     *        outlive the view), one entry per registered thread.
+     */
+    FastEngineView(WindowEngine &engine, const ScriptTallies &tallies)
         : e_(engine),
           s_(static_cast<SchemeT &>(*engine.scheme_)),
-          t_(engine.cost_, engine.kind_, engine.file_.numWindows())
+          t_(engine.cost_, engine.kind_, engine.file_.numWindows()),
+          tallies_(tallies),
+          run_(engine.file_)
     {
         // The concrete type must match the engine's runtime scheme,
         // and the oracle-only debug aids must take the oracle.
         crw_assert(s_.kind() == engine.kind_);
         crw_assert(!engine.checkInvariants_);
         crw_assert(!engine.observer_);
+        crw_assert(tallies.saves.size() == engine.threadCounters_.size());
+        crw_assert(tallies.restores.size() ==
+                   engine.threadCounters_.size());
+        if constexpr (kLazy)
+            run_.begin(engine.current_);
     }
 
     void
     save()
     {
         crw_assert(e_.current_ != kNoThread);
-        const OpOutcome out =
-            s_.template doSave<false>(e_.current_);
-
-        ++e_.hot_.saves;
-        ++e_.threadCounters_[static_cast<std::size_t>(e_.current_)]
-              .saves;
-        Cycles cycles = t_.plainSaveRestore();
+        OpOutcome out;
+        if constexpr (kLazy)
+            out = run_.save(s_);
+        else
+            out = s_.template doSave<false>(e_.current_);
         if (out.trapped) {
             ++e_.hot_.ovfTraps;
             e_.hot_.ovfSpilled +=
                 static_cast<std::uint64_t>(out.windowsSaved);
             const Cycles trap = t_.overflowCost(out.windowsSaved);
             e_.hot_.cyclesTrap += trap;
-            cycles += trap;
+            e_.now_ += trap;
         }
-        e_.hot_.cyclesCallret += t_.plainSaveRestore();
-        e_.now_ += cycles;
     }
 
     void
     restore()
     {
         crw_assert(e_.current_ != kNoThread);
-        const OpOutcome out =
-            s_.template doRestore<false>(e_.current_);
-
-        ++e_.hot_.restores;
-        ++e_.threadCounters_[static_cast<std::size_t>(e_.current_)]
-              .restores;
-        Cycles cycles = t_.plainSaveRestore();
+        OpOutcome out;
+        if constexpr (kLazy)
+            out = run_.restore(s_);
+        else
+            out = s_.template doRestore<false>(e_.current_);
         if (out.trapped) {
             ++e_.hot_.unfTraps;
             e_.hot_.unfRestored +=
                 static_cast<std::uint64_t>(out.windowsRestored);
             const Cycles trap = t_.underflowCost();
             e_.hot_.cyclesTrap += trap;
-            cycles += trap;
+            e_.now_ += trap;
         }
-        e_.hot_.cyclesCallret += t_.plainSaveRestore();
-        e_.now_ += cycles;
     }
 
     void
@@ -107,10 +123,14 @@ class FastEngineView
     {
         crw_assert(e_.file_.hasThread(to));
         crw_assert(to != e_.current_);
+        if constexpr (kLazy)
+            run_.materialize();
         const ThreadId from = e_.current_;
         const SwitchOutcome out =
             s_.template doSwitchIn<false>(from, to);
         e_.current_ = to;
+        if constexpr (kLazy)
+            run_.begin(to);
 
         ++e_.hot_.switches;
         ++e_.threadCounters_[static_cast<std::size_t>(to)].switchesIn;
@@ -137,30 +157,63 @@ class FastEngineView
     threadExit()
     {
         crw_assert(e_.current_ != kNoThread);
+        if constexpr (kLazy)
+            run_.materialize();
         s_.template doExit<false>(e_.current_);
         ++e_.stats_.counter("thread_exits");
         e_.current_ = kNoThread;
+        if constexpr (kLazy)
+            run_.begin(kNoThread);
     }
 
-    void
-    charge(Cycles cycles)
+    /** Charges are script tallies, folded in by finish(). */
+    void charge(Cycles cycles) { (void)cycles; }
+
+    /**
+     * End of the run: materialize the running thread and fold the
+     * script tallies into the engine. Call once, after every thread
+     * ran its whole script. A single engine has no tape to replay.
+     */
+    SimdTier
+    finish()
     {
-        e_.hot_.cyclesCompute += cycles;
-        e_.now_ += cycles;
+        if constexpr (kLazy)
+            run_.materialize();
+        std::uint64_t saves = 0;
+        std::uint64_t restores = 0;
+        for (std::size_t tid = 0; tid < tallies_.saves.size(); ++tid) {
+            ThreadCounters &tc = e_.threadCounters_[tid];
+            tc.saves += tallies_.saves[tid];
+            tc.restores += tallies_.restores[tid];
+            saves += tallies_.saves[tid];
+            restores += tallies_.restores[tid];
+        }
+        const Cycles callret = t_.plainSaveRestore() * (saves + restores);
+        e_.hot_.saves += saves;
+        e_.hot_.restores += restores;
+        e_.hot_.cyclesCallret += callret;
+        e_.hot_.cyclesCompute += tallies_.charges;
+        e_.now_ += tallies_.charges + callret;
+        return SimdTier::Scalar;
     }
-
-    /** End of the run: a single engine has no tape to replay. */
-    SimdTier finish() const { return SimdTier::Scalar; }
 
     ThreadId current() const { return e_.current_; }
+    /** Call depth of @p tid; exact for every thread at a switch, the
+     *  one point the replay loop reads it. */
     int depth(ThreadId tid) const { return e_.file_.thread(tid).depth; }
-    /** Working-set wake support: the engine's residency of @p tid. */
+    /** Working-set wake support: the engine's residency of @p tid,
+     *  asked only of threads that are not running. */
     bool resident(ThreadId tid) const { return e_.isResident(tid); }
 
   private:
+    static constexpr bool kLazy = kHasLazyRun<SchemeT>;
+
     WindowEngine &e_;
     SchemeT &s_;
     const FlatCostTables t_;
+    const ScriptTallies &tallies_;
+    /** The running thread's plain saves and restores (SNP, SP). */
+    LazyRun<SchemeT> run_;
 };
 
 } // namespace crw

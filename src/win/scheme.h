@@ -104,8 +104,11 @@ struct RunFold
  *   r' = min(r + k, N - 1),   traps = k - (r' - r)
  *
  * The stack-top always moves k steps in the save direction. This is
- * the scalar oracle of the SoA save-run kernels (win/engine_batch.h);
- * tests/win/test_batch_replay.cc pins it against iterated doSave.
+ * the scalar oracle of the SoA save-run kernels (win/engine_batch.h):
+ * tests/win/test_lane_soa.cc pins every kernel flavor against k
+ * iterated single-step folds, and the replay net
+ * (tests/bench/test_replay_net.cc) pins the SoA pass against the
+ * scheme bodies.
  */
 inline RunFold
 nsSaveRunFold(int resident, int usable_cap, int k)

@@ -181,16 +181,18 @@ class WindowFile
     template <bool Checked = true>
     void popFrame(ThreadId tid);
 
-    // --- batched-replay writeback (win/engine_batch.h) ---
+    // --- replay writeback (win/engine_batch.h, win/lazy_run.h) ---
     //
     // The SoA follower pass evolves every lane's window state in
     // transposed lane-major arrays and only materializes it into the
-    // real WindowFile once the whole batch completes. These importers
-    // are that materialization: raw assignments with no invariant
-    // maintenance — the pass guarantees the imported state is exactly
-    // what the primitive-transition sequence would have produced, and
-    // the differential suite re-verifies the result with
-    // checkInvariants().
+    // real WindowFile once the whole batch completes; a lazy run
+    // (SNP, SP) keeps the running thread's plain saves and restores as
+    // an offset and materializes it before the next switch, exit or
+    // trap. These importers are that materialization: raw assignments
+    // with no invariant maintenance — each writer guarantees the
+    // imported state is exactly what the primitive-transition sequence
+    // would have produced, and the differential suites re-verify the
+    // result with checkInvariants().
 
     /** Mark every slot Free (import precedes re-owning them). */
     void
