@@ -61,7 +61,7 @@ walkEngineConfig(SchemeKind scheme, int windows)
     return cfg;
 }
 
-std::vector<Cycles>
+std::vector<std::unique_ptr<WindowEngine>>
 walkLockstep(const WalkSpec &spec, SchemeKind scheme,
              const std::vector<int> &windows)
 {
@@ -72,42 +72,48 @@ walkLockstep(const WalkSpec &spec, SchemeKind scheme,
         for (ThreadId t = 0; t < spec.threads; ++t)
             engines.back()->addThread(t);
     }
-    // Each decision is recorded as it is drawn, in global step order;
-    // the view replays the recorded ops through every lane as its tape
-    // fills and at finish(). The walk never asks the view for
-    // residency, so every scheme batches here.
+    // Each decision is recorded as it is drawn, in global step order,
+    // and counted into the walk's tallies, which the view folds into
+    // every lane at finish(); the view replays the recorded ops
+    // through every lane as its tape fills and at finish(). The walk
+    // never asks the view for residency, so every scheme batches here.
+    const auto threads = static_cast<std::size_t>(spec.threads);
+    ScriptTallies tallies;
+    tallies.saves.assign(threads, 0);
+    tallies.restores.assign(threads, 0);
     detail::visitSchemeClass(scheme, [&](auto scheme_tag) {
         // The walk records one op per step, a switch per quantum and
         // the first switch.
         BatchedEngineView<typename decltype(scheme_tag)::type> view(
-            engines, static_cast<std::size_t>(spec.quanta) *
-                             (spec.stepsPerQuantum + 1) +
-                         1);
+            engines, tallies,
+            static_cast<std::size_t>(spec.quanta) *
+                    (spec.stepsPerQuantum + 1) +
+                1);
         Rng rng(spec.seed);
-        std::vector<int> depth(static_cast<std::size_t>(spec.threads), 1);
+        std::vector<int> depth(threads, 1);
         ThreadId current = 0;
         view.contextSwitch(current);
         for (int q = 0; q < spec.quanta; ++q) {
-            int &d = depth[static_cast<std::size_t>(current)];
+            const auto cur = static_cast<std::size_t>(current);
+            int &d = depth[cur];
             for (int s = 0; s < spec.stepsPerQuantum; ++s) {
                 if (d <= 1 || (d < spec.maxDepth && rng.nextBool(0.5))) {
                     view.save();
+                    ++tallies.saves[cur];
                     ++d;
                 } else {
                     view.restore();
+                    ++tallies.restores[cur];
                     --d;
                 }
-                view.charge(kWalkStepCharge);
+                tallies.charges += kWalkStepCharge;
             }
             current = static_cast<ThreadId>((current + 1) % spec.threads);
             view.contextSwitch(current);
         }
         view.finish();
     });
-    std::vector<Cycles> cycles;
-    for (const auto &engine : engines)
-        cycles.push_back(engine->now());
-    return cycles;
+    return engines;
 }
 
 std::string
@@ -190,13 +196,12 @@ WalkTable::run(int jobs)
             const auto [max_depth, scheme] = walked[k];
             WalkSpec spec;
             spec.maxDepth = max_depth;
-            const std::vector<Cycles> cycles =
-                walkLockstep(spec, scheme, windows);
+            const auto lanes = walkLockstep(spec, scheme, windows);
             // The group's cells come in window-sweep order.
-            auto lane = cycles.begin();
+            auto lane = lanes.begin();
             for (WalkCell &cell : table.cells_)
                 if (cell.maxDepth == max_depth && cell.scheme == scheme)
-                    cell.cycles = *lane++;
+                    cell.cycles = (*lane++)->now();
         },
         [&](std::size_t k) {
             return std::string("walk ") + schemeName(walked[k].second) +

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -67,11 +68,12 @@ EngineConfig walkEngineConfig(SchemeKind scheme, int windows);
  * Walk @p spec once under @p scheme with one lockstep lane per entry
  * of @p windows (at least two): a thread at depth 1 always calls, at
  * maxDepth always returns, otherwise calls with probability 1/2, and
- * every step is charged kWalkStepCharge. Returns each lane's final
- * cycle, in @p windows order.
+ * every step is charged kWalkStepCharge. Returns each lane's engine
+ * after the walk, in @p windows order.
  */
-std::vector<Cycles> walkLockstep(const WalkSpec &spec, SchemeKind scheme,
-                                 const std::vector<int> &windows);
+std::vector<std::unique_ptr<WindowEngine>>
+walkLockstep(const WalkSpec &spec, SchemeKind scheme,
+             const std::vector<int> &windows);
 
 /** Result-store key of one walk cell (format in result_cache.h). */
 std::string walkCacheKey(const WalkSpec &spec, const EngineConfig &cfg);

@@ -18,9 +18,9 @@
  * dispatch-order bookkeeping, and exposes only placement verbs
  * (enqueueBack / enqueueFront at a level). Every *decision* — front
  * jump or back, which level, when a quantum expires — lives in one of
- * the policy classes below. The hot replay loops are templated on the
- * concrete policy type (mirroring the SchemeT pattern of
- * FastEngineView / BatchedEngineView) so placement compiles down to
+ * the policy classes below. The flat replay loop is templated on the
+ * concrete policy type (mirroring the SchemeT pattern of its engine
+ * views, trace/replay_loop.h) so placement compiles down to
  * the same straight-line code the old two-way branch produced; the
  * live Scheduler and the legacy oracle dispatch through SchedPolicyBox
  * (a std::variant) where the indirection is off any hot path.

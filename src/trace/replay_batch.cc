@@ -13,7 +13,7 @@ ReplayState::replayLockstep(const FlatTrace &flat)
     // the switches; a tape that fills drains through the lanes,
     // so any schedule fits.
     return detail_replay::replayFlatWith<BatchedEngineView>(
-        *this, flat, engines_, flat.eventCount());
+        *this, flat, engines_, flat.tallies, flat.eventCount());
 }
 
 BatchedReplayDriver::BatchedReplayDriver(

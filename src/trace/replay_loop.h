@@ -2,8 +2,10 @@
  * @file
  * The flat replay loop (DESIGN.md §12), written once and instantiated
  * per (engine view, scheme, policy). Private to the two drivers:
- * replay_driver.cc instantiates it over FastEngineView, replay_batch.cc
- * over BatchedEngineView, so the two sets compile in parallel.
+ * replay_driver.cc instantiates it over the single-engine view,
+ * replay_batch.cc over the lockstep one, so the two sets compile in
+ * parallel. Both views step their lanes through one LaneStep
+ * (win/lane_step.h) and fold the run's tallies in at finish().
  */
 
 #ifndef CRW_TRACE_REPLAY_LOOP_H_
@@ -158,9 +160,11 @@ flatLoop(ReplayState &st, const FlatTrace &flat, PolicyT &pol,
                 break;
               case TraceOp::Charge:
               charge_op: {
-                const Cycles cycles = static_cast<Cycles>(operandAt(pc));
-                view.charge(cycles);
+                // The clock takes the charge at the view's finish()
+                // (ScriptTallies); only the quantum reads it here.
                 if constexpr (PolicyT::kHasQuantum) {
+                    const Cycles cycles =
+                        static_cast<Cycles>(operandAt(pc));
                     // Preemption point: the charge has executed, then
                     // the thread yields to the tail of the queue —
                     // same statement order as the oracle loop. The

@@ -12,15 +12,15 @@
  * per lane, which is exactly what makes a batch lockstep.
  *
  * replayFlat() walks the predecoded FlatTrace through ONE loop
- * (replay_loop.h), templated on the engine view. The view is picked
- * by lane count: a
- * single lane runs FastEngineView (win/engine_fast.h), more than one
- * the record-and-replay BatchedEngineView (win/engine_batch.h). Both
- * views stay because each wins on traffic the sweeps run: a width-1
- * batch replays a FIFO point of the finest spell trace 1.09x (SP),
- * 1.12x (SNP) and 1.42x (NS) slower than the single-engine view
- * (EXPERIMENTS.md, "Replay design measurements"), and a quarter of a
- * --no-cache sweep's points replay alone.
+ * (replay_loop.h), templated on the engine view, which is picked by
+ * lane count. A single lane runs FastEngineView (win/engine_fast.h),
+ * which steps it inline; more than one run BatchedEngineView
+ * (win/engine_batch.h), which records an op tape and steps each lane
+ * from it. Both step through one LaneStep (win/lane_step.h). The
+ * single-engine view stays because a width-1 batch replays a FIFO
+ * point of the finest spell trace 1.09x (SP), 1.12x (SNP) and 1.42x
+ * (NS) slower (EXPERIMENTS.md, "Replay design measurements"), and a
+ * quarter of a --no-cache sweep's points replay alone.
  */
 
 #ifndef CRW_TRACE_REPLAY_STATE_H_

@@ -108,8 +108,8 @@ class CostModel
 };
 
 /**
- * Flat per-(scheme, windows) cost tables for the replay fast path
- * (win/engine_fast.h): every CostModel lookup a specialized event loop
+ * Flat per-(scheme, windows) cost tables for the replay lane step
+ * (win/lane_step.h): every CostModel lookup a specialized event body
  * performs, precomputed into dense arrays indexed by windows moved.
  * One instance is built per replay point — the scheme kind and window
  * count are fixed for the whole run, so the trap-cost formulae and the

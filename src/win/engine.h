@@ -135,8 +135,9 @@ struct ThreadCounters
  * What a run's thread scripts fix whatever the engine: every thread
  * runs its whole script, so its save and restore counts and the sum
  * of the charges are properties of the trace, not of the replay
- * point. FlatTrace counts them once; FastEngineView folds them into
- * the engine when its run ends instead of counting them per event.
+ * point. FlatTrace counts them once; both replay views fold them into
+ * every engine when the run ends (LaneStep::fold, win/lane_step.h)
+ * instead of counting them per event.
  */
 struct ScriptTallies
 {
@@ -146,10 +147,7 @@ struct ScriptTallies
 };
 
 template <typename SchemeT>
-class FastEngineView;
-
-template <typename SchemeT>
-class BatchedEngineView;
+class LaneStep;
 
 /**
  * The window-management simulator.
@@ -160,10 +158,10 @@ class BatchedEngineView;
  *
  * Dispatch: the member event functions go through the virtual Scheme
  * interface — this is the *oracle* path, the reference semantics every
- * specialization is differentially tested against. The replay fast
- * path (win/engine_fast.h) instantiates the same event bodies with the
- * concrete scheme class resolved at compile time; it accesses the
- * engine's internals through the FastEngineView friend below and must
+ * specialization is differentially tested against. The replay views
+ * step the engine through LaneStep (win/lane_step.h), the same event
+ * bodies with the concrete scheme class resolved at compile time; it
+ * accesses the engine's internals as the one friend below and must
  * stay bit-identical to the oracle (the replay net,
  * tests/bench/test_replay_net.cc, and tests/win/test_lazy_run.cc).
  */
@@ -260,10 +258,7 @@ class WindowEngine
 
   private:
     template <typename SchemeT>
-    friend class FastEngineView;
-
-    template <typename SchemeT>
-    friend class BatchedEngineView;
+    friend class LaneStep;
 
     void postEventCheck();
     void syncStats() const;

@@ -8,7 +8,7 @@
  * runs one lane per stream walk — K full walks, with each lane's
  * state scattered across its own WindowEngine. For NS and INF this
  * layer flips the loop order: the hot per-lane state (resident counts,
- * stack-top cursors, trap tallies, clock offsets) is transposed into
+ * stack-top cursors, trap tallies) is transposed into
  * lane-major arrays padded to the widest vector (8 × i32), and one
  * walk over the stream applies each op to all lanes at once. The
  * sharing schemes (SNP, SP) have no SoA pass: their slot-map eviction
@@ -73,11 +73,11 @@ struct LaneSoA
     AlignedVec<std::uint64_t> ovfCost1; ///< overflowCost(1)
     AlignedVec<std::uint64_t> unfCost;  ///< underflowCost()
 
-    // Per-lane accumulators, [pad]; folded into the engines' hot
-    // counters at writeback.
+    // Per-lane accumulators, [pad]; folded into each lane's step at
+    // writeback (LaneStep::absorb).
     AlignedVec<std::uint64_t> ovfTraps, ovfSpilled;
     AlignedVec<std::uint64_t> unfTraps, unfRestored;
-    AlignedVec<std::uint64_t> cyclesTrap, offset;
+    AlignedVec<std::uint64_t> cyclesTrap;
 
     // Per (thread, lane) cursors, [threads * pad], lane-major per
     // thread. NS keeps `top` unwrapped (the run kernels add/subtract
@@ -99,7 +99,6 @@ struct LaneSoA
         unfTraps.resize(pad);
         unfRestored.resize(pad);
         cyclesTrap.resize(pad);
-        offset.resize(pad);
         const std::size_t per_thread =
             static_cast<std::size_t>(nthreads) * pad;
         top.resize(per_thread);
@@ -157,9 +156,7 @@ nsSaveRunPortable(LaneSoA &s, ThreadId tid, int k)
         top[l] -= k;
         s.ovfTraps[l] += traps;
         s.ovfSpilled[l] += traps;
-        const std::uint64_t c = traps * s.ovfCost1[l];
-        s.cyclesTrap[l] += c;
-        s.offset[l] += c;
+        s.cyclesTrap[l] += traps * s.ovfCost1[l];
     }
 }
 
@@ -178,9 +175,7 @@ nsRestoreRunPortable(LaneSoA &s, ThreadId tid, int k)
         top[l] += k;
         s.unfTraps[l] += traps;
         s.unfRestored[l] += traps;
-        const std::uint64_t c = traps * s.unfCost[l];
-        s.cyclesTrap[l] += c;
-        s.offset[l] += c;
+        s.cyclesTrap[l] += traps * s.unfCost[l];
     }
 }
 
@@ -200,7 +195,7 @@ inline constexpr LaneKernels kPortableKernels = {
 __attribute__((target("avx2"))) inline void
 foldTrapHalfAvx2(__m256i traps64, std::uint64_t *count_a,
                  std::uint64_t *count_b, const std::uint64_t *cost,
-                 std::uint64_t *cycles, std::uint64_t *offset)
+                 std::uint64_t *cycles)
 {
     __m256i *ca = reinterpret_cast<__m256i *>(count_a);
     __m256i *cb = reinterpret_cast<__m256i *>(count_b);
@@ -212,11 +207,8 @@ foldTrapHalfAvx2(__m256i traps64, std::uint64_t *count_a,
         traps64,
         _mm256_load_si256(reinterpret_cast<const __m256i *>(cost)));
     __m256i *cy = reinterpret_cast<__m256i *>(cycles);
-    __m256i *of = reinterpret_cast<__m256i *>(offset);
     _mm256_store_si256(
         cy, _mm256_add_epi64(_mm256_load_si256(cy), c64));
-    _mm256_store_si256(
-        of, _mm256_add_epi64(_mm256_load_si256(of), c64));
 }
 
 template <bool Save>
@@ -260,11 +252,9 @@ runFoldAvx2(LaneSoA &s, ThreadId tid, int k)
         const std::uint64_t *cost =
             (Save ? s.ovfCost1 : s.unfCost).data() + l;
         foldTrapHalfAvx2(t_lo, count_a, count_b, cost,
-                         s.cyclesTrap.data() + l,
-                         s.offset.data() + l);
+                         s.cyclesTrap.data() + l);
         foldTrapHalfAvx2(t_hi, count_a + 4, count_b + 4, cost + 4,
-                         s.cyclesTrap.data() + l + 4,
-                         s.offset.data() + l + 4);
+                         s.cyclesTrap.data() + l + 4);
     }
 }
 

@@ -2,8 +2,8 @@
  * @file
  * LazyRun: the running thread's plain saves and restores under a
  * sharing scheme (SNP, SP), kept as a running offset instead of slot
- * writes. Both replay views (win/engine_fast.h, win/engine_batch.h)
- * drive one per engine.
+ * writes. The replay lane step (win/lane_step.h) drives one per
+ * engine.
  *
  * Under SNP and SP a save traps only when the slot it grows into is
  * not Free (another thread's window or PRW, or the thread's own
@@ -29,9 +29,10 @@
  * materialize() writes the offset into the real slots and the
  * thread's ThreadWindows in O(|offset|). save() and restore() do so
  * before a trap, then run the scheme's unchecked doSave/doRestore body
- * and restart the run from the state it left; a view does so before
- * every switch and exit and at the end of each tape drain and of the
- * run. Other threads' windows never move in a plain op, so residency
+ * and restart the run from the state it left; the lane step does so
+ * before every switch and exit and in its flush(), at the end of each
+ * tape drain and of the run. Other threads' windows never move in a
+ * plain op, so residency
  * at a working-set wake — asked only of threads that are not running
  * — reads the file directly.
  *
@@ -66,7 +67,7 @@ class LazyRun
 
   public:
     explicit LazyRun(WindowFile &file)
-        : f_(file)
+        : f_(&file)
     {}
 
     /**
@@ -83,10 +84,10 @@ class LazyRun
         hi_ = 0;
         if (tid == kNoThread)
             return;
-        const ThreadWindows &tw = f_.thread<false>(tid);
+        const ThreadWindows &tw = f_->thread<false>(tid);
         top_ = tw.top;
         floor_ = 1 - tw.resident;
-        probe_ = f_.space().wrap(top_ - 2);
+        probe_ = f_->space().wrap(top_ - 2);
     }
 
     /**
@@ -127,19 +128,19 @@ class LazyRun
     {
         if (off_ == 0)
             return;
-        ThreadWindows &tw = f_.thread<false>(tid_);
-        const CyclicSpace &sp = f_.space();
+        ThreadWindows &tw = f_->thread<false>(tid_);
+        const CyclicSpace &sp = f_->space();
         if constexpr (kPrw)
-            f_.importSlot(tw.prw, WinState::Free, kNoThread);
+            f_->importSlot(tw.prw, WinState::Free, kNoThread);
         WindowIndex w = top_;
         if (off_ > 0) {
             for (int k = 0; k < off_; ++k) {
                 w = sp.above<false>(w);
-                f_.importSlot(w, WinState::Owned, tid_);
+                f_->importSlot(w, WinState::Owned, tid_);
             }
         } else {
             for (int k = 0; k < -off_; ++k) {
-                f_.importSlot(w, WinState::Free, kNoThread);
+                f_->importSlot(w, WinState::Free, kNoThread);
                 w = sp.below<false>(w);
             }
         }
@@ -148,7 +149,7 @@ class LazyRun
         tw.depth += off_;
         if constexpr (kPrw) {
             tw.prw = sp.above<false>(w);
-            f_.importSlot(tw.prw, WinState::Prw, tid_);
+            f_->importSlot(tw.prw, WinState::Prw, tid_);
         }
         top_ = w;
         floor_ -= off_;
@@ -166,15 +167,15 @@ class LazyRun
         }
         // A thread with no windows (after its root frame returned)
         // has no run to grow; the scheme body owns that case.
-        if (top_ == kNoWindow || !f_.isFree<false>(probe_))
+        if (top_ == kNoWindow || !f_->isFree<false>(probe_))
             return false;
-        probe_ = f_.space().above<false>(probe_);
+        probe_ = f_->space().above<false>(probe_);
         ++hi_;
         ++off_;
         return true;
     }
 
-    WindowFile &f_;
+    WindowFile *f_;
     ThreadId tid_ = kNoThread;
     /** Stack-top of the materialized state. */
     WindowIndex top_ = kNoWindow;

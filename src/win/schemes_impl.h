@@ -1,7 +1,7 @@
 /**
  * @file
- * Concrete scheme implementations, in a header so the replay fast
- * path (win/engine_fast.h) can instantiate the engine event bodies
+ * Concrete scheme implementations, in a header so the replay lane
+ * step (win/lane_step.h) can instantiate the engine event bodies
  * over the concrete (final) classes and inline the per-event handlers
  * — save/restore/switch fire tens of millions of times per sweep, and
  * the dispatch boundary was the hottest barrier in the replay profile.
@@ -14,8 +14,8 @@
  * Every event body is a `doX<Checked>` member template; the virtual
  * Scheme overrides forward to the Checked = true instantiation, so
  * the oracle path evaluates every structural assertion exactly as
- * before. The replay views (win/engine_fast.h, win/engine_batch.h)
- * instantiate Checked = false: the window-file primitives then skip
+ * before. The replay lane step (win/lane_step.h, win/lazy_run.h)
+ * instantiates Checked = false: the window-file primitives then skip
  * assertion *evaluation* — see the policy note in win/window_file.h —
  * which removed ~25% of replay wall time. The differential suites pin
  * the unchecked instantiations bit-identical to the checked oracle.

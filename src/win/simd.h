@@ -40,8 +40,9 @@ const char *simdTierName(SimdTier tier);
 
 /**
  * The effective dispatch tier: the test override if one is set,
- * else cpuMaxSimdTier(). This is what BatchedEngineView::finish()
- * dispatches on and what the executor publishes as replay.simd_path.
+ * else cpuMaxSimdTier(). This is the pass a lockstep batch's tape
+ * drains dispatch on (win/engine_batch.h) and what the executor
+ * publishes as replay.simd_path.
  */
 SimdTier effectiveSimdTier();
 

@@ -117,8 +117,8 @@ class WindowFile
     // Every primitive takes a `Checked` template parameter (default
     // true): whether its structural assertions are *evaluated*. The
     // oracle engine, the invariant checker, and every test keep the
-    // checked default; only the devirtualized replay instantiations
-    // (win/engine_fast.h, win/engine_batch.h) use Checked = false —
+    // checked default; only the devirtualized replay step
+    // (win/lane_step.h, win/lazy_run.h) uses Checked = false —
     // their transition sequences are pinned bit-identical to the
     // checked oracle by the differential suites, and evaluating the
     // assertion operands (slot loads, cyclic recomputation) was ~25%

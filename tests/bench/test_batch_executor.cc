@@ -3,14 +3,13 @@
  * The sweep executor's lockstep batching (bench/executor.cc,
  * DESIGN.md §14): cache misses sharing a pointBatchKey replay as one
  * batch (replay.batches / replay.batched_points / replay.batch_width
- * count it), the batch width cap chunks groups (ragged tail chunks)
- * and a cap of 0 pins batching off, a cache-disabled sweep still
- * batches (the --no-cache path), a --trace-out run falls back to
- * per-point replays (the timeline observer is per-point only), and
- * the static batch rule keeps SNP/SP under the working-set policies
- * at one lane. Every result stays bit-identical to the oracle loop's
- * replay of its point; the replay net (test_replay_net.cc) sweeps that
- * across tiers, caps, --jobs and obs.
+ * count it), a --trace-out run falls back to per-point replays (the
+ * timeline observer is per-point only), and the static batch rule
+ * keeps SNP/SP under the working-set policies at one lane. Every
+ * result stays bit-identical to the oracle loop's replay of its
+ * point; the replay net (test_replay_net.cc) sweeps that across
+ * tiers, caps (ragged chunks, 0 pinning batching off), --jobs and obs
+ * with both caches off, the --no-cache path.
  */
 
 #include <cstdint>
@@ -52,17 +51,6 @@ const bool g_privateStore = [] {
     ::putenv(env);
     return true;
 }();
-
-/** Scoped batch width cap pin (setReplayBatchCapOverride). */
-class ScopedBatchCap
-{
-  public:
-    explicit ScopedBatchCap(std::size_t cap)
-    {
-        setReplayBatchCapOverride(cap);
-    }
-    ~ScopedBatchCap() { clearReplayBatchCapOverride(); }
-};
 
 /**
  * Scoped result+flat cache disable, starting from an empty in-process
@@ -177,32 +165,6 @@ TEST(BatchExecutor, ColdSweepReplaysOneLockstepBatch)
     expectOracleResults(plan);
 }
 
-TEST(BatchExecutor, WidthCapChunksRaggedBatches)
-{
-    const ScopedNoCache nocache;
-    const ScopedBatchCap cap(4);
-    // Six misses with one batch key at cap 4: units of 4 and 2.
-    const ExperimentPlan plan =
-        windowsPlan(SchemeKind::NS, {5, 7, 9, 11, 13, 15});
-
-    const Replayed r = execute(plan);
-    EXPECT_EQ(r.batches, 2u);
-    EXPECT_EQ(r.lanes, 6u);
-}
-
-TEST(BatchExecutor, BatchZeroPinsPerPointReplay)
-{
-    const ScopedNoCache nocache;
-    const ScopedBatchCap off(0);
-    const ExperimentPlan plan =
-        windowsPlan(SchemeKind::SNP, {5, 7, 9});
-
-    const Replayed r = execute(plan);
-    EXPECT_EQ(r.batches, 0u);
-    EXPECT_EQ(r.lanes, 0u);
-    EXPECT_EQ(r.points, 3u);
-}
-
 TEST(BatchExecutor, TraceOutRequestForcesPerPointReplay)
 {
     const ScopedNoCache nocache;
@@ -227,23 +189,6 @@ TEST(BatchExecutor, TraceOutRequestForcesPerPointReplay)
     ASSERT_TRUE(benchInit(1, reset));
     ASSERT_FALSE(traceRequested());
     std::remove(out.c_str());
-}
-
-TEST(BatchExecutor, CacheDisabledSweepStillBatches)
-{
-    // The ScopedNoCache in every test above is exactly the --no-cache
-    // configuration; this test makes the property explicit and also
-    // covers a working-set plan end to end: NS under WS batches (a
-    // woken thread is resident on no NS lane), and every point must
-    // come out bit-identical to the oracle's replay.
-    const ScopedNoCache nocache;
-    const ExperimentPlan plan = windowsPlan(
-        SchemeKind::NS, {4, 6, 32}, SchedPolicy::WorkingSet);
-
-    const Replayed r = execute(plan);
-    EXPECT_EQ(r.batches, 1u);
-    EXPECT_EQ(r.points, 3u);
-    expectOracleResults(plan);
 }
 
 TEST(BatchExecutor, StaticRuleKeepsSharingWorkingSetPointsUnbatched)

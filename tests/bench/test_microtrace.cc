@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -36,6 +37,7 @@
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "store/record_store.h"
+#include "tests/win/engine_test_util.h"
 #include "tests/win/simd_test_util.h"
 #include "win/engine.h"
 
@@ -88,13 +90,12 @@ exhibitCellKey(SchemeKind scheme, int windows, int max_depth)
 
 /** The inline walk loop: draws each decision while driving the
  *  engine, one shared Rng across the round-robin threads. */
-Cycles
+std::unique_ptr<WindowEngine>
 oracleWalk(const WalkSpec &spec, SchemeKind scheme, int windows)
 {
-    EngineConfig cfg;
-    cfg.numWindows = windows;
-    cfg.scheme = scheme;
-    WindowEngine engine(cfg);
+    auto owned =
+        std::make_unique<WindowEngine>(walkEngineConfig(scheme, windows));
+    WindowEngine &engine = *owned;
     Rng rng(spec.seed);
 
     std::vector<int> depth(static_cast<std::size_t>(spec.threads), 1);
@@ -122,7 +123,7 @@ oracleWalk(const WalkSpec &spec, SchemeKind scheme, int windows)
         engine.contextSwitch(next);
         current = next;
     }
-    return engine.now();
+    return owned;
 }
 
 TEST(Microtrace, TableIdenticalAcrossJobCounts)
@@ -151,7 +152,10 @@ TEST(Microtrace, TableIdenticalAcrossJobCounts)
 TEST(Microtrace, LockstepWalkMatchesInlineWalkAtEveryTier)
 {
     // Small shapes: odd thread counts and quantum lengths, and depth
-    // bounds on both sides of the smallest window file.
+    // bounds on both sides of the smallest window file. The walk
+    // supplies its own script tallies, so every counter is compared,
+    // not only the clock: a swapped save and restore count would
+    // leave the clock as it was.
     const std::vector<int> &windows = defaultWindowSweep();
     ASSERT_EQ(windows.size(), 12u);
     for (const int max_depth : {2, 5, 9}) {
@@ -162,19 +166,20 @@ TEST(Microtrace, LockstepWalkMatchesInlineWalkAtEveryTier)
         spec.quanta = 150;
         spec.seed = 7;
         for (const SchemeKind scheme : evaluatedSchemes()) {
-            std::vector<Cycles> oracle;
+            std::vector<std::unique_ptr<WindowEngine>> oracle;
             for (const int w : windows)
                 oracle.push_back(oracleWalk(spec, scheme, w));
             for (const SimdTier tier : hostTiers()) {
                 const ScopedTier pin(tier);
-                const std::vector<Cycles> lanes =
-                    walkLockstep(spec, scheme, windows);
+                const auto lanes = walkLockstep(spec, scheme, windows);
                 ASSERT_EQ(lanes.size(), windows.size());
                 for (std::size_t l = 0; l < windows.size(); ++l)
-                    EXPECT_EQ(lanes[l], oracle[l])
-                        << simdTierName(tier) << " "
-                        << schemeName(scheme) << " w" << windows[l]
-                        << " d" << max_depth;
+                    expectEnginesIdentical(
+                        *lanes[l], *oracle[l], {0, 1, 2},
+                        std::string(simdTierName(tier)) + " " +
+                            schemeName(scheme) + " w" +
+                            std::to_string(windows[l]) + " d" +
+                            std::to_string(max_depth));
             }
         }
     }

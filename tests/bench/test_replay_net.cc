@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <iterator>
 #include <map>
@@ -254,23 +255,51 @@ counter(const char *name)
     return metrics().counterValue(name);
 }
 
-/** replay.batches an executePlan of @p points adds at @p cap: each
- *  batchable group splits into cap-wide units, and a unit of one lane
- *  replays as a point. */
-std::uint64_t
-expectedBatches(const std::vector<PlanPoint> &points, std::size_t cap)
+/** How far one executePlan moves the replay counters. */
+struct Replayed
 {
+    std::uint64_t batches = 0; ///< replay.batches
+    std::uint64_t lanes = 0;   ///< replay.batched_points
+    std::uint64_t points = 0;  ///< replay.points
+
+    bool operator==(const Replayed &) const = default;
+    std::string
+    text() const
+    {
+        return "replay.batches +" + std::to_string(batches) +
+               ", replay.batched_points +" + std::to_string(lanes) +
+               ", replay.points +" + std::to_string(points);
+    }
+};
+
+Replayed
+replayCounters()
+{
+    return {counter("replay.batches"), counter("replay.batched_points"),
+            counter("replay.points")};
+}
+
+/** What an executePlan of @p points adds at @p cap: each batchable
+ *  group splits into cap-wide units, and a unit of one lane replays
+ *  as a point. */
+Replayed
+expectedReplays(const std::vector<PlanPoint> &points, std::size_t cap)
+{
+    Replayed want;
+    want.points = points.size();
     if (cap < 2)
-        return 0;
+        return want;
     std::map<std::string, std::size_t> groups;
     for (const PlanPoint &p : points)
         if (!p.engine.checkInvariants &&
             lockstepBatchable(p.engine.scheme, p.policy))
             ++groups[pointBatchKey(p)];
-    std::uint64_t batches = 0;
-    for (const auto &[key, n] : groups)
-        batches += n / cap + (n % cap >= 2 ? 1 : 0);
-    return batches;
+    for (const auto &[key, n] : groups) {
+        const std::size_t tail = n % cap >= 2 ? n % cap : 0;
+        want.batches += n / cap + (tail ? 1 : 0);
+        want.lanes += n / cap * cap + tail;
+    }
+    return want;
 }
 
 std::string
@@ -297,7 +326,7 @@ runExecutor(const NetCase &c, const EventTrace &trace)
     else
         setReplayBatchCapOverride(c.cap);
     const std::vector<PlanPoint> &pts = plan.points();
-    const std::uint64_t want_batches = expectedBatches(
+    const Replayed want = expectedReplays(
         pts, c.cap == kDefaultCap ? defaultReplayBatchCap() : c.cap);
 
     // Point records merge by summing, so each case's merge is checked
@@ -305,19 +334,17 @@ runExecutor(const NetCase &c, const EventTrace &trace)
     std::vector<obs::PointRecord> before;
     for (const PlanPoint &p : pts)
         before.push_back(metrics().point(recordLabel(trace, p)));
-    const std::uint64_t batches = counter("replay.batches");
-    const std::uint64_t points = counter("replay.points");
+    const Replayed before_run = replayCounters();
     clearPointResults();
     executePlan(plan);
     clearReplayBatchCapOverride();
 
-    const std::uint64_t got_batches = counter("replay.batches") - batches;
-    const std::uint64_t got_points = counter("replay.points") - points;
-    if (got_batches != want_batches || got_points != pts.size())
-        return "replay.batches +" + std::to_string(got_batches) +
-               " (want +" + std::to_string(want_batches) +
-               "), replay.points +" + std::to_string(got_points) +
-               " (want +" + std::to_string(pts.size()) + ")";
+    const Replayed after_run = replayCounters();
+    const Replayed got{after_run.batches - before_run.batches,
+                       after_run.lanes - before_run.lanes,
+                       after_run.points - before_run.points};
+    if (!(got == want))
+        return got.text() + " (want " + want.text() + ")";
     for (std::size_t i = 0; i < pts.size(); ++i) {
         const OracleRun &want =
             legacyOracle(trace, pts[i].engine, pts[i].policy);
@@ -374,7 +401,8 @@ runCase(const NetCase &c)
     }
 
     BatchedReplayDriver batch(trace, configs, policy, &flat);
-    batch.run();
+    if (!batch.run())
+        return "run() returned false";
     const bool soa = configs.size() > 1 && (scheme == SchemeKind::NS ||
                                             scheme == SchemeKind::Infinite);
     if (batch.simdPath() != (soa ? c.tier : SimdTier::Scalar))
@@ -386,10 +414,80 @@ runCase(const NetCase &c)
     return why;
 }
 
+/** "" when @p c passes, else why not; a case whose text does not
+ *  round-trip through parseCase fails without running. */
+std::string
+failure(const NetCase &c)
+{
+    const std::string text = caseText(c);
+    try {
+        return caseText(parseCase(text)) == text
+                   ? runCase(c)
+                   : "case text does not round-trip";
+    } catch (const std::exception &e) {
+        return std::string("threw: ") + e.what();
+    }
+}
+
+/** @p c without point @p i (the invariant-checking mark follows its
+ *  point, and goes with it). */
+NetCase
+withoutPoint(NetCase c, std::size_t i)
+{
+    c.points.erase(c.points.begin() + static_cast<std::ptrdiff_t>(i));
+    const int at = static_cast<int>(i);
+    c.checked = c.checked == at ? -1 : c.checked - (c.checked > at);
+    return c;
+}
+
+/**
+ * The smallest case reached from @p c by steps that keep @p fails
+ * true: keep either half of the points, drop one point (up to 16),
+ * halve the synth's items. Each step is taken greedily, in that
+ * order, until none applies or @p budget cases were tried.
+ */
+NetCase
+shrink(NetCase c, const std::function<bool(const NetCase &)> &fails,
+       int budget = 64)
+{
+    for (bool progress = true; progress;) {
+        progress = false;
+        const std::size_t n = c.points.size();
+        std::vector<NetCase> steps;
+        if (n > 1) {
+            NetCase first = c;
+            NetCase second = c;
+            for (std::size_t i = n; i-- > n / 2;)
+                first = withoutPoint(std::move(first), i);
+            for (std::size_t i = n / 2; i-- > 0;)
+                second = withoutPoint(std::move(second), i);
+            steps.push_back(std::move(first));
+            steps.push_back(std::move(second));
+        }
+        for (std::size_t i = 0; n > 1 && n <= 16 && i < n; ++i)
+            steps.push_back(withoutPoint(c, i));
+        if (c.synth && c.synth->items > 1) {
+            steps.push_back(c);
+            steps.back().synth->items /= 2;
+        }
+        for (NetCase &step : steps) {
+            if (budget-- <= 0)
+                return c;
+            if (fails(step)) {
+                c = std::move(step);
+                progress = true;
+                break;
+            }
+        }
+    }
+    return c;
+}
+
 /**
  * Run @p cases with both on-disk stores off (every executor point is
  * a miss, and no flat file is written). Each failing case adds one
- * failure line; the case text in it round-trips through parseCase.
+ * failure line with its one-line reproducer and a shrunk one that
+ * still fails; both round-trip through parseCase.
  */
 void
 runNet(const std::vector<NetCase> &cases)
@@ -398,17 +496,16 @@ runNet(const std::vector<NetCase> &cases)
     setFlatCacheEnabled(false);
     std::size_t failed = 0;
     for (const NetCase &c : cases) {
-        const std::string text = caseText(c);
-        std::string why;
-        try {
-            why = caseText(parseCase(text)) == text
-                      ? runCase(c)
-                      : "case text does not round-trip";
-        } catch (const std::exception &e) {
-            why = std::string("threw: ") + e.what();
-        }
-        if (!why.empty() && ++failed <= 8)
-            ADD_FAILURE() << "[replay-net] " << why << " | " << text;
+        const std::string why = failure(c);
+        if (why.empty() || ++failed > 8)
+            continue;
+        const NetCase small = shrink(c, [](const NetCase &s) {
+            const std::string w = failure(s);
+            return !w.empty() && w != "case text does not round-trip";
+        });
+        ADD_FAILURE() << "[replay-net] " << why << " | " << caseText(c)
+                      << "\n[replay-net] shrunk: " << failure(small)
+                      << " | " << caseText(small);
     }
     EXPECT_EQ(failed, 0u) << "of " << cases.size() << " cases";
     const char *reset[] = {"test_replay_net"};
@@ -713,6 +810,43 @@ TEST(ReplayNet, SeededCasesShard0) { runSeededShard(0); }
 TEST(ReplayNet, SeededCasesShard1) { runSeededShard(1); }
 TEST(ReplayNet, SeededCasesShard2) { runSeededShard(2); }
 TEST(ReplayNet, SeededCasesShard3) { runSeededShard(3); }
+
+/** The shrinker keeps a failing case failing while it drops points
+ *  and items, and its result round-trips through parseCase. */
+TEST(ReplayNet, ShrinkerKeepsTheCaseFailing)
+{
+    NetCase c = parseCase("behavior=ring/t3/i150/c2/d4/j1/ch30/l0/p0/s5 "
+                          "entry=executor tier=scalar cap=4 jobs=2 obs=0 "
+                          "points=NS/FIFO/4/eager/simple");
+    for (int w = 5; w <= 30; ++w)
+        c.points.push_back({SchemeKind::NS, w, SchedPolicy::Fifo});
+    c.checked = 20; // windows 24
+    // Fails while a point at windows 21 remains and items >= 10.
+    int tried = 0;
+    const auto fails = [&tried](const NetCase &s) {
+        ++tried;
+        bool has21 = false;
+        for (const Variant &v : s.points)
+            has21 = has21 || v.windows == 21;
+        return has21 && s.synth->items >= 10;
+    };
+    const NetCase small = shrink(c, fails, 1000);
+    ASSERT_EQ(small.points.size(), 1u);
+    EXPECT_EQ(small.points[0].windows, 21);
+    EXPECT_EQ(small.checked, -1);
+    EXPECT_GE(small.synth->items, 10);
+    EXPECT_LT(small.synth->items, 20);
+    EXPECT_EQ(caseText(parseCase(caseText(small))), caseText(small));
+    // Out of budget after the first round: the second half stays.
+    tried = 0;
+    EXPECT_EQ(shrink(c, fails, 2).points.size(), 14u);
+    EXPECT_EQ(tried, 2);
+
+    // The invariant-checking mark follows its point.
+    const NetCase dropped = withoutPoint(c, 3);
+    EXPECT_EQ(dropped.checked, 19);
+    EXPECT_EQ(dropped.points[19].windows, 24);
+}
 
 /** A reproducer line replays its one case. */
 TEST(ReplayNet, ReproducerLineReplaysItsCase)

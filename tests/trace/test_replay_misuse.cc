@@ -5,18 +5,14 @@
  * accumulate into finished counters. Each must throw with the replay
  * coordinate in the message. The oracle-only debugging aids
  * (checkInvariants, an installed observer) route a point to the
- * oracle loop, and a one-config batch takes the single-engine flat
- * loop.
+ * oracle loop.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
 #include "trace/event_trace.h"
-#include "trace/replay_batch.h"
 #include "trace/replay_driver.h"
-#include "trace/synth.h"
-#include "win/simd.h"
 
 namespace crw {
 namespace {
@@ -80,31 +76,6 @@ TEST(ReplayMisuse, InstalledObserverRunsOracle)
     driver.run();
     EXPECT_FALSE(driver.usedFastPath());
     EXPECT_EQ(obs.events, 1);
-}
-
-TEST(ReplayMisuse, SingleConfigBatchMatchesOracleOnScalarPath)
-{
-    SynthSpec spec;
-    spec.threads = 3;
-    spec.items = 40;
-    spec.lockRounds = 5;
-    spec.prioritized = true;
-    const EventTrace trace = generateSynthTrace(spec);
-    for (const SchedPolicy policy : allSchedPolicies()) {
-        EngineConfig ec;
-        ec.scheme = SchemeKind::SP;
-        ec.numWindows = 5;
-        ReplayDriver oracle(trace, ec, policy);
-        oracle.setPath(ReplayPath::Legacy);
-        oracle.run();
-        BatchedReplayDriver batch(trace, {ec}, policy);
-        ASSERT_TRUE(batch.run());
-        EXPECT_TRUE(metricsBitIdentical(oracle.metrics(),
-                                        batch.metrics(0)))
-            << policyName(policy);
-        EXPECT_EQ(batch.simdPath(), SimdTier::Scalar)
-            << policyName(policy);
-    }
 }
 
 TEST(ReplayMisuse, ForcedPathsReportWhichLoopRan)

@@ -20,6 +20,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "tests/win/engine_test_util.h"
 #include "tests/win/replay_test_util.h"
 #include "tests/win/simd_test_util.h"
 #include "trace/replay_batch.h"
@@ -189,43 +190,6 @@ randomScript(const std::vector<ThreadId> &tids, std::size_t length,
     return out;
 }
 
-/** Every observable of @p got equals @p want's. */
-void
-expectEnginesIdentical(const WindowEngine &got, const WindowEngine &want,
-                       const std::vector<ThreadId> &tids,
-                       const std::string &ctx)
-{
-    EXPECT_EQ(got.now(), want.now()) << ctx;
-    EXPECT_EQ(got.current(), want.current()) << ctx;
-    EXPECT_EQ(got.switchCases(), want.switchCases()) << ctx;
-    const StatGroup &gs = got.stats();
-    const StatGroup &ws = want.stats();
-    EXPECT_EQ(gs.counters().size(), ws.counters().size()) << ctx;
-    for (const auto &[name, counter] : ws.counters())
-        EXPECT_EQ(gs.counterValue(name), counter.value())
-            << ctx << " " << name;
-    for (const auto &[name, dist] : ws.distributions()) {
-        ASSERT_TRUE(gs.distributions().count(name)) << ctx << " " << name;
-        const Distribution &g = gs.distributions().at(name);
-        EXPECT_EQ(g.count(), dist.count()) << ctx << " " << name;
-        EXPECT_EQ(g.sum(), dist.sum()) << ctx << " " << name;
-        EXPECT_EQ(g.variance(), dist.variance()) << ctx << " " << name;
-    }
-    for (const ThreadId tid : tids) {
-        const ThreadCounters &gc = got.threadCounters(tid);
-        const ThreadCounters &wc = want.threadCounters(tid);
-        EXPECT_EQ(gc.saves, wc.saves) << ctx << " tid " << tid;
-        EXPECT_EQ(gc.restores, wc.restores) << ctx << " tid " << tid;
-        EXPECT_EQ(gc.switchesIn, wc.switchesIn) << ctx << " tid " << tid;
-        const ThreadWindows &gt = got.file().thread(tid);
-        const ThreadWindows &wt = want.file().thread(tid);
-        EXPECT_EQ(gt.top, wt.top) << ctx << " tid " << tid;
-        EXPECT_EQ(gt.resident, wt.resident) << ctx << " tid " << tid;
-        EXPECT_EQ(gt.prw, wt.prw) << ctx << " tid " << tid;
-        EXPECT_EQ(gt.depth, wt.depth) << ctx << " tid " << tid;
-    }
-}
-
 /**
  * Drive @p script through a lockstep view whose tape is sized from
  * @p max_ops, one lane per window count, and op for op through a
@@ -266,7 +230,14 @@ expectViewMatchesEngines(SchemeKind scheme,
         detail::visitSchemeClass(scheme, [&](auto scheme_tag) {
             using View =
                 BatchedEngineView<typename decltype(scheme_tag)::type>;
-            View view(lanes, max_ops);
+            // The script's tallies, counted as the ops are applied;
+            // the view reads them at finish().
+            const ThreadId top_tid =
+                *std::max_element(tids.begin(), tids.end());
+            ScriptTallies tallies;
+            tallies.saves.assign(static_cast<std::size_t>(top_tid) + 1, 0);
+            tallies.restores = tallies.saves;
+            View view(lanes, tallies, max_ops);
             // The record that fills the tape is the first to drain.
             const std::size_t undrained =
                 std::min(max_ops, View::kTapeOps) - 1;
@@ -287,13 +258,20 @@ expectViewMatchesEngines(SchemeKind scheme,
                       case Kind::Exit: oracle->threadExit(); break;
                     }
                 }
+                const auto cur = static_cast<std::size_t>(view.current());
                 switch (op.kind) {
-                  case Kind::Save: view.save(); break;
-                  case Kind::Restore: view.restore(); break;
+                  case Kind::Save:
+                    view.save();
+                    ++tallies.saves[cur];
+                    break;
+                  case Kind::Restore:
+                    view.restore();
+                    ++tallies.restores[cur];
+                    break;
                   case Kind::Switch: view.contextSwitch(op.to); break;
                   case Kind::Exit: view.threadExit(); break;
                 }
-                view.charge(3);
+                tallies.charges += 3;
                 for (const auto &oracle : oracles)
                     oracle->charge(3);
             }

@@ -51,7 +51,6 @@ randomSoa(std::size_t lanes, int threads, std::uint64_t seed)
         soa.unfTraps[l] = nextRand(s) % 50;
         soa.unfRestored[l] = soa.unfTraps[l];
         soa.cyclesTrap[l] = nextRand(s) % 100000;
-        soa.offset[l] = nextRand(s) % 100000;
     }
     for (int t = 0; t < threads; ++t) {
         std::int32_t *res = soa.resOf(static_cast<ThreadId>(t));
@@ -72,7 +71,7 @@ struct Shadow
 {
     std::vector<std::int32_t> res, top;
     std::vector<std::uint64_t> ovfTraps, ovfSpilled, unfTraps,
-        unfRestored, cyclesTrap, offset;
+        unfRestored, cyclesTrap;
 
     static Shadow
     of(LaneSoA &soa, ThreadId tid)
@@ -88,7 +87,6 @@ struct Shadow
             sh.unfTraps.push_back(soa.unfTraps[l]);
             sh.unfRestored.push_back(soa.unfRestored[l]);
             sh.cyclesTrap.push_back(soa.cyclesTrap[l]);
-            sh.offset.push_back(soa.offset[l]);
         }
         return sh;
     }
@@ -106,22 +104,18 @@ struct Shadow
                     top[l] -= 1;
                     ovfTraps[l] += f.traps;
                     ovfSpilled[l] += f.traps;
-                    const std::uint64_t c =
+                    cyclesTrap[l] +=
                         static_cast<std::uint64_t>(f.traps) *
                         soa.ovfCost1[l];
-                    cyclesTrap[l] += c;
-                    offset[l] += c;
                 } else {
                     const RunFold f = restoreRunFold(res[l], 1);
                     res[l] = f.newResident;
                     top[l] += 1;
                     unfTraps[l] += f.traps;
                     unfRestored[l] += f.traps;
-                    const std::uint64_t c =
+                    cyclesTrap[l] +=
                         static_cast<std::uint64_t>(f.traps) *
                         soa.unfCost[l];
-                    cyclesTrap[l] += c;
-                    offset[l] += c;
                 }
             }
         }
@@ -145,8 +139,6 @@ struct Shadow
                 << what << " unfRestored lane " << l;
             EXPECT_EQ(cyclesTrap[l], soa.cyclesTrap[l])
                 << what << " cyclesTrap lane " << l;
-            EXPECT_EQ(offset[l], soa.offset[l])
-                << what << " offset lane " << l;
         }
     }
 };

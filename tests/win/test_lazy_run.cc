@@ -35,6 +35,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "tests/win/engine_test_util.h"
 #include "win/engine.h"
 #include "win/engine_batch.h"
 #include "win/engine_fast.h"
@@ -157,19 +158,7 @@ void
 expectSameEngine(const WindowEngine &got, const WindowEngine &want,
                  const std::string &ctx)
 {
-    EXPECT_EQ(got.now(), want.now()) << ctx;
-    EXPECT_EQ(got.current(), want.current()) << ctx;
-    EXPECT_EQ(got.switchCases(), want.switchCases()) << ctx;
-    for (const auto &[name, counter] : want.stats().counters())
-        EXPECT_EQ(got.stats().counterValue(name), counter.value())
-            << ctx << " " << name;
-    for (ThreadId tid = 0; tid < kThreads; ++tid) {
-        const ThreadCounters &g = got.threadCounters(tid);
-        const ThreadCounters &w = want.threadCounters(tid);
-        EXPECT_EQ(g.saves, w.saves) << ctx << " tid " << tid;
-        EXPECT_EQ(g.restores, w.restores) << ctx << " tid " << tid;
-        EXPECT_EQ(g.switchesIn, w.switchesIn) << ctx << " tid " << tid;
-    }
+    expectEnginesIdentical(got, want, {0, 1, 2, 3}, ctx);
     EXPECT_TRUE(sameFile(got.file(), want.file())) << ctx;
 }
 
@@ -217,7 +206,7 @@ applyToOracle(WindowEngine &oracle, const Op &op, bool after_restore,
     }
 }
 
-/** The script's tallies: what FastEngineView::finish folds in. */
+/** The script's tallies: what a view's finish() folds in. */
 ScriptTallies
 talliesOf(const std::vector<Op> &script)
 {
@@ -302,7 +291,6 @@ TEST(LazyRun, SingleEngineViewMatchesTheOracleAtEverySwitch)
                       case Op::Kind::Switch: view.contextSwitch(op.to); break;
                       case Op::Kind::Exit: view.threadExit(); break;
                     }
-                    view.charge(kCharge);
                     if (op.kind != Op::Kind::Switch)
                         continue;
                     ASSERT_TRUE(sameFile(lazy->file(), oracle->file()))
@@ -330,6 +318,7 @@ TEST(LazyRun, LockstepLanesMatchTheirOraclesAfterEveryDrain)
     // mid-run offset.
     constexpr std::size_t kTape = 7;
     const std::vector<Op> script = makeScript(8, kScriptOps, 77);
+    const ScriptTallies tallies = talliesOf(script);
     for (const Variant &v : sharingVariants()) {
         const std::string ctx = contextOf(v, 0);
         std::vector<std::unique_ptr<WindowEngine>> lanes;
@@ -343,7 +332,7 @@ TEST(LazyRun, LockstepLanesMatchTheirOraclesAfterEveryDrain)
         Coverage cov;
         detail::visitSchemeClass(v.scheme, [&](auto scheme_tag) {
             BatchedEngineView<typename decltype(scheme_tag)::type> view(
-                lanes, kTape);
+                lanes, tallies, kTape);
             bool after_restore = false;
             for (std::size_t i = 0; i < script.size(); ++i) {
                 const Op &op = script[i];
@@ -356,7 +345,6 @@ TEST(LazyRun, LockstepLanesMatchTheirOraclesAfterEveryDrain)
                   case Op::Kind::Switch: view.contextSwitch(op.to); break;
                   case Op::Kind::Exit: view.threadExit(); break;
                 }
-                view.charge(kCharge);
                 if ((i + 1) % kTape != 0)
                     continue;
                 for (std::size_t l = 0; l < lanes.size(); ++l) {
